@@ -25,13 +25,12 @@ from typing import Any
 import numpy as np
 
 from .channel_link import LinkProfile, apply_channel, build_link_profile
-from .errors import (EmptyKey, LowSample, OutOfRange, ProfileGap,
-                     SimulationError, SyncFailed, QkdPassError)
+from .errors import (EmptyKey, LowSample, OutOfRange, QkdPassError,
+                     SimulationError, SyncFailed)
 from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
     predict_passes, sample_pass
 from .pat_controller import PatSeries, run_pat
-from .photon_source import PairEventStream, generate_pair_stream, pair_rate, \
-    with_seed
+from .photon_source import PairEventStream, generate_pair_stream, pair_rate
 from .polarization_correction import PcsSeries, frame_offset_profile, \
     run_polarization_correction
 from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
@@ -273,15 +272,37 @@ def _loss_budget(link: LinkProfile) -> dict[str, float | None]:
     }
 
 
-def simulate_pass(
-    scenario: Scenario,
-    window: PassWindow | None = None,
-    pass_index: int = 0,
-) -> PassResult:
+def select_pass(
+    scenario: Scenario, pass_index: int = 0
+) -> tuple[TwoLineElement, PassWindow]:
+    """The scenario's TLE and its pass_index-th pass, in time order.
+
+    Passes are searched from the TLE epoch over prediction.search_hours.
+    No pass, or an index outside the list, raises SimulationError.
+    """
+    tle = scenario.load_tle()
+    start = tle.epoch
+    end = start + timedelta(hours=scenario.prediction.search_hours)
+    passes = predict_passes(tle, scenario.site, start, end,
+                            scenario.prediction.min_elevation_deg)
+    if not passes:
+        raise SimulationError(
+            "orbit_dynamics",
+            f"no pass above {scenario.prediction.min_elevation_deg} deg "
+            f"within {scenario.prediction.search_hours} h of epoch",
+        )
+    if not 0 <= pass_index < len(passes):
+        raise SimulationError(
+            "orbit_dynamics",
+            f"pass index {pass_index} outside 0..{len(passes) - 1}",
+        )
+    return tle, passes[pass_index]
+
+
+def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     """Run the full chain for one pass and account for the key.
 
-    Without an explicit window, passes are searched from the TLE epoch
-    and picked by index in time order. The quantum source runs over a
+    The pass comes from select_pass. The quantum source runs over a
     window centered on the closest approach, capped so the event count
     stays at protocol.max_source_events; pointing and frame tracking
     run over the whole pass. Deterministic for a given scenario and
@@ -292,22 +313,7 @@ def simulate_pass(
     proto = scenario.protocol
 
     with _stage("orbit_dynamics"):
-        tle = scenario.load_tle()
-        if window is None:
-            start = tle.epoch
-            end = start + timedelta(hours=scenario.prediction.search_hours)
-            passes = predict_passes(tle, scenario.site, start, end,
-                                    scenario.prediction.min_elevation_deg)
-            if not passes:
-                raise ProfileGap(
-                    f"no pass above {scenario.prediction.min_elevation_deg} deg "
-                    f"within {scenario.prediction.search_hours} h of epoch"
-                )
-            if not 0 <= pass_index < len(passes):
-                raise OutOfRange(
-                    f"pass index {pass_index} outside 0..{len(passes) - 1}"
-                )
-            window = passes[pass_index]
+        tle, window = select_pass(scenario, pass_index)
         profile = sample_pass(tle, scenario.site, window,
                               step_s=scenario.prediction.profile_step_s)
     duration = float(profile.duration_s)
@@ -334,12 +340,11 @@ def simulate_pass(
         )
 
     with _stage("photon_source"):
-        source = with_seed(scenario.source, seed)
-        rate = pair_rate(source)
+        rate = pair_rate(scenario.source)
         q_dur = min(duration, proto.max_source_events / max(rate, 1.0))
         tca_rel = (window.tca - window.aos).total_seconds()
         q_start = min(max(tca_rel - q_dur / 2.0, 0.0), duration - q_dur)
-        stream = generate_pair_stream(source, q_dur)
+        stream = generate_pair_stream(scenario.source, q_dur, seed=seed)
 
     with _stage("channel_link"):
         # link samples bracketing the quantum window, on its timeline
@@ -384,7 +389,7 @@ def simulate_pass(
 
         keep_downlink = (
             module_rng(seed, "photon_source.downlink").random(len(stream))
-            < source.downlink_fraction
+            < scenario.source.downlink_fraction
         )
         signal_idx = channel.survivor_indices[keep_downlink[channel.survivor_indices]]
         signal_emit = stream.emission_times[signal_idx]

@@ -9,7 +9,6 @@ photon at the time-local transmittance and injects background events.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,23 +65,6 @@ class LinkConfig:
     def stop_radius(self) -> float:
         return self.stop_radius_arcsec if self.stop_radius_arcsec is not None \
             else self.qfov_arcsec / 2.0
-
-
-@dataclass(frozen=True)
-class LinkState:
-    """Transmittance decomposition at one instant."""
-
-    time_s: float
-    geometric_loss_db: float
-    atmospheric_loss_db: float
-    pointing_loss_db: float
-    optics_loss_db: float
-    total_transmittance: float
-    background_rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.total_transmittance <= 1.0:
-            raise OutOfRange(f"transmittance {self.total_transmittance} outside [0, 1]")
 
 
 def _db(transmittance):
@@ -160,26 +142,6 @@ def pointing_loss(residual_arcsec, config: LinkConfig):
     return loss if np.ndim(loss) else float(loss)
 
 
-def total_transmittance(
-    range_km, elevation_deg, residual_arcsec, config: LinkConfig, time_s: float = 0.0
-) -> LinkState:
-    """Compose the loss terms into a LinkState for one instant."""
-    geo_t = geometric_transmittance(range_km, config)
-    atm_db = atmospheric_loss(elevation_deg, config)
-    atm_t = 10.0 ** (-atm_db / 10.0)
-    pnt_t = pointing_transmittance(residual_arcsec, config)
-    total = geo_t * atm_t * pnt_t * config.optics_efficiency
-    return LinkState(
-        time_s=time_s,
-        geometric_loss_db=_db(geo_t) if geo_t > 0 else math.inf,
-        atmospheric_loss_db=atm_db,
-        pointing_loss_db=_db(pnt_t) if pnt_t > 0 else math.inf,
-        optics_loss_db=_db(config.optics_efficiency),
-        total_transmittance=float(total),
-        background_rate=background_rate(elevation_deg, config),
-    )
-
-
 def background_rate(elevation_deg, config: LinkConfig):
     """Sky background into the stop, scaled by the same airmass factor."""
     rate = config.sky_background_rate_zenith * _airmass(elevation_deg)
@@ -220,9 +182,6 @@ class LinkProfile:
 
     def transmittance_at(self, t_s) -> np.ndarray:
         return self.transmittance[self._indices(t_s)]
-
-    def background_at(self, t_s) -> np.ndarray:
-        return self.background_rate[self._indices(t_s)]
 
 
 def build_link_profile(

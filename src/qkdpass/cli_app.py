@@ -6,7 +6,8 @@ link-budget (loss decomposition without photon statistics), and init
 (write a fully resolved example scenario).
 
 Exit codes: 0 success, 2 scenario or configuration problem, 3 bad
-input data (TLE files), 4 simulation failure. All outputs are
+input data (TLE files), 4 simulation failure (including no pass or a
+pass index outside the prediction table). All outputs are
 byte-reproducible for a fixed scenario, seed, and package version.
 """
 from __future__ import annotations
@@ -22,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bbm92_pipeline import PassResult, simulate_pass
-from .channel_link import build_link_profile
+from .bbm92_pipeline import PassResult, select_pass, simulate_pass
+from .channel_link import LinkProfile, build_link_profile
 from .errors import QkdPassError, SimulationError, TleParseError
 from .orbit_dynamics import predict_passes, sample_pass
 from .pat_controller import run_pat
-from .photon_source import polarizer_scan, scan_fringe_mean, scan_visibility, \
-    with_seed
+from .photon_source import polarizer_scan, scan_fringe_mean, scan_visibility
 from .quantum_receiver import write_tags_binary, write_tags_csv
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario, \
     write_example
@@ -128,8 +128,11 @@ def _write_telemetry(result: PassResult, out: Path) -> None:
                ["time_s", "theta_true_deg", "theta_hat_deg", "residual_deg"],
                [pcs.update_times_s, pcs.theta_true_deg, pcs.theta_hat_deg,
                 np.asarray(pcs.residual_at(pcs.update_times_s))])
-    link = result.link
-    _write_csv(out / "link.csv",
+    _write_link(result.link, out / "link.csv")
+
+
+def _write_link(link: LinkProfile, path: Path) -> None:
+    _write_csv(path,
                ["time_s", "elevation_deg", "range_km", "geometric_db",
                 "atmospheric_db", "pointing_db", "optics_db", "transmittance",
                 "background_rate_hz"],
@@ -192,15 +195,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_source_check(args) -> int:
     scenario = _load(args)
-    source = with_seed(scenario.source, scenario.seed)
     angles = np.arange(0.0, 181.0, 2.0)
     if args.integration <= 0.0:
         raise ScenarioError(
             f"integration must be positive, got {args.integration}")
     if args.noise_free:
-        counts = scan_fringe_mean(source, angles, args.integration)
+        counts = scan_fringe_mean(scenario.source, angles, args.integration)
     else:
-        counts = polarizer_scan(source, angles, args.integration)
+        counts = polarizer_scan(scenario.source, angles, args.integration,
+                                seed=scenario.seed)
     vis = scan_visibility(angles, counts)
     out = _out_dir(scenario, args)
     if args.format == "json":
@@ -218,19 +221,7 @@ def cmd_source_check(args) -> int:
 
 def cmd_link_budget(args) -> int:
     scenario = _load(args)
-    tle = scenario.load_tle()
-    start = tle.epoch
-    end = start + timedelta(hours=scenario.prediction.search_hours)
-    passes = predict_passes(tle, scenario.site, start, end,
-                            scenario.prediction.min_elevation_deg)
-    if not passes:
-        print("no pass in search window")
-        return EXIT_SIMULATION
-    if not 0 <= args.pass_index < len(passes):
-        print(f"pass index {args.pass_index} outside 0..{len(passes) - 1}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    window = passes[args.pass_index]
+    tle, window = select_pass(scenario, args.pass_index)
     profile = sample_pass(tle, scenario.site, window,
                           step_s=scenario.prediction.profile_step_s)
     pat = run_pat(lambda t: profile.elevation_at(t).item(), scenario.pat,
@@ -241,15 +232,7 @@ def cmd_link_budget(args) -> int:
         profile.times_s, profile.range_km, profile.elevation_deg,
         np.interp(profile.times_s, res_t, res_v), scenario.link,
     )
-    out = _out_dir(scenario, args)
-    _write_csv(out / "link.csv",
-               ["time_s", "elevation_deg", "range_km", "geometric_db",
-                "atmospheric_db", "pointing_db", "optics_db", "transmittance",
-                "background_rate_hz"],
-               [link.times_s, link.elevation_deg, link.range_km,
-                link.geometric_loss_db, link.atmospheric_loss_db,
-                link.pointing_loss_db, link.optics_loss_db,
-                link.transmittance, link.background_rate])
+    _write_link(link, _out_dir(scenario, args) / "link.csv")
     best = int(np.argmax(link.transmittance))
     print(f"samples={len(link.times_s)} "
           f"best_total_db={-10.0 * np.log10(link.transmittance[best]):.3f} "

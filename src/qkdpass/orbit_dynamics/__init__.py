@@ -35,14 +35,8 @@ __all__ = [
     "parse_tle",
     "parse_tle_file",
     "predict_passes",
-    "propagate",
     "sample_pass",
     "site_elevation_deg",
     "teme_to_ecef",
     "topocentric_state",
 ]
-
-
-def propagate(tle: TwoLineElement, t):
-    """Inertial (TEME) position and velocity of a TLE at a UTC datetime."""
-    return Sgp4Propagator(tle).propagate(t)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
@@ -157,7 +157,3 @@ def site_elevation_deg(r_teme_km: np.ndarray, site: GroundSite, t: datetime) -> 
     """Elevation only (cheap path for pass searching)."""
     _, elevation, _ = _azimuth_elevation_range(r_teme_km, site, julian_date(t))
     return elevation
-
-
-def shift_time(t: datetime, seconds: float) -> datetime:
-    return t + timedelta(seconds=seconds)

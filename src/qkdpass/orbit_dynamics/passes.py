@@ -7,7 +7,7 @@ grid and refined by bisection to 0.1 s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -178,16 +178,7 @@ def predict_passes(
                 min_elevation_deg=min_elevation_deg,
             )
             rate = max_angular_rate(window, tle, site)
-            windows.append(
-                PassWindow(
-                    aos=aos,
-                    los=los,
-                    tca=tca,
-                    max_elevation_deg=max_el,
-                    max_angular_rate_dps=rate,
-                    min_elevation_deg=min_elevation_deg,
-                )
-            )
+            windows.append(replace(window, max_angular_rate_dps=rate))
         i = j + 1
     return windows
 

@@ -56,17 +56,6 @@ class TwoLineElement:
         if self.mean_motion <= 0.0:
             raise MalformedField("mean_motion", (53, 63), f"{self.mean_motion}")
 
-    @property
-    def period_minutes(self) -> float:
-        return 1440.0 / self.mean_motion
-
-    def serialize(self) -> str:
-        """Original lines, byte-for-byte (name line included when present)."""
-        lines = list(self.raw_lines) if self.raw_lines else list(format_tle(self))
-        if self.name:
-            lines.insert(0, self.name)
-        return "\n".join(lines)
-
 
 def _int_field(line: str, lo: int, hi: int, name: str, line_no: int) -> int:
     raw = line[lo - 1:hi]

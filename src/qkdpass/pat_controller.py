@@ -55,7 +55,6 @@ class CameraModel:
     fov_arcsec: float
     centroid_noise_rms_arcsec: float
     frame_rate_hz: float
-    detection_snr_threshold: float = 5.0
 
     def __post_init__(self):
         if self.fov_arcsec <= 0.0 or self.frame_rate_hz <= 0.0:
@@ -101,17 +100,6 @@ class PatControllerConfig:
             raise OutOfRange("WFOV field must exceed NFOV field")
         if self.dropout_limit < 1:
             raise OutOfRange("dropout limit must be at least 1")
-
-
-@dataclass(frozen=True)
-class PatState:
-    """Controller state at one instant."""
-
-    time_s: float
-    phase: PatPhase
-    true_error_arcsec: np.ndarray
-    mount_offset_cmd_arcsec: np.ndarray
-    fsm_offset_cmd_arcsec: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -190,12 +178,11 @@ def saturate(vector: np.ndarray, radius: float) -> np.ndarray:
 
 
 def pat_transition(
-    state: PatState | PatPhase,
+    phase: PatPhase,
     measurements: PatMeasurements,
     config: PatControllerConfig,
 ) -> PatPhase:
     """Next phase from the current phase and sensor snapshot."""
-    phase = state.phase if isinstance(state, PatState) else state
     if not elevation_gate(measurements.elevation_deg, config.threshold_elevation_deg):
         return PatPhase.Idle
     if phase == PatPhase.Idle:
@@ -252,16 +239,6 @@ class PatSeries:
     def residual_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Outer-rate (time, residual) pair for the link budget."""
         return self.times_s, self.residual_arcsec
-
-    def states(self):
-        for i, t in enumerate(self.times_s):
-            yield PatState(
-                time_s=float(t),
-                phase=PatPhase(int(self.phases[i])),
-                true_error_arcsec=self.true_error[i],
-                mount_offset_cmd_arcsec=self.mount_cmd[i],
-                fsm_offset_cmd_arcsec=self.fsm_cmd[i],
-            )
 
 
 def _fine_loop_segment(

@@ -12,7 +12,7 @@ synchronization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,11 +34,9 @@ class SourceConfig:
     visibility: float = 0.98
     downlink_fraction: float = 0.9   # as-built 90/10 splitter; intended design 0.99
     beacon_frequency_hz: float = 10e3
-    beacon_pulse_width_s: float = 5e-9
     intensity_imbalance: float = 0.0
     signal_wavelength_nm: float = 785.0   # metadata only
     idler_wavelength_nm: float = 837.0    # metadata only
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.brightness_pairs_per_s_mw <= 0.0:
@@ -130,16 +128,18 @@ def beacon_schedule(config: SourceConfig, duration_s: float) -> np.ndarray:
     return np.arange(n) / config.beacon_frequency_hz
 
 
-def generate_pair_stream(config: SourceConfig, duration_s: float) -> PairEventStream:
+def generate_pair_stream(
+    config: SourceConfig, duration_s: float, seed: int = 0
+) -> PairEventStream:
     """Emit a Poisson pair stream over [0, duration_s].
 
-    Deterministic for a given config.rng_seed. Error flags are set with
+    Deterministic for a given seed. Error flags are set with
     probability (1 - visibility)/2, the QBER the source alone would
     produce on an otherwise perfect link.
     """
     if duration_s <= 0.0:
         raise OutOfRange(f"duration must be positive, got {duration_s}")
-    rng = module_rng(config.rng_seed, MODULE_NAME)
+    rng = module_rng(seed, MODULE_NAME)
     rate = pair_rate(config)
     n = int(rng.poisson(rate * duration_s))
     times = np.unique(rng.uniform(0.0, duration_s, size=n))  # sorted, strictly increasing
@@ -184,12 +184,13 @@ def polarizer_scan(
     angles_deg: np.ndarray,
     integration_s: float,
     peak_angle_deg: float = 0.0,
+    seed: int = 0,
 ) -> np.ndarray:
     """Poisson-fluctuated coincidence counts per polarizer angle."""
     if integration_s <= 0.0:
         raise OutOfRange(f"integration must be positive, got {integration_s}")
     mean = scan_fringe_mean(config, angles_deg, integration_s, peak_angle_deg)
-    rng = module_rng(config.rng_seed, MODULE_NAME + ".scan")
+    rng = module_rng(seed, MODULE_NAME + ".scan")
     return rng.poisson(mean).astype(np.int64)
 
 
@@ -222,7 +223,3 @@ def scan_visibility(angles_deg: np.ndarray, counts: np.ndarray) -> float:
         # fitted minimum indistinguishable from zero at double precision
         c_min = 0.0
     return visibility_from_extrema(c_max, c_min)
-
-
-def with_seed(config: SourceConfig, rng_seed: int) -> SourceConfig:
-    return replace(config, rng_seed=rng_seed)

@@ -86,10 +86,6 @@ class ClockModel:
     def invert(self, times_s: np.ndarray) -> np.ndarray:
         return (np.asarray(times_s, dtype=float) - self.offset_s) / (1.0 + self.drift)
 
-    def inverse(self) -> ClockModel:
-        return ClockModel(offset_s=-self.offset_s / (1.0 + self.drift),
-                          drift=-self.drift / (1.0 + self.drift))
-
 
 @dataclass(frozen=True)
 class TagStream:
@@ -129,14 +125,6 @@ class TagStream:
         order = np.argsort(times_s, kind="stable")
         return TagStream(np.asarray(times_s, dtype=float)[order],
                          self.channels[order], self.origins[order])
-
-
-def merge_tag_streams(*streams: TagStream) -> TagStream:
-    times = np.concatenate([s.times_s for s in streams])
-    channels = np.concatenate([s.channels for s in streams])
-    origins = np.concatenate([s.origins for s in streams])
-    order = np.argsort(times, kind="stable")
-    return TagStream(times[order], channels[order], origins[order])
 
 
 def measure_polarization(

@@ -151,14 +151,6 @@ def _build(cls: type, items: dict[str, Any], where: str):
         raise ScenarioError(f"invalid [{where}] configuration: {exc}") from exc
 
 
-def _set_path(updates: dict[str, Any], path: str, value: Any) -> None:
-    head, _, rest = path.partition(".")
-    if rest:
-        updates.setdefault(head, {})[rest] = value
-    else:
-        updates[head] = value
-
-
 def scenario_from_nested(data: dict[str, Any]) -> Scenario:
     """Build a scenario from {section: {key: value}} plus top-level keys."""
     updates: dict[str, Any] = {}

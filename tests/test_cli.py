@@ -109,12 +109,6 @@ def test_simulate_binary_tags(tmp_path):
     assert np.all(np.diff(tags.times_s) >= 0.0)
 
 
-def test_simulate_bad_pass_index(tmp_path, capsys):
-    cfg, _ = write_demo_inputs(tmp_path)
-    assert run(["simulate", "--scenario", cfg, "--pass", "99"]) == EXIT_SIMULATION
-    assert "simulation failed" in capsys.readouterr().err
-
-
 def test_missing_scenario_file(tmp_path):
     assert run(["predict", "--scenario", str(tmp_path / "ghost.cfg")]) == EXIT_CONFIG
 
@@ -162,9 +156,23 @@ def test_link_budget_outputs(tmp_path, capsys):
     assert np.all((t >= 0.0) & (t <= 1.0))
 
 
+def test_simulate_bad_pass_index(tmp_path, capsys):
+    cfg, _ = write_demo_inputs(tmp_path)
+    assert run(["simulate", "--scenario", cfg, "--pass", "99"]) == EXIT_SIMULATION
+    assert "pass index" in capsys.readouterr().err
+
+
+def test_simulate_no_pass(tmp_path, capsys):
+    cfg, _ = write_demo_inputs(
+        tmp_path, prediction=["min_elevation_deg = 89.9"]
+    )
+    assert run(["simulate", "--scenario", cfg]) == EXIT_SIMULATION
+    assert "no pass" in capsys.readouterr().err
+
+
 def test_link_budget_bad_index(tmp_path, capsys):
     cfg, _ = write_demo_inputs(tmp_path)
-    assert run(["link-budget", "--scenario", cfg, "--pass", "42"]) == EXIT_CONFIG
+    assert run(["link-budget", "--scenario", cfg, "--pass", "42"]) == EXIT_SIMULATION
     assert "pass index" in capsys.readouterr().err
 
 
@@ -173,7 +181,7 @@ def test_link_budget_no_pass(tmp_path, capsys):
         tmp_path, prediction=["min_elevation_deg = 89.9"]
     )
     assert run(["link-budget", "--scenario", cfg]) == EXIT_SIMULATION
-    assert "no pass" in capsys.readouterr().out
+    assert "no pass" in capsys.readouterr().err
 
 
 def test_init_writes_loadable_example(tmp_path, capsys):

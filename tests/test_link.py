@@ -10,8 +10,7 @@ from scipy.stats import ncx2
 from qkdpass.channel_link import (LinkConfig, apply_channel, atmospheric_loss,
                                   background_rate, build_link_profile,
                                   geometric_loss, geometric_transmittance,
-                                  pointing_loss, pointing_transmittance,
-                                  total_transmittance)
+                                  pointing_loss, pointing_transmittance)
 from qkdpass.errors import LowElevation, OutOfRange, ProfileGap
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
 
@@ -87,19 +86,25 @@ def test_pointing_rejects_negative_residual():
 
 
 def test_total_transmittance_composes_terms():
-    state = total_transmittance(700.0, 45.0, 3.0, CONFIG, time_s=12.0)
+    profile = build_link_profile(
+        np.array([12.0]),
+        range_km=np.array([700.0]),
+        elevation_deg=np.array([45.0]),
+        residual_arcsec=np.array([3.0]),
+        config=CONFIG,
+    )
     recombined = 10.0 ** (
         -(
-            state.geometric_loss_db
-            + state.atmospheric_loss_db
-            + state.pointing_loss_db
-            + state.optics_loss_db
+            profile.geometric_loss_db[0]
+            + profile.atmospheric_loss_db[0]
+            + profile.pointing_loss_db[0]
+            + profile.optics_loss_db[0]
         )
         / 10.0
     )
-    assert state.total_transmittance == pytest.approx(recombined, rel=1e-9)
-    assert state.optics_loss_db == pytest.approx(-10.0 * np.log10(CONFIG.optics_efficiency))
-    assert state.time_s == 12.0
+    assert profile.transmittance[0] == pytest.approx(recombined, rel=1e-9)
+    assert profile.optics_loss_db[0] == pytest.approx(-10.0 * np.log10(CONFIG.optics_efficiency))
+    assert profile.transmittance_at(12.0) == profile.transmittance[0]
 
 
 def test_background_rate_scales_with_airmass():
@@ -175,8 +180,8 @@ def test_profile_recombines_to_transmittance():
 
 
 def test_apply_channel_thinning_statistics():
-    config = SourceConfig(pump_power_mw=0.01, rng_seed=2)  # 136k pairs/s
-    stream = generate_pair_stream(config, 1.0)
+    config = SourceConfig(pump_power_mw=0.01)  # 136k pairs/s
+    stream = generate_pair_stream(config, 1.0, seed=2)
     profile = build_link_profile(
         np.array([0.0, 1.0]),
         range_km=np.full(2, 500.0),
@@ -197,8 +202,8 @@ def test_apply_channel_thinning_statistics():
 
 
 def test_apply_channel_background_statistics():
-    config = SourceConfig(pump_power_mw=1e-4, rng_seed=2)
-    stream = generate_pair_stream(config, 2.0)
+    config = SourceConfig(pump_power_mw=1e-4)
+    stream = generate_pair_stream(config, 2.0, seed=2)
     rate = 5000.0
     profile = build_link_profile(
         np.array([0.0, 2.0]),

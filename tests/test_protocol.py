@@ -161,8 +161,8 @@ def test_error_mechanisms_add_independently():
     # source errors at q1 and misalignment flips at q2 combine to
     # q1 + q2 - 2 q1 q2 (a double flip cancels)
     q1, q2 = 0.05, 0.03
-    config = SourceConfig(pump_power_mw=0.02, visibility=1.0 - 2.0 * q1, rng_seed=31)
-    stream = generate_pair_stream(config, 0.5)
+    config = SourceConfig(pump_power_mw=0.02, visibility=1.0 - 2.0 * q1)
+    stream = generate_pair_stream(config, 0.5, seed=31)
     residual = math.degrees(math.asin(math.sqrt(q2)))
     onboard = measure_polarization(stream, "onboard")
     ground = measure_polarization(stream, "ground", residual_deg=residual, rng=32)

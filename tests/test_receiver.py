@@ -15,9 +15,8 @@ from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
                                       beacon_clock_sync, channel_basis,
                                       channel_bit, apply_detector,
                                       find_coincidences, measure_polarization,
-                                      merge_tag_streams, read_tags_binary,
-                                      read_tags_csv, write_tags_binary,
-                                      write_tags_csv)
+                                      read_tags_binary, read_tags_csv,
+                                      write_tags_binary, write_tags_csv)
 
 IDENTITY = ClockModel()
 IDEAL = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
@@ -34,8 +33,6 @@ def test_clock_round_trip():
     clock = ClockModel(offset_s=1.2345e-3, drift=1e-6)
     t = np.array([0.0, 1.0, 100.0, 450.0])
     assert np.allclose(clock.invert(clock.apply(t)), t, atol=1e-12)
-    inverse = clock.inverse()
-    assert np.allclose(inverse.apply(clock.apply(t)), t, atol=1e-12)
 
 
 def test_clock_drift_bound():
@@ -72,17 +69,9 @@ def test_tag_stream_invariants():
     assert shuffled.channels[0] == CHANNEL_H  # carried along with its new time
 
 
-def test_merge_tag_streams_sorts():
-    a = TagStream(np.array([0.0, 2.0]), np.full(2, CHANNEL_H, np.uint8), np.zeros(2, np.uint8))
-    b = TagStream(np.array([1.0, 3.0]), np.full(2, CHANNEL_V, np.uint8), np.zeros(2, np.uint8))
-    merged = merge_tag_streams(a, b)
-    assert merged.times_s.tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert merged.channels.tolist() == [CHANNEL_H, CHANNEL_V, CHANNEL_H, CHANNEL_V]
-
-
 def _perfect_stream(seed: int = 1, duration: float = 0.5):
-    config = SourceConfig(pump_power_mw=0.01, visibility=1.0, rng_seed=seed)
-    return generate_pair_stream(config, duration)
+    config = SourceConfig(pump_power_mw=0.01, visibility=1.0)
+    return generate_pair_stream(config, duration, seed=seed)
 
 
 def test_measurement_onboard_replays_idler():

@@ -103,10 +103,17 @@ def test_unknown_section_rejected(tmp_path):
         load_scenario(path)
 
 
-def test_unknown_key_rejected(tmp_path):
+@pytest.mark.parametrize("section, key", [
+    ("site", "elevation_furlongs"),
+    # keys no code read, removed from the scenario surface
+    ("source", "rng_seed"),
+    ("source", "beacon_pulse_width_s"),
+    ("pat.wfov", "detection_snr_threshold"),
+])
+def test_unknown_key_rejected(tmp_path, section, key):
     path = tmp_path / "bad.cfg"
-    path.write_text("[site]\nlatitude_deg = 10.0\nelevation_furlongs = 3\n")
-    with pytest.raises(ScenarioError):
+    path.write_text(f"[{section}]\n{key} = 3\n")
+    with pytest.raises(ScenarioError, match="unknown key"):
         load_scenario(path)
 
 

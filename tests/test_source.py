@@ -12,7 +12,7 @@ from qkdpass.photon_source import (SourceConfig, beacon_schedule,
                                    polarizer_scan, qber_from_visibility,
                                    required_pump_power, scan_fringe_mean,
                                    scan_visibility, visibility_from_extrema,
-                                   visibility_from_qber, with_seed)
+                                   visibility_from_qber)
 
 
 def test_pair_rate_is_brightness_times_pump():
@@ -78,9 +78,9 @@ def test_config_validation():
 
 
 def test_stream_statistics():
-    config = SourceConfig(pump_power_mw=0.01, visibility=0.9, rng_seed=11)
+    config = SourceConfig(pump_power_mw=0.01, visibility=0.9)
     duration = 2.0
-    stream = generate_pair_stream(config, duration)
+    stream = generate_pair_stream(config, duration, seed=11)
     mean = pair_rate(config) * duration
     assert abs(len(stream) - mean) < 5.0 * np.sqrt(mean)
     assert np.all(np.diff(stream.emission_times) > 0.0)
@@ -98,12 +98,12 @@ def test_stream_statistics():
 
 
 def test_stream_deterministic_per_seed():
-    config = SourceConfig(pump_power_mw=0.005, rng_seed=3)
-    a = generate_pair_stream(config, 1.0)
-    b = generate_pair_stream(config, 1.0)
+    config = SourceConfig(pump_power_mw=0.005)
+    a = generate_pair_stream(config, 1.0, seed=3)
+    b = generate_pair_stream(config, 1.0, seed=3)
     assert np.array_equal(a.emission_times, b.emission_times)
     assert np.array_equal(a.error_flag, b.error_flag)
-    c = generate_pair_stream(with_seed(config, 4), 1.0)
+    c = generate_pair_stream(config, 1.0, seed=4)
     assert len(a) != len(c) or not np.array_equal(a.emission_times, c.emission_times)
 
 
@@ -126,8 +126,8 @@ def test_scan_visibility_with_imbalance_and_offset():
 
 def test_scan_visibility_noisy_counts():
     angles = np.arange(0.0, 181.0, 2.0)
-    config = SourceConfig(visibility=0.949, rng_seed=5)
-    counts = polarizer_scan(config, angles, 1.0)
+    config = SourceConfig(visibility=0.949)
+    counts = polarizer_scan(config, angles, 1.0, seed=5)
     assert scan_visibility(angles, counts) == pytest.approx(0.949, abs=0.01)
 
 
