@@ -312,21 +312,21 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     seed = scenario.seed
     proto = scenario.protocol
 
+    tle, window = select_pass(scenario, pass_index)
     with _stage("orbit_dynamics"):
-        tle, window = select_pass(scenario, pass_index)
         profile = sample_pass(tle, scenario.site, window,
                               step_s=scenario.prediction.profile_step_s)
     duration = float(profile.duration_s)
 
     with _stage("pat_controller"):
         pat = run_pat(
-            lambda t: profile.elevation_at(t).item(),
+            profile.elevation_at,
             scenario.pat, duration_s=duration, dt_s=scenario.pat_dt_s, seed=seed,
         )
 
     with _stage("polarization_correction"):
         frame = frame_offset_profile(
-            profile, scenario.pcs.mode,
+            profile,
             constant_deg=scenario.pcs.scripted_constant_deg,
             ramp_deg=scenario.pcs.scripted_ramp_deg,
             body_yaw_deg=scenario.pcs.body_yaw_deg,

@@ -83,12 +83,6 @@ def geometric_transmittance(range_km, config: LinkConfig):
     return captured if captured.ndim else float(captured)
 
 
-def geometric_loss(range_km, config: LinkConfig):
-    """Far-field beam-spread loss in dB."""
-    loss = _db(geometric_transmittance(range_km, config))
-    return loss if np.ndim(loss) else float(loss)
-
-
 def _airmass(elevation_deg) -> np.ndarray:
     """Flat-Earth airmass, held constant below the 5 deg validity floor."""
     el = np.asarray(elevation_deg, dtype=float)
@@ -133,13 +127,6 @@ def pointing_transmittance(residual_arcsec, config: LinkConfig):
         * i0e(4.0 * rr * dd / w**2)
     result = np.clip(integrand @ wts, 0.0, 1.0)
     return result if np.ndim(residual_arcsec) else float(result[0])
-
-
-def pointing_loss(residual_arcsec, config: LinkConfig):
-    """Pointing loss in dB (0.63 dB floor at zero residual by geometry)."""
-    t = np.maximum(pointing_transmittance(residual_arcsec, config), 1e-300)
-    loss = _db(t)
-    return loss if np.ndim(loss) else float(loss)
 
 
 def background_rate(elevation_deg, config: LinkConfig):

@@ -26,7 +26,7 @@ from . import __version__
 from .bbm92_pipeline import PassResult, select_pass, simulate_pass
 from .channel_link import LinkProfile, build_link_profile
 from .errors import QkdPassError, SimulationError, TleParseError
-from .orbit_dynamics import predict_passes, sample_pass
+from .orbit_dynamics import max_angular_rate, predict_passes, sample_pass
 from .pat_controller import run_pat
 from .photon_source import polarizer_scan, scan_fringe_mean, scan_visibility
 from .quantum_receiver import write_tags_binary, write_tags_csv
@@ -70,7 +70,7 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _pass_rows(passes) -> list[dict]:
+def _pass_rows(passes, tle, site) -> list[dict]:
     return [
         {
             "index": i,
@@ -79,7 +79,7 @@ def _pass_rows(passes) -> list[dict]:
             "los_utc": w.los.isoformat(),
             "duration_s": float(w.duration_s),
             "max_elevation_deg": float(w.max_elevation_deg),
-            "max_angular_rate_dps": float(w.max_angular_rate_dps),
+            "max_angular_rate_dps": max_angular_rate(w, tle, site),
         }
         for i, w in enumerate(passes)
     ]
@@ -92,7 +92,7 @@ def cmd_predict(args) -> int:
     end = start + timedelta(hours=scenario.prediction.search_hours)
     passes = predict_passes(tle, scenario.site, start, end,
                             scenario.prediction.min_elevation_deg)
-    rows = _pass_rows(passes)
+    rows = _pass_rows(passes, tle, scenario.site)
     print(f"{'idx':>3} {'aos_utc':<25} {'tca_utc':<25} {'dur_s':>7} "
           f"{'max_el':>7} {'rate_dps':>8}")
     for r in rows:
@@ -224,7 +224,7 @@ def cmd_link_budget(args) -> int:
     tle, window = select_pass(scenario, args.pass_index)
     profile = sample_pass(tle, scenario.site, window,
                           step_s=scenario.prediction.profile_step_s)
-    pat = run_pat(lambda t: profile.elevation_at(t).item(), scenario.pat,
+    pat = run_pat(profile.elevation_at, scenario.pat,
                   duration_s=float(profile.duration_s),
                   dt_s=scenario.pat_dt_s, seed=scenario.seed)
     res_t, res_v = pat.residual_profile()

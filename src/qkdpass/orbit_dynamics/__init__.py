@@ -12,7 +12,6 @@ from .passes import (
     max_angular_rate,
     predict_passes,
     sample_pass,
-    topocentric_state,
 )
 from .sgp4 import EARTH_RADIUS_KM, Sgp4Propagator, gmst_radians, julian_date
 from .tle import TwoLineElement, format_tle, line_checksum, make_tle, parse_tle, parse_tle_file
@@ -38,5 +37,4 @@ __all__ = [
     "sample_pass",
     "site_elevation_deg",
     "teme_to_ecef",
-    "topocentric_state",
 ]

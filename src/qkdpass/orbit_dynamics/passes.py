@@ -7,13 +7,13 @@ grid and refined by bisection to 0.1 s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from ..errors import ProfileGap
-from .frames import GroundSite, TopocentricState, eci_to_topocentric, site_elevation_deg
+from .frames import GroundSite, eci_to_topocentric, site_elevation_deg
 from .sgp4 import Sgp4Propagator
 from .tle import TwoLineElement
 
@@ -30,7 +30,6 @@ class PassWindow:
     los: datetime             # loss of signal
     tca: datetime             # closest approach (culmination)
     max_elevation_deg: float
-    max_angular_rate_dps: float
     min_elevation_deg: float  # threshold the window was computed against
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class PassProfile:
     def duration_s(self) -> float:
         return float(self.times_s[-1])
 
-    def _weights(self, t_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _weights(self, t_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.atleast_1d(np.asarray(t_s, dtype=float))
         if t.size and (t.min() < self.times_s[0] - 1e-9 or t.max() > self.times_s[-1] + 1e-9):
             raise ProfileGap(
@@ -69,17 +68,12 @@ class PassProfile:
             )
         idx = np.clip(np.searchsorted(self.times_s, t, side="right") - 1, 0, len(self.times_s) - 2)
         frac = (t - self.times_s[idx]) / (self.times_s[idx + 1] - self.times_s[idx])
-        return idx, np.clip(frac, 0.0, 1.0), t
+        return idx, np.clip(frac, 0.0, 1.0)
 
     def elevation_at(self, t_s: np.ndarray) -> np.ndarray:
-        idx, frac, _ = self._weights(t_s)
+        idx, frac = self._weights(t_s)
         e = self.elevation_deg
         return e[idx] * (1.0 - frac) + e[idx + 1] * frac
-
-    def range_at(self, t_s: np.ndarray) -> np.ndarray:
-        idx, frac, _ = self._weights(t_s)
-        r = self.range_km
-        return r[idx] * (1.0 - frac) + r[idx + 1] * frac
 
 
 def _elevation_fn(prop: Sgp4Propagator, site: GroundSite):
@@ -169,40 +163,22 @@ def predict_passes(
             lo_peak = max(aos, grid[max(i - 1, 0)])
             hi_peak = min(los, grid[min(j + 1, len(grid) - 1)])
             tca, max_el = _refine_peak(elevation, lo_peak, hi_peak)
-            window = PassWindow(
+            windows.append(PassWindow(
                 aos=aos,
                 los=los,
                 tca=tca,
                 max_elevation_deg=max_el,
-                max_angular_rate_dps=0.0,
                 min_elevation_deg=min_elevation_deg,
-            )
-            rate = max_angular_rate(window, tle, site)
-            windows.append(replace(window, max_angular_rate_dps=rate))
+            ))
         i = j + 1
     return windows
-
-
-def topocentric_state(
-    tle_or_prop: TwoLineElement | Sgp4Propagator, site: GroundSite, t: datetime
-) -> TopocentricState:
-    prop = tle_or_prop if isinstance(tle_or_prop, Sgp4Propagator) else Sgp4Propagator(tle_or_prop)
-    r, v = prop.propagate(t)
-    return eci_to_topocentric(r, v, site, t)
 
 
 def max_angular_rate(
     window: PassWindow, tle: TwoLineElement, site: GroundSite, step_s: float = 1.0
 ) -> float:
-    """Peak sky-plane angular rate over a pass, sampled at <= 1 s."""
-    prop = Sgp4Propagator(tle)
-    n = max(2, int(window.duration_s / step_s) + 1)
-    best = 0.0
-    for i in range(n):
-        t = window.aos + timedelta(seconds=min(i * step_s, window.duration_s))
-        state = topocentric_state(prop, site, t)
-        best = max(best, state.angular_rate_dps)
-    return best
+    """Peak sky-plane angular rate over a pass, on the sample_pass grid."""
+    return float(np.max(sample_pass(tle, site, window, step_s).angular_rate_dps))
 
 
 def sample_pass(

@@ -155,28 +155,6 @@ def mount_step(
     return move + rng.normal(0.0, mount.jitter_rms_arcsec, size=2)
 
 
-def fsm_step(
-    fsm: FsmModel,
-    current_cmd_arcsec: np.ndarray,
-    measured_error_arcsec: np.ndarray,
-    dt_s: float,
-) -> np.ndarray:
-    """One discrete first-order servo update, saturated at the range."""
-    if dt_s <= 0.0:
-        raise OutOfRange("dt must be positive")
-    alpha = fsm.loop_gain * (1.0 - math.exp(-2.0 * math.pi * fsm.bandwidth_hz * dt_s))
-    cmd = np.asarray(current_cmd_arcsec, dtype=float) \
-        + alpha * np.asarray(measured_error_arcsec, dtype=float)
-    return saturate(cmd, fsm.range_arcsec)
-
-
-def saturate(vector: np.ndarray, radius: float) -> np.ndarray:
-    size = float(np.hypot(vector[0], vector[1]))
-    if size <= radius:
-        return vector
-    return vector * (radius / size)
-
-
 def pat_transition(
     phase: PatPhase,
     measurements: PatMeasurements,
@@ -226,13 +204,6 @@ class PatSeries:
             return 0.0
         return float(np.mean(self.phases == int(PatPhase.ClosedLoopFine)))
 
-    def fine_fraction_within(self, radius_arcsec: float) -> float:
-        """Fraction of fine-loop samples with residual inside a radius."""
-        if len(self.fine_times_s) == 0:
-            return 0.0
-        norms = np.hypot(self.fine_residual[:, 0], self.fine_residual[:, 1])
-        return float(np.mean(norms <= radius_arcsec))
-
     def fine_residual_norm(self) -> np.ndarray:
         return np.hypot(self.fine_residual[:, 0], self.fine_residual[:, 1])
 
@@ -246,8 +217,8 @@ def _fine_loop_segment(
 ) -> np.ndarray:
     """Residual trace over one outer step of sub-stepped servo updates.
 
-    Identical arithmetic to repeated fsm_step calls with a fresh
-    narrow-camera measurement each sub-step:
+    Each sub-step moves the mirror by alpha times a fresh narrow-camera
+    measurement of the residual, before the mirror range limit:
     r[k+1] = (1 - alpha) r[k] - alpha n[k].
     """
     u = -alpha * noises
@@ -265,13 +236,13 @@ def run_pat(
 ) -> PatSeries:
     """Simulate the acquisition sequence over a pass.
 
-    elevation_deg is either a constant or a callable of pass-relative
-    time in seconds (e.g. PassProfile.elevation_at). Deterministic for
-    a given seed.
+    elevation_deg is either a constant or a callable that maps the
+    array of pass-relative step times in seconds to elevations (e.g.
+    PassProfile.elevation_at); it is evaluated once, on the whole grid.
+    Deterministic for a given seed.
     """
     if dt_s <= 0.0 or duration_s <= 0.0:
         raise OutOfRange("duration and dt must be positive")
-    elevation = elevation_deg if callable(elevation_deg) else (lambda t: elevation_deg)
     rng = module_rng(seed, MODULE_NAME)
 
     n = int(round(duration_s / dt_s))
@@ -283,6 +254,8 @@ def run_pat(
     nfov_every = max(1, int(round(1.0 / (config.nfov.frame_rate_hz * dt_s))))
 
     times = np.arange(n) * dt_s
+    elevations = np.broadcast_to(
+        elevation_deg(times) if callable(elevation_deg) else elevation_deg, (n,))
     phases = np.empty(n, dtype=np.int8)
     true_err = np.empty((n, 2))
     meas_err = np.full((n, 2), np.nan)
@@ -300,7 +273,6 @@ def run_pat(
 
     for i in range(n):
         t = float(times[i])
-        el = float(np.asarray(elevation(t)))
         err = base_err + rng.normal(0.0, config.mount.jitter_rms_arcsec, size=2)
 
         wfov_meas = None
@@ -348,7 +320,7 @@ def run_pat(
         residual[i] = float(np.hypot(*(err - fsm)))
 
         meas = PatMeasurements(
-            elevation_deg=el,
+            elevation_deg=float(elevations[i]),
             wfov=wfov_meas,
             nfov=nfov_meas,
             consecutive_dropouts=dropouts,

@@ -113,13 +113,6 @@ def qber_from_visibility(vis: float) -> float:
     return (1.0 - vis) / 2.0
 
 
-def visibility_from_qber(qber: float) -> float:
-    """Inverse of qber_from_visibility."""
-    if not 0.0 <= qber <= 0.5:
-        raise OutOfRange(f"qber {qber} outside [0, 0.5]")
-    return 1.0 - 2.0 * qber
-
-
 def beacon_schedule(config: SourceConfig, duration_s: float) -> np.ndarray:
     """Beacon pulse times: exact arithmetic progression from t=0."""
     if not config.beacon_frequency_hz:

@@ -175,9 +175,7 @@ def _geometric_theta(profile: PassProfile, body_yaw_deg: float) -> np.ndarray:
 
 def frame_offset_profile(
     geometry: PassProfile | None,
-    mode: str = "geometric",
     *,
-    scripted: tuple[np.ndarray, np.ndarray] | None = None,
     constant_deg: float | None = None,
     ramp_deg: tuple[float, float] | None = None,
     body_yaw_deg: float = 0.0,
@@ -186,42 +184,30 @@ def frame_offset_profile(
 ) -> FrameOffsetProfile:
     """Build the frame rotation profile for a pass.
 
-    geometric mode derives theta from the pass geometry assuming a
-    nadir-pointing satellite with a fixed body yaw. scripted mode takes
-    a user-supplied curve: explicit (times, theta) samples, a constant,
-    or a linear (start, end) ramp over the pass duration.
+    A constant, or a linear (start, end) ramp over the pass duration,
+    gives a scripted curve. With neither, theta is derived from the
+    pass geometry assuming a nadir-pointing satellite with a fixed
+    body yaw.
     """
-    if mode == "geometric":
+    if constant_deg is None and ramp_deg is None:
         if geometry is None:
-            raise ProfileGap("geometric mode needs pass geometry")
+            raise ProfileGap("geometric profile needs pass geometry")
         return FrameOffsetProfile(
             times_s=geometry.times_s.copy(),
             theta_deg=_geometric_theta(geometry, body_yaw_deg),
         )
-    if mode != "scripted":
-        raise OutOfRange(f"unknown frame-offset mode {mode!r}")
     span = duration_s if duration_s is not None else \
         (geometry.duration_s if geometry is not None else None)
-    if scripted is not None:
-        times, theta = (np.asarray(a, dtype=float) for a in scripted)
-        if span is not None and (times[0] > 1e-9 or times[-1] < span - 1e-9):
-            raise ProfileGap(
-                f"scripted profile [{times[0]}, {times[-1]}] s does not cover "
-                f"[0, {span}] s"
-            )
-        return FrameOffsetProfile(times_s=times, theta_deg=theta)
     if span is None:
-        raise ProfileGap("scripted mode needs a duration or pass geometry")
+        raise ProfileGap("scripted profile needs a duration or pass geometry")
     n = max(2, int(math.ceil(span / step_s)) + 1)
     times = np.linspace(0.0, span, n)
     if constant_deg is not None:
         return FrameOffsetProfile(times_s=times,
                                   theta_deg=np.full(n, float(constant_deg)))
-    if ramp_deg is not None:
-        start, end = ramp_deg
-        return FrameOffsetProfile(times_s=times,
-                                  theta_deg=np.linspace(start, end, n))
-    raise ProfileGap("scripted mode needs samples, a constant, or a ramp")
+    start, end = ramp_deg
+    return FrameOffsetProfile(times_s=times,
+                              theta_deg=np.linspace(start, end, n))
 
 
 def polarimeter_counts(
@@ -286,14 +272,6 @@ def qber_from_residual(delta_deg) -> float:
     """Error rate added by a linear-basis misalignment: sin^2 delta."""
     value = np.sin(np.radians(delta_deg)) ** 2
     return value if np.ndim(delta_deg) else float(value)
-
-
-def apply_correction(measurement_angles_deg, theta_hat_deg: float):
-    """Rotate receiver measurement angles by the estimated offset."""
-    if not -90.0 < theta_hat_deg <= 90.0:
-        raise OutOfRange(f"theta_hat {theta_hat_deg} outside (-90, 90]")
-    corrected = np.asarray(measurement_angles_deg, dtype=float) - theta_hat_deg
-    return corrected if np.ndim(measurement_angles_deg) else float(corrected)
 
 
 @dataclass(frozen=True)

@@ -111,15 +111,9 @@ class TagStream:
     def select(self, mask: np.ndarray) -> TagStream:
         return TagStream(self.times_s[mask], self.channels[mask], self.origins[mask])
 
-    def channel_times(self, channel: int) -> np.ndarray:
-        return self.times_s[self.channels == channel]
-
     def quad(self) -> TagStream:
         """Only the four polarization channels (beacon removed)."""
         return self.select(self.channels != CHANNEL_BEACON)
-
-    def beacon(self) -> TagStream:
-        return self.select(self.channels == CHANNEL_BEACON)
 
     def with_times(self, times_s: np.ndarray) -> TagStream:
         order = np.argsort(times_s, kind="stable")

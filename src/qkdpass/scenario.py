@@ -17,8 +17,9 @@ from pathlib import Path
 from typing import Any
 
 from .channel_link import LinkConfig
-from .errors import QkdPassError, TleParseError
+from .errors import OutOfRange, QkdPassError, TleParseError
 from .orbit_dynamics import GroundSite, TwoLineElement, parse_tle, parse_tle_file
+from .orbit_dynamics.passes import MAX_SEARCH_DAYS
 from .pat_controller import CameraModel, FsmModel, MountModel, PatControllerConfig
 from .photon_source import SourceConfig
 from .polarization_correction import PolarimeterConfig
@@ -37,18 +38,42 @@ class PredictionConfig:
     search_hours: float = 24.0
     profile_step_s: float = 1.0
 
+    def __post_init__(self):
+        if not 0.0 < self.search_hours <= MAX_SEARCH_DAYS * 24.0:
+            raise OutOfRange(f"search_hours {self.search_hours} outside "
+                             f"(0, {MAX_SEARCH_DAYS * 24.0:g}]")
+        if not self.profile_step_s > 0.0:
+            raise OutOfRange("profile_step_s must be positive")
+
 
 @dataclass(frozen=True)
 class PcsConfig:
-    """Polarization-correction settings beyond the polarimeter itself."""
+    """Polarization-correction settings beyond the polarimeter itself.
+
+    The frame rotation follows scripted_constant_deg or scripted_ramp_deg
+    when one is set, and the pass geometry (with body_yaw_deg) otherwise.
+    """
 
     polarimeter: PolarimeterConfig = PolarimeterConfig()
-    mode: str = "geometric"            # or "scripted"
     body_yaw_deg: float = 0.0
     scripted_constant_deg: float | None = None
     scripted_ramp_deg: tuple[float, float] | None = None
     update_interval_s: float = 1.0
     uncompensated_offset_deg: float = 0.0
+
+    def __post_init__(self):
+        scripted = (self.scripted_constant_deg is not None,
+                    self.scripted_ramp_deg is not None)
+        if all(scripted):
+            raise OutOfRange("set scripted_constant_deg or scripted_ramp_deg, "
+                             "not both")
+        if scripted[1] and len(self.scripted_ramp_deg) != 2:
+            raise OutOfRange("scripted_ramp_deg must be a [start, end] pair")
+        if any(scripted) and self.body_yaw_deg != 0.0:
+            raise OutOfRange("body_yaw_deg applies only to the geometric "
+                             "profile, not to a scripted one")
+        if not self.update_interval_s > 0.0:
+            raise OutOfRange("update_interval_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,6 +117,10 @@ class Scenario:
     protocol: ProtocolConfig = ProtocolConfig()
     seed: int = 0
     output_dir: str = "out"
+
+    def __post_init__(self):
+        if not self.pat_dt_s > 0.0:
+            raise OutOfRange("pat_dt_s must be positive")
 
     def load_tle(self) -> TwoLineElement:
         if self.tle_lines:

@@ -77,6 +77,16 @@ def test_simulate_outputs(tmp_path, capsys):
     assert len(ground) > 0 and len(onboard) > 0
 
 
+def test_scripted_frame_offset_drives_pcs(tmp_path):
+    cfg, _ = write_demo_inputs(
+        tmp_path, pcs=["scripted_constant_deg = 30"], scenario=["pat_dt_s = 0.1"],
+        protocol=["max_source_events = 50000"],
+    )
+    assert run(["simulate", "--scenario", cfg]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "out" / "pcs.csv").open()))
+    assert rows and all(float(r["theta_true_deg"]) == 30.0 for r in rows)
+
+
 def test_simulate_report_byte_identical(tmp_path):
     cfg, _ = write_demo_inputs(tmp_path)
     out_a = tmp_path / "a"
@@ -113,13 +123,33 @@ def test_missing_scenario_file(tmp_path):
     assert run(["predict", "--scenario", str(tmp_path / "ghost.cfg")]) == EXIT_CONFIG
 
 
-def test_corrupt_tle_is_input_error(tmp_path, capsys):
+PASS_COMMANDS = ["predict", "simulate", "link-budget"]
+
+
+@pytest.mark.parametrize("command", PASS_COMMANDS)
+def test_corrupt_tle_is_input_error(tmp_path, capsys, command):
     cfg, tle = write_demo_inputs(tmp_path)
     lines = open(tle).read().splitlines()
     lines[1] = lines[1][:-1] + ("0" if lines[1][-1] != "0" else "1")
     open(tle, "w").write("\n".join(lines) + "\n")
-    assert run(["predict", "--scenario", cfg]) == EXIT_INPUT
+    assert run([command, "--scenario", cfg]) == EXIT_INPUT
     assert "TLE error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", PASS_COMMANDS)
+@pytest.mark.parametrize("section, line", [
+    ("prediction", "search_hours = 0"),
+    ("prediction", "search_hours = -1"),
+    ("prediction", "search_hours = 200"),
+    ("prediction", "profile_step_s = 0"),
+    ("prediction", "profile_step_s = -1"),
+    ("pcs", "update_interval_s = 0"),
+    ("scenario", "pat_dt_s = 0"),
+])
+def test_invalid_value_is_config_error(tmp_path, capsys, command, section, line):
+    cfg, _ = write_demo_inputs(tmp_path, **{section: [line]})
+    assert run([command, "--scenario", cfg]) == EXIT_CONFIG
+    assert "scenario error" in capsys.readouterr().err
 
 
 def test_source_check_noise_free(tmp_path, capsys):

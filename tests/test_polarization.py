@@ -9,7 +9,7 @@ import pytest
 from qkdpass.errors import LowCounts, OutOfRange, ProfileGap, ZeroCounts
 from qkdpass.polarization_correction import (FrameOffsetProfile,
                                              PolarimeterConfig,
-                                             apply_correction, estimate_offset,
+                                             estimate_offset,
                                              frame_offset_profile,
                                              polarimeter_counts,
                                              qber_from_residual,
@@ -91,13 +91,6 @@ def test_qber_from_residual():
     assert arr == pytest.approx([0.0, 0.5])
 
 
-def test_apply_correction():
-    assert apply_correction(45.0, 10.0) == pytest.approx(35.0)
-    assert apply_correction(np.array([0.0, 90.0]), -5.0) == pytest.approx([5.0, 95.0])
-    with pytest.raises(OutOfRange):
-        apply_correction(0.0, 120.0)
-
-
 def test_polarimeter_counts_statistics():
     config = PolarimeterConfig(count_rate_hz=1e6, integration_s=1.0)
     n_t, n_r = polarimeter_counts(0.0, 0.0, config, 0)
@@ -110,28 +103,22 @@ def test_polarimeter_counts_statistics():
 
 
 def test_scripted_profiles():
-    constant = frame_offset_profile(None, "scripted", constant_deg=12.0, duration_s=50.0)
+    constant = frame_offset_profile(None, constant_deg=12.0, duration_s=50.0)
     assert constant.theta_at(np.array([0.0, 25.0, 50.0])) == pytest.approx([12.0] * 3)
-    ramp = frame_offset_profile(None, "scripted", ramp_deg=(-10.0, 20.0), duration_s=100.0)
+    ramp = frame_offset_profile(None, ramp_deg=(-10.0, 20.0), duration_s=100.0)
     assert ramp.theta_at(0.0) == pytest.approx(-10.0)
     assert ramp.theta_at(100.0) == pytest.approx(20.0)
     assert ramp.theta_at(50.0) == pytest.approx(5.0)
     with pytest.raises(ProfileGap):
-        frame_offset_profile(None, "scripted", duration_s=10.0)
+        frame_offset_profile(None, constant_deg=12.0)
     with pytest.raises(ProfileGap):
-        frame_offset_profile(
-            None, "scripted",
-            scripted=(np.array([0.0, 5.0]), np.array([0.0, 1.0])),
-            duration_s=20.0,
-        )
-    with pytest.raises(OutOfRange):
-        frame_offset_profile(None, "other", constant_deg=0.0, duration_s=1.0)
+        frame_offset_profile(None, duration_s=10.0)
 
 
 def test_geometric_profile_is_smooth(zenith_profile):
     # the constructor enforces the 5 deg/s continuity bound, so building
     # the profile is itself the smoothness check
-    profile = frame_offset_profile(zenith_profile, "geometric")
+    profile = frame_offset_profile(zenith_profile)
     assert len(profile.times_s) == len(zenith_profile.times_s)
     assert np.all(np.isfinite(profile.theta_deg))
     span = profile.theta_deg.max() - profile.theta_deg.min()
@@ -139,8 +126,8 @@ def test_geometric_profile_is_smooth(zenith_profile):
 
 
 def test_geometric_body_yaw_shifts_angle(zenith_profile):
-    base = frame_offset_profile(zenith_profile, "geometric")
-    yawed = frame_offset_profile(zenith_profile, "geometric", body_yaw_deg=30.0)
+    base = frame_offset_profile(zenith_profile)
+    yawed = frame_offset_profile(zenith_profile, body_yaw_deg=30.0)
     peak = int(np.argmax(zenith_profile.elevation_deg))
     # near culmination the line of sight is close to nadir, so the body
     # yaw appears almost directly as a frame rotation; the sign flips
@@ -151,7 +138,7 @@ def test_geometric_body_yaw_shifts_angle(zenith_profile):
 
 
 def test_correction_tracks_constant_offset():
-    profile = frame_offset_profile(None, "scripted", constant_deg=17.0, duration_s=20.0)
+    profile = frame_offset_profile(None, constant_deg=17.0, duration_s=20.0)
     series = run_polarization_correction(profile, PolarimeterConfig(), seed=5)
     assert len(series.update_times_s) == 20
     assert np.all(np.abs(series.theta_hat_deg - 17.0) < 0.5)
@@ -159,7 +146,7 @@ def test_correction_tracks_constant_offset():
 
 
 def test_correction_tracks_ramp():
-    profile = frame_offset_profile(None, "scripted", ramp_deg=(-20.0, 20.0),
+    profile = frame_offset_profile(None, ramp_deg=(-20.0, 20.0),
                                    duration_s=40.0)
     series = run_polarization_correction(profile, PolarimeterConfig(), seed=6)
     # residual is bounded by estimator noise plus the 1 deg/s hold lag
@@ -169,7 +156,7 @@ def test_correction_tracks_ramp():
 
 
 def test_correction_extra_offset_becomes_residual():
-    profile = frame_offset_profile(None, "scripted", constant_deg=0.0, duration_s=10.0)
+    profile = frame_offset_profile(None, constant_deg=0.0, duration_s=10.0)
     series = run_polarization_correction(profile, PolarimeterConfig(), seed=7,
                                          extra_offset_deg=5.74)
     residual = series.residual_at(series.update_times_s + 0.5)
@@ -177,7 +164,7 @@ def test_correction_extra_offset_becomes_residual():
 
 
 def test_correction_deterministic():
-    profile = frame_offset_profile(None, "scripted", constant_deg=3.0, duration_s=10.0)
+    profile = frame_offset_profile(None, constant_deg=3.0, duration_s=10.0)
     a = run_polarization_correction(profile, PolarimeterConfig(), seed=1)
     b = run_polarization_correction(profile, PolarimeterConfig(), seed=1)
     assert np.array_equal(a.theta_hat_deg, b.theta_hat_deg)
@@ -186,7 +173,7 @@ def test_correction_deterministic():
 
 
 def test_unbalanced_detector_pair_stays_unbiased():
-    profile = frame_offset_profile(None, "scripted", constant_deg=25.0, duration_s=30.0)
+    profile = frame_offset_profile(None, constant_deg=25.0, duration_s=30.0)
     config = PolarimeterConfig(detector_pair_efficiency_ratio=0.8)
     series = run_polarization_correction(profile, config, seed=8)
     assert abs(np.mean(series.theta_hat_deg) - 25.0) < 0.2

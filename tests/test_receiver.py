@@ -62,8 +62,7 @@ def test_tag_stream_invariants():
         np.zeros(4, np.uint8),
     )
     assert len(stream.quad()) == 3
-    assert len(stream.beacon()) == 1
-    assert stream.channel_times(CHANNEL_H).tolist() == [0.0, 3.0]
+    assert stream.quad().times_s.tolist() == [0.0, 2.0, 3.0]
     shuffled = stream.with_times(np.array([3.0, 2.0, 1.0, 0.0]))
     assert np.all(np.diff(shuffled.times_s) >= 0.0)
     assert shuffled.channels[0] == CHANNEL_H  # carried along with its new time
@@ -164,7 +163,7 @@ def test_detector_dead_time_prunes_per_channel():
                           timing_jitter_rms_s=0.0)
     tags = apply_detector(times, channels, model, IDENTITY, rng=5)
     for channel in (CHANNEL_H, CHANNEL_V):
-        per = tags.channel_times(channel)
+        per = tags.times_s[tags.channels == channel]
         assert np.all(np.diff(per) >= 1e-6)
         assert len(per) <= 0.01 / 1e-6 + 1
 

@@ -109,6 +109,8 @@ def test_unknown_section_rejected(tmp_path):
     ("source", "rng_seed"),
     ("source", "beacon_pulse_width_s"),
     ("pat.wfov", "detection_snr_threshold"),
+    # the frame-offset profile follows from the keys that are set
+    ("pcs", "mode"),
 ])
 def test_unknown_key_rejected(tmp_path, section, key):
     path = tmp_path / "bad.cfg"
@@ -121,6 +123,19 @@ def test_invalid_value_surfaces_as_scenario_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[site]\nlatitude_deg = 200.0\n")
     with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("lines", [
+    ["scripted_constant_deg = 30", "scripted_ramp_deg = [-10, 20]"],
+    ["scripted_constant_deg = 30", "body_yaw_deg = 5"],
+    ["scripted_ramp_deg = [-10, 20]", "body_yaw_deg = 5"],
+    ["scripted_ramp_deg = [-10, 0, 20]"],
+])
+def test_invalid_pcs_keys_rejected(tmp_path, lines):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[pcs]\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError, match="invalid \\[pcs\\]"):
         load_scenario(path)
 
 

@@ -11,8 +11,7 @@ from qkdpass.photon_source import (SourceConfig, beacon_schedule,
                                    generate_pair_stream, pair_rate,
                                    polarizer_scan, qber_from_visibility,
                                    required_pump_power, scan_fringe_mean,
-                                   scan_visibility, visibility_from_extrema,
-                                   visibility_from_qber)
+                                   scan_visibility, visibility_from_extrema)
 
 
 def test_pair_rate_is_brightness_times_pump():
@@ -42,16 +41,14 @@ def test_visibility_from_extrema_values():
 def test_qber_visibility_round_trip():
     assert qber_from_visibility(0.98) == pytest.approx(0.01)
     assert qber_from_visibility(1.0) == 0.0
-    assert visibility_from_qber(0.25) == pytest.approx(0.5)
+    assert qber_from_visibility(0.5) == pytest.approx(0.25)
     with pytest.raises(OutOfRange):
         qber_from_visibility(1.2)
-    with pytest.raises(OutOfRange):
-        visibility_from_qber(0.6)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_qber_visibility_inverse_property(vis):
-    assert visibility_from_qber(qber_from_visibility(vis)) == pytest.approx(vis, abs=1e-12)
+    assert 1.0 - 2.0 * qber_from_visibility(vis) == pytest.approx(vis, abs=1e-12)
 
 
 def test_beacon_schedule_count_and_spacing():
