@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections.abc import Sequence
 from datetime import datetime
 
 import numpy as np
@@ -54,106 +55,105 @@ class GroundSite:
 
 @dataclass(frozen=True)
 class TopocentricState:
-    """Satellite as seen from a ground site at one instant."""
+    """Satellite as seen from a ground site.
 
-    time: datetime
-    azimuth_deg: float       # [0, 360), clockwise from North
-    elevation_deg: float     # [-90, 90]
-    range_km: float
-    azimuth_rate_dps: float
-    elevation_rate_dps: float
-    angular_rate_dps: float  # sky-plane magnitude
+    One instant gives float fields; a sequence of instants gives arrays
+    that share one index.
+    """
+
+    time: datetime | Sequence[datetime]
+    azimuth_deg: float | np.ndarray       # [0, 360), clockwise from North
+    elevation_deg: float | np.ndarray     # [-90, 90]
+    range_km: float | np.ndarray
+    azimuth_rate_dps: float | np.ndarray
+    elevation_rate_dps: float | np.ndarray
+    angular_rate_dps: float | np.ndarray  # sky-plane magnitude
 
     def __post_init__(self):
-        if self.range_km <= 0.0:
+        if np.any(np.asarray(self.range_km) <= 0.0):
             raise ValueError(f"range {self.range_km} km must be positive")
-        if self.angular_rate_dps < 0.0:
+        if np.any(np.asarray(self.angular_rate_dps) < 0.0):
             raise ValueError("angular_rate must be nonnegative")
 
 
-def teme_to_ecef(r_teme_km: np.ndarray, jd_ut1: float) -> np.ndarray:
-    """Rotate an inertial (TEME) vector into the Earth-fixed frame."""
+def teme_to_ecef(r_teme_km: np.ndarray, jd_ut1) -> np.ndarray:
+    """Rotate inertial (TEME) vectors, (3,) or (n, 3), into the Earth-fixed frame."""
     theta = gmst_radians(jd_ut1)
-    c, s = math.cos(theta), math.sin(theta)
-    x, y, z = r_teme_km
-    return np.array([c * x + s * y, -s * x + c * y, z])
+    c, s = np.cos(theta), np.sin(theta)
+    x, y, z = np.moveaxis(np.asarray(r_teme_km, dtype=float), -1, 0)
+    return np.stack([c * x + s * y, -s * x + c * y, z], axis=-1)
 
 
-def _sez_vector(r_teme_km: np.ndarray, site: GroundSite, jd: float) -> np.ndarray:
-    """Topocentric south-east-zenith components of the site->satellite vector."""
-    rho_ecef = teme_to_ecef(r_teme_km, jd) - site.ecef_km()
+def _sez_vector(r_teme_km: np.ndarray, site: GroundSite, jd) -> np.ndarray:
+    """Topocentric south-east-zenith components of the site->satellite vectors."""
+    rho_x, rho_y, rho_z = np.moveaxis(teme_to_ecef(r_teme_km, jd) - site.ecef_km(), -1, 0)
     lat = math.radians(site.latitude_deg)
     lon = math.radians(site.longitude_deg)
     sin_lat, cos_lat = math.sin(lat), math.cos(lat)
     sin_lon, cos_lon = math.sin(lon), math.cos(lon)
-    south = (
-        sin_lat * cos_lon * rho_ecef[0]
-        + sin_lat * sin_lon * rho_ecef[1]
-        - cos_lat * rho_ecef[2]
-    )
-    east = -sin_lon * rho_ecef[0] + cos_lon * rho_ecef[1]
-    zenith = (
-        cos_lat * cos_lon * rho_ecef[0]
-        + cos_lat * sin_lon * rho_ecef[1]
-        + sin_lat * rho_ecef[2]
-    )
-    return np.array([south, east, zenith])
+    south = sin_lat * cos_lon * rho_x + sin_lat * sin_lon * rho_y - cos_lat * rho_z
+    east = -sin_lon * rho_x + cos_lon * rho_y
+    zenith = cos_lat * cos_lon * rho_x + cos_lat * sin_lon * rho_y + sin_lat * rho_z
+    return np.stack([south, east, zenith], axis=-1)
 
 
-def _azimuth_elevation_range(
-    r_teme_km: np.ndarray, site: GroundSite, jd: float
-) -> tuple[float, float, float]:
-    south, east, zenith = _sez_vector(r_teme_km, site, jd)
-    rng = math.sqrt(south * south + east * east + zenith * zenith)
-    elevation = math.degrees(math.asin(zenith / rng))
-    azimuth = math.degrees(math.atan2(east, -south)) % 360.0
+def _look_angles(sez: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Azimuth and elevation (deg) and range (km) of south-east-zenith vectors."""
+    south, east, zenith = np.moveaxis(sez, -1, 0)
+    rng = np.sqrt(south * south + east * east + zenith * zenith)
+    elevation = np.degrees(np.arcsin(zenith / rng))
+    azimuth = np.degrees(np.arctan2(east, -south)) % 360.0
     return azimuth, elevation, rng
+
+
+def _rate_vectors(
+    r_teme_km: np.ndarray, v_teme_kms: np.ndarray, site: GroundSite, jd
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line-of-sight vectors RATE_DELTA_S before and after each instant."""
+    delta_days = RATE_DELTA_S / 86400.0
+    sez_m = _sez_vector(r_teme_km - v_teme_kms * RATE_DELTA_S, site, jd - delta_days)
+    sez_p = _sez_vector(r_teme_km + v_teme_kms * RATE_DELTA_S, site, jd + delta_days)
+    return sez_m, sez_p
 
 
 def eci_to_topocentric(
     r_teme_km: np.ndarray,
     v_teme_kms: np.ndarray,
     site: GroundSite,
-    t: datetime,
+    t: datetime | Sequence[datetime],
 ) -> TopocentricState:
-    """Look angles, range, and sky-plane rates for one inertial state.
+    """Look angles, range, and sky-plane rates for inertial states.
 
-    Rates come from a symmetric finite difference with a 100 ms half
-    step; the inertial trajectory is linearized over that step (the
-    curvature term is below a micro-arcsecond) while Earth rotation is
-    evaluated exactly at each sample time. The sky-plane angular rate
-    is the angle swept by the line-of-sight unit vector, which stays
-    well behaved through zenith where the az/el rates are singular.
+    One datetime with (3,) vectors gives one state; a sequence of n
+    datetimes with (n, 3) stacks gives array fields. Rates come from a
+    symmetric finite difference with a 100 ms half step; the inertial
+    trajectory is linearized over that step (the curvature term is
+    below a micro-arcsecond) while Earth rotation is evaluated exactly
+    at each sample time. The sky-plane angular rate is the angle swept
+    by the line-of-sight unit vector, taken as atan2(|m x p|, m . p),
+    which stays accurate for the small angles a 200 ms step sweeps and
+    well behaved through zenith, where the az/el rates are singular.
     """
     jd = julian_date(t)
-    delta_days = RATE_DELTA_S / 86400.0
-    az0, el0, rng0 = _azimuth_elevation_range(r_teme_km, site, jd)
-    sez_m = _sez_vector(r_teme_km - v_teme_kms * RATE_DELTA_S, site, jd - delta_days)
-    sez_p = _sez_vector(r_teme_km + v_teme_kms * RATE_DELTA_S, site, jd + delta_days)
-    az_m = math.degrees(math.atan2(sez_m[1], -sez_m[0])) % 360.0
-    az_p = math.degrees(math.atan2(sez_p[1], -sez_p[0])) % 360.0
-    el_m = math.degrees(math.asin(sez_m[2] / np.linalg.norm(sez_m)))
-    el_p = math.degrees(math.asin(sez_p[2] / np.linalg.norm(sez_p)))
+    az0, el0, rng0 = _look_angles(_sez_vector(r_teme_km, site, jd))
+    sez_m, sez_p = _rate_vectors(r_teme_km, v_teme_kms, site, jd)
+    az_m, el_m, _ = _look_angles(sez_m)
+    az_p, el_p, _ = _look_angles(sez_p)
     daz = (az_p - az_m + 180.0) % 360.0 - 180.0
-    az_rate = daz / (2.0 * RATE_DELTA_S)
-    el_rate = (el_p - el_m) / (2.0 * RATE_DELTA_S)
-    cos_sweep = float(
-        np.dot(sez_m, sez_p) / (np.linalg.norm(sez_m) * np.linalg.norm(sez_p))
-    )
-    sweep = math.degrees(math.acos(min(1.0, max(-1.0, cos_sweep))))
-    angular = sweep / (2.0 * RATE_DELTA_S)
-    return TopocentricState(
-        time=t,
-        azimuth_deg=az0,
-        elevation_deg=el0,
-        range_km=rng0,
-        azimuth_rate_dps=az_rate,
-        elevation_rate_dps=el_rate,
-        angular_rate_dps=angular,
-    )
+    sweep = np.degrees(np.arctan2(
+        np.linalg.norm(np.cross(sez_m, sez_p), axis=-1),
+        np.sum(sez_m * sez_p, axis=-1),
+    ))
+    scalar = isinstance(t, datetime)
+    fields = [
+        value.item() if scalar else value
+        for value in (az0, el0, rng0, daz / (2.0 * RATE_DELTA_S),
+                      (el_p - el_m) / (2.0 * RATE_DELTA_S), sweep / (2.0 * RATE_DELTA_S))
+    ]
+    return TopocentricState(t, *fields)
 
 
-def site_elevation_deg(r_teme_km: np.ndarray, site: GroundSite, t: datetime) -> float:
-    """Elevation only (cheap path for pass searching)."""
-    _, elevation, _ = _azimuth_elevation_range(r_teme_km, site, julian_date(t))
+def site_elevation_deg(r_teme_km: np.ndarray, site: GroundSite, t):
+    """Elevation only (cheap path for pass searching); arrays for a sequence of datetimes."""
+    _, elevation, _ = _look_angles(_sez_vector(r_teme_km, site, julian_date(t)))
     return elevation

@@ -2,7 +2,8 @@
 
 A pass is the interval during which the satellite's elevation stays at
 or above the configured minimum. Crossings are bracketed on a coarse
-grid and refined by bisection to 0.1 s.
+grid and refined by bisection to 0.1 s; every search evaluates all of
+its candidate instants in one array call.
 """
 from __future__ import annotations
 
@@ -76,41 +77,58 @@ class PassProfile:
         return e[idx] * (1.0 - frac) + e[idx + 1] * frac
 
 
-def _elevation_fn(prop: Sgp4Propagator, site: GroundSite):
-    def elevation(t: datetime) -> float:
-        r, _ = prop.propagate(t)
-        return site_elevation_deg(r, site, t)
-
-    return elevation
+_US_PER_S = 1_000_000
+_TOL_US = int(BISECTION_TOL_S * _US_PER_S)
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _bisect_crossing(elevation, lo: datetime, hi: datetime, min_elevation: float,
-                     rising: bool) -> datetime:
-    """Refine an elevation-threshold crossing bracketed by [lo, hi]."""
-    while (hi - lo).total_seconds() > BISECTION_TOL_S:
-        mid = lo + (hi - lo) / 2
-        above = elevation(mid) >= min_elevation
-        if above == rising:
-            hi = mid
-        else:
-            lo = mid
-    return lo + (hi - lo) / 2
+def _seconds_to_us(seconds: np.ndarray) -> np.ndarray:
+    """Whole microseconds of timedelta(seconds=s) for s >= 0, rounded as it rounds.
+
+    timedelta takes the integer seconds exactly, adds the truncated
+    microseconds of the fraction, and rounds what is left half to even.
+    """
+    whole = np.trunc(seconds)
+    frac_us = (seconds - whole) * 1e6
+    us = np.trunc(frac_us)
+    left = frac_us - us
+    total = whole.astype(np.int64) * _US_PER_S + us.astype(np.int64)
+    return total + ((left > 0.5) | ((left == 0.5) & (total % 2 == 1)))
 
 
-def _refine_peak(elevation, lo: datetime, hi: datetime) -> tuple[datetime, float]:
-    """Golden-section maximum of elevation on [lo, hi] to 0.1 s."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    while (b - a).total_seconds() > BISECTION_TOL_S:
-        span = (b - a).total_seconds()
-        c = a + timedelta(seconds=span * (1.0 - invphi))
-        d = a + timedelta(seconds=span * invphi)
-        if elevation(c) >= elevation(d):
-            b = d
-        else:
-            a = c
-    mid = a + (b - a) / 2
-    return mid, elevation(mid)
+def _half_us(span_us: np.ndarray) -> np.ndarray:
+    """timedelta(microseconds=span) / 2 in microseconds (round half to even)."""
+    half = span_us // 2
+    return half + ((span_us % 2 == 1) & (half % 2 == 1))
+
+
+def _bisect_crossings(elevation_us, lo: np.ndarray, hi: np.ndarray,
+                      min_elevation: float, rising: np.ndarray) -> np.ndarray:
+    """Refine elevation-threshold crossings bracketed by [lo, hi], all in lockstep."""
+    lo, hi = lo.copy(), hi.copy()
+    while (active := np.flatnonzero(hi - lo > _TOL_US)).size:
+        mid = lo[active] + _half_us(hi[active] - lo[active])
+        to_hi = (elevation_us(mid) >= min_elevation) == rising[active]
+        hi[active[to_hi]] = mid[to_hi]
+        lo[active[~to_hi]] = mid[~to_hi]
+    return lo + _half_us(hi - lo)
+
+
+def _refine_peaks(elevation_us, lo: np.ndarray, hi: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maxima of elevation on each [lo, hi] to 0.1 s, in lockstep."""
+    a, b = lo.copy(), hi.copy()
+    while (active := np.flatnonzero(b - a > _TOL_US)).size:
+        a_act = a[active]
+        span = (b[active] - a_act) / 1e6
+        c = a_act + _seconds_to_us(span * (1.0 - _INVPHI))
+        d = a_act + _seconds_to_us(span * _INVPHI)
+        el_c, el_d = np.split(elevation_us(np.concatenate([c, d])), 2)
+        left = el_c >= el_d
+        b[active[left]] = d[left]
+        a[active[~left]] = c[~left]
+    mid = a + _half_us(b - a)
+    return mid, elevation_us(mid)
 
 
 def predict_passes(
@@ -124,7 +142,9 @@ def predict_passes(
 
     An empty list is a normal result. AOS/LOS are the threshold
     crossings, refined by bisection to 0.1 s; passes already in
-    progress at the window edges are clamped to the edge.
+    progress at the window edges are clamped to the edge. Times are
+    held as whole microseconds after start, so every search step lands
+    on the instant the equivalent datetime arithmetic would give.
     """
     if end <= start:
         raise ValueError("search window end must follow start")
@@ -132,46 +152,52 @@ def predict_passes(
         raise ValueError(f"search window longer than {MAX_SEARCH_DAYS:.0f} days")
 
     prop = Sgp4Propagator(tle)
-    elevation = _elevation_fn(prop, site)
 
+    def stamps(offsets_us: np.ndarray) -> list[datetime]:
+        return [start + timedelta(microseconds=int(k)) for k in offsets_us]
+
+    def elevation_us(offsets_us: np.ndarray) -> np.ndarray:
+        times = stamps(offsets_us)
+        r, _ = prop.propagate(times)
+        return site_elevation_deg(r, site, times)
+
+    end_us = (end - start) // timedelta(microseconds=1)
     n_steps = int((end - start).total_seconds() / COARSE_STEP_S) + 1
-    grid = [start + timedelta(seconds=i * COARSE_STEP_S) for i in range(n_steps)]
-    if grid[-1] < end:
-        grid.append(end)
-    above = [elevation(t) >= min_elevation_deg for t in grid]
+    grid = _seconds_to_us(np.arange(n_steps) * COARSE_STEP_S)
+    if grid[-1] < end_us:
+        grid = np.append(grid, end_us)
+    above = elevation_us(grid) >= min_elevation_deg
 
-    windows: list[PassWindow] = []
-    i = 0
-    while i < len(grid):
-        if not above[i]:
-            i += 1
-            continue
-        # entry
-        if i == 0:
-            aos = grid[0]
-        else:
-            aos = _bisect_crossing(elevation, grid[i - 1], grid[i], min_elevation_deg, rising=True)
-        # exit
-        j = i
-        while j + 1 < len(grid) and above[j + 1]:
-            j += 1
-        if j + 1 >= len(grid):
-            los = grid[-1]
-        else:
-            los = _bisect_crossing(elevation, grid[j], grid[j + 1], min_elevation_deg, rising=False)
-        if los > aos:
-            lo_peak = max(aos, grid[max(i - 1, 0)])
-            hi_peak = min(los, grid[min(j + 1, len(grid) - 1)])
-            tca, max_el = _refine_peak(elevation, lo_peak, hi_peak)
-            windows.append(PassWindow(
-                aos=aos,
-                los=los,
-                tca=tca,
-                max_elevation_deg=max_el,
-                min_elevation_deg=min_elevation_deg,
-            ))
-        i = j + 1
-    return windows
+    # runs of coarse samples above the threshold
+    edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
+    first = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1) - 1
+
+    # every AOS and LOS bracket, refined together; edge runs clamp
+    rise = first > 0
+    fall = last < len(grid) - 1
+    lo = np.concatenate([grid[first[rise] - 1], grid[last[fall]]])
+    hi = np.concatenate([grid[first[rise]], grid[last[fall] + 1]])
+    rising = np.arange(lo.size) < rise.sum()
+    crossings = _bisect_crossings(elevation_us, lo, hi, min_elevation_deg, rising)
+    aos = grid[first].copy()
+    los = grid[last].copy()
+    aos[rise] = crossings[rising]
+    los[fall] = crossings[~rising]
+
+    keep = los > aos
+    aos, los = aos[keep], los[keep]
+    tca, max_el = _refine_peaks(elevation_us, aos, los)
+    return [
+        PassWindow(
+            aos=t_aos,
+            los=t_los,
+            tca=t_tca,
+            max_elevation_deg=float(el),
+            min_elevation_deg=min_elevation_deg,
+        )
+        for t_aos, t_los, t_tca, el in zip(stamps(aos), stamps(los), stamps(tca), max_el)
+    ]
 
 
 def max_angular_rate(
@@ -185,34 +211,20 @@ def sample_pass(
     tle: TwoLineElement, site: GroundSite, window: PassWindow, step_s: float = 1.0
 ) -> PassProfile:
     """Sample pass geometry on a uniform grid from AOS to LOS."""
-    prop = Sgp4Propagator(tle)
     n = int(math.ceil(window.duration_s / step_s)) + 1
     times = np.minimum(np.arange(n) * step_s, window.duration_s)
-    az = np.empty(n)
-    el = np.empty(n)
-    rng = np.empty(n)
-    rate = np.empty(n)
-    r_all = np.empty((n, 3))
-    v_all = np.empty((n, 3))
-    for i, ts in enumerate(times):
-        t = window.aos + timedelta(seconds=float(ts))
-        r, v = prop.propagate(t)
-        state = eci_to_topocentric(r, v, site, t)
-        az[i] = state.azimuth_deg
-        el[i] = state.elevation_deg
-        rng[i] = state.range_km
-        rate[i] = state.angular_rate_dps
-        r_all[i] = r
-        v_all[i] = v
+    stamps = [window.aos + timedelta(seconds=float(ts)) for ts in times]
+    r, v = Sgp4Propagator(tle).propagate(stamps)
+    state = eci_to_topocentric(r, v, site, stamps)
     return PassProfile(
         start=window.aos,
         step_s=step_s,
         times_s=times,
-        azimuth_deg=az,
-        elevation_deg=el,
-        range_km=rng,
-        angular_rate_dps=rate,
-        r_teme_km=r_all,
-        v_teme_kms=v_all,
+        azimuth_deg=state.azimuth_deg,
+        elevation_deg=state.elevation_deg,
+        range_km=state.range_km,
+        angular_rate_dps=state.angular_rate_dps,
+        r_teme_km=r,
+        v_teme_kms=v,
         site=site,
     )

@@ -38,8 +38,13 @@ _ERROR_TEXT = {
 }
 
 
-def julian_date(t: datetime) -> float:
-    """Julian date of a UTC datetime (fractional days included)."""
+def julian_date(t):
+    """Julian date of a UTC datetime (fractional days included).
+
+    A sequence of datetimes gives an array, each element computed alike.
+    """
+    if not isinstance(t, datetime):
+        return np.array([julian_date(x) for x in t], dtype=float)
     if t.tzinfo is not None:
         t = t.astimezone(timezone.utc)
     year, month = t.year, t.month
@@ -62,8 +67,8 @@ def julian_date(t: datetime) -> float:
     )
 
 
-def gmst_radians(jd_ut1: float) -> float:
-    """Greenwich mean sidereal time from a UT1 Julian date."""
+def gmst_radians(jd_ut1):
+    """Greenwich mean sidereal time from a UT1 Julian date (float or array)."""
     t = (jd_ut1 - 2451545.0) / 36525.0
     seconds = (
         67310.54841
@@ -71,10 +76,7 @@ def gmst_radians(jd_ut1: float) -> float:
         + 0.093104 * t * t
         - 6.2e-6 * t * t * t
     )
-    theta = math.radians(seconds / 240.0) % _TWOPI
-    if theta < 0.0:
-        theta += _TWOPI
-    return theta
+    return np.radians(seconds / 240.0) % _TWOPI
 
 
 class Sgp4Propagator:
@@ -228,107 +230,104 @@ class Sgp4Propagator:
 
         self.propagate_minutes(0.0)
 
-    def propagate_minutes(self, tsince: float) -> tuple[np.ndarray, np.ndarray]:
-        """TEME position (km) and velocity (km/s) at epoch + tsince minutes."""
-        if abs(tsince) > STALE_AFTER_DAYS * 1440.0:
+    @np.errstate(invalid="ignore", divide="ignore")  # failed elements are reported by _check
+    def propagate_minutes(self, tsince) -> tuple[np.ndarray, np.ndarray]:
+        """TEME position (km) and velocity (km/s) at epoch + tsince minutes.
+
+        tsince is a float, giving (3,) vectors, or a 1-D array, giving
+        (n, 3) stacks; every element runs the same equations.
+        """
+        t = np.asarray(tsince, dtype=float)
+        scalar = t.ndim == 0
+        t = np.atleast_1d(t)
+        worst = float(np.max(np.abs(t))) if t.size else 0.0
+        if worst > STALE_AFTER_DAYS * 1440.0:
             warnings.warn(
-                f"propagating {abs(tsince) / 1440.0:.1f} days from epoch; "
+                f"propagating {worst / 1440.0:.1f} days from epoch; "
                 "mean elements degrade beyond 30 days",
                 StaleElements,
                 stacklevel=2,
             )
+        if self.no_unkozai <= 0.0:
+            raise SimulationError("orbit", _ERROR_TEXT[2])
 
         # secular gravity and atmospheric drag
-        xmdf = self.mo + self.mdot * tsince
-        argpdf = self.argpo + self.argpdot * tsince
-        nodedf = self.nodeo + self.nodedot * tsince
+        xmdf = self.mo + self.mdot * t
+        argpdf = self.argpo + self.argpdot * t
+        nodedf = self.nodeo + self.nodedot * t
         argpm = argpdf
         mm = xmdf
-        t2 = tsince * tsince
+        t2 = t * t
         nodem = nodedf + self.nodecf * t2
-        tempa = 1.0 - self.cc1 * tsince
-        tempe = self.bstar * self.cc4 * tsince
+        tempa = 1.0 - self.cc1 * t
+        tempe = self.bstar * self.cc4 * t
         templ = self.t2cof * t2
 
         if not self.isimp:
-            delomg = self.omgcof * tsince
-            delmtemp = 1.0 + self.eta * math.cos(xmdf)
+            delomg = self.omgcof * t
+            delmtemp = 1.0 + self.eta * np.cos(xmdf)
             delm = self.xmcof * (delmtemp ** 3 - self.delmo)
             temp = delomg + delm
             mm = xmdf + temp
             argpm = argpdf - temp
-            t3 = t2 * tsince
-            t4 = t3 * tsince
+            t3 = t2 * t
+            t4 = t3 * t
             tempa = tempa - self.d2 * t2 - self.d3 * t3 - self.d4 * t4
-            tempe = tempe + self.bstar * self.cc5 * (math.sin(mm) - self.sinmao)
-            templ = templ + self.t3cof * t3 + t4 * (self.t4cof + tsince * self.t5cof)
+            tempe = tempe + self.bstar * self.cc5 * (np.sin(mm) - self.sinmao)
+            templ = templ + self.t3cof * t3 + t4 * (self.t4cof + t * self.t5cof)
 
-        nm = self.no_unkozai
-        em = self.ecco
-        inclm = self.inclo
-        if nm <= 0.0:
-            raise SimulationError("orbit", _ERROR_TEXT[2])
-
-        am = (XKE / nm) ** _X2O3 * tempa * tempa
+        am = (XKE / self.no_unkozai) ** _X2O3 * tempa * tempa
         nm = XKE / am ** 1.5
-        em = em - tempe
-        if em >= 1.0 or em < -0.001:
-            raise SimulationError("orbit", _ERROR_TEXT[1] + f" (em={em:.6f})")
-        if em < 1.0e-6:
-            em = 1.0e-6
+        em_raw = self.ecco - tempe
+        em = np.maximum(em_raw, 1.0e-6)
         mm = mm + self.no_unkozai * templ
         xlm = mm + argpm + nodem
 
-        nodem = nodem % _TWOPI if nodem >= 0.0 else -(-nodem % _TWOPI)
+        nodem = np.where(nodem >= 0.0, nodem % _TWOPI, -(-nodem % _TWOPI))
         argpm = argpm % _TWOPI
         xlm = xlm % _TWOPI
         mm = (xlm - argpm - nodem) % _TWOPI
 
-        sinim = math.sin(inclm)
-        cosim = math.cos(inclm)
-
         # no lunar-solar periodics in the near-Earth branch
-        ep, xincp, argpp, nodep, mp = em, inclm, argpm, nodem, mm
-        sinip, cosip = sinim, cosim
+        ep, xincp, argpp, nodep, mp = em, self.inclo, argpm, nodem, mm
+        sinip, cosip = math.sin(xincp), math.cos(xincp)
 
         # long-period periodics
-        axnl = ep * math.cos(argpp)
+        axnl = ep * np.cos(argpp)
         temp = 1.0 / (am * (1.0 - ep * ep))
-        aynl = ep * math.sin(argpp) + temp * self.aycof
+        aynl = ep * np.sin(argpp) + temp * self.aycof
         xl = mp + argpp + nodep + temp * self.xlcof * axnl
 
-        # Kepler's equation
+        # Kepler's equation; each element stops by the scalar rule
         u = (xl - nodep) % _TWOPI
         eo1 = u
-        tem5 = 9999.9
-        ktr = 1
-        sineo1 = coseo1 = 0.0
-        while abs(tem5) >= 1.0e-12 and ktr <= 10:
-            sineo1 = math.sin(eo1)
-            coseo1 = math.cos(eo1)
-            tem5 = 1.0 - coseo1 * axnl - sineo1 * aynl
-            tem5 = (u - aynl * coseo1 + axnl * sineo1 - eo1) / tem5
-            if abs(tem5) >= 0.95:
-                tem5 = 0.95 if tem5 > 0.0 else -0.95
-            eo1 = eo1 + tem5
-            ktr += 1
+        sineo1 = coseo1 = np.zeros_like(u)
+        active = np.ones(u.shape, dtype=bool)
+        for _ in range(10):
+            sin_e, cos_e = np.sin(eo1), np.cos(eo1)
+            tem5 = 1.0 - cos_e * axnl - sin_e * aynl
+            tem5 = np.clip((u - aynl * cos_e + axnl * sin_e - eo1) / tem5, -0.95, 0.95)
+            sineo1 = np.where(active, sin_e, sineo1)
+            coseo1 = np.where(active, cos_e, coseo1)
+            eo1 = np.where(active, eo1 + tem5, eo1)
+            active &= np.abs(tem5) >= 1.0e-12
+            if not active.any():
+                break
 
         # short-period preliminaries
         ecose = axnl * coseo1 + aynl * sineo1
         esine = axnl * sineo1 - aynl * coseo1
         el2 = axnl * axnl + aynl * aynl
         pl = am * (1.0 - el2)
-        if pl < 0.0:
-            raise SimulationError("orbit", _ERROR_TEXT[4])
 
         rl = am * (1.0 - ecose)
-        rdotl = math.sqrt(am) * esine / rl
-        rvdotl = math.sqrt(pl) / rl
-        betal = math.sqrt(1.0 - el2)
+        rdotl = np.sqrt(am) * esine / rl
+        rvdotl = np.sqrt(pl) / rl
+        betal = np.sqrt(1.0 - el2)
         temp = esine / (1.0 + betal)
         sinu = am / rl * (sineo1 - aynl - axnl * temp)
         cosu = am / rl * (coseo1 - axnl + aynl * temp)
-        su = math.atan2(sinu, cosu)
+        su = np.arctan2(sinu, cosu)
         sin2u = (cosu + cosu) * sinu
         cos2u = 1.0 - 2.0 * sinu * sinu
         temp = 1.0 / pl
@@ -337,6 +336,7 @@ class Sgp4Propagator:
 
         mrt = rl * (1.0 - 1.5 * temp2 * betal * self.con41) \
             + 0.5 * temp1 * self.x1mth2 * cos2u
+        self._check(t, em_raw, pl, mrt)
         su = su - 0.25 * temp2 * self.x7thm1 * sin2u
         xnode = nodep + 1.5 * temp2 * cosip * sin2u
         xinc = xincp + 1.5 * temp2 * cosip * sinip * cos2u
@@ -344,12 +344,12 @@ class Sgp4Propagator:
         rvdot = rvdotl + nm * temp1 * (self.x1mth2 * cos2u + 1.5 * self.con41) / XKE
 
         # orientation vectors
-        sinsu = math.sin(su)
-        cossu = math.cos(su)
-        snod = math.sin(xnode)
-        cnod = math.cos(xnode)
-        sini = math.sin(xinc)
-        cosi = math.cos(xinc)
+        sinsu = np.sin(su)
+        cossu = np.cos(su)
+        snod = np.sin(xnode)
+        cnod = np.cos(xnode)
+        sini = np.sin(xinc)
+        cosi = np.cos(xinc)
         xmx = -snod * cosi
         xmy = cnod * cosi
         ux = xmx * sinsu + cnod * cossu
@@ -359,23 +359,34 @@ class Sgp4Propagator:
         vy = xmy * cossu - snod * sinsu
         vz = sini * cossu
 
-        if mrt < 1.0:
-            raise DecayedOrbit(
-                f"satellite {self.tle.satellite_number} has decayed "
-                f"(radius {mrt * EARTH_RADIUS_KM:.1f} km at t={tsince:.1f} min)"
-            )
-
         mr = mrt * EARTH_RADIUS_KM
         vkmpersec = EARTH_RADIUS_KM * XKE / 60.0
-        r = np.array([mr * ux, mr * uy, mr * uz])
-        v = np.array([
+        r = np.stack([mr * ux, mr * uy, mr * uz], axis=-1)
+        v = np.stack([
             (mvt * ux + rvdot * vx) * vkmpersec,
             (mvt * uy + rvdot * vy) * vkmpersec,
             (mvt * uz + rvdot * vz) * vkmpersec,
-        ])
-        return r, v
+        ], axis=-1)
+        return (r[0], v[0]) if scalar else (r, v)
 
-    def propagate(self, t: datetime) -> tuple[np.ndarray, np.ndarray]:
-        """TEME position/velocity at a UTC datetime."""
-        tsince = (julian_date(t) - self.epoch_jd) * 1440.0
-        return self.propagate_minutes(tsince)
+    def _check(self, t, em, pl, mrt) -> None:
+        """Raise for the first time that fails, in the order the equations test."""
+        bad_em = (em >= 1.0) | (em < -0.001)
+        bad_pl = pl < 0.0
+        failed = bad_em | bad_pl | (mrt < 1.0)
+        if not failed.any():
+            return
+        i = int(np.argmax(failed))
+        if bad_em[i]:
+            raise SimulationError(
+                "orbit", _ERROR_TEXT[1] + f" (em={em[i]:.6f} at t={t[i]:.1f} min)")
+        if bad_pl[i]:
+            raise SimulationError("orbit", _ERROR_TEXT[4] + f" (t={t[i]:.1f} min)")
+        raise DecayedOrbit(
+            f"satellite {self.tle.satellite_number} has decayed "
+            f"(radius {mrt[i] * EARTH_RADIUS_KM:.1f} km at t={t[i]:.1f} min)"
+        )
+
+    def propagate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """TEME position/velocity at a UTC datetime, or (n, 3) stacks at a sequence of them."""
+        return self.propagate_minutes((julian_date(t) - self.epoch_jd) * 1440.0)

@@ -7,6 +7,11 @@ to Idle below the uplink threshold elevation. The mount closes a slow
 loop on the wide-field camera; a fast-steering mirror closes the fine
 loop on the narrow-field camera at ten samples per servo time
 constant. The emitted residual series is what the link budget sees.
+
+run_pat computes each phase segment as arrays, up to the step at which
+pat_transition may change the phase, and draws each noise source (step
+jitter, wide- and narrow-camera centroids, mount jitter, fine-loop
+sub-step noise) from its own stream.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import OutOfRange
-from .seeding import module_rng
+from .seeding import module_streams
 
 MODULE_NAME = "pat_controller"
 
@@ -112,47 +117,49 @@ class PatMeasurements:
     consecutive_dropouts: int = 0
 
 
-NOT_DETECTED = None  # centroid_offset return value outside the field
-
-
-def elevation_gate(elevation_deg: float, threshold_deg: float) -> bool:
-    """Uplink beacon permitted at or above the threshold elevation."""
+def elevation_gate(elevation_deg, threshold_deg: float):
+    """Uplink beacon permitted at or above the threshold elevation (elementwise)."""
     return elevation_deg >= threshold_deg
 
 
 def centroid_offset(
     camera: CameraModel,
     true_error_arcsec: np.ndarray,
-    rng: np.random.Generator | int,
-) -> np.ndarray | None:
-    """Centroid measurement, or NOT_DETECTED outside the half-field."""
-    rng = rng if isinstance(rng, np.random.Generator) else module_rng(rng, MODULE_NAME)
+    noise_arcsec: np.ndarray,
+) -> np.ndarray:
+    """Centroid measurements of (k, 2) true errors; nan rows outside the half-field.
+
+    noise_arcsec holds one centroid-noise draw per row at the camera's rms.
+    """
     err = np.asarray(true_error_arcsec, dtype=float)
-    if float(np.hypot(err[0], err[1])) > camera.fov_arcsec / 2.0:
-        return NOT_DETECTED
-    return err + rng.normal(0.0, camera.centroid_noise_rms_arcsec, size=2)
+    meas = err + noise_arcsec
+    meas[np.hypot(err[:, 0], err[:, 1]) > camera.fov_arcsec / 2.0] = np.nan
+    return meas
+
+
+def _slew_limit_arcsec(mount: MountModel, dt_s: float) -> float:
+    """Largest move the mount completes in one command interval."""
+    return mount.max_slew_rate_dps * 3600.0 * max(0.0, dt_s - mount.command_latency_s)
 
 
 def mount_step(
     mount: MountModel,
     commanded_offset_arcsec: np.ndarray,
     dt_s: float,
-    rng: np.random.Generator | int,
+    jitter_arcsec: np.ndarray,
 ) -> np.ndarray:
-    """Realized pointing change for one command interval.
+    """Realized pointing changes for (k, 2) commands, one per command interval.
 
-    The mount moves toward the commanded offset at the slew-rate limit
-    once the command latency has elapsed, and adds its jitter.
+    The mount moves toward each commanded offset at the slew-rate limit
+    once the command latency has elapsed, and adds its jitter draw.
     """
     if dt_s <= 0.0:
         raise OutOfRange("dt must be positive")
-    rng = rng if isinstance(rng, np.random.Generator) else module_rng(rng, MODULE_NAME)
     cmd = np.asarray(commanded_offset_arcsec, dtype=float)
-    available = max(0.0, dt_s - mount.command_latency_s)
-    limit = mount.max_slew_rate_dps * 3600.0 * available
-    size = float(np.hypot(cmd[0], cmd[1]))
-    move = cmd if size <= limit else cmd * (limit / size)
-    return move + rng.normal(0.0, mount.jitter_rms_arcsec, size=2)
+    size = np.hypot(cmd[:, 0], cmd[:, 1])
+    limit = _slew_limit_arcsec(mount, dt_s)
+    scale = np.where(size <= limit, 1.0, limit / np.maximum(size, 1e-300))
+    return cmd * scale[:, np.newaxis] + jitter_arcsec
 
 
 def pat_transition(
@@ -212,19 +219,278 @@ class PatSeries:
         return self.times_s, self.residual_arcsec
 
 
-def _fine_loop_segment(
-    r0: np.ndarray, alpha: float, noises: np.ndarray
-) -> np.ndarray:
-    """Residual trace over one outer step of sub-stepped servo updates.
+_FINE_BLOCK_SAMPLES = 1 << 17  # sub-steps per fine run: bounds its temporary arrays
 
-    Each sub-step moves the mirror by alpha times a fresh narrow-camera
-    measurement of the residual, before the mirror range limit:
-    r[k+1] = (1 - alpha) r[k] - alpha n[k].
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first true element, or default."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
+
+
+def _row(values: np.ndarray) -> np.ndarray | None:
+    """One measurement row, or None where the camera saw nothing."""
+    return None if np.isnan(values[0]) else values
+
+
+class _PatRun:
+    """One run_pat call: the pre-drawn noise, the output arrays and the loop state.
+
+    Each phase segment is computed as arrays up to the first step at
+    which pat_transition may leave the phase (or the loop state stops
+    being a linear function of the noise), and that step's measurements
+    go to pat_transition. Every noise source draws from its own stream:
+    step jitter, the camera centroids and the mount jitter once per step
+    or frame slot whether or not the draw is used, the fine loop one
+    (n_sub, 2) block per update in order; so what is drawn for one
+    source does not depend on what the cameras saw.
     """
-    u = -alpha * noises
-    zi = np.outer([1.0 - alpha], r0)
-    out, _ = lfilter([1.0], [1.0, -(1.0 - alpha)], u, axis=0, zi=zi)
-    return out
+
+    def __init__(self, config: PatControllerConfig, times: np.ndarray,
+                 elevations: np.ndarray, dt_s: float, seed: int):
+        self.config = config
+        self.times = times
+        self.elevations = elevations
+        n = self.n = len(times)
+        sub_dt = 1.0 / (10.0 * config.fsm.bandwidth_hz)
+        self.n_sub = max(1, int(round(dt_s / sub_dt)))
+        sub_dt = dt_s / self.n_sub
+        self.sub_times = np.arange(1, self.n_sub + 1) * sub_dt
+        self.alpha = config.fsm.loop_gain * (
+            1.0 - math.exp(-2.0 * math.pi * config.fsm.bandwidth_hz * sub_dt))
+        # carry-over of a step's initial residual to each of its sub-steps
+        self.decay = ((1.0 - self.alpha) ** np.arange(1, self.n_sub + 1))[:, np.newaxis]
+        self.wfov_every = max(1, int(round(1.0 / (config.wfov.frame_rate_hz * dt_s))))
+        self.nfov_every = max(1, int(round(1.0 / (config.nfov.frame_rate_hz * dt_s))))
+        self.frame_dt = self.wfov_every * dt_s
+        self.block = max(1, _FINE_BLOCK_SAMPLES // self.n_sub)
+        self.fine_len = self.block  # steps tried per fine run; shrinks where runs stop early
+
+        jitter, wfov, nfov, mount, fine = module_streams(seed, MODULE_NAME, 5)
+        n_wfov = -(-n // self.wfov_every)
+        n_nfov = -(-n // self.nfov_every)
+        self.jitter = jitter.normal(0.0, config.mount.jitter_rms_arcsec, (n, 2))
+        self.wfov_noise = wfov.normal(0.0, config.wfov.centroid_noise_rms_arcsec, (n_wfov, 2))
+        self.nfov_noise = nfov.normal(0.0, config.nfov.centroid_noise_rms_arcsec, (n_nfov, 2))
+        self.mount_jitter = mount.normal(0.0, config.mount.jitter_rms_arcsec, (n_wfov, 2))
+        self.fine_rng = fine
+        self.fine_spare = np.empty((0, self.n_sub, 2))
+
+        self.phases = np.empty(n, dtype=np.int8)
+        self.true_err = np.empty((n, 2))
+        self.meas_err = np.full((n, 2), np.nan)
+        self.mount_cmd = np.empty((n, 2))
+        self.fsm_cmd = np.empty((n, 2))
+        # written in place, sized for a fine update on every narrow-camera frame
+        self.fine_times = np.empty(n_nfov * self.n_sub)
+        self.fine_res = np.empty((n_nfov * self.n_sub, 2))
+        self.n_fine = 0
+
+        self.base = np.array(config.mount.systematic_bias_arcsec, dtype=float)
+        self.mount_total = np.zeros(2)
+        self.fsm = np.zeros(2)
+        self.dropouts = 0
+        gate = elevation_gate(elevations, config.threshold_elevation_deg)
+        self.gate_closed = np.flatnonzero(~gate)
+        self.gate_open = np.flatnonzero(gate)
+
+    def _next(self, steps: np.ndarray, i: int) -> int:
+        """First of the sorted steps at or after i, or the last step of the run."""
+        k = np.searchsorted(steps, i)
+        return int(steps[k]) if k < steps.size else self.n - 1
+
+    def run(self) -> None:
+        phase = PatPhase.Idle
+        i = 0
+        while i < self.n:
+            if phase == PatPhase.ClosedLoopFine:
+                end, meas = self._fine(i)
+            else:
+                end, meas = self._coarse(i, phase)
+            new_phase = pat_transition(phase, meas, self.config)
+            if new_phase != PatPhase.ClosedLoopFine:
+                self.dropouts = 0
+            if new_phase == PatPhase.SignalLost or (
+                    new_phase == PatPhase.Idle and phase != PatPhase.Idle):
+                self.fsm = np.zeros(2)  # re-center the mirror for re-acquisition
+            phase = new_phase
+            i = end + 1
+
+    def _pointing(self, i: int, j: int, measured: bool, closed: bool):
+        """Pointing error over steps i..j and the wide-camera frames among them.
+
+        With the coarse loop closed, the mount moves on every frame the
+        camera sees. A frame that is seen and whose command is met in
+        full lands the mount on the jitter draw minus the measured error
+        relative to the old base, whatever that base was; so the base
+        before every frame follows from the frame before, until a frame
+        is missed or the slew limit engages. That frame ends the stretch:
+        the returned arrays stop there and the returned j is its step.
+        """
+        steps = np.arange(i, j + 1)
+        jit = self.jitter[i:j + 1]
+        frames = np.flatnonzero(steps % self.wfov_every == 0) if measured else np.empty(0, int)
+        slots = steps[frames] // self.wfov_every
+        noise = self.wfov_noise[slots]
+        base = np.repeat(self.base[np.newaxis], frames.size, axis=0)
+        if closed and frames.size > 1:
+            base[1:] = (self.mount_jitter[slots[:-1]]
+                        - (jit[frames[:-1]] + noise[:-1]))
+        wfov = centroid_offset(self.config.wfov, base + jit[frames], noise)
+        seen = ~np.isnan(wfov[:, 0]) if closed else np.zeros(frames.size, bool)
+        moves = np.zeros_like(base)
+        moves[seen] = mount_step(self.config.mount, -wfov[seen], self.frame_dt,
+                                 self.mount_jitter[slots[seen]])
+        if closed:
+            limit = _slew_limit_arcsec(self.config.mount, self.frame_dt)
+            stop = _first(~seen | (np.hypot(wfov[:, 0], wfov[:, 1]) > limit), frames.size)
+            if stop < frames.size:
+                j = i + int(frames[stop])
+                steps, jit = steps[:j - i + 1], jit[:j - i + 1]
+                frames, base, wfov, moves, seen = (
+                    frames[:stop + 1], base[:stop + 1], wfov[:stop + 1],
+                    moves[:stop + 1], seen[:stop + 1])
+        # index of the latest frame at or before each step (0: none yet)
+        latest = np.searchsorted(frames, np.arange(len(steps)), side="right")
+        base_after = np.vstack([self.base, base + moves])[latest]
+        err_post = base_after + jit
+        err_pre = err_post.copy()
+        err_pre[frames] = base + jit[frames]
+        err_post[frames[seen]] = base_after[frames[seen]]  # the command settles within the frame
+        wfov_steps = np.full((len(steps), 2), np.nan)
+        wfov_steps[frames] = wfov
+        mount_total = self.mount_total + np.vstack([np.zeros(2), np.cumsum(moves, axis=0)])[latest]
+        return j, err_pre, err_post, wfov_steps, mount_total, base_after
+
+    def _nfov(self, i: int, err_pre: np.ndarray, fsm_before: np.ndarray) -> np.ndarray:
+        """Narrow-camera measurements at each step from i (nan off-frame or unseen)."""
+        steps = np.arange(i, i + len(err_pre))
+        frames = np.flatnonzero(steps % self.nfov_every == 0)
+        meas = np.full((len(steps), 2), np.nan)
+        meas[frames] = centroid_offset(self.config.nfov, err_pre[frames] - fsm_before[frames],
+                                       self.nfov_noise[steps[frames] // self.nfov_every])
+        return meas
+
+    def _commit(self, i: int, last: int, phase: PatPhase, err_post, wfov, mount_total,
+                base_after, fsm) -> None:
+        k = last - i + 1
+        self.phases[i:last + 1] = int(phase)
+        self.true_err[i:last + 1] = err_post[:k]
+        self.meas_err[i:last + 1] = wfov[:k]
+        self.mount_cmd[i:last + 1] = mount_total[:k]
+        self.fsm_cmd[i:last + 1] = fsm[:k]
+        self.base = base_after[k - 1]
+        self.mount_total = mount_total[k - 1]
+        self.fsm = fsm[k - 1]
+
+    def _coarse(self, i: int, phase: PatPhase) -> tuple[int, PatMeasurements]:
+        """Idle, beacon pointing, the coarse loops and SignalLost, up to a phase change.
+
+        Idle lasts until the elevation gate opens; beacon pointing and
+        SignalLost last one step; open-loop coarse lasts until the wide
+        camera sees the beacon and closed-loop coarse until the narrow
+        camera does.
+        """
+        if phase == PatPhase.Idle:
+            j = self._next(self.gate_open, i)
+        elif phase in (PatPhase.UplinkBeaconPointing, PatPhase.SignalLost):
+            j = i
+        else:
+            j = self._next(self.gate_closed, i)
+        measured = phase not in (PatPhase.Idle, PatPhase.UplinkBeaconPointing)
+        closed = phase in (PatPhase.ClosedLoopCoarse, PatPhase.SignalLost)
+        j, err_pre, err_post, wfov, mount_total, base_after = self._pointing(
+            i, j, measured, closed)
+        fsm = np.repeat(self.fsm[np.newaxis], len(err_pre), axis=0)
+        nfov = self._nfov(i, err_pre, fsm) if measured else np.full_like(err_pre, np.nan)
+        if phase == PatPhase.OpenLoopCoarse:
+            j = i + _first(~np.isnan(wfov[:, 0]), j - i)
+        elif phase == PatPhase.ClosedLoopCoarse:
+            j = i + _first(~np.isnan(nfov[:, 0]), j - i)
+        self._commit(i, j, phase, err_post, wfov, mount_total, base_after, fsm)
+        return j, PatMeasurements(float(self.elevations[j]), _row(wfov[j - i]),
+                                  _row(nfov[j - i]))
+
+    def _fine_noise(self, count: int) -> np.ndarray:
+        """Sub-step noise for the next count fine updates, in stream order."""
+        extra = count - len(self.fine_spare)
+        if extra > 0:
+            fresh = self.fine_rng.normal(
+                0.0, self.config.nfov.centroid_noise_rms_arcsec, (extra, self.n_sub, 2))
+            self.fine_spare = np.concatenate([self.fine_spare, fresh]) \
+                if len(self.fine_spare) else fresh
+        return self.fine_spare[:count]
+
+    def _fine(self, i: int) -> tuple[int, PatMeasurements]:
+        """ClosedLoopFine from step i, up to the first step that breaks the linear loop.
+
+        Each narrow-camera frame runs n_sub servo updates,
+        r[k+1] = (1 - alpha) r[k] - alpha n[k]. The noise response of
+        every frame comes from one lfilter over the sub-step axis; the
+        step-end residuals chain across frames with coefficient
+        (1 - alpha)^n_sub, and each sub-step trace is
+        r0 (1 - alpha)^(k+1) plus its noise response. That holds until
+        the narrow camera misses, the mirror range clamps the step-end
+        command, the dropout limit is reached or the elevation gate
+        closes; the run stops at that step.
+        """
+        config, alpha = self.config, self.alpha
+        j = min(self._next(self.gate_closed, i), i + self.fine_len - 1)
+        j, err_pre, err_post, wfov, mount_total, base_after = self._pointing(
+            i, j, True, True)
+        steps = np.arange(i, j + 1)
+        upd = np.flatnonzero(steps % self.nfov_every == 0)
+        e = err_post[upd]
+        k_upd = len(upd)
+        response = lfilter([-alpha], [1.0, -(1.0 - alpha)], self._fine_noise(k_upd), axis=1)
+        beta = (1.0 - alpha) ** self.n_sub
+        drive = np.diff(e, axis=0, prepend=self.fsm[np.newaxis])
+        ends = lfilter([1.0], [1.0, -beta], beta * drive + response[:, -1], axis=0)
+        r0 = drive + np.vstack([np.zeros(2), ends[:-1]])
+        # traces go straight into the output; rows past the cut are overwritten later
+        trace = self.fine_res[self.n_fine:self.n_fine + k_upd * self.n_sub].reshape(
+            k_upd, self.n_sub, 2)
+        np.multiply(self.decay, r0[:, np.newaxis], out=trace)
+        trace += response
+        # apply the mirror range limit sample by sample
+        mirror = e[:, np.newaxis] - trace
+        over = np.einsum("ijk,ijk->ij", mirror, mirror) > config.fsm.range_arcsec ** 2
+        if over.any():
+            clip = mirror[over]
+            clip *= config.fsm.range_arcsec / np.hypot(clip[:, 0], clip[:, 1])[:, np.newaxis]
+            mirror[over] = clip
+            trace[over] = np.broadcast_to(e[:, np.newaxis], mirror.shape)[over] - clip
+        fsm_upd = mirror[:, -1]
+        clamped = over[:, -1]
+
+        # the mirror command each step's camera frame sees, and the one it leaves
+        held = np.searchsorted(upd, np.arange(len(steps)), side="right")
+        before = np.searchsorted(upd, np.arange(len(steps)))
+        nfov = self._nfov(i, err_pre, np.vstack([self.fsm, fsm_upd])[before])
+        seen = ~np.isnan(nfov[:, 0])
+        # consecutive steps without a narrow-camera centroid
+        last_seen = np.maximum.accumulate(np.where(seen, np.arange(len(steps)), -1))
+        dropouts = np.where(last_seen >= 0, np.arange(len(steps)) - last_seen,
+                            self.dropouts + np.arange(1, len(steps) + 1))
+        missed = np.zeros(len(steps), bool)
+        missed[upd] = ~seen[upd]
+        clamp_step = np.zeros(len(steps), bool)
+        clamp_step[upd] = clamped
+        last = _first(missed | clamp_step | (dropouts >= config.dropout_limit), j - i)
+
+        done = int(np.searchsorted(upd, last, side="right")) - int(missed[last])
+        fsm = np.vstack([self.fsm, fsm_upd[:done]])[np.minimum(held, done)]
+        np.add(self.times[i + upd[:done], np.newaxis], self.sub_times,
+               out=self.fine_times[self.n_fine:self.n_fine + done * self.n_sub].reshape(
+                   done, self.n_sub))
+        self.n_fine += done * self.n_sub
+        self.fine_spare = self.fine_spare[done:]
+        self._commit(i, i + last, PatPhase.ClosedLoopFine, err_post, wfov, mount_total,
+                     base_after, fsm)
+        self.dropouts = int(dropouts[last])
+        self.fine_len = min(self.block, 2 * (last + 1))
+        return i + last, PatMeasurements(float(self.elevations[i + last]), _row(wfov[last]),
+                                         _row(nfov[last]), self.dropouts)
 
 
 def run_pat(
@@ -243,107 +509,23 @@ def run_pat(
     """
     if dt_s <= 0.0 or duration_s <= 0.0:
         raise OutOfRange("duration and dt must be positive")
-    rng = module_rng(seed, MODULE_NAME)
-
     n = int(round(duration_s / dt_s))
-    sub_dt = 1.0 / (10.0 * config.fsm.bandwidth_hz)
-    n_sub = max(1, int(round(dt_s / sub_dt)))
-    sub_dt = dt_s / n_sub
-    alpha = config.fsm.loop_gain * (1.0 - math.exp(-2.0 * math.pi * config.fsm.bandwidth_hz * sub_dt))
-    wfov_every = max(1, int(round(1.0 / (config.wfov.frame_rate_hz * dt_s))))
-    nfov_every = max(1, int(round(1.0 / (config.nfov.frame_rate_hz * dt_s))))
-
     times = np.arange(n) * dt_s
     elevations = np.broadcast_to(
         elevation_deg(times) if callable(elevation_deg) else elevation_deg, (n,))
-    phases = np.empty(n, dtype=np.int8)
-    true_err = np.empty((n, 2))
-    meas_err = np.full((n, 2), np.nan)
-    mount_cmd = np.empty((n, 2))
-    fsm_cmd = np.empty((n, 2))
-    residual = np.empty(n)
-    fine_times: list[np.ndarray] = []
-    fine_res: list[np.ndarray] = []
-
-    phase = PatPhase.Idle
-    base_err = np.array(config.mount.systematic_bias_arcsec, dtype=float)
-    mount_total = np.zeros(2)
-    fsm = np.zeros(2)
-    dropouts = 0
-
-    for i in range(n):
-        t = float(times[i])
-        err = base_err + rng.normal(0.0, config.mount.jitter_rms_arcsec, size=2)
-
-        wfov_meas = None
-        nfov_meas = None
-        if phase in (PatPhase.OpenLoopCoarse, PatPhase.ClosedLoopCoarse,
-                     PatPhase.ClosedLoopFine, PatPhase.SignalLost):
-            if i % wfov_every == 0:
-                wfov_meas = centroid_offset(config.wfov, err, rng)
-            if i % nfov_every == 0:
-                nfov_meas = centroid_offset(config.nfov, err - fsm, rng)
-
-        if phase == PatPhase.ClosedLoopFine:
-            dropouts = dropouts + 1 if nfov_meas is None else 0
-        else:
-            dropouts = 0
-
-        # closed-loop mount correction on wide-camera frames
-        if phase in (PatPhase.ClosedLoopCoarse, PatPhase.ClosedLoopFine,
-                     PatPhase.SignalLost) and wfov_meas is not None:
-            move = mount_step(config.mount, -wfov_meas, wfov_every * dt_s, rng)
-            base_err = base_err + move
-            mount_total = mount_total + move
-            err = base_err  # command settles within the frame interval
-
-        if phase == PatPhase.ClosedLoopFine and nfov_meas is not None:
-            noises = rng.normal(0.0, config.nfov.centroid_noise_rms_arcsec,
-                                size=(n_sub, 2))
-            trace = _fine_loop_segment(err - fsm, alpha, noises)
-            # apply the mirror range limit sample by sample
-            mirror = err[np.newaxis, :] - trace
-            norms = np.hypot(mirror[:, 0], mirror[:, 1])
-            scale = np.minimum(1.0, config.fsm.range_arcsec / np.maximum(norms, 1e-12))
-            mirror *= scale[:, np.newaxis]
-            trace = err[np.newaxis, :] - mirror
-            fsm = mirror[-1]
-            fine_times.append(t + (np.arange(1, n_sub + 1) * sub_dt))
-            fine_res.append(trace)
-
-        phases[i] = int(phase)
-        true_err[i] = err
-        if wfov_meas is not None:
-            meas_err[i] = wfov_meas
-        mount_cmd[i] = mount_total
-        fsm_cmd[i] = fsm
-        residual[i] = float(np.hypot(*(err - fsm)))
-
-        meas = PatMeasurements(
-            elevation_deg=float(elevations[i]),
-            wfov=wfov_meas,
-            nfov=nfov_meas,
-            consecutive_dropouts=dropouts,
-        )
-        new_phase = pat_transition(phase, meas, config)
-        if new_phase == PatPhase.SignalLost:
-            fsm = np.zeros(2)  # re-center the mirror for re-acquisition
-            dropouts = 0
-        if new_phase == PatPhase.Idle and phase != PatPhase.Idle:
-            fsm = np.zeros(2)
-            dropouts = 0
-        phase = new_phase
-
+    run = _PatRun(config, times, elevations, dt_s, seed)
+    run.run()
     return PatSeries(
         times_s=times,
-        phases=phases,
-        true_error=true_err,
-        measured_error=meas_err,
-        mount_cmd=mount_cmd,
-        fsm_cmd=fsm_cmd,
-        residual_arcsec=residual,
-        fine_times_s=np.concatenate(fine_times) if fine_times else np.empty(0),
-        fine_residual=np.vstack(fine_res) if fine_res else np.empty((0, 2)),
+        phases=run.phases,
+        true_error=run.true_err,
+        measured_error=run.meas_err,
+        mount_cmd=run.mount_cmd,
+        fsm_cmd=run.fsm_cmd,
+        residual_arcsec=np.hypot(run.true_err[:, 0] - run.fsm_cmd[:, 0],
+                                 run.true_err[:, 1] - run.fsm_cmd[:, 1]),
+        fine_times_s=run.fine_times[:run.n_fine],
+        fine_residual=run.fine_res[:run.n_fine],
         dt_s=dt_s,
         config=config,
     )

@@ -3,7 +3,8 @@
 All randomness in a run flows from one 64-bit scenario seed. Each module
 draws from its own ``numpy`` generator seeded with
 ``seed XOR sha256(module_name)[:8]`` so that module-level tests and the
-end-to-end pipeline see identical streams.
+end-to-end pipeline see identical streams. A module with several noise
+sources spawns one child stream per source from that same seed.
 """
 import hashlib
 
@@ -22,3 +23,9 @@ def derive_seed(seed: int, module_name: str) -> int:
 def module_rng(seed: int, module_name: str) -> np.random.Generator:
     """PCG64 generator for one module's randomness within a run."""
     return np.random.Generator(np.random.PCG64(derive_seed(seed, module_name)))
+
+
+def module_streams(seed: int, module_name: str, count: int) -> list[np.random.Generator]:
+    """PCG64 generators for count noise sources, spawned from module_rng's seed sequence."""
+    children = np.random.SeedSequence(derive_seed(seed, module_name)).spawn(count)
+    return [np.random.Generator(np.random.PCG64(child)) for child in children]

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qkdpass.orbit_dynamics import (GroundSite, Sgp4Propagator,
-                                    eci_to_topocentric, julian_date)
+                                    eci_to_topocentric, julian_date,
+                                    predict_passes)
+from qkdpass.orbit_dynamics.frames import RATE_DELTA_S, _rate_vectors
 from qkdpass.orbit_dynamics.sgp4 import gmst_radians
-from conftest import EPOCH, SITE
+from conftest import EPOCH, SITE, zenith_tle
 
 WGS84_A_KM = 6378.137
 WGS84_B_KM = 6356.7523142
@@ -106,3 +108,30 @@ def test_angular_rate_nonnegative(zenith_pass):
         state = eci_to_topocentric(r, v, SITE, t)
         assert state.angular_rate_dps >= 0.0
         assert state.angular_rate_dps < 1.5
+
+
+def test_angular_rate_matches_long_double_sweep():
+    """The sweep angle keeps full precision at the small angles a 0.2 s step spans.
+
+    Reference: the same line-of-sight vectors in long double, with the
+    angle from the chord between the unit vectors, 2 asin(|m - p| / 2),
+    which is well conditioned for small angles (acos of a cosine near 1
+    is not).
+    """
+    tle = zenith_tle(inclination=51.6)
+    prop = Sgp4Propagator(tle)
+    stamps = []
+    for window in predict_passes(tle, SITE, EPOCH, EPOCH + timedelta(hours=48)):
+        n = int(window.duration_s // 5.0) + 1
+        stamps += [window.aos + timedelta(seconds=5.0 * k) for k in range(n)]
+    r, v = prop.propagate(stamps)
+    state = eci_to_topocentric(r, v, SITE, stamps)
+    sez_m, sez_p = (np.asarray(x, dtype=np.longdouble)
+                    for x in _rate_vectors(r, v, SITE, julian_date(stamps)))
+    unit_m = sez_m / np.sqrt(np.sum(sez_m * sez_m, axis=1))[:, np.newaxis]
+    unit_p = sez_p / np.sqrt(np.sum(sez_p * sez_p, axis=1))[:, np.newaxis]
+    chord = np.sqrt(np.sum((unit_m - unit_p) ** 2, axis=1))
+    reference = np.degrees(2.0 * np.arcsin(chord / 2.0)) / (2.0 * RATE_DELTA_S)
+    assert len(stamps) > 500
+    rel = np.abs(state.angular_rate_dps - reference) / reference
+    assert float(np.max(rel)) < 1e-12

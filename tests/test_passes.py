@@ -1,7 +1,9 @@
 """Pass prediction: crossing refinement, culmination, profile sampling."""
 from __future__ import annotations
 
+import json
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +124,16 @@ def test_lower_mean_motion_longer_pass(zenith_pass):
     # higher orbit moves slower across the sky and stays up longer
     best = max(slow_windows, key=lambda w: w.max_elevation_deg)
     assert best.duration_s > window.duration_s
+
+
+@pytest.mark.parametrize("inclination", ["90.0", "51.6", "97.5"])
+def test_golden_pass_table(inclination):
+    """48 h of passes reproduce the table recorded with the per-sample search."""
+    golden = json.loads((Path(__file__).parent / "golden_passes.json").read_text())
+    windows = predict_passes(zenith_tle(inclination=float(inclination)), SITE, EPOCH,
+                             EPOCH + timedelta(hours=48))
+    expected = golden[inclination]
+    assert [(w.aos.isoformat(), w.tca.isoformat(), w.los.isoformat()) for w in windows] == \
+        [(row["aos"], row["tca"], row["los"]) for row in expected]
+    for w, row in zip(windows, expected):
+        assert w.max_elevation_deg == pytest.approx(row["max_elevation_deg"], rel=1e-12, abs=0.0)

@@ -1,19 +1,42 @@
 """Acquisition sequence and tracking-loop behavior."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from qkdpass.errors import OutOfRange
-from qkdpass.pat_controller import (NOT_DETECTED, CameraModel, FsmModel,
+from qkdpass.pat_controller import (MODULE_NAME, CameraModel, FsmModel,
                                     MountModel, PatControllerConfig,
                                     PatMeasurements, PatPhase, centroid_offset,
                                     mount_step, pat_transition, run_pat)
+from qkdpass.seeding import module_streams
 
 
 def first_index(phases: np.ndarray, phase: PatPhase) -> int:
     hits = np.flatnonzero(phases == int(phase))
     return int(hits[0]) if hits.size else -1
+
+
+def phase_runs(phases: np.ndarray) -> list[PatPhase]:
+    """The phase sequence with repeats collapsed."""
+    keep = np.concatenate([[True], phases[1:] != phases[:-1]])
+    return [PatPhase(int(code)) for code in phases[keep]]
+
+
+def assert_transitions_allowed(phases: np.ndarray, config: PatControllerConfig) -> None:
+    """Every consecutive phase pair is one pat_transition can produce."""
+    gate = config.threshold_elevation_deg
+    seen = (None, np.zeros(2))
+    allowed = {
+        (phase, pat_transition(phase, PatMeasurements(el, wfov, nfov, drops), config))
+        for phase in PatPhase for el in (gate - 1.0, gate + 1.0)
+        for wfov in seen for nfov in seen for drops in (0, config.dropout_limit)
+    }
+    pairs = set(zip(phases[:-1].tolist(), phases[1:].tolist()))
+    assert pairs <= {(int(a), int(b)) for a, b in allowed}
 
 
 def test_phase_sequence_order():
@@ -83,24 +106,26 @@ def test_transition_table():
 
 def test_centroid_detection_bounds():
     camera = CameraModel(fov_arcsec=100.0, centroid_noise_rms_arcsec=0.0, frame_rate_hz=10.0)
-    inside = centroid_offset(camera, np.array([30.0, 30.0]), 0)
-    assert inside is not NOT_DETECTED
-    assert inside == pytest.approx([30.0, 30.0])
-    assert centroid_offset(camera, np.array([40.0, 40.0]), 0) is NOT_DETECTED
+    meas = centroid_offset(camera, np.array([[30.0, 30.0], [40.0, 40.0]]),
+                           np.array([[0.5, -0.5], [0.0, 0.0]]))
+    assert meas[0] == pytest.approx([30.5, 29.5])
+    assert np.all(np.isnan(meas[1]))
 
 
 def test_mount_step_slew_limit_and_latency():
     mount = MountModel(max_slew_rate_dps=1.0, command_latency_s=0.02,
                        jitter_rms_arcsec=0.0)
+    commands = np.array([[1000.0, 0.0], [10.0, 5.0]])
+    move = mount_step(mount, commands, 0.1, np.zeros((2, 2)))
     # 0.1 s interval leaves 0.08 s of motion: 0.08 deg = 288 arcsec
-    move = mount_step(mount, np.array([1000.0, 0.0]), 0.1, 0)
-    assert np.hypot(*move) == pytest.approx(288.0, rel=1e-9)
+    assert np.hypot(*move[0]) == pytest.approx(288.0, rel=1e-9)
     # small command within the limit is executed fully
-    move = mount_step(mount, np.array([10.0, 5.0]), 0.1, 0)
-    assert move == pytest.approx([10.0, 5.0])
-    # interval shorter than the latency moves nothing
-    move = mount_step(mount, np.array([10.0, 5.0]), 0.01, 0)
-    assert move == pytest.approx([0.0, 0.0])
+    assert move[1] == pytest.approx([10.0, 5.0])
+    # interval shorter than the latency moves nothing but the jitter
+    jitter = np.array([[0.25, -0.5], [0.0, 0.0]])
+    assert mount_step(mount, commands, 0.01, jitter) == pytest.approx(jitter)
+    with pytest.raises(OutOfRange):
+        mount_step(mount, commands, 0.0, jitter)
 
 
 def test_elevation_callable_evaluated_once_on_the_grid():
@@ -148,3 +173,152 @@ def test_config_requires_nested_fields():
         MountModel(max_slew_rate_dps=0.0)
     with pytest.raises(OutOfRange):
         FsmModel(loop_gain=0.0)
+
+
+def test_fine_loop_step_end_variance_pull():
+    """Steady fine tracking: each axis of the step-end residual has variance
+    sigma^2 alpha / (2 - alpha), since the carry-over from the step's start
+    decays by (1 - alpha)^n_sub, about 4e-17."""
+    config = PatControllerConfig()
+    dt = 0.01
+    series = run_pat(45.0, config, duration_s=210.0, dt_s=dt, seed=5)
+    updates = np.count_nonzero(series.phases == int(PatPhase.ClosedLoopFine))
+    n_sub = len(series.fine_times_s) // updates
+    alpha = 1.0 - np.exp(-2.0 * np.pi * config.fsm.bandwidth_hz * dt / n_sub)
+    # skip the first half second: the fine loop starts on the uncorrected
+    # mount bias, beyond the mirror range, until the next wide-camera frame
+    ends = series.fine_residual.reshape(updates, n_sub, 2)[50:, -1]
+    fine = series.phases == int(PatPhase.ClosedLoopFine)
+    assert np.all(np.hypot(*series.fsm_cmd[fine][50:].T) < config.fsm.range_arcsec)
+    assert len(ends) > 20_000
+    expected = config.nfov.centroid_noise_rms_arcsec ** 2 * alpha / (2.0 - alpha)
+    observed = np.mean(ends ** 2, axis=0)  # the residual has zero mean
+    pulls = (observed - expected) / (expected * np.sqrt(2.0 / len(ends)))
+    assert np.all(np.abs(pulls) < 4.0), pulls
+
+
+def test_dropouts_fall_back_to_coarse_and_reacquire():
+    # a 6 arcsec narrow field loses the beacon to ordinary mount jitter
+    config = PatControllerConfig(nfov=CameraModel(fov_arcsec=6.0, centroid_noise_rms_arcsec=0.5,
+                                                  frame_rate_hz=100.0))
+    series = run_pat(45.0, config, duration_s=30.0, dt_s=0.01, seed=0)
+    runs = phase_runs(series.phases)
+    lost = [k for k, phase in enumerate(runs) if phase == PatPhase.SignalLost]
+    assert lost, "the narrow field must drop the beacon"
+    for k in lost:
+        assert runs[k - 1] == PatPhase.ClosedLoopFine
+        assert runs[k + 1] == PatPhase.ClosedLoopCoarse
+    assert PatPhase.ClosedLoopFine in runs[lost[0] + 1:]
+    # the mirror is re-centred for re-acquisition
+    assert np.all(series.fsm_cmd[series.phases == int(PatPhase.SignalLost)] == 0.0)
+    assert_transitions_allowed(series.phases, config)
+
+
+def test_elevation_dip_drops_to_idle_and_reacquires():
+    config = PatControllerConfig()
+
+    def elevation(times_s):
+        return np.where((times_s >= 12.0) & (times_s < 13.5), 10.0, 45.0)
+
+    series = run_pat(elevation, config, duration_s=30.0, dt_s=0.01, seed=2)
+    sequence = [PatPhase.Idle, PatPhase.UplinkBeaconPointing, PatPhase.OpenLoopCoarse,
+                PatPhase.ClosedLoopCoarse, PatPhase.ClosedLoopFine]
+    assert phase_runs(series.phases) == sequence + sequence
+    dip = (series.times_s >= 12.0 + series.dt_s) & (series.times_s < 13.5)
+    assert np.all(series.phases[dip] == int(PatPhase.Idle))
+    assert np.all(series.fsm_cmd[dip] == 0.0)
+    assert_transitions_allowed(series.phases, config)
+
+
+def reference_run_pat(elevations, config, dt, seed):
+    """The acquisition sequence one step at a time, on run_pat's noise streams.
+
+    Each source draws as run_pat documents: step jitter per step, the
+    two camera centroids and the mount jitter per frame slot, and the
+    fine loop one (n_sub, 2) block per update, in order.
+    """
+    n = len(elevations)
+    wfov_every = max(1, int(round(1.0 / (config.wfov.frame_rate_hz * dt))))
+    nfov_every = max(1, int(round(1.0 / (config.nfov.frame_rate_hz * dt))))
+    n_sub = max(1, int(round(dt * 10.0 * config.fsm.bandwidth_hz)))
+    alpha = config.fsm.loop_gain * (1.0 - math.exp(-2.0 * math.pi * config.fsm.bandwidth_hz
+                                                   * dt / n_sub))
+    jitter_rng, wfov_rng, nfov_rng, mount_rng, fine_rng = module_streams(seed, MODULE_NAME, 5)
+    jitter = jitter_rng.normal(0.0, config.mount.jitter_rms_arcsec, (n, 2))
+    n_wfov, n_nfov = -(-n // wfov_every), -(-n // nfov_every)
+    wfov_noise = wfov_rng.normal(0.0, config.wfov.centroid_noise_rms_arcsec, (n_wfov, 2))
+    nfov_noise = nfov_rng.normal(0.0, config.nfov.centroid_noise_rms_arcsec, (n_nfov, 2))
+    mount_jitter = mount_rng.normal(0.0, config.mount.jitter_rms_arcsec, (n_wfov, 2))
+
+    phases = np.empty(n, dtype=np.int8)
+    true_err, fsm_cmd, mount_cmd = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    fine = []
+    phase, dropouts = PatPhase.Idle, 0
+    base = np.array(config.mount.systematic_bias_arcsec, dtype=float)
+    mount_total, fsm = np.zeros(2), np.zeros(2)
+    for i in range(n):
+        err = base + jitter[i]
+        wfov = nfov = None
+        if phase in (PatPhase.OpenLoopCoarse, PatPhase.ClosedLoopCoarse,
+                     PatPhase.ClosedLoopFine, PatPhase.SignalLost):
+            if i % wfov_every == 0 and np.hypot(*err) <= config.wfov.fov_arcsec / 2.0:
+                wfov = err + wfov_noise[i // wfov_every]
+            if i % nfov_every == 0 and np.hypot(*(err - fsm)) <= config.nfov.fov_arcsec / 2.0:
+                nfov = err - fsm + nfov_noise[i // nfov_every]
+        if phase == PatPhase.ClosedLoopFine:
+            dropouts = dropouts + 1 if nfov is None else 0
+        else:
+            dropouts = 0
+        if phase in (PatPhase.ClosedLoopCoarse, PatPhase.ClosedLoopFine,
+                     PatPhase.SignalLost) and wfov is not None:
+            move = mount_step(config.mount, -wfov[np.newaxis], wfov_every * dt,
+                              mount_jitter[i // wfov_every][np.newaxis])[0]
+            base = base + move
+            mount_total = mount_total + move
+            err = base
+        if phase == PatPhase.ClosedLoopFine and nfov is not None:
+            noises = fine_rng.normal(0.0, config.nfov.centroid_noise_rms_arcsec, (n_sub, 2))
+            trace, _ = lfilter([1.0], [1.0, -(1.0 - alpha)], -alpha * noises, axis=0,
+                               zi=np.outer([1.0 - alpha], err - fsm))
+            mirror = err[np.newaxis] - trace
+            norms = np.hypot(mirror[:, 0], mirror[:, 1])
+            mirror *= np.minimum(1.0, config.fsm.range_arcsec / np.maximum(norms, 1e-12))[:, np.newaxis]
+            fsm = mirror[-1]
+            fine.append(err[np.newaxis] - mirror)
+        phases[i], true_err[i], mount_cmd[i], fsm_cmd[i] = phase, err, mount_total, fsm
+        new_phase = pat_transition(
+            phase, PatMeasurements(float(elevations[i]), wfov, nfov, dropouts), config)
+        if new_phase == PatPhase.SignalLost or (
+                new_phase == PatPhase.Idle and phase != PatPhase.Idle):
+            fsm, dropouts = np.zeros(2), 0
+        phase = new_phase
+    return phases, true_err, mount_cmd, fsm_cmd, np.concatenate(fine) if fine else np.empty((0, 2))
+
+
+_DIP = np.where((np.arange(1500) >= 600) & (np.arange(1500) < 700), 10.0, 45.0)
+_REFERENCE_CASES = {
+    "default": (PatControllerConfig(), 0.01),
+    "mirror_range": (PatControllerConfig(fsm=FsmModel(range_arcsec=2.0)), 0.01),
+    "narrow_field": (PatControllerConfig(nfov=CameraModel(6.0, 0.5, 100.0)), 0.01),
+    "slow_narrow_camera": (PatControllerConfig(nfov=CameraModel(120.0, 0.5, 20.0),
+                                               dropout_limit=3), 0.01),
+    "slew_limit": (PatControllerConfig(mount=MountModel(
+        max_slew_rate_dps=0.001, systematic_bias_arcsec=(900.0, 500.0))), 0.01),
+    "wide_camera_misses": (PatControllerConfig(wfov=CameraModel(40.0, 5.0, 10.0),
+                                               nfov=CameraModel(12.0, 0.5, 100.0)), 0.01),
+    "coarse_step": (PatControllerConfig(), 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_segment_kernels_match_step_loop(case):
+    """The phase-segment arrays reproduce the per-step loop on the same draws."""
+    config, dt = _REFERENCE_CASES[case]
+    phases, true_err, mount_cmd, fsm_cmd, fine = reference_run_pat(_DIP, config, dt, 3)
+    series = run_pat(lambda times: _DIP, config, duration_s=len(_DIP) * dt, dt_s=dt, seed=3)
+    assert np.array_equal(series.phases, phases)
+    # the kernels reorder the arithmetic: agreement to rounding, not bits
+    for got, want in ((series.true_error, true_err), (series.mount_cmd, mount_cmd),
+                      (series.fsm_cmd, fsm_cmd), (series.fine_residual, fine)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9)

@@ -1,12 +1,14 @@
 """Propagator checks against frozen reference vectors."""
 from __future__ import annotations
 
+import warnings
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
-from qkdpass.errors import UnsupportedDeepSpace
+from qkdpass.errors import (DecayedOrbit, SimulationError, StaleElements,
+                            UnsupportedDeepSpace)
 from qkdpass.orbit_dynamics import (EARTH_RADIUS_KM, Sgp4Propagator,
                                     gmst_radians, julian_date, make_tle,
                                     parse_tle)
@@ -28,6 +30,49 @@ def test_reference_vectors_within_1km(key):
         assert dr < 1.0, f"{key} at {minutes} min: {dr} km"
         assert dv < 1e-3
     assert worst < 1.0
+
+
+@pytest.mark.parametrize("key", sorted(VECTORS))
+def test_array_call_matches_per_time_calls(key):
+    tle = parse_tle(TLES[key])
+    prop = Sgp4Propagator(tle)
+    minutes = np.array([m for m, _, _ in VECTORS[key]])
+    r, v = prop.propagate_minutes(minutes)
+    assert r.shape == v.shape == (len(minutes), 3)
+    one_by_one = [prop.propagate_minutes(float(m)) for m in minutes]
+    assert np.array_equal(r, np.array([ri for ri, _ in one_by_one]))
+    assert np.array_equal(v, np.array([vi for _, vi in one_by_one]))
+    r_ref = np.array([ref for _, ref, _ in VECTORS[key]])
+    assert np.max(np.linalg.norm(r - r_ref, axis=1)) < 1.0
+    # datetimes go through the same path, one Julian date each
+    stamps = [tle.epoch + timedelta(minutes=float(m)) for m in minutes]
+    r_dt, _ = prop.propagate(stamps)
+    assert np.array_equal(r_dt, np.array([prop.propagate(t)[0] for t in stamps]))
+
+
+@pytest.mark.parametrize("elements, error, first_bad_min", [
+    (dict(mean_motion=15.9, bstar=0.1, eccentricity=0.001), DecayedOrbit, 700.0),
+    (dict(mean_motion=16.3, bstar=0.05, eccentricity=0.0001), SimulationError, 220.0),
+])
+def test_array_call_raises_at_first_bad_time(elements, error, first_bad_min):
+    prop = Sgp4Propagator(make_tle(epoch=EPOCH, inclination=51.6, **elements))
+    prop.propagate_minutes(first_bad_min - 10.0)
+    with pytest.raises(error) as one:
+        prop.propagate_minutes(first_bad_min)
+    with pytest.raises(error) as batch:
+        prop.propagate_minutes(np.arange(0.0, 2000.0, 10.0))
+    assert type(batch.value) is type(one.value)
+    assert f"t={first_bad_min:.1f} min" in str(batch.value)
+
+
+def test_stale_elements_warn_once_per_call():
+    prop = Sgp4Propagator(parse_tle(TLES["tle_28057"]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prop.propagate_minutes(np.arange(0.0, 40 * 1440.0, 60.0))
+    stale = [w for w in caught if issubclass(w.category, StaleElements)]
+    assert len(stale) == 1
+    assert "40.0 days" in str(stale[0].message)  # the farthest time, 39.96 days
 
 
 def test_propagation_is_deterministic():
