@@ -219,7 +219,6 @@ class PassResult:
     report: KeyReport
     scenario: Scenario = field(repr=False)
     tle: TwoLineElement = field(repr=False)
-    window: PassWindow = field(repr=False)
     profile: PassProfile = field(repr=False)
     pat: PatSeries = field(repr=False)
     pcs: PcsSeries = field(repr=False)
@@ -227,7 +226,6 @@ class PassResult:
     stream: PairEventStream = field(repr=False)
     onboard_tags: TagStream = field(repr=False)
     ground_tags: TagStream = field(repr=False)
-    ground_corrected: TagStream = field(repr=False)
     sync: SyncResult | None = field(repr=False)
     coincidences: CoincidenceResult | None = field(repr=False)
     key: SiftedKey = field(repr=False)
@@ -242,11 +240,6 @@ def _stage(module: str):
         raise
     except QkdPassError as exc:
         raise SimulationError(module, str(exc)) from exc
-
-
-def _empty_tags() -> TagStream:
-    return TagStream(np.empty(0), np.empty(0, dtype=np.uint8),
-                     np.empty(0, dtype=np.uint8))
 
 
 def _loss_budget(link: LinkProfile) -> dict[str, float | None]:
@@ -431,7 +424,6 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     coincidences: CoincidenceResult | None = None
     key = SiftedKey(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8),
                     np.empty(0, dtype=np.uint8))
-    ground_corrected = _empty_tags()
     try:
         with _stage("quantum_receiver"):
             tags_b = beacon_tags.times_s
@@ -452,8 +444,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
                 quad.times_s - flight_s(emit_q) * (1.0 + sync.clock.drift))
             ground_corrected = quad.with_times(t_hat)
 
+            on_quad = onboard_tags.quad()
             coincidences = find_coincidences(
-                onboard_tags.quad().times_s,
+                on_quad.times_s,
                 ground_corrected.times_s,
                 proto.coincidence_window_s,
             )
@@ -465,7 +458,6 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     with _stage(MODULE_NAME):
         if coincidences is not None:
-            on_quad = onboard_tags.quad()
             key = sift(
                 on_quad.channels[coincidences.onboard_indices],
                 ground_corrected.channels[coincidences.ground_indices],
@@ -507,11 +499,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         )
 
     return PassResult(
-        report=report, scenario=scenario, tle=tle, window=window,
-        profile=profile, pat=pat, pcs=pcs, link=link, stream=stream,
-        onboard_tags=onboard_tags, ground_tags=ground_tags,
-        ground_corrected=ground_corrected, sync=sync,
-        coincidences=coincidences, key=key,
+        report=report, scenario=scenario, tle=tle, profile=profile, pat=pat,
+        pcs=pcs, link=link, stream=stream, onboard_tags=onboard_tags,
+        ground_tags=ground_tags, sync=sync, coincidences=coincidences, key=key,
     )
 
 

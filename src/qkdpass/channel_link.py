@@ -10,7 +10,7 @@ photon at the time-local transmittance and injects background events.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -203,10 +203,7 @@ class ChannelResult:
     """Signal photons surviving the channel, plus injected background."""
 
     survivor_indices: np.ndarray   # indices into the source stream
-    arrival_times: np.ndarray      # survivors' times on the source timeline
-    background_times: np.ndarray   # sorted, same timeline
-    stream: PairEventStream = field(repr=False)
-    profile: LinkProfile = field(repr=False)
+    background_times: np.ndarray   # sorted, on the source timeline
 
 
 def _inhomogeneous_poisson(
@@ -251,8 +248,5 @@ def apply_channel(
     background = _inhomogeneous_poisson(rng, profile, stream.duration_s)
     return ChannelResult(
         survivor_indices=survivors,
-        arrival_times=stream.emission_times[survivors],
         background_times=background,
-        stream=stream,
-        profile=profile,
     )

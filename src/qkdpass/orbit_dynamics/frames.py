@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
-from datetime import datetime
 
 import numpy as np
 
@@ -61,12 +59,9 @@ class TopocentricState:
     that share one index.
     """
 
-    time: datetime | Sequence[datetime]
     azimuth_deg: float | np.ndarray       # [0, 360), clockwise from North
     elevation_deg: float | np.ndarray     # [-90, 90]
     range_km: float | np.ndarray
-    azimuth_rate_dps: float | np.ndarray
-    elevation_rate_dps: float | np.ndarray
     angular_rate_dps: float | np.ndarray  # sky-plane magnitude
 
     def __post_init__(self):
@@ -120,12 +115,13 @@ def eci_to_topocentric(
     r_teme_km: np.ndarray,
     v_teme_kms: np.ndarray,
     site: GroundSite,
-    t: datetime | Sequence[datetime],
+    t,
 ) -> TopocentricState:
-    """Look angles, range, and sky-plane rates for inertial states.
+    """Look angles, range, and sky-plane rate for inertial states.
 
-    One datetime with (3,) vectors gives one state; a sequence of n
-    datetimes with (n, 3) stacks gives array fields. Rates come from a
+    One datetime or Julian date with (3,) vectors gives one state; a
+    sequence of n datetimes, or an array of n Julian dates, with (n, 3)
+    stacks gives array fields. The rate comes from a
     symmetric finite difference with a 100 ms half step; the inertial
     trajectory is linearized over that step (the curvature term is
     below a micro-arcsecond) while Earth rotation is evaluated exactly
@@ -135,25 +131,19 @@ def eci_to_topocentric(
     well behaved through zenith, where the az/el rates are singular.
     """
     jd = julian_date(t)
-    az0, el0, rng0 = _look_angles(_sez_vector(r_teme_km, site, jd))
+    az, el, rng = _look_angles(_sez_vector(r_teme_km, site, jd))
     sez_m, sez_p = _rate_vectors(r_teme_km, v_teme_kms, site, jd)
-    az_m, el_m, _ = _look_angles(sez_m)
-    az_p, el_p, _ = _look_angles(sez_p)
-    daz = (az_p - az_m + 180.0) % 360.0 - 180.0
     sweep = np.degrees(np.arctan2(
         np.linalg.norm(np.cross(sez_m, sez_p), axis=-1),
         np.sum(sez_m * sez_p, axis=-1),
     ))
-    scalar = isinstance(t, datetime)
-    fields = [
-        value.item() if scalar else value
-        for value in (az0, el0, rng0, daz / (2.0 * RATE_DELTA_S),
-                      (el_p - el_m) / (2.0 * RATE_DELTA_S), sweep / (2.0 * RATE_DELTA_S))
-    ]
-    return TopocentricState(t, *fields)
+    fields = (az, el, rng, sweep / (2.0 * RATE_DELTA_S))
+    if np.ndim(jd) == 0:
+        fields = tuple(value.item() for value in fields)
+    return TopocentricState(*fields)
 
 
 def site_elevation_deg(r_teme_km: np.ndarray, site: GroundSite, t):
-    """Elevation only (cheap path for pass searching); arrays for a sequence of datetimes."""
+    """Elevation only (cheap path for pass searching); arrays for many datetimes or JDs."""
     _, elevation, _ = _look_angles(_sez_vector(r_teme_km, site, julian_date(t)))
     return elevation

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ProfileGap
 from .frames import GroundSite, eci_to_topocentric, site_elevation_deg
-from .sgp4 import Sgp4Propagator
+from .sgp4 import Sgp4Propagator, julian_date
 from .tle import TwoLineElement
 
 COARSE_STEP_S = 30.0
@@ -46,10 +46,9 @@ class PassWindow:
 class PassProfile:
     """Uniformly sampled geometry for one pass (arrays share one index)."""
 
-    start: datetime
+    jd: np.ndarray               # Julian date of each sample
     step_s: float
-    times_s: np.ndarray          # seconds since start
-    azimuth_deg: np.ndarray
+    times_s: np.ndarray          # seconds since AOS
     elevation_deg: np.ndarray
     range_km: np.ndarray
     angular_rate_dps: np.ndarray
@@ -157,9 +156,9 @@ def predict_passes(
         return [start + timedelta(microseconds=int(k)) for k in offsets_us]
 
     def elevation_us(offsets_us: np.ndarray) -> np.ndarray:
-        times = stamps(offsets_us)
-        r, _ = prop.propagate(times)
-        return site_elevation_deg(r, site, times)
+        jd = julian_date(stamps(offsets_us))
+        r, _ = prop.propagate(jd)
+        return site_elevation_deg(r, site, jd)
 
     end_us = (end - start) // timedelta(microseconds=1)
     n_steps = int((end - start).total_seconds() / COARSE_STEP_S) + 1
@@ -213,14 +212,13 @@ def sample_pass(
     """Sample pass geometry on a uniform grid from AOS to LOS."""
     n = int(math.ceil(window.duration_s / step_s)) + 1
     times = np.minimum(np.arange(n) * step_s, window.duration_s)
-    stamps = [window.aos + timedelta(seconds=float(ts)) for ts in times]
-    r, v = Sgp4Propagator(tle).propagate(stamps)
-    state = eci_to_topocentric(r, v, site, stamps)
+    jd = julian_date([window.aos + timedelta(seconds=float(ts)) for ts in times])
+    r, v = Sgp4Propagator(tle).propagate(jd)
+    state = eci_to_topocentric(r, v, site, jd)
     return PassProfile(
-        start=window.aos,
+        jd=jd,
         step_s=step_s,
         times_s=times,
-        azimuth_deg=state.azimuth_deg,
         elevation_deg=state.elevation_deg,
         range_km=state.range_km,
         angular_rate_dps=state.angular_rate_dps,

@@ -42,7 +42,11 @@ def julian_date(t):
     """Julian date of a UTC datetime (fractional days included).
 
     A sequence of datetimes gives an array, each element computed alike.
+    A Julian date already converted (a float or an array) comes back
+    unchanged, so callers can convert once and pass the result on.
     """
+    if isinstance(t, (float, np.ndarray)):
+        return t
     if not isinstance(t, datetime):
         return np.array([julian_date(x) for x in t], dtype=float)
     if t.tzinfo is not None:
@@ -121,8 +125,6 @@ class Sgp4Propagator:
         con41 = -con42 - cosio2 - cosio2
         posq = po * po
         rp = ao * (1.0 - ecco)
-
-        self.gsto = gmst_radians(self.epoch_jd)
 
         self.ecco = ecco
         self.inclo = inclo
@@ -388,5 +390,5 @@ class Sgp4Propagator:
         )
 
     def propagate(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """TEME position/velocity at a UTC datetime, or (n, 3) stacks at a sequence of them."""
+        """TEME position/velocity at a UTC datetime or Julian date; (n, 3) stacks for many."""
         return self.propagate_minutes((julian_date(t) - self.epoch_jd) * 1440.0)

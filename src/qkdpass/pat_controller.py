@@ -2,11 +2,12 @@
 
 Phases run Idle -> UplinkBeaconPointing -> OpenLoopCoarse ->
 ClosedLoopCoarse -> ClosedLoopFine, with SignalLost re-entering the
-coarse loop after repeated fine-camera dropouts and any phase dropping
-to Idle below the uplink threshold elevation. The mount closes a slow
-loop on the wide-field camera; a fast-steering mirror closes the fine
-loop on the narrow-field camera at ten samples per servo time
-constant. The emitted residual series is what the link budget sees.
+coarse loop after dropout_limit consecutive narrow-camera frames miss
+the beacon, and any phase dropping to Idle below the uplink threshold
+elevation. The mount closes a slow loop on the wide-field camera; a
+fast-steering mirror closes the fine loop on the narrow-field camera
+at ten samples per servo time constant. The emitted residual series
+is what the link budget sees.
 
 run_pat computes each phase segment as arrays, up to the step at which
 pat_transition may change the phase, and draws each noise source (step
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -98,7 +99,7 @@ class PatControllerConfig:
     nfov: CameraModel = DEFAULT_NFOV
     fsm: FsmModel = FsmModel()
     threshold_elevation_deg: float = 20.0
-    dropout_limit: int = 5
+    dropout_limit: int = 5  # consecutive narrow-camera frames that miss the beacon
 
     def __post_init__(self):
         if not self.wfov.fov_arcsec > self.nfov.fov_arcsec:
@@ -196,14 +197,12 @@ class PatSeries:
     times_s: np.ndarray
     phases: np.ndarray            # PatPhase integer codes
     true_error: np.ndarray        # (n, 2) pre-mirror pointing error
-    measured_error: np.ndarray    # (n, 2) latest wide-camera centroid, nan if none
     mount_cmd: np.ndarray         # (n, 2) cumulative mount correction
     fsm_cmd: np.ndarray           # (n, 2)
     residual_arcsec: np.ndarray   # (n,) |true - fsm| at step end
     fine_times_s: np.ndarray      # fine-loop sample times (ClosedLoopFine only)
     fine_residual: np.ndarray     # (m, 2)
     dt_s: float
-    config: PatControllerConfig = field(repr=False)
 
     def lock_fraction(self) -> float:
         """Fraction of steps spent in closed-loop fine tracking."""
@@ -278,7 +277,6 @@ class _PatRun:
 
         self.phases = np.empty(n, dtype=np.int8)
         self.true_err = np.empty((n, 2))
-        self.meas_err = np.full((n, 2), np.nan)
         self.mount_cmd = np.empty((n, 2))
         self.fsm_cmd = np.empty((n, 2))
         # written in place, sized for a fine update on every narrow-camera frame
@@ -371,12 +369,11 @@ class _PatRun:
                                        self.nfov_noise[steps[frames] // self.nfov_every])
         return meas
 
-    def _commit(self, i: int, last: int, phase: PatPhase, err_post, wfov, mount_total,
+    def _commit(self, i: int, last: int, phase: PatPhase, err_post, mount_total,
                 base_after, fsm) -> None:
         k = last - i + 1
         self.phases[i:last + 1] = int(phase)
         self.true_err[i:last + 1] = err_post[:k]
-        self.meas_err[i:last + 1] = wfov[:k]
         self.mount_cmd[i:last + 1] = mount_total[:k]
         self.fsm_cmd[i:last + 1] = fsm[:k]
         self.base = base_after[k - 1]
@@ -407,7 +404,7 @@ class _PatRun:
             j = i + _first(~np.isnan(wfov[:, 0]), j - i)
         elif phase == PatPhase.ClosedLoopCoarse:
             j = i + _first(~np.isnan(nfov[:, 0]), j - i)
-        self._commit(i, j, phase, err_post, wfov, mount_total, base_after, fsm)
+        self._commit(i, j, phase, err_post, mount_total, base_after, fsm)
         return j, PatMeasurements(float(self.elevations[j]), _row(wfov[j - i]),
                                   _row(nfov[j - i]))
 
@@ -430,9 +427,9 @@ class _PatRun:
         step-end residuals chain across frames with coefficient
         (1 - alpha)^n_sub, and each sub-step trace is
         r0 (1 - alpha)^(k+1) plus its noise response. That holds until
-        the narrow camera misses, the mirror range clamps the step-end
-        command, the dropout limit is reached or the elevation gate
-        closes; the run stops at that step.
+        the narrow camera misses a frame, the mirror range clamps the
+        step-end command or the elevation gate closes; the run stops at
+        that step.
         """
         config, alpha = self.config, self.alpha
         j = min(self._next(self.gate_closed, i), i + self.fine_len - 1)
@@ -468,15 +465,11 @@ class _PatRun:
         before = np.searchsorted(upd, np.arange(len(steps)))
         nfov = self._nfov(i, err_pre, np.vstack([self.fsm, fsm_upd])[before])
         seen = ~np.isnan(nfov[:, 0])
-        # consecutive steps without a narrow-camera centroid
-        last_seen = np.maximum.accumulate(np.where(seen, np.arange(len(steps)), -1))
-        dropouts = np.where(last_seen >= 0, np.arange(len(steps)) - last_seen,
-                            self.dropouts + np.arange(1, len(steps) + 1))
         missed = np.zeros(len(steps), bool)
         missed[upd] = ~seen[upd]
         clamp_step = np.zeros(len(steps), bool)
         clamp_step[upd] = clamped
-        last = _first(missed | clamp_step | (dropouts >= config.dropout_limit), j - i)
+        last = _first(missed | clamp_step, j - i)
 
         done = int(np.searchsorted(upd, last, side="right")) - int(missed[last])
         fsm = np.vstack([self.fsm, fsm_upd[:done]])[np.minimum(held, done)]
@@ -485,9 +478,10 @@ class _PatRun:
                    done, self.n_sub))
         self.n_fine += done * self.n_sub
         self.fine_spare = self.fine_spare[done:]
-        self._commit(i, i + last, PatPhase.ClosedLoopFine, err_post, wfov, mount_total,
+        self._commit(i, i + last, PatPhase.ClosedLoopFine, err_post, mount_total,
                      base_after, fsm)
-        self.dropouts = int(dropouts[last])
+        # consecutive missed narrow-camera frames; the run ends at its first miss
+        self.dropouts = (0 if seen[:last + 1].any() else self.dropouts) + int(missed[last])
         self.fine_len = min(self.block, 2 * (last + 1))
         return i + last, PatMeasurements(float(self.elevations[i + last]), _row(wfov[last]),
                                          _row(nfov[last]), self.dropouts)
@@ -519,7 +513,6 @@ def run_pat(
         times_s=times,
         phases=run.phases,
         true_error=run.true_err,
-        measured_error=run.meas_err,
         mount_cmd=run.mount_cmd,
         fsm_cmd=run.fsm_cmd,
         residual_arcsec=np.hypot(run.true_err[:, 0] - run.fsm_cmd[:, 0],
@@ -527,5 +520,4 @@ def run_pat(
         fine_times_s=run.fine_times[:run.n_fine],
         fine_residual=run.fine_res[:run.n_fine],
         dt_s=dt_s,
-        config=config,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LowCounts, OutOfRange, ProfileGap, ZeroCounts
 from .orbit_dynamics.passes import PassProfile
-from .orbit_dynamics.sgp4 import gmst_radians, julian_date
+from .orbit_dynamics.sgp4 import gmst_radians
 from .seeding import module_rng
 
 MODULE_NAME = "polarization_correction"
@@ -111,12 +111,10 @@ def _geometric_theta(profile: PassProfile, body_yaw_deg: float) -> np.ndarray:
     lat = math.radians(profile.site.latitude_deg)
     lon = math.radians(profile.site.longitude_deg)
     yaw = math.radians(body_yaw_deg)
-    n = len(profile.times_s)
-    theta = np.empty(n)
+    theta = np.empty(len(profile.jd))
     reference = None
     previous = 0.0
-    for i, ts in enumerate(profile.times_s):
-        jd = julian_date(profile.start) + float(ts) / 86400.0
+    for i, jd in enumerate(profile.jd):
         gmst = gmst_radians(jd)
         c, s = math.cos(gmst), math.sin(gmst)
         # Earth-fixed -> inertial rotation of the site position
@@ -281,9 +279,6 @@ class PcsSeries:
     update_times_s: np.ndarray   # start of each correction interval
     theta_true_deg: np.ndarray   # frame rotation at each update
     theta_hat_deg: np.ndarray    # estimate applied over the interval
-    visibilities: np.ndarray     # (n, n_settings) per-setting visibility
-    update_interval_s: float
-    hwp_settings_deg: tuple[float, ...]
     profile: FrameOffsetProfile = field(repr=False)
 
     def theta_hat_at(self, t_s) -> np.ndarray:
@@ -326,24 +321,16 @@ def run_polarization_correction(
     update_times = start + np.arange(n) * update_interval_s
     theta_true = np.empty(n)
     theta_hat = np.empty(n)
-    vis = np.empty((n, len(config.hwp_settings_deg)))
-    ratio = config.detector_pair_efficiency_ratio
     for i, t in enumerate(update_times):
         true = float(profile.theta_at(min(t, end)))
         theta_true[i] = true
-        rows = []
-        for j, hwp in enumerate(config.hwp_settings_deg):
-            n_t, n_r = polarimeter_counts(true, hwp, config, rng)
-            total = n_t + n_r / ratio
-            vis[i, j] = (n_t - n_r / ratio) / max(total, 1.0)
-            rows.append((hwp, n_t, n_r))
-        theta_hat[i] = estimate_offset(rows, ratio) - extra_offset_deg
+        rows = [(hwp, *polarimeter_counts(true, hwp, config, rng))
+                for hwp in config.hwp_settings_deg]
+        theta_hat[i] = estimate_offset(rows, config.detector_pair_efficiency_ratio) \
+            - extra_offset_deg
     return PcsSeries(
         update_times_s=update_times,
         theta_true_deg=theta_true,
         theta_hat_deg=theta_hat,
-        visibilities=vis,
-        update_interval_s=update_interval_s,
-        hwp_settings_deg=config.hwp_settings_deg,
         profile=profile,
     )

@@ -241,7 +241,6 @@ class SyncResult:
     clock: ClockModel
     n_matched: int
     residual_rms_s: float
-    coarse_offset_s: float
 
 
 def beacon_clock_sync(
@@ -344,19 +343,15 @@ def beacon_clock_sync(
         clock=clock,
         n_matched=int(len(matched_tags)),
         residual_rms_s=rms,
-        coarse_offset_s=float(coarse),
     )
 
 
 @dataclass(frozen=True)
 class CoincidenceResult:
-    """Matched tag pairs plus the accidental-rate estimate."""
+    """Matched tag pairs plus the expected number of accidental matches."""
 
     onboard_indices: np.ndarray
     ground_indices: np.ndarray
-    window_s: float
-    overlap_span_s: float
-    accidental_rate_hz: float
     expected_accidentals: float
 
     def __len__(self) -> int:
@@ -395,24 +390,16 @@ def find_coincidences(
             ib.append(j)
             i += 1
             j += 1
-    if na and nb:
-        overlap = min(a[-1], b[-1]) - max(a[0], b[0])
-    else:
-        overlap = 0.0
+    overlap = min(a[-1], b[-1]) - max(a[0], b[0]) if na and nb else 0.0
+    expected = 0.0
     if overlap > 0.0:
         rate_a = na / (a[-1] - a[0]) if a[-1] > a[0] else 0.0
         rate_b = nb / (b[-1] - b[0]) if b[-1] > b[0] else 0.0
-        accidental = rate_a * rate_b * window_s
-    else:
-        overlap = 0.0
-        accidental = 0.0
+        expected = rate_a * rate_b * window_s * overlap
     return CoincidenceResult(
         onboard_indices=np.asarray(ia, dtype=np.int64),
         ground_indices=np.asarray(ib, dtype=np.int64),
-        window_s=window_s,
-        overlap_span_s=float(max(overlap, 0.0)),
-        accidental_rate_hz=accidental,
-        expected_accidentals=accidental * float(max(overlap, 0.0)),
+        expected_accidentals=expected,
     )
 
 

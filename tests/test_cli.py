@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +234,59 @@ def test_ensemble_runs_ordered_seeds(tmp_path, capsys):
     seeds = [int(float(r["seed"])) for r in rows]
     assert seeds == [7, 8, 9]
     assert all(int(float(r["sifted_bits"])) > 0 for r in rows)
+
+
+GOLDEN_DEMO = Path(__file__).parent / "golden_demo.json"
+GOLDEN_SAMPLES = 100  # strided values kept per telemetry column
+
+
+def _column_digest(values: np.ndarray) -> dict:
+    """Row count, sums that see every value and its position, strided values."""
+    stride = -(-len(values) // GOLDEN_SAMPLES)
+    position = np.arange(len(values)) / len(values)
+    return {"rows": len(values), "stride": stride,
+            "sum": float(np.sum(values)), "sum_sq": float(np.sum(values * values)),
+            "position_sum": float(np.sum(position * values)),
+            "values": values[::stride].tolist()}
+
+
+def demo_digest(out: Path) -> dict:
+    """report.json (without package_version) and a digest of every
+    pat.csv and link.csv column of one simulate run."""
+    report = json.loads((out / "report.json").read_text())
+    report.pop("package_version")
+    digest = {"report.json": report}
+    for name in ("pat.csv", "link.csv"):
+        rows = list(csv.reader((out / name).open()))
+        columns = np.array(rows[1:], dtype=float).T
+        digest[name] = {col: _column_digest(values)
+                        for col, values in zip(rows[0], columns)}
+    return digest
+
+
+def assert_matches_golden(got, want, where: str = "") -> None:
+    """Integers, strings and nulls exactly; floats to 1e-12 relative."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("seed", ["7", "11"])
+def test_demo_outputs_match_golden(tmp_path, seed):
+    """The demo scenario reproduces the report and telemetry recorded in
+    tests/golden_demo.json (pcs.csv and the tag files are not pinned)."""
+    cfg, _ = write_demo_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert run(["simulate", "--scenario", cfg, "--seed", seed]) == EXIT_OK
+    golden = json.loads(GOLDEN_DEMO.read_text())
+    assert_matches_golden(demo_digest(out), golden[seed], seed)

@@ -8,7 +8,7 @@ import pytest
 
 from qkdpass.orbit_dynamics import (GroundSite, Sgp4Propagator,
                                     eci_to_topocentric, julian_date,
-                                    predict_passes)
+                                    predict_passes, site_elevation_deg)
 from qkdpass.orbit_dynamics.frames import RATE_DELTA_S, _rate_vectors
 from qkdpass.orbit_dynamics.sgp4 import gmst_radians
 from conftest import EPOCH, SITE, zenith_tle
@@ -135,3 +135,24 @@ def test_angular_rate_matches_long_double_sweep():
     assert len(stamps) > 500
     rel = np.abs(state.angular_rate_dps - reference) / reference
     assert float(np.max(rel)) < 1e-12
+
+
+def test_julian_dates_give_the_same_fields_as_datetimes(zenith_pass):
+    tle, window = zenith_pass
+    prop = Sgp4Propagator(tle)
+    stamps = [window.aos + timedelta(seconds=7.3 * k) for k in range(50)]
+    jd = julian_date(stamps)
+    one = float(jd[3])
+    assert julian_date(jd) is jd and julian_date(one) is one
+    r, v = prop.propagate(stamps)
+    r_jd, v_jd = prop.propagate(jd)
+    assert np.array_equal(r, r_jd) and np.array_equal(v, v_jd)
+    by_time = eci_to_topocentric(r, v, SITE, stamps)
+    by_jd = eci_to_topocentric(r, v, SITE, jd)
+    for name in ("azimuth_deg", "elevation_deg", "range_km", "angular_rate_dps"):
+        assert np.array_equal(getattr(by_time, name), getattr(by_jd, name)), name
+    assert np.array_equal(site_elevation_deg(r, SITE, stamps), site_elevation_deg(r, SITE, jd))
+    one_time = eci_to_topocentric(r[3], v[3], SITE, stamps[3])
+    one_jd = eci_to_topocentric(r[3], v[3], SITE, one)
+    assert one_time == one_jd and isinstance(one_jd.elevation_deg, float)
+    assert site_elevation_deg(r[3], SITE, stamps[3]) == site_elevation_deg(r[3], SITE, one)

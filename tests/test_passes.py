@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import json
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdpass.orbit_dynamics.frames as frames
+import qkdpass.orbit_dynamics.passes as passes
+import qkdpass.orbit_dynamics.sgp4 as sgp4
 from qkdpass.errors import ProfileGap
-from qkdpass.orbit_dynamics import (Sgp4Propagator, eci_to_topocentric,
-                                    max_angular_rate, predict_passes)
+from qkdpass.orbit_dynamics import (Sgp4Propagator, eci_to_topocentric, julian_date,
+                                    max_angular_rate, predict_passes, sample_pass)
 from conftest import EPOCH, SITE, zenith_tle
 
 
@@ -137,3 +140,43 @@ def test_golden_pass_table(inclination):
         [(row["aos"], row["tca"], row["los"]) for row in expected]
     for w, row in zip(windows, expected):
         assert w.max_elevation_deg == pytest.approx(row["max_elevation_deg"], rel=1e-12, abs=0.0)
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Count datetimes converted to Julian dates and instants propagated."""
+    tally = {"datetimes": 0, "instants": 0}
+    original_jd, original_propagate = sgp4.julian_date, Sgp4Propagator.propagate
+
+    def counting_jd(t):
+        tally["datetimes"] += isinstance(t, datetime)
+        return original_jd(t)
+
+    def counting_propagate(self, t):
+        tally["instants"] += 1 if isinstance(t, (datetime, float)) else len(t)
+        return original_propagate(self, t)
+
+    for module in (sgp4, frames, passes):  # the per-datetime recursion resolves sgp4's name
+        monkeypatch.setattr(module, "julian_date", counting_jd, raising=False)
+    monkeypatch.setattr(Sgp4Propagator, "propagate", counting_propagate)
+    return tally
+
+
+def test_predict_passes_converts_each_instant_once(conversions):
+    windows = predict_passes(zenith_tle(), SITE, EPOCH, EPOCH + timedelta(hours=12))
+    assert windows and conversions["instants"] > 1000
+    # one conversion per propagated instant, plus the element-set epoch
+    assert conversions["datetimes"] == conversions["instants"] + 1
+
+
+def test_sample_pass_converts_each_instant_once(zenith_pass, conversions):
+    tle, window = zenith_pass
+    profile = sample_pass(tle, SITE, window, step_s=1.0)
+    assert conversions["instants"] == len(profile.times_s)
+    assert conversions["datetimes"] == conversions["instants"] + 1
+
+
+def test_sample_pass_jd_is_each_sample_instant(zenith_pass, zenith_profile):
+    _, window = zenith_pass
+    stamps = [window.aos + timedelta(seconds=float(ts)) for ts in zenith_profile.times_s]
+    assert np.array_equal(zenith_profile.jd, julian_date(stamps))

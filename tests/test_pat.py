@@ -230,6 +230,18 @@ def test_elevation_dip_drops_to_idle_and_reacquires():
     assert_transitions_allowed(series.phases, config)
 
 
+@pytest.mark.parametrize("frame_rate_hz", [100.0, 50.0, 33.4, 25.0, 20.0])
+def test_lock_fraction_independent_of_narrow_camera_rate(frame_rate_hz):
+    """dropout_limit counts missed frames: a slow camera that always sees the
+    beacon never trips it, even when frames are further apart than the limit
+    in steps (25 Hz and 20 Hz at dt = 0.01 s with a limit of 3)."""
+    config = PatControllerConfig(nfov=CameraModel(120.0, 0.5, frame_rate_hz),
+                                 dropout_limit=3)
+    series = run_pat(60.0, config, duration_s=60.0, dt_s=0.01, seed=1)
+    assert series.lock_fraction() >= 0.99
+    assert not np.any(series.phases == int(PatPhase.SignalLost))
+
+
 def reference_run_pat(elevations, config, dt, seed):
     """The acquisition sequence one step at a time, on run_pat's noise streams.
 
@@ -266,7 +278,8 @@ def reference_run_pat(elevations, config, dt, seed):
             if i % nfov_every == 0 and np.hypot(*(err - fsm)) <= config.nfov.fov_arcsec / 2.0:
                 nfov = err - fsm + nfov_noise[i // nfov_every]
         if phase == PatPhase.ClosedLoopFine:
-            dropouts = dropouts + 1 if nfov is None else 0
+            if i % nfov_every == 0:  # count missed frames, not steps between frames
+                dropouts = dropouts + 1 if nfov is None else 0
         else:
             dropouts = 0
         if phase in (PatPhase.ClosedLoopCoarse, PatPhase.ClosedLoopFine,

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import qkdpass.orbit_dynamics.sgp4 as sgp4
+import qkdpass.polarization_correction as polarization_correction
 from qkdpass.errors import LowCounts, OutOfRange, ProfileGap, ZeroCounts
 from qkdpass.polarization_correction import (FrameOffsetProfile,
                                              PolarimeterConfig,
@@ -177,3 +179,14 @@ def test_unbalanced_detector_pair_stays_unbiased():
     config = PolarimeterConfig(detector_pair_efficiency_ratio=0.8)
     series = run_polarization_correction(profile, config, seed=8)
     assert abs(np.mean(series.theta_hat_deg) - 25.0) < 0.2
+
+
+def test_geometric_profile_reads_the_sampled_julian_dates(zenith_profile, monkeypatch):
+    """The site is rotated to the instants the states were propagated at."""
+    def no_conversion(t):
+        raise AssertionError("frame_offset_profile converted a datetime")
+
+    for module in (sgp4, polarization_correction):
+        monkeypatch.setattr(module, "julian_date", no_conversion, raising=False)
+    profile = frame_offset_profile(zenith_profile)
+    assert len(profile.theta_deg) == len(zenith_profile.jd)
