@@ -444,9 +444,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
                 quad.times_s - flight_s(emit_q) * (1.0 + sync.clock.drift))
             ground_corrected = quad.with_times(t_hat)
 
-            on_quad = onboard_tags.quad()
+            # the onboard arm has no beacon channel: all its tags are quad
             coincidences = find_coincidences(
-                on_quad.times_s,
+                onboard_tags.times_s,
                 ground_corrected.times_s,
                 proto.coincidence_window_s,
             )
@@ -459,7 +459,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     with _stage(MODULE_NAME):
         if coincidences is not None:
             key = sift(
-                on_quad.channels[coincidences.onboard_indices],
+                onboard_tags.channels[coincidences.onboard_indices],
                 ground_corrected.channels[coincidences.ground_indices],
                 ad_anticorrelated=proto.ad_anticorrelated,
             )

@@ -158,16 +158,54 @@ def measure_polarization(
     return basis * 2 + bit
 
 
+def _first_reaching(values: np.ndarray, queries: np.ndarray, bound: float,
+                    op=np.greater_equal) -> np.ndarray:
+    """First index j with op(values[j] - query, bound), for every query.
+
+    values is sorted, so the rounded difference rises with j and the
+    test flips once. searchsorted on the rounded sum query + bound
+    gives the guess; the sum can sit an ulp away from the difference
+    the test reads, so guesses then step by one until the test itself
+    agrees. op is np.greater_equal or np.greater.
+    """
+    n = len(values)
+    side = "left" if op is np.greater_equal else "right"
+    j = np.searchsorted(values, queries + bound, side=side)
+    sel = np.flatnonzero(j > 0)
+    while len(sel):
+        sel = sel[op(values[j[sel] - 1] - queries[sel], bound)]
+        j[sel] -= 1
+        sel = sel[j[sel] > 0]
+    sel = np.flatnonzero(j < n)
+    while len(sel):
+        sel = sel[~op(values[j[sel]] - queries[sel], bound)]
+        j[sel] += 1
+        sel = sel[j[sel] < n]
+    return j
+
+
 def _prune_dead_time(times: np.ndarray, dead_time_s: float) -> np.ndarray:
-    """Indices kept by a non-paralyzable dead time on sorted times."""
-    keep = np.empty(len(times), dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times):
-        if t - last >= dead_time_s:
-            keep[i] = True
-            last = t
-        else:
-            keep[i] = False
+    """Keep mask of a non-paralyzable dead time on one channel's sorted times.
+
+    An event at least dead_time_s after its predecessor starts a
+    cluster and is kept. Inside a cluster the next kept event is the
+    first whose time minus the last kept time reaches dead_time_s, the
+    difference a per-event loop tests. All clusters advance in
+    lockstep, one array step per kept event, until each steps into the
+    next cluster; a step costs one binary search per open cluster.
+    """
+    keep = np.ones(len(times), dtype=bool)
+    if len(times) < 2:
+        return keep
+    np.greater_equal(np.diff(times), dead_time_s, out=keep[1:])
+    # kept events with a later event inside their own cluster
+    last = np.flatnonzero(keep[:-1] & ~keep[1:])
+    while len(last):
+        nxt = _first_reaching(times, times[last], dead_time_s)
+        nxt = nxt[nxt < len(times)]
+        # a cluster start is already kept: that cluster is done
+        last = nxt[~keep[nxt]]
+        keep[last] = True
     return keep
 
 
@@ -185,10 +223,11 @@ def apply_detector(
     In order: Bernoulli thinning at the detector efficiency, Gaussian
     timing jitter, the receiver clock transform, dark counts injected
     per channel over the clock-transformed span, then per-channel
-    dead-time pruning on the final timebase. span_s (in arrival-side
-    time) bounds the dark-count window; it defaults to the arrival
-    extent and is required for empty arrival lists when dark counts
-    matter.
+    non-paralyzable dead-time pruning on the final timebase (an exact
+    array kernel that follows every dead-time cluster in lockstep; see
+    _prune_dead_time). span_s (in arrival-side time) bounds the
+    dark-count window; it defaults to the arrival extent and is
+    required for empty arrival lists when dark counts matter.
     """
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".detector")
@@ -223,12 +262,15 @@ def apply_detector(
 
     order = np.argsort(times, kind="stable")
     times, chan, orig = times[order], chan[order], orig[order]
+    del order  # frees n indices before the channel grouping takes as many
 
     if model.dead_time_s > 0.0 and len(times):
-        keep = np.ones(len(times), dtype=bool)
-        for channel in np.unique(chan):
-            mask = chan == channel
-            keep[mask] = _prune_dead_time(times[mask], model.dead_time_s)
+        # rows grouped by channel, each group still in time order
+        grouped = np.argsort(chan, kind="stable")
+        edges = np.flatnonzero(np.diff(chan[grouped])) + 1
+        keep = np.empty(len(times), dtype=bool)
+        for rows in np.split(grouped, edges):
+            keep[rows] = _prune_dead_time(times[rows], model.dead_time_s)
         times, chan, orig = times[keep], chan[keep], orig[keep]
 
     return TagStream(times, chan, orig)
@@ -365,22 +407,107 @@ def find_coincidences(
 ) -> CoincidenceResult:
     """Greedy pairing of tags within +/- window/2, each tag used once.
 
-    A linear two-pointer sweep pairs the earliest compatible tags and
-    advances; at rates where at most one candidate falls inside the
-    window this is exactly nearest-neighbor matching. The accidental
-    estimate is r_onboard x r_ground x window over the overlap span.
+    Both inputs must be sorted by time, as TagStream guarantees. The
+    result is that of a two-pointer sweep that pairs the earliest
+    compatible tags and advances; at rates where at most one candidate
+    falls inside the window this is exactly nearest-neighbor matching.
+
+    The sweep's outcome splits over the components of the candidate
+    graph (a pair is a candidate when -window/2 <= ground - onboard <=
+    window/2). Every tag of the shorter stream is searched into the
+    longer one, which gives its candidates as one index range. A
+    component with one shorter-stream tag pairs that tag with its first
+    candidate, as the sweep does; only the few components with more
+    such tags are swept. The cost is
+    O(min(n_onboard, n_ground) x log) plus the conflict components.
+    The accidental estimate is r_onboard x r_ground x window over the
+    overlap span.
     """
     if window_s < 0.0:
         raise OutOfRange(f"window must be nonnegative, got {window_s}")
     a = np.asarray(onboard_times_s, dtype=float)
     b = np.asarray(ground_times_s, dtype=float)
     half = 0.5 * window_s
+    na, nb = len(a), len(b)
+    onboard_short = na <= nb
+    short, long = (a, b) if onboard_short else (b, a)
+    # -half <= ground - onboard <= half reads the same on long - short,
+    # because a rounded difference only changes sign when swapped
+    rows, lo, hi = _candidate_ranges(short, long, half)
+
+    # Ranges rise with the row, so a range starting at or after the end
+    # of the previous one shares no candidate with any earlier row. A
+    # component with one row pairs it with its first candidate.
+    starts = np.ones(len(rows) + 1, dtype=bool)
+    starts[1:-1] = lo[1:] >= hi[:-1]
+    single = starts[:-1] & starts[1:]
+    conflict = ~single
+    long_rows = _concat_ranges(lo[starts[:-1] & conflict], hi[starts[1:] & conflict])
+    short_rows = rows[conflict]
+    sub_a, sub_b = (short_rows, long_rows) if onboard_short else (long_rows, short_rows)
+    ia, ib = _greedy_sweep(a[sub_a], b[sub_b], half)
+    ia = np.concatenate([(rows if onboard_short else lo)[single], sub_a[ia]])
+    ib = np.concatenate([(lo if onboard_short else rows)[single], sub_b[ib]])
+    order = np.argsort(ia)
+
+    overlap = min(a[-1], b[-1]) - max(a[0], b[0]) if na and nb else 0.0
+    expected = 0.0
+    if overlap > 0.0:
+        rate_a = na / (a[-1] - a[0]) if a[-1] > a[0] else 0.0
+        rate_b = nb / (b[-1] - b[0]) if b[-1] > b[0] else 0.0
+        expected = rate_a * rate_b * window_s * overlap
+    return CoincidenceResult(
+        onboard_indices=ia[order].astype(np.int64, copy=False),
+        ground_indices=ib[order].astype(np.int64, copy=False),
+        expected_accidentals=expected,
+    )
+
+
+# Shorter-stream tags searched per step of _candidate_ranges: bounds
+# the search temporaries while both tag streams are still alive.
+_SEARCH_CHUNK = 1 << 16
+
+
+def _candidate_ranges(
+    short: np.ndarray, long: np.ndarray, half: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of short with a candidate in long, and their ranges [lo, hi).
+
+    A candidate satisfies -half <= long[j] - short[row] <= half, tested
+    on the rounded difference itself. A row has one exactly when the
+    first long tag past its lower edge is inside its upper edge, so
+    the upper edge is searched only for those rows.
+    """
+    empty = np.empty(0, dtype=np.intp)
+    found = [(empty, empty, empty)]
+    for first in range(0, len(short), _SEARCH_CHUNK):
+        s = short[first:first + _SEARCH_CHUNK]
+        lo = _first_reaching(long, s, -half, np.greater_equal)
+        inside = lo < len(long)
+        inside[inside] = long[lo[inside]] - s[inside] <= half
+        has = np.flatnonzero(inside)
+        hi = _first_reaching(long, s[has], half, np.greater)
+        found.append((has + first, lo[has], hi))
+    rows, lo, hi = (np.concatenate(column) for column in zip(*found))
+    return rows, lo, hi
+
+
+def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index ranges [lo, hi) laid end to end."""
+    lengths = hi - lo
+    shift = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(int(lengths.sum())) + shift
+
+
+def _greedy_sweep(a: np.ndarray, b: np.ndarray,
+                  half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pointer sweep over sorted tags: pair the earliest compatible."""
     ia: list[int] = []
     ib: list[int] = []
+    ta, tb = a.tolist(), b.tolist()
     i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        d = b[j] - a[i]
+    while i < len(ta) and j < len(tb):
+        d = tb[j] - ta[i]
         if d > half:
             i += 1
         elif d < -half:
@@ -390,17 +517,7 @@ def find_coincidences(
             ib.append(j)
             i += 1
             j += 1
-    overlap = min(a[-1], b[-1]) - max(a[0], b[0]) if na and nb else 0.0
-    expected = 0.0
-    if overlap > 0.0:
-        rate_a = na / (a[-1] - a[0]) if a[-1] > a[0] else 0.0
-        rate_b = nb / (b[-1] - b[0]) if b[-1] > b[0] else 0.0
-        expected = rate_a * rate_b * window_s * overlap
-    return CoincidenceResult(
-        onboard_indices=np.asarray(ia, dtype=np.int64),
-        ground_indices=np.asarray(ib, dtype=np.int64),
-        expected_accidentals=expected,
-    )
+    return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
 
 
 def write_tags_csv(stream: TagStream, path: str | Path) -> None:

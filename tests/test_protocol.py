@@ -16,7 +16,8 @@ from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
 from qkdpass.errors import EmptyKey, LowSample, OutOfRange, SimulationError
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_D, CHANNEL_H,
-                                      CHANNEL_V, measure_polarization)
+                                      CHANNEL_V, QUAD_CHANNELS,
+                                      measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
 from conftest import base_scenario
 
@@ -200,6 +201,13 @@ def test_simulate_pass_recovers_configured_clock(sim_result):
     assert sync is not None
     assert abs(sync.clock.offset_s - scenario.clock.offset_s) < 1e-9
     assert abs(sync.clock.drift - scenario.clock.drift) < 1e-8
+
+
+def test_simulate_pass_onboard_tags_are_quad_only(sim_result):
+    # coincidence matching reads the onboard tags without a beacon filter
+    channels = sim_result.onboard_tags.channels
+    assert len(channels) > 0
+    assert set(np.unique(channels).tolist()) <= set(QUAD_CHANNELS)
 
 
 def test_simulate_pass_deterministic(sim_result):

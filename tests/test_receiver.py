@@ -1,6 +1,8 @@
 """Detection chain, clock sync, coincidence matching, tag export."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from qkdpass.errors import OutOfRange, SyncFailed
 from qkdpass.photon_source import SourceConfig, beacon_schedule, generate_pair_stream
-from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
+from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
+                                      CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
                                       CHANNEL_H, CHANNEL_V, ORIGIN_DARK,
                                       ORIGIN_SIGNAL, QUAD_CHANNELS, ClockModel,
                                       DetectorModel, TagStream,
@@ -21,6 +24,54 @@ from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
 IDENTITY = ClockModel()
 IDEAL = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
                       timing_jitter_rms_s=0.0)
+
+
+def reference_prune_dead_time(times, dead_time_s):
+    """Per-event non-paralyzable dead time: the loop the kernel replaces."""
+    keep = np.empty(len(times), dtype=bool)
+    last = -math.inf
+    for i, t in enumerate(times):
+        if t - last >= dead_time_s:
+            keep[i] = True
+            last = t
+        else:
+            keep[i] = False
+    return keep
+
+
+def reference_coincidences(a, b, window_s):
+    """Two-pointer greedy sweep: the loop the coincidence kernel replaces."""
+    half = 0.5 * window_s
+    ia, ib = [], []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        d = b[j] - a[i]
+        if d > half:
+            i += 1
+        elif d < -half:
+            j += 1
+        else:
+            ia.append(i)
+            ib.append(j)
+            i += 1
+            j += 1
+    return np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+
+
+def assert_matches_sweep(a, b, window_s):
+    """Kernel against the sweep, with either stream as the shorter one."""
+    for first, second in ((a, b), (b, a)):
+        result = find_coincidences(first, second, window_s)
+        ia, ib = reference_coincidences(first, second, window_s)
+        assert result.onboard_indices.dtype == np.int64
+        assert np.array_equal(result.onboard_indices, ia)
+        assert np.array_equal(result.ground_indices, ib)
+
+
+def _ulp_shift(values, steps):
+    """values moved by steps (-1, 0 or +1) units in the last place."""
+    return np.where(steps > 0, np.nextafter(values, math.inf),
+                    np.where(steps < 0, np.nextafter(values, -math.inf), values))
 
 
 def test_channel_codes():
@@ -168,6 +219,78 @@ def test_detector_dead_time_prunes_per_channel():
         assert len(per) <= 0.01 / 1e-6 + 1
 
 
+@pytest.mark.parametrize("rate_tau", [0.01, 0.1, 0.3, 1.0])
+def test_detector_dead_time_rate_pull(rate_tau):
+    # non-paralyzable dead time keeps r/(1+r tau) of a Poisson stream;
+    # the kept count of the renewal process has variance rT/(1+r tau)^3
+    dead_time = 1e-6
+    rate = rate_tau / dead_time
+    duration = 60000.0 / rate
+    rng = np.random.default_rng(13)
+    times = np.sort(rng.uniform(0.0, duration, rng.poisson(rate * duration)))
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=dead_time,
+                          timing_jitter_rms_s=0.0)
+    tags = apply_detector(times, np.full(len(times), CHANNEL_H, np.uint8), model,
+                          IDENTITY, rng=0)
+    expected = rate * duration / (1.0 + rate_tau)
+    sigma = math.sqrt(rate * duration / (1.0 + rate_tau) ** 3)
+    assert abs(len(tags) - expected) / sigma < 5.0
+
+
+def test_detector_dead_time_per_channel_matches_loop():
+    rng = np.random.default_rng(14)
+    times = np.sort(rng.uniform(0.0, 2e-3, 6000))  # 750 kHz per channel
+    channels = rng.choice(QUAD_CHANNELS, size=6000).astype(np.uint8)
+    origins = rng.integers(0, 3, size=6000).astype(np.uint8)
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=1e-6,
+                          timing_jitter_rms_s=0.0)
+    tags = apply_detector(times, channels, model, IDENTITY, rng=0, origins=origins)
+    keep = np.ones(len(times), dtype=bool)
+    for channel in QUAD_CHANNELS:
+        mask = channels == channel
+        keep[mask] = reference_prune_dead_time(times[mask], 1e-6)
+    assert np.array_equal(tags.times_s, times[keep])
+    assert np.array_equal(tags.channels, channels[keep])
+    assert np.array_equal(tags.origins, origins[keep])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=150),
+    rate_tau=st.floats(min_value=1e-3, max_value=3.0),
+    offset=st.sampled_from([0.0, 1.0, 449.9]),
+    repeats=st.integers(min_value=0, max_value=8),
+    edges=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dead_time_kernel_matches_loop(n, rate_tau, offset, repeats, edges, seed):
+    rng = np.random.default_rng(seed)
+    dead_time = 1e-6
+    times = offset + (max(n, 1) * dead_time / rate_tau) * rng.random(n)
+    if n:
+        times = np.concatenate([times, rng.choice(times, repeats)])  # identical times
+    # gaps of exactly t0 + tau, and one ulp either way
+    t0 = offset + rng.random(edges) * 1e-3
+    times = np.sort(np.concatenate([
+        times, t0, _ulp_shift(t0 + dead_time, rng.integers(-1, 2, edges))]))
+    assert np.array_equal(_prune_dead_time(times, dead_time),
+                          reference_prune_dead_time(times, dead_time))
+
+
+def test_dead_time_kernel_sum_boundary():
+    # for 291 of these 300 t0, the rounded t0 + tau fails the loop's own
+    # test (t0 + tau) - t0 >= tau, so a searchsorted on t0 + tau alone
+    # would keep the wrong event
+    rng = np.random.default_rng(15)
+    dead_time = 1e-6
+    for t0 in rng.uniform(0.0, 450.0, 300):
+        for gap in (t0 + dead_time, np.nextafter(t0 + dead_time, math.inf),
+                    np.nextafter(t0 + dead_time, -math.inf)):
+            times = np.array([t0, t0 + 0.4 * dead_time, gap, gap + 0.5 * dead_time])
+            assert np.array_equal(_prune_dead_time(times, dead_time),
+                                  reference_prune_dead_time(times, dead_time))
+
+
 def test_detector_jitter_statistics():
     n = 2000
     times = np.arange(n) * 1e-3
@@ -297,6 +420,65 @@ def test_coincidences_accidental_rate():
     assert len(result) == pytest.approx(expected, abs=5.0 * np.sqrt(expected))
     with pytest.raises(OutOfRange):
         find_coincidences(a, b, -1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_a=st.integers(min_value=0, max_value=120),
+    n_b=st.integers(min_value=0, max_value=120),
+    rate_window=st.floats(min_value=1e-3, max_value=3.0),
+    offset=st.sampled_from([0.0, 1.0, 449.9]),
+    repeats=st.integers(min_value=0, max_value=4),
+    edges=st.integers(min_value=0, max_value=6),
+    clusters=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coincidence_kernel_matches_sweep(n_a, n_b, rate_window, offset, repeats,
+                                          edges, clusters, seed):
+    rng = np.random.default_rng(seed)
+    window = 1e-9
+    half = 0.5 * window
+    duration = max(n_a, n_b, 1) * window / rate_window
+    a = offset + duration * rng.random(n_a)
+    b = offset + duration * rng.random(n_b)
+    if n_a and n_b:  # identical times, within and across the streams
+        twins = rng.choice(a, repeats)
+        a = np.concatenate([a, twins])
+        b = np.concatenate([b, twins, rng.choice(b, repeats)])
+    # ground tags at exactly +/- window/2 from an onboard tag, and one ulp either way
+    anchors = offset + duration * rng.random(edges)
+    signs = rng.choice([-1.0, 1.0], edges)
+    a = np.concatenate([a, anchors])
+    b = np.concatenate([b, _ulp_shift(anchors + signs * half, rng.integers(-1, 2, edges))])
+    # conflict clusters: several candidates per tag, on either side
+    for centre in offset + duration * rng.random(clusters):
+        a = np.concatenate([a, centre + half * rng.uniform(-1.0, 1.0, rng.integers(1, 5))])
+        b = np.concatenate([b, centre + half * rng.uniform(-1.0, 1.0, rng.integers(1, 5))])
+    assert_matches_sweep(np.sort(a), np.sort(b), window)
+
+
+@pytest.mark.parametrize("n_a,n_b", [(0, 0), (0, 5), (5, 0)])
+def test_coincidences_empty_streams(n_a, n_b):
+    a = np.linspace(0.0, 1.0, n_a)
+    b = np.linspace(0.0, 1.0, n_b)
+    result = find_coincidences(a, b, 1e-3)
+    assert len(result) == 0
+    assert result.ground_indices.dtype == np.int64
+    assert result.expected_accidentals == 0.0
+    assert_matches_sweep(a, b, 1e-3)
+
+
+def test_coincidence_kernel_matches_sweep_beyond_one_chunk():
+    rng = np.random.default_rng(16)
+    n = 2 * _SEARCH_CHUNK + 1234
+    window = 1e-9
+    duration = n * window / 0.5  # r x window = 0.5: many conflict clusters
+    a = np.sort(duration * rng.random(n))
+    signal = a[rng.random(n) < 0.6]
+    b = np.sort(np.concatenate([signal + rng.normal(0.0, 0.2 * window, len(signal)),
+                                duration * rng.random(n // 3)]))
+    assert min(len(a), len(b)) > _SEARCH_CHUNK
+    assert_matches_sweep(a, b, window)
 
 
 def test_tags_csv_round_trip(tmp_path):
