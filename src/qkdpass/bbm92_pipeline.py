@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import timedelta
 from typing import Any
 
@@ -192,24 +192,7 @@ class KeyReport:
     quantum_window_duration_s: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "pass_id": self.pass_id,
-            "coincidences_total": self.coincidences_total,
-            "sifted_bits": self.sifted_bits,
-            "qber_estimate": self.qber_estimate,
-            "qber_std_error": self.qber_std_error,
-            "accidental_fraction": self.accidental_fraction,
-            "secret_fraction": self.secret_fraction,
-            "secret_bits": self.secret_bits,
-            "loss_budget": dict(self.loss_budget),
-            "pat_lock_fraction": self.pat_lock_fraction,
-            "sync_offset_s": self.sync_offset_s,
-            "sync_drift": self.sync_drift,
-            "window_start_utc": self.window_start_utc,
-            "window_duration_s": self.window_duration_s,
-            "quantum_window_start_s": self.quantum_window_start_s,
-            "quantum_window_duration_s": self.quantum_window_duration_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -298,7 +281,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     The pass comes from select_pass. The quantum source runs over a
     window centered on the closest approach, capped so the event count
     stays at protocol.max_source_events; pointing and frame tracking
-    run over the whole pass. Deterministic for a given scenario and
+    run over the whole pass. The onboard arm measures every emitted
+    pair; the ground arm measures only those that survive the channel
+    and the downlink split. Deterministic for a given scenario and
     seed. A pass with no usable beacon (total blackout) yields a
     well-formed zero-key report instead of an error.
     """
@@ -373,25 +358,25 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             span_s=(0.0, q_dur),
         )
 
-        residual_deg = pcs.residual_at(q_start + stream.emission_times)
-        ground_channels = measure_polarization(
-            stream, "ground", residual_deg=residual_deg,
-            rng=module_rng(seed, "quantum_receiver.ground"),
-            ad_anticorrelated=proto.ad_anticorrelated,
-        )
-
-        keep_downlink = (
+        # the downlink split and the ground analyzer draw per emitted pair
+        # but are read only at the channel survivors
+        downlink = (
             module_rng(seed, "photon_source.downlink").random(len(stream))
-            < scenario.source.downlink_fraction
+            [channel.survivor_indices] < scenario.source.downlink_fraction
         )
-        signal_idx = channel.survivor_indices[keep_downlink[channel.survivor_indices]]
+        signal_idx = channel.survivor_indices[downlink]
         signal_emit = stream.emission_times[signal_idx]
+        signal_channels = measure_polarization(
+            stream, "ground", residual_deg=pcs.residual_at(q_start + signal_emit),
+            rng=module_rng(seed, "quantum_receiver.ground"),
+            ad_anticorrelated=proto.ad_anticorrelated, rows=signal_idx,
+        )
         bg_times = channel.background_times
         bg_channels = module_rng(seed, "quantum_receiver.ground.background").integers(
             0, 4, size=len(bg_times), dtype=np.uint8
         )
         arrivals = np.concatenate([signal_emit + flight_s(signal_emit), bg_times])
-        chans = np.concatenate([ground_channels[signal_idx], bg_channels])
+        chans = np.concatenate([signal_channels, bg_channels])
         origins = np.concatenate([
             np.full(len(signal_idx), ORIGIN_SIGNAL, dtype=np.uint8),
             np.full(len(bg_times), ORIGIN_BACKGROUND, dtype=np.uint8),

@@ -103,18 +103,10 @@ def cmd_predict(args) -> int:
     if args.format == "json":
         _write_json(out / "passes.json", rows)
     else:
-        _write_csv(
-            out / "passes.csv",
-            ["index", "aos_utc", "tca_utc", "los_utc", "duration_s",
-             "max_elevation_deg", "max_angular_rate_dps"],
-            [np.array([r["index"] for r in rows], dtype=float),
-             np.array([r["aos_utc"] for r in rows], dtype=object),
-             np.array([r["tca_utc"] for r in rows], dtype=object),
-             np.array([r["los_utc"] for r in rows], dtype=object),
-             np.array([r["duration_s"] for r in rows], dtype=float),
-             np.array([r["max_elevation_deg"] for r in rows], dtype=float),
-             np.array([r["max_angular_rate_dps"] for r in rows], dtype=float)],
-        )
+        header = ["index", "aos_utc", "tca_utc", "los_utc", "duration_s",
+                  "max_elevation_deg", "max_angular_rate_dps"]
+        _write_csv(out / "passes.csv", header,
+                   [[r[k] for r in rows] for k in header])
     return EXIT_OK
 
 
@@ -160,10 +152,7 @@ def cmd_simulate(args) -> int:
             rows = sorted(pool.map(_ensemble_worker, jobs))
         _write_csv(out / "ensemble.csv",
                    ["seed", "sifted_bits", "qber", "secret_bits"],
-                   [np.array([r[0] for r in rows], dtype=float),
-                    np.array([r[1] for r in rows], dtype=float),
-                    np.array([r[2] for r in rows], dtype=float),
-                    np.array([r[3] for r in rows], dtype=float)])
+                   [np.array(column, dtype=float) for column in zip(*rows)])
         for seed, sifted, qber, secret in rows:
             print(f"seed={seed} sifted={sifted} qber={qber:.6g} secret={secret}")
         return EXIT_OK

@@ -127,34 +127,37 @@ def measure_polarization(
     residual_deg=0.0,
     rng: np.random.Generator | int = 0,
     ad_anticorrelated: bool = True,
+    rows=slice(None),
 ) -> np.ndarray:
-    """Channel assignment (H/V/A/D) for every pair event on one side.
+    """Channel assignment (H/V/A/D) of the pairs at rows on one side.
 
-    The onboard side replays the idler basis and outcome recorded at
-    emission. The ground side picks its basis uniformly and reads the
-    shared hidden outcome for that basis, flipped where the source
-    error flag is set and, independently, with probability
-    sin^2(residual misalignment). ad_anticorrelated selects the
-    entangled-state convention of correlated H/V and anticorrelated
-    A/D outcomes, matching the source's fringe extrema.
+    rows indexes the measured pairs, every pair by default; residual_deg
+    is a scalar or one value per measured pair. The onboard side replays
+    the idler basis and outcome recorded at emission. The ground side
+    picks its basis uniformly and reads the shared hidden outcome for
+    that basis, flipped where the source error flag is set and,
+    independently, with probability sin^2(residual misalignment). It
+    draws the basis and the misalignment uniform for every emitted pair
+    and reads them at rows, so rows never shift its stream.
+    ad_anticorrelated selects the convention of correlated H/V and
+    anticorrelated A/D outcomes, matching the source's fringe extrema.
     """
     n = len(stream)
     if side == "onboard":
-        return (stream.idler_basis.astype(np.uint8) * 2
-                + stream.idler_outcome.astype(np.uint8))
+        return (stream.idler_basis[rows].astype(np.uint8) * 2
+                + stream.idler_outcome[rows].astype(np.uint8))
     if side != "ground":
         raise OutOfRange(f"side must be 'ground' or 'onboard', got {side!r}")
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".ground")
-    basis = rng.integers(0, 2, size=n, dtype=np.uint8)
-    flip_mis = np.zeros(n, dtype=bool)
-    q = np.asarray(qber_from_residual(residual_deg), dtype=float)
-    if np.any(q > 0.0):
-        flip_mis = rng.random(n) < np.broadcast_to(q, (n,))
-    bit = np.where(basis == BASIS_HV, stream.latent_bit, stream.latent_bit_ad)
+    basis = rng.integers(0, 2, size=n, dtype=np.uint8)[rows]
+    flip_mis = rng.random(n)[rows] < qber_from_residual(residual_deg)
+    bit = np.where(basis == BASIS_HV, stream.latent_bit[rows],
+                   stream.latent_bit_ad[rows])
     if ad_anticorrelated:
         bit = bit ^ (basis != BASIS_HV)
-    bit = bit.astype(np.uint8) ^ stream.error_flag.astype(np.uint8) ^ flip_mis.astype(np.uint8)
+    bit = (bit.astype(np.uint8) ^ stream.error_flag[rows].astype(np.uint8)
+           ^ flip_mis.astype(np.uint8))
     return basis * 2 + bit
 
 

@@ -85,6 +85,14 @@ class SyncConfig:
     max_offset_s: float = 10e-3
     min_matched: int = 100
 
+    def __post_init__(self):
+        if not (self.bin_s > 0.0 and self.max_offset_s > 0.0):
+            raise OutOfRange("bin_s and max_offset_s must be positive")
+        if not self.beacon_jitter_rms_s >= 0.0:
+            raise OutOfRange("beacon_jitter_rms_s must be nonnegative")
+        if not self.min_matched >= 2:
+            raise OutOfRange(f"min_matched {self.min_matched} below 2")
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -94,6 +102,14 @@ class ProtocolConfig:
     sample_fraction: float = 0.1
     max_source_events: int = 2_000_000
     ad_anticorrelated: bool = True
+
+    def __post_init__(self):
+        if not self.coincidence_window_s >= 0.0:
+            raise OutOfRange("coincidence_window_s must be nonnegative")
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise OutOfRange(f"sample_fraction {self.sample_fraction} outside (0, 1]")
+        if not self.max_source_events >= 1:
+            raise OutOfRange(f"max_source_events {self.max_source_events} below 1")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def test_predict_writes_table_and_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "aos_utc" in out
     table = tmp_path / "out" / "passes.csv"
-    rows = list(csv.DictReader(table.open()))
+    rows = list(csv.DictReader(table.read_text().splitlines()))
     assert rows, "expected at least one pass within a day"
     assert float(rows[0]["max_elevation_deg"]) > 10.0
     assert rows[0]["aos_utc"].startswith("2024-03-01")
@@ -84,7 +84,7 @@ def test_scripted_frame_offset_drives_pcs(tmp_path):
         protocol=["max_source_events = 50000"],
     )
     assert run(["simulate", "--scenario", cfg]) == EXIT_OK
-    rows = list(csv.DictReader((tmp_path / "out" / "pcs.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out" / "pcs.csv").read_text().splitlines()))
     assert rows and all(float(r["theta_true_deg"]) == 30.0 for r in rows)
 
 
@@ -130,9 +130,9 @@ PASS_COMMANDS = ["predict", "simulate", "link-budget"]
 @pytest.mark.parametrize("command", PASS_COMMANDS)
 def test_corrupt_tle_is_input_error(tmp_path, capsys, command):
     cfg, tle = write_demo_inputs(tmp_path)
-    lines = open(tle).read().splitlines()
+    lines = Path(tle).read_text().splitlines()
     lines[1] = lines[1][:-1] + ("0" if lines[1][-1] != "0" else "1")
-    open(tle, "w").write("\n".join(lines) + "\n")
+    Path(tle).write_text("\n".join(lines) + "\n")
     assert run([command, "--scenario", cfg]) == EXIT_INPUT
     assert "TLE error" in capsys.readouterr().err
 
@@ -146,6 +146,19 @@ def test_corrupt_tle_is_input_error(tmp_path, capsys, command):
     ("prediction", "profile_step_s = -1"),
     ("pcs", "update_interval_s = 0"),
     ("scenario", "pat_dt_s = 0"),
+    ("sync", "bin_s = 0"),
+    ("sync", "bin_s = -1e-7"),
+    ("sync", 'bin_s = "fast"'),
+    ("sync", "max_offset_s = 0"),
+    ("sync", "beacon_jitter_rms_s = -1e-9"),
+    ("sync", "min_matched = 1"),
+    ("sync", "min_matched = -5"),
+    ("protocol", "coincidence_window_s = -1e-9"),
+    ("protocol", 'coincidence_window_s = "wide"'),
+    ("protocol", "sample_fraction = 0"),
+    ("protocol", "sample_fraction = 1.5"),
+    ("protocol", "max_source_events = 0"),
+    ("protocol", "max_source_events = -10"),
 ])
 def test_invalid_value_is_config_error(tmp_path, capsys, command, section, line):
     cfg, _ = write_demo_inputs(tmp_path, **{section: [line]})
@@ -157,7 +170,7 @@ def test_source_check_noise_free(tmp_path, capsys):
     cfg, _ = write_demo_inputs(tmp_path)
     assert run(["source-check", "--scenario", cfg, "--noise-free"]) == EXIT_OK
     assert "visibility=0.98" in capsys.readouterr().out
-    rows = list(csv.DictReader((tmp_path / "out" / "fringe.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out" / "fringe.csv").read_text().splitlines()))
     assert len(rows) == 91  # 0..180 in 2 degree steps
 
 
@@ -181,7 +194,7 @@ def test_link_budget_outputs(tmp_path, capsys):
     cfg, _ = write_demo_inputs(tmp_path)
     assert run(["link-budget", "--scenario", cfg]) == EXIT_OK
     assert "best_total_db=" in capsys.readouterr().out
-    rows = list(csv.DictReader((tmp_path / "out" / "link.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out" / "link.csv").read_text().splitlines()))
     assert len(rows) > 300  # one row per profile second over the pass
     t = np.array([float(r["transmittance"]) for r in rows])
     assert np.all((t >= 0.0) & (t <= 1.0))
@@ -230,7 +243,7 @@ def test_ensemble_runs_ordered_seeds(tmp_path, capsys):
     assert run(["simulate", "--scenario", cfg, "--ensemble", "3"]) == EXIT_OK
     printed = capsys.readouterr().out
     assert printed.count("seed=") == 3
-    rows = list(csv.DictReader((tmp_path / "out" / "ensemble.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out" / "ensemble.csv").read_text().splitlines()))
     seeds = [int(float(r["seed"])) for r in rows]
     assert seeds == [7, 8, 9]
     assert all(int(float(r["sifted_bits"])) > 0 for r in rows)
@@ -257,7 +270,7 @@ def demo_digest(out: Path) -> dict:
     report.pop("package_version")
     digest = {"report.json": report}
     for name in ("pat.csv", "link.csv"):
-        rows = list(csv.reader((out / name).open()))
+        rows = list(csv.reader((out / name).read_text().splitlines()))
         columns = np.array(rows[1:], dtype=float).T
         digest[name] = {col: _column_digest(values)
                         for col, values in zip(rows[0], columns)}

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkdpass.bbm92_pipeline as pipeline
 from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
                                     estimate_qber, secret_fraction, sift,
                                     simulate_pass)
 from qkdpass.errors import EmptyKey, LowSample, OutOfRange, SimulationError
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
+from qkdpass.polarization_correction import PcsSeries
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_D, CHANNEL_H,
-                                      CHANNEL_V, QUAD_CHANNELS,
+                                      CHANNEL_V, ORIGIN_SIGNAL, QUAD_CHANNELS,
                                       measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
 from conftest import base_scenario
@@ -208,6 +210,32 @@ def test_simulate_pass_onboard_tags_are_quad_only(sim_result):
     channels = sim_result.onboard_tags.channels
     assert len(channels) > 0
     assert set(np.unique(channels).tolist()) <= set(QUAD_CHANNELS)
+
+
+def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
+    # the PCS residual is evaluated for the pairs that reach the ground
+    # analyzer, not for every emitted pair
+    residual_sizes, signal_arrivals = [], []
+    residual_at, apply_detector = PcsSeries.residual_at, pipeline.apply_detector
+
+    def recording_residual_at(self, t_s):
+        residual_sizes.append(np.size(t_s))
+        return residual_at(self, t_s)
+
+    def recording_detector(*args, **kwargs):
+        if kwargs.get("origins") is not None:
+            signal_arrivals.append(
+                int(np.count_nonzero(kwargs["origins"] == ORIGIN_SIGNAL)))
+        return apply_detector(*args, **kwargs)
+
+    monkeypatch.setattr(PcsSeries, "residual_at", recording_residual_at)
+    monkeypatch.setattr(pipeline, "apply_detector", recording_detector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_pass(base_scenario())
+    assert len(signal_arrivals) == 1
+    assert residual_sizes == signal_arrivals
+    assert 0 < signal_arrivals[0] < len(result.stream)
 
 
 def test_simulate_pass_deterministic(sim_result):

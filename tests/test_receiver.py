@@ -169,6 +169,37 @@ def test_measurement_accepts_per_event_residual():
     assert agree[second].all()
 
 
+@pytest.mark.parametrize("ad_anticorrelated", [True, False])
+@pytest.mark.parametrize("residual", ["zero", "scalar", "per_row"])
+def test_measurement_of_rows_matches_all_pairs(ad_anticorrelated, residual):
+    # the ground side draws per emitted pair, so measuring a subset reads
+    # the same channels and leaves its generator where the full call does
+    stream = generate_pair_stream(SourceConfig(pump_power_mw=0.01), 0.5, seed=4)
+    n = len(stream)
+    draw = np.random.default_rng(5)
+    rows = np.sort(draw.choice(n, size=n // 7, replace=False))
+    every = {"zero": 0.0, "scalar": 20.0,
+             "per_row": draw.uniform(-90.0, 90.0, n)}[residual]
+
+    def ground(idx, rng):
+        at_idx = every[idx] if np.ndim(every) else every
+        return measure_polarization(stream, "ground", residual_deg=at_idx, rows=idx,
+                                    rng=rng, ad_anticorrelated=ad_anticorrelated)
+
+    full_rng, rows_rng = np.random.default_rng(9), np.random.default_rng(9)
+    full = measure_polarization(stream, "ground", residual_deg=every, rng=full_rng,
+                                ad_anticorrelated=ad_anticorrelated)
+    part = ground(rows, rows_rng)
+    assert part.dtype == full.dtype and np.array_equal(part, full[rows])
+    assert full_rng.random() == rows_rng.random()
+    onboard = measure_polarization(stream, "onboard")
+    assert np.array_equal(measure_polarization(stream, "onboard", rows=rows),
+                          onboard[rows])
+    none = np.empty(0, dtype=np.intp)
+    assert ground(none, 9).shape == (0,)
+    assert measure_polarization(stream, "onboard", rows=none).shape == (0,)
+
+
 def test_measurement_rejects_unknown_side():
     with pytest.raises(OutOfRange):
         measure_polarization(_perfect_stream(), "sideways")
