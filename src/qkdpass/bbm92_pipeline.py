@@ -423,13 +423,12 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
                 tags_b - flight_s(emit_hat) * (1.0 + sync1.clock.drift),
                 stream.beacon_times, scenario)
 
-            quad = ground_tags.quad()
-            emit_q = _emission_estimate(quad.times_s, sync.clock, flight_s)
+            # beacon tags are a stream of their own: both arms' tags are quad
+            emit_q = _emission_estimate(ground_tags.times_s, sync.clock, flight_s)
             t_hat = sync.clock.invert(
-                quad.times_s - flight_s(emit_q) * (1.0 + sync.clock.drift))
-            ground_corrected = quad.with_times(t_hat)
+                ground_tags.times_s - flight_s(emit_q) * (1.0 + sync.clock.drift))
+            ground_corrected = ground_tags.with_times(t_hat)
 
-            # the onboard arm has no beacon channel: all its tags are quad
             coincidences = find_coincidences(
                 onboard_tags.times_s,
                 ground_corrected.times_s,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,18 +40,16 @@ EXIT_INPUT = 3
 EXIT_SIMULATION = 4
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*[np.asarray(c) for c in columns])
+    """One line per row: string columns as they are, numbers as %.12g."""
+    columns = [np.asarray(c) for c in columns]
+    text = [c.dtype.kind == "U" for c in columns]
+    line = ",".join("%s" if t else "%.12g" for t in text) + "\n"
+    cells = zip(*[c.tolist() if t else c.astype(float).tolist()
+                  for c, t in zip(columns, text)])
+    body = line * len(columns[0]) % tuple(itertools.chain.from_iterable(cells))
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                cell if isinstance(cell, str) else _fmt(cell) for cell in row
-            ) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _write_json(path: Path, payload) -> None:

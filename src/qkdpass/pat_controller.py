@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import OutOfRange
 from .seeding import module_streams
@@ -219,6 +219,7 @@ class PatSeries:
 
 
 _FINE_BLOCK_SAMPLES = 1 << 17  # sub-steps per fine run: bounds its temporary arrays
+_CHAIN_ROUNDS = 8  # fixed-point steps before _frame_chain chains row by row
 
 
 def _first(mask: np.ndarray, default: int) -> int:
@@ -230,6 +231,58 @@ def _first(mask: np.ndarray, default: int) -> int:
 def _row(values: np.ndarray) -> np.ndarray | None:
     """One measurement row, or None where the camera saw nothing."""
     return None if np.isnan(values[0]) else values
+
+
+def _servo_response(noise: np.ndarray, alpha: float) -> np.ndarray:
+    """Each frame's sub-step noise response, r[k] = (1 - alpha) r[k-1] - alpha n[k].
+
+    noise is (frames, n_sub, 2) and is left unchanged; every recurrence
+    starts from r = 0. This is lfilter([-alpha], [1, -(1 - alpha)],
+    noise, axis=1) bit for bit: that filter's state after sample k-1 is
+    0 n[k-1] + (1 - alpha) r[k-1], and since 0 n[k-1] is a signed zero,
+    adding it to -alpha n[k] first gives the same sum; its zero initial
+    state turns a -0.0 at k = 0 into +0.0. Each pass of the loop is one
+    vector operation across all frames. The (x, y) pairs travel as
+    complex numbers, so the copy that makes the sub-step axis leading
+    moves 16-byte items; that is about a fifth faster per fine run than
+    the same loop on a transposed (n_sub, frames, 2) copy.
+    """
+    frames, n_sub, _ = noise.shape
+    x = noise.view(np.complex128)[..., 0].T.copy().view(np.float64)
+    r = (-alpha) * x
+    r[0] += 0.0
+    r[1:] += 0.0 * x[:-1]
+    keep = 1.0 - alpha
+    for k in range(1, n_sub):
+        r[k] += keep * r[k - 1]
+    return np.ascontiguousarray(r.view(np.complex128).T).view(np.float64).reshape(
+        frames, n_sub, 2)
+
+
+def _frame_chain(x: np.ndarray, beta: float) -> np.ndarray:
+    """y[n] = beta y[n-1] + x[n] down axis 0, from y[-1] = 0.
+
+    lfilter([1], [1, -beta], x, axis=0) bit for bit. It is found as the
+    fixed point of one vector step: the recurrence has one solution, so
+    a step that changes no bit has reached it. Each step shrinks the
+    error by beta, so a handful of steps do at the default loop gain,
+    where beta is about 4e-17. When _CHAIN_ROUNDS steps have not
+    converged (beta near 1: a low loop gain with one sub-step per frame)
+    the rows are chained one by one in Python floats, the same operations
+    in the same order, which keeps the cost linear in len(x). As in
+    _servo_response, the filter state's signed zero 0 x[n-1] is added to
+    x[n]; 0.0 + x turns -0.0 into +0.0 as its zero initial state does.
+    """
+    y = 0.0 + x
+    drive = x[1:] + 0.0 * x[:-1]
+    for _ in range(_CHAIN_ROUNDS):
+        step = beta * y[:-1] + drive
+        if np.array_equal(step.view(np.int64), y[1:].view(np.int64)):
+            return y
+        y[1:] = step
+    chained = [list(accumulate(d, lambda prev, dn: beta * prev + dn, initial=y0))
+               for y0, d in zip(y[0].tolist(), drive.T.tolist())]
+    return np.array(chained).T
 
 
 class _PatRun:
@@ -423,9 +476,9 @@ class _PatRun:
 
         Each narrow-camera frame runs n_sub servo updates,
         r[k+1] = (1 - alpha) r[k] - alpha n[k]. The noise response of
-        every frame comes from one lfilter over the sub-step axis; the
-        step-end residuals chain across frames with coefficient
-        (1 - alpha)^n_sub, and each sub-step trace is
+        every frame comes from _servo_response over the sub-step axis;
+        the step-end residuals chain across frames with coefficient
+        (1 - alpha)^n_sub through _frame_chain, and each sub-step trace is
         r0 (1 - alpha)^(k+1) plus its noise response. That holds until
         the narrow camera misses a frame, the mirror range clamps the
         step-end command or the elevation gate closes; the run stops at
@@ -439,10 +492,10 @@ class _PatRun:
         upd = np.flatnonzero(steps % self.nfov_every == 0)
         e = err_post[upd]
         k_upd = len(upd)
-        response = lfilter([-alpha], [1.0, -(1.0 - alpha)], self._fine_noise(k_upd), axis=1)
+        response = _servo_response(self._fine_noise(k_upd), alpha)
         beta = (1.0 - alpha) ** self.n_sub
         drive = np.diff(e, axis=0, prepend=self.fsm[np.newaxis])
-        ends = lfilter([1.0], [1.0, -beta], beta * drive + response[:, -1], axis=0)
+        ends = _frame_chain(beta * drive + response[:, -1], beta)
         r0 = drive + np.vstack([np.zeros(2), ends[:-1]])
         # traces go straight into the output; rows past the cut are overwritten later
         trace = self.fine_res[self.n_fine:self.n_fine + k_upd * self.n_sub].reshape(

@@ -108,13 +108,6 @@ class TagStream:
     def __len__(self) -> int:
         return len(self.times_s)
 
-    def select(self, mask: np.ndarray) -> TagStream:
-        return TagStream(self.times_s[mask], self.channels[mask], self.origins[mask])
-
-    def quad(self) -> TagStream:
-        """Only the four polarization channels (beacon removed)."""
-        return self.select(self.channels != CHANNEL_BEACON)
-
     def with_times(self, times_s: np.ndarray) -> TagStream:
         order = np.argsort(times_s, kind="stable")
         return TagStream(np.asarray(times_s, dtype=float)[order],

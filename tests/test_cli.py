@@ -3,12 +3,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdpass
 from qkdpass.cli_app import (EXIT_CONFIG, EXIT_INPUT, EXIT_OK,
                              EXIT_SIMULATION, main)
 from qkdpass.quantum_receiver import read_tags_binary, read_tags_csv
@@ -27,6 +31,19 @@ def test_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime needs numpy only; scipy is the tests' oracle and costs
+    # seconds of import on every invocation
+    src = str(Path(qkdpass.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import qkdpass.cli_app, sys; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_predict_writes_table_and_csv(tmp_path, capsys):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i0e
 from scipy.stats import ncx2
 
-from qkdpass.channel_link import (LinkConfig, apply_channel, atmospheric_loss,
-                                  background_rate, build_link_profile,
-                                  geometric_transmittance,
+from qkdpass.channel_link import (LinkConfig, _i0e, apply_channel,
+                                  atmospheric_loss, background_rate,
+                                  build_link_profile, geometric_transmittance,
                                   pointing_transmittance)
 from qkdpass.errors import LowElevation, OutOfRange, ProfileGap
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
@@ -75,6 +76,16 @@ def test_pointing_matches_noncentral_chi_square():
     for d in (0.5, 2.0, 5.0, 7.5, 12.0, 20.0):
         expected = ncx2.cdf((2.0 * a / w) ** 2, df=2, nc=(2.0 * d / w) ** 2)
         assert pointing_transmittance(d, CONFIG) == pytest.approx(expected, abs=1e-6)
+
+
+def test_i0e_is_scipy_bit_for_bit():
+    # both branches, the switch at 8 with its neighbouring doubles, and far tails
+    x = np.concatenate([
+        np.linspace(0.0, 100.0, 200_001),
+        np.exp(np.linspace(-20.0, 8.0, 50_001)),
+        [0.0, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0), 1e3, 1e300],
+    ])
+    assert np.array_equal(_i0e(x).view(np.int64), i0e(x).view(np.int64))
 
 
 def test_pointing_monotone_in_residual():

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from qkdpass.errors import OutOfRange
 from qkdpass.pat_controller import (MODULE_NAME, CameraModel, FsmModel,
                                     MountModel, PatControllerConfig,
-                                    PatMeasurements, PatPhase, centroid_offset,
+                                    PatMeasurements, PatPhase, _CHAIN_ROUNDS,
+                                    _frame_chain, _servo_response, centroid_offset,
                                     mount_step, pat_transition, run_pat)
 from qkdpass.seeding import module_streams
 
@@ -320,6 +323,8 @@ _REFERENCE_CASES = {
     "wide_camera_misses": (PatControllerConfig(wfov=CameraModel(40.0, 5.0, 10.0),
                                                nfov=CameraModel(12.0, 0.5, 100.0)), 0.01),
     "coarse_step": (PatControllerConfig(), 0.05),
+    # one sub-step per frame and beta = 0.99: the cross-frame chain runs row by row
+    "low_gain": (PatControllerConfig(fsm=FsmModel(bandwidth_hz=10.0, loop_gain=0.01)), 0.01),
 }
 
 
@@ -335,3 +340,51 @@ def test_segment_kernels_match_step_loop(case):
                       (series.fsm_cmd, fsm_cmd), (series.fine_residual, fine)):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def _oracle_noise(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Gaussian noise with zeros, -0.0 and values small enough to underflow mixed in."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 1.0, shape)
+    kind = rng.integers(0, 6, shape)
+    noise[kind == 0] = 0.0
+    noise[kind == 1] = -0.0
+    tiny = kind == 2
+    noise[tiny] *= 10.0 ** rng.uniform(-325.0, -300.0, np.count_nonzero(tiny))
+    return noise
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_ALPHA = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=_ALPHA, n_sub=st.integers(1, 120), frames=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+@example(alpha=0.3, n_sub=60, frames=1, seed=0)  # a transposed (60, 1) block is contiguous
+@example(alpha=0.3, n_sub=60, frames=1450, seed=1)
+def test_servo_response_is_lfilter_bit_for_bit(alpha, n_sub, frames, seed):
+    noise = _oracle_noise(seed, (frames, n_sub, 2))
+    before = noise.copy()
+    want = lfilter([-alpha], [1.0, -(1.0 - alpha)], noise, axis=1)
+    assert _same_bits(_servo_response(noise, alpha), want)
+    assert _same_bits(noise, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=_ALPHA, n_sub=st.integers(1, 120), frames=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+@example(alpha=0.3, n_sub=60, frames=1450, seed=2)  # converges in a few steps
+@example(alpha=0.01, n_sub=1, frames=3000, seed=3)  # beta near 1: chained row by row
+@example(alpha=0.5, n_sub=1, frames=_CHAIN_ROUNDS, seed=4)
+@example(alpha=0.5, n_sub=1, frames=_CHAIN_ROUNDS + 1, seed=5)
+def test_frame_chain_is_lfilter_bit_for_bit(alpha, n_sub, frames, seed):
+    beta = (1.0 - alpha) ** n_sub
+    x = _oracle_noise(seed, (frames, 2))
+    before = x.copy()
+    assert _same_bits(_frame_chain(x, beta), lfilter([1.0], [1.0, -beta], x, axis=0))
+    assert _same_bits(x, before)
+

@@ -212,6 +212,13 @@ def test_simulate_pass_onboard_tags_are_quad_only(sim_result):
     assert set(np.unique(channels).tolist()) <= set(QUAD_CHANNELS)
 
 
+def test_simulate_pass_ground_tags_are_quad_only(sim_result):
+    # clock correction and matching read the ground tags without a beacon filter
+    channels = sim_result.ground_tags.channels
+    assert len(channels) > 0
+    assert set(np.unique(channels).tolist()) <= set(QUAD_CHANNELS)
+
+
 def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
     # the PCS residual is evaluated for the pairs that reach the ground
     # analyzer, not for every emitted pair

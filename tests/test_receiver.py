@@ -112,8 +112,6 @@ def test_tag_stream_invariants():
         np.array([CHANNEL_H, CHANNEL_BEACON, CHANNEL_D, CHANNEL_H], np.uint8),
         np.zeros(4, np.uint8),
     )
-    assert len(stream.quad()) == 3
-    assert stream.quad().times_s.tolist() == [0.0, 2.0, 3.0]
     shuffled = stream.with_times(np.array([3.0, 2.0, 1.0, 0.0]))
     assert np.all(np.diff(shuffled.times_s) >= 0.0)
     assert shuffled.channels[0] == CHANNEL_H  # carried along with its new time
