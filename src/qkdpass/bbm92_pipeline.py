@@ -39,7 +39,7 @@ from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                beacon_clock_sync, channel_basis, channel_bit,
                                find_coincidences, measure_polarization)
 from .scenario import Scenario
-from .seeding import module_rng
+from .seeding import _uniforms_at, module_rng
 
 MODULE_NAME = "bbm92_pipeline"
 
@@ -360,10 +360,10 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
         # the downlink split and the ground analyzer draw per emitted pair
         # but are read only at the channel survivors
-        downlink = (
-            module_rng(seed, "photon_source.downlink").random(len(stream))
-            [channel.survivor_indices] < scenario.source.downlink_fraction
-        )
+        downlink = _uniforms_at(
+            module_rng(seed, "photon_source.downlink"), len(stream),
+            channel.survivor_indices,
+        ) < scenario.source.downlink_fraction
         signal_idx = channel.survivor_indices[downlink]
         signal_emit = stream.emission_times[signal_idx]
         signal_channels = measure_polarization(
@@ -382,12 +382,16 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             np.full(len(bg_times), ORIGIN_BACKGROUND, dtype=np.uint8),
         ])
         order = np.argsort(arrivals, kind="stable")
+        arrivals, chans, origins = arrivals[order], chans[order], origins[order]
+        # only the sorted arrivals go on: free the unsorted columns and the
+        # background times before the detector makes its own copies
+        del order, channel, bg_times, bg_channels, signal_channels
         ground_tags = apply_detector(
-            arrivals[order], chans[order],
+            arrivals, chans,
             scenario.ground_detector, scenario.clock,
             rng=module_rng(seed, "quantum_receiver.ground.detector"),
             span_s=ground_span,
-            origins=origins[order],
+            origins=origins,
         )
 
         # classical beacon: bright pulse train, lost only in a blackout

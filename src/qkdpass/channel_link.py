@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import LowElevation, NonpositiveElevation, OutOfRange, ProfileGap
 from .photon_source import PairEventStream
-from .seeding import module_rng
+from .seeding import _uniform_below, module_rng
 
 MODULE_NAME = "channel_link"
 
@@ -215,12 +215,28 @@ class LinkProfile:
         if len(self.times_s) < 1:
             raise ProfileGap("empty link profile")
 
+    def _check_start(self, t_min: float) -> None:
+        lo = self.times_s[0]
+        if t_min < lo - 1e-9:
+            raise ProfileGap(f"time {t_min:.3f} s before profile start {lo:.3f} s")
+
     def _indices(self, t_s: np.ndarray) -> np.ndarray:
         t = np.asarray(t_s, dtype=float)
-        lo, hi = self.times_s[0], self.times_s[-1]
-        if t.size and (t.min() < lo - 1e-9):
-            raise ProfileGap(f"time {t.min():.3f} s before profile start {lo:.3f} s")
+        if t.size:
+            self._check_start(t.min())
         return np.clip(np.searchsorted(self.times_s, t, side="right") - 1, 0, None)
+
+    def _hold_bounds(self, t_sorted: np.ndarray) -> np.ndarray:
+        """Row bounds of each sample's hold over sorted times.
+
+        Sample k holds over t_sorted[bounds[k]:bounds[k + 1]], the rows
+        _indices maps to k: one search of the few sample times into the
+        sorted times instead of one search per time.
+        """
+        if len(t_sorted):
+            self._check_start(t_sorted[0])
+        inner = np.searchsorted(t_sorted, self.times_s[1:], side="left")
+        return np.concatenate(([0], inner, [len(t_sorted)]))
 
     def covers(self, duration_s: float) -> bool:
         return self.times_s[0] <= 0.0 and self.times_s[-1] >= duration_s - 1e-9
@@ -267,7 +283,12 @@ class ChannelResult:
 def _inhomogeneous_poisson(
     rng: np.random.Generator, profile: LinkProfile, duration_s: float
 ) -> np.ndarray:
-    """Background arrivals for a stepwise-constant rate, via inverse CDF."""
+    """Background arrivals for a stepwise-constant rate, via inverse CDF.
+
+    The sorted uniforms are mapped in place, one segment at a time with
+    that segment's scalars; a segment holds the uniforms from its
+    cumulative start up to the next segment's.
+    """
     edges = np.append(
         np.clip(profile.times_s, 0.0, duration_s), duration_s
     )
@@ -278,11 +299,18 @@ def _inhomogeneous_poisson(
     if total <= 0.0:
         return np.empty(0)
     n = int(rng.poisson(total))
-    u = np.sort(rng.uniform(0.0, total, size=n))
-    seg = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(widths) - 1)
+    u = rng.uniform(0.0, total, size=n)
+    u.sort()
+    bounds = np.concatenate(([0], np.searchsorted(u, cum[1:-1], side="left"), [n]))
     with np.errstate(invalid="ignore"):
-        frac = (u - cum[seg]) / (rates[seg] * widths[seg])
-    return edges[seg] + np.nan_to_num(frac) * widths[seg]
+        for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            seg = u[bounds[k]:bounds[k + 1]]
+            seg -= cum[k]
+            seg /= rates[k] * widths[k]
+            np.nan_to_num(seg, copy=False)
+            seg *= widths[k]
+            seg += edges[k]
+    return u
 
 
 def apply_channel(
@@ -301,8 +329,8 @@ def apply_channel(
             f"cover stream duration {stream.duration_s:.3f} s"
         )
     rng = module_rng(seed, MODULE_NAME)
-    p = profile.transmittance_at(stream.emission_times)
-    survivors = np.flatnonzero(rng.random(len(stream)) < p)
+    survivors = np.flatnonzero(_uniform_below(
+        rng, profile.transmittance, profile._hold_bounds(stream.emission_times)))
     background = _inhomogeneous_poisson(rng, profile, stream.duration_s)
     return ChannelResult(
         survivor_indices=survivors,

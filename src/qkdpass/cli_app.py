@@ -17,7 +17,6 @@ import dataclasses
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import timedelta
 from pathlib import Path
 
@@ -145,6 +144,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(scenario, args)
 
     if args.ensemble:
+        # the only user of a process pool: a plain run does not import it
+        from concurrent.futures import ProcessPoolExecutor
         seeds = [scenario.seed + k for k in range(args.ensemble)]
         jobs = [(args.scenario, s, args.pass_index) for s in seeds]
         with ProcessPoolExecutor() as pool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
-from .seeding import module_rng
+from .seeding import _uniform_below, module_rng
 
 MODULE_NAME = "photon_source"
 
@@ -121,6 +121,18 @@ def beacon_schedule(config: SourceConfig, duration_s: float) -> np.ndarray:
     return np.arange(n) / config.beacon_frequency_hz
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values), sorting values in place.
+
+    Repeated draws are rare (about one 1e7-pair stream in 200 has one),
+    so np.unique and its copies run only when the sorted array has one.
+    """
+    values.sort()
+    if np.any(values[1:] == values[:-1]):
+        return np.unique(values)
+    return values
+
+
 def generate_pair_stream(
     config: SourceConfig, duration_s: float, seed: int = 0
 ) -> PairEventStream:
@@ -135,7 +147,7 @@ def generate_pair_stream(
     rng = module_rng(seed, MODULE_NAME)
     rate = pair_rate(config)
     n = int(rng.poisson(rate * duration_s))
-    times = np.unique(rng.uniform(0.0, duration_s, size=n))  # sorted, strictly increasing
+    times = _sorted_distinct(rng.uniform(0.0, duration_s, size=n))
     n = len(times)
     latent_hv = rng.integers(0, 2, size=n, dtype=np.uint8)
     latent_ad = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -144,10 +156,11 @@ def generate_pair_stream(
     return PairEventStream(
         emission_times=times,
         idler_basis=basis,
-        idler_outcome=np.where(basis == BASIS_HV, latent_hv, latent_ad),
+        # the A/D outcome where basis is BASIS_AD (1), else the H/V one
+        idler_outcome=latent_hv ^ (basis & (latent_hv ^ latent_ad)),
         latent_bit=latent_hv,
         latent_bit_ad=latent_ad,
-        error_flag=rng.random(n) < qber,
+        error_flag=_uniform_below(rng, (qber,), (0, n)),
         beacon_times=beacon_schedule(config, duration_s),
         duration_s=duration_s,
         config=config,

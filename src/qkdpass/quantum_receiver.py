@@ -20,7 +20,7 @@ import numpy as np
 from .errors import OutOfRange, SyncFailed
 from .photon_source import BASIS_HV, PairEventStream
 from .polarization_correction import qber_from_residual
-from .seeding import module_rng
+from .seeding import _uniform_below, _uniforms_at, module_rng
 
 MODULE_NAME = "quantum_receiver"
 
@@ -102,7 +102,8 @@ class TagStream:
     def __post_init__(self):
         if not (len(self.times_s) == len(self.channels) == len(self.origins)):
             raise ValueError("tag columns must share one length")
-        if len(self.times_s) > 1 and np.any(np.diff(self.times_s) < 0.0):
+        t = self.times_s
+        if len(t) > 1 and np.any(t[1:] < t[:-1]):
             raise ValueError("tags must be sorted by time")
 
     def __len__(self) -> int:
@@ -144,7 +145,7 @@ def measure_polarization(
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".ground")
     basis = rng.integers(0, 2, size=n, dtype=np.uint8)[rows]
-    flip_mis = rng.random(n)[rows] < qber_from_residual(residual_deg)
+    flip_mis = _uniforms_at(rng, n, rows) < qber_from_residual(residual_deg)
     bit = np.where(basis == BASIS_HV, stream.latent_bit[rows],
                    stream.latent_bit_ad[rows])
     if ad_anticorrelated:
@@ -228,17 +229,18 @@ def apply_detector(
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".detector")
     times = np.asarray(arrival_times_s, dtype=float)
-    channels = np.asarray(channels)
-    if origins is None:
-        origins = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8)
 
-    kept = rng.random(len(times)) < model.efficiency
-    times = times[kept]
-    chan = channels[kept].astype(np.uint8)
-    orig = np.asarray(origins)[kept].astype(np.uint8)
+    kept = np.flatnonzero(_uniform_below(rng, (model.efficiency,), (0, len(times))))
+    times = times.take(kept)
+    chan = np.asarray(channels).take(kept).astype(np.uint8, copy=False)
+    if origins is None:
+        orig = np.full(len(kept), ORIGIN_SIGNAL, dtype=np.uint8)
+    else:
+        orig = np.asarray(origins).take(kept).astype(np.uint8, copy=False)
+    del kept
 
     if model.timing_jitter_rms_s > 0.0 and len(times):
-        times = times + rng.normal(0.0, model.timing_jitter_rms_s, size=len(times))
+        times += rng.normal(0.0, model.timing_jitter_rms_s, size=len(times))
     times = clock.apply(times)
 
     if span_s is None:
@@ -261,11 +263,11 @@ def apply_detector(
     del order  # frees n indices before the channel grouping takes as many
 
     if model.dead_time_s > 0.0 and len(times):
-        # rows grouped by channel, each group still in time order
-        grouped = np.argsort(chan, kind="stable")
-        edges = np.flatnonzero(np.diff(chan[grouped])) + 1
+        # each channel's rows, in time order: one scan per channel number
+        # in the span the tags use (the four quad channels on both arms)
         keep = np.empty(len(times), dtype=bool)
-        for rows in np.split(grouped, edges):
+        for channel in range(int(chan.min()), int(chan.max()) + 1):
+            rows = np.flatnonzero(chan == channel)
             keep[rows] = _prune_dead_time(times[rows], model.dead_time_s)
         times, chan, orig = times[keep], chan[keep], orig[keep]
 

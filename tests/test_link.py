@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from scipy.special import i0e
 from scipy.stats import ncx2
 
-from qkdpass.channel_link import (LinkConfig, _i0e, apply_channel,
+from qkdpass.channel_link import (MODULE_NAME, LinkConfig, LinkProfile, _i0e,
+                                  _inhomogeneous_poisson, apply_channel,
                                   atmospheric_loss, background_rate,
                                   build_link_profile, geometric_transmittance,
                                   pointing_transmittance)
 from qkdpass.errors import LowElevation, OutOfRange, ProfileGap
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
+from qkdpass.seeding import module_rng
 
 CONFIG = LinkConfig()
 
@@ -243,3 +245,145 @@ def test_apply_channel_requires_coverage():
     )
     with pytest.raises(ProfileGap):
         apply_channel(stream, profile, seed=0)
+
+
+def _profile(times, transmittance=None, background=None) -> LinkProfile:
+    """A profile with chosen sample times, transmittance and background."""
+    times = np.asarray(times, dtype=float)
+    zeros = np.zeros(len(times))
+    return LinkProfile(
+        times_s=times, elevation_deg=np.full(len(times), 90.0),
+        range_km=np.full(len(times), 500.0), geometric_loss_db=zeros,
+        atmospheric_loss_db=zeros, pointing_loss_db=zeros, optics_loss_db=zeros,
+        transmittance=zeros if transmittance is None
+        else np.asarray(transmittance, dtype=float),
+        background_rate=zeros if background is None
+        else np.asarray(background, dtype=float),
+    )
+
+
+def reference_background(rng, profile, duration_s):
+    """Background arrivals with one segment search per arrival: the form
+    _inhomogeneous_poisson replaces."""
+    edges = np.append(np.clip(profile.times_s, 0.0, duration_s), duration_s)
+    widths = np.diff(edges)
+    rates = profile.background_rate[: len(widths)]
+    cum = np.concatenate([[0.0], np.cumsum(rates * widths)])
+    total = cum[-1]
+    if total <= 0.0:
+        return np.empty(0)
+    n = int(rng.poisson(total))
+    u = np.sort(rng.uniform(0.0, total, size=n))
+    seg = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(widths) - 1)
+    with np.errstate(invalid="ignore"):
+        frac = (u - cum[seg]) / (rates[seg] * widths[seg])
+    return edges[seg] + np.nan_to_num(frac) * widths[seg]
+
+
+@pytest.mark.parametrize("samples", [
+    [0.0, 1.0, 2.5, 4.0],
+    [-0.5, 0.0, 0.0, 3.0],  # starts before 0, repeated sample
+    [2.0],
+])
+def test_hold_bounds_match_per_time_search(samples):
+    profile = _profile(samples)
+    s = profile.times_s
+    earliest = s[0] - 1e-9
+    queries = np.concatenate([
+        s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf),
+        [earliest, np.nextafter(earliest, np.inf), s[-1] + 1.0, s[-1] + 1e6],
+        np.linspace(earliest, s[-1] + 2.0, 101),
+        np.repeat(s[len(s) // 2], 3),
+    ])
+    t = np.sort(queries[queries >= earliest])
+    for times in (t, t[:0], t[-1:]):
+        bounds = profile._hold_bounds(times)
+        assert bounds[0] == 0 and bounds[-1] == len(times)
+        held = np.repeat(np.arange(len(s)), np.diff(bounds))
+        assert np.array_equal(held, profile._indices(times))
+    too_early = np.array([np.nextafter(earliest, -np.inf), s[0]])
+    with pytest.raises(ProfileGap):
+        profile._hold_bounds(too_early)
+    with pytest.raises(ProfileGap):
+        profile._indices(too_early)
+
+
+@pytest.mark.parametrize("samples,rates,duration", [
+    ([0.0, 1.0, 2.0, 3.0], [1e4, 0.0, 5e3, 2e4], 3.5),   # zero-rate segment
+    ([0.0, 1.0, 1.0, 2.0], [1e4, 3e4, 2e4, 1e4], 2.0),   # zero-width segments
+    ([-2.0, -1.0, 0.5, 1.5], [5e3, 7e3, 1e4, 3e3], 2.0),  # starts before 0
+    ([0.0, 1.0, 2.0], [2e4, 1e4, 0.0], 2.5),             # zero-rate last segment
+    ([0.0, 1.0], [0.0, 0.0], 1.0),                       # no background
+])
+def test_background_segments_match_per_arrival_form(samples, rates, duration):
+    profile = _profile(samples, background=rates)
+    for seed in range(3):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_background(want_rng, profile, duration)
+        got = _inhomogeneous_poisson(got_rng, profile, duration)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
+class _ScriptedDraws:
+    """A generator stand-in whose uniforms are chosen by the test."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def poisson(self, lam):
+        return len(self.uniforms)
+
+    def uniform(self, low, high, size):
+        assert size == len(self.uniforms)
+        return self.uniforms.copy()
+
+
+def test_background_segments_match_per_arrival_form_on_boundaries():
+    # uniforms exactly on the cumulative segment starts, one ulp either
+    # side, and at the total, which the last zero-rate segment holds
+    profile = _profile([0.0, 1.0, 1.0, 2.0, 3.0], background=[2.0, 5.0, 0.0, 3.0, 0.0])
+    duration = 3.5
+    cum = np.cumsum([0.0, 2.0, 0.0, 0.0, 3.0, 0.0])
+    draws = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    draws = np.sort(np.clip(draws, 0.0, cum[-1]))
+    want = reference_background(_ScriptedDraws(draws), profile, duration)
+    got = _inhomogeneous_poisson(_ScriptedDraws(draws), profile, duration)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gaps=st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0]), min_size=0, max_size=8),
+    start=st.sampled_from([-1.5, -1e-3, 0.0]),
+    rates=st.lists(st.sampled_from([0.0, 1.0, 300.0, 2e3]), min_size=9, max_size=9),
+    extra=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_background_segments_match_per_arrival_form_property(gaps, start, rates,
+                                                             extra, seed):
+    samples = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    duration = max(float(samples[-1]) + extra, 0.5)
+    profile = _profile(samples, background=rates[: len(samples)])
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_background(want_rng, profile, duration)
+    got = _inhomogeneous_poisson(got_rng, profile, duration)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+def test_apply_channel_matches_per_pair_thinning():
+    # 408k pairs: several draw chunks, and holds at 0 and 1
+    stream = generate_pair_stream(SourceConfig(pump_power_mw=0.01), 3.0, seed=5)
+    profile = _profile([-0.5, 0.0, 0.7, 0.7, 1.9, 2.2, 3.0],
+                       transmittance=[0.9, 0.3, 0.05, 1.0, 0.0, 0.6, 0.2],
+                       background=[1e3, 2e3, 0.0, 5e3, 1e3, 0.0, 4e3])
+    rng = module_rng(8, MODULE_NAME)
+    p = profile.transmittance_at(stream.emission_times)
+    want = np.flatnonzero(rng.random(len(stream)) < p)
+    want_background = reference_background(rng, profile, stream.duration_s)
+    got = apply_channel(stream, profile, seed=8)
+    assert np.array_equal(got.survivor_indices, want)
+    assert got.survivor_indices.dtype == want.dtype
+    assert got.background_times.tobytes() == want_background.tobytes()

@@ -203,6 +203,77 @@ def test_measurement_rejects_unknown_side():
         measure_polarization(_perfect_stream(), "sideways")
 
 
+def reference_detector(arrival_times_s, channels, model, clock, rng,
+                       span_s=None, origins=None):
+    """apply_detector with boolean-mask copies and a stable argsort of the
+    channels: the form the kernel replaces."""
+    times = np.asarray(arrival_times_s, dtype=float)
+    channels = np.asarray(channels)
+    if origins is None:
+        origins = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8)
+    kept = rng.random(len(times)) < model.efficiency
+    times = times[kept]
+    chan = channels[kept].astype(np.uint8)
+    orig = np.asarray(origins)[kept].astype(np.uint8)
+    if model.timing_jitter_rms_s > 0.0 and len(times):
+        times = times + rng.normal(0.0, model.timing_jitter_rms_s, size=len(times))
+    times = clock.apply(times)
+    if span_s is None:
+        span_s = (float(arrival_times_s[0]), float(arrival_times_s[-1])) \
+            if len(arrival_times_s) else (0.0, 0.0)
+    lo, hi = clock.apply(np.asarray(span_s, dtype=float))
+    if model.dark_rate_hz > 0.0 and hi > lo:
+        extra_t, extra_c = [], []
+        for channel in QUAD_CHANNELS:
+            n_dark = rng.poisson(model.dark_rate_hz * (hi - lo))
+            extra_t.append(rng.uniform(lo, hi, size=n_dark))
+            extra_c.append(np.full(n_dark, channel, dtype=np.uint8))
+        dark_t = np.concatenate(extra_t)
+        times = np.concatenate([times, dark_t])
+        chan = np.concatenate([chan, np.concatenate(extra_c)])
+        orig = np.concatenate([orig, np.full(len(dark_t), ORIGIN_DARK, dtype=np.uint8)])
+    order = np.argsort(times, kind="stable")
+    times, chan, orig = times[order], chan[order], orig[order]
+    if model.dead_time_s > 0.0 and len(times):
+        grouped = np.argsort(chan, kind="stable")
+        edges = np.flatnonzero(np.diff(chan[grouped])) + 1
+        keep = np.empty(len(times), dtype=bool)
+        for rows in np.split(grouped, edges):
+            keep[rows] = reference_prune_dead_time(times[rows], model.dead_time_s)
+        times, chan, orig = times[keep], chan[keep], orig[keep]
+    return times, chan, orig
+
+
+@pytest.mark.parametrize("case", ["quad", "origins", "wide_channels", "ideal",
+                                  "drift_clock", "empty"])
+def test_detector_matches_mask_and_argsort_form(case):
+    rng = np.random.default_rng(21)
+    n = 0 if case == "empty" else 150_000  # more than two draw chunks
+    times = np.sort(rng.uniform(0.0, 0.2, n))
+    channels = rng.choice(QUAD_CHANNELS, size=n).astype(np.uint8)
+    origins = None
+    model = DetectorModel(efficiency=0.6, dark_rate_hz=5e4, dead_time_s=2e-6,
+                          timing_jitter_rms_s=3e-8)
+    clock = IDENTITY
+    if case == "origins":
+        origins = rng.integers(0, 3, size=n).astype(np.uint8)
+    elif case == "wide_channels":
+        channels = rng.choice([0, 3, 200, CHANNEL_BEACON], size=n).astype(np.uint8)
+    elif case == "ideal":
+        model = IDEAL
+    elif case == "drift_clock":
+        clock = ClockModel(offset_s=1.5e-3, drift=3e-6)
+    want_rng, got_rng = np.random.default_rng(4), np.random.default_rng(4)
+    want = reference_detector(times, channels, model, clock, want_rng,
+                              span_s=(0.0, 0.2), origins=origins)
+    got = apply_detector(times, channels, model, clock, rng=got_rng,
+                         span_s=(0.0, 0.2), origins=origins)
+    for column, expected in zip((got.times_s, got.channels, got.origins), want):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
 def test_detector_identity_chain():
     times = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 200))
     channels = np.full(200, CHANNEL_H, np.uint8)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdpass.errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
-from qkdpass.photon_source import (SourceConfig, beacon_schedule,
+from qkdpass.photon_source import (MODULE_NAME, SourceConfig, _sorted_distinct,
+                                   beacon_schedule,
                                    generate_pair_stream, pair_rate,
                                    polarizer_scan, qber_from_visibility,
                                    required_pump_power, scan_fringe_mean,
                                    scan_visibility, visibility_from_extrema)
+from qkdpass.seeding import module_rng
 
 
 def test_pair_rate_is_brightness_times_pump():
@@ -102,6 +104,40 @@ def test_stream_deterministic_per_seed():
     assert np.array_equal(a.error_flag, b.error_flag)
     c = generate_pair_stream(config, 1.0, seed=4)
     assert len(a) != len(c) or not np.array_equal(a.emission_times, c.emission_times)
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0.5],
+    [0.3, 0.1, 0.2],
+    [0.3, 0.1, 0.3, 0.2, 0.1, 0.1],
+    [2.0, 2.0],
+    [0.0, 1e-300, 0.0, 5e-324, 5e-324],
+])
+def test_sorted_distinct_is_unique(values):
+    values = np.asarray(values, dtype=float)
+    want = np.unique(values)
+    got = _sorted_distinct(values.copy())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.125, 0.25, 1.0, 3.5, 7.0]),
+                       max_size=40) | st.lists(st.floats(0.0, 10.0), max_size=40))
+def test_sorted_distinct_is_unique_property(values):
+    values = np.asarray(values, dtype=float)
+    assert _sorted_distinct(values.copy()).tobytes() == np.unique(values).tobytes()
+
+
+def test_stream_times_are_unique_draws():
+    # the form generate_pair_stream replaces: np.unique of the raw uniforms
+    config = SourceConfig(pump_power_mw=0.01)
+    rng = module_rng(6, MODULE_NAME)
+    want = np.unique(rng.uniform(0.0, 0.5, size=rng.poisson(pair_rate(config) * 0.5)))
+    stream = generate_pair_stream(config, 0.5, seed=6)
+    assert stream.emission_times.tobytes() == want.tobytes()
+    assert np.array_equal(stream.latent_bit,
+                          rng.integers(0, 2, size=len(want), dtype=np.uint8))
 
 
 def test_scan_visibility_noise_free_exact():
