@@ -27,8 +27,8 @@ import numpy as np
 from .channel_link import LinkProfile, apply_channel, build_link_profile
 from .errors import (EmptyKey, LowSample, OutOfRange, QkdPassError,
                      SimulationError, SyncFailed)
-from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
-    predict_passes, sample_pass
+from .orbit_dynamics import PassWindow, TwoLineElement, predict_passes, \
+    sample_pass
 from .pat_controller import PatSeries, run_pat
 from .photon_source import PairEventStream, generate_pair_stream, pair_rate
 from .polarization_correction import PcsSeries, frame_offset_profile, \
@@ -39,7 +39,7 @@ from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                beacon_clock_sync, channel_basis, channel_bit,
                                find_coincidences, measure_polarization)
 from .scenario import Scenario
-from .seeding import _uniforms_at, module_rng
+from .seeding import module_rng
 
 MODULE_NAME = "bbm92_pipeline"
 
@@ -200,9 +200,6 @@ class PassResult:
     """Everything simulate_pass produced, report plus telemetry."""
 
     report: KeyReport
-    scenario: Scenario = field(repr=False)
-    tle: TwoLineElement = field(repr=False)
-    profile: PassProfile = field(repr=False)
     pat: PatSeries = field(repr=False)
     pcs: PcsSeries = field(repr=False)
     link: LinkProfile = field(repr=False)
@@ -358,12 +355,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             span_s=(0.0, q_dur),
         )
 
-        # the downlink split and the ground analyzer draw per emitted pair
-        # but are read only at the channel survivors
-        downlink = _uniforms_at(
-            module_rng(seed, "photon_source.downlink"), len(stream),
-            channel.survivor_indices,
-        ) < scenario.source.downlink_fraction
+        downlink = module_rng(seed, "photon_source.downlink").random(
+            len(channel.survivor_indices)) < scenario.source.downlink_fraction
         signal_idx = channel.survivor_indices[downlink]
         signal_emit = stream.emission_times[signal_idx]
         signal_channels = measure_polarization(
@@ -487,9 +480,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         )
 
     return PassResult(
-        report=report, scenario=scenario, tle=tle, profile=profile, pat=pat,
-        pcs=pcs, link=link, stream=stream, onboard_tags=onboard_tags,
-        ground_tags=ground_tags, sync=sync, coincidences=coincidences, key=key,
+        report=report, pat=pat, pcs=pcs, link=link, stream=stream,
+        onboard_tags=onboard_tags, ground_tags=ground_tags, sync=sync,
+        coincidences=coincidences, key=key,
     )
 
 

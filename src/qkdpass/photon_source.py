@@ -3,11 +3,11 @@
 The source is characterized entirely by its output statistics: pair
 rate (brightness x pump power), polarization-correlation visibility,
 and the split ratio sending signal photons to the ground link. Pairs
-are emitted as a homogeneous Poisson process; each pair carries the
-onboard (idler) basis choice and outcome, the shared hidden outcomes
-for both measurement bases, and an error flag encoding whether the
-ground-side correlation is broken by source imperfection. The beacon
-is an exact arithmetic pulse train used by the receivers for clock
+are emitted as a homogeneous Poisson process; each pair carries only
+the onboard (idler) basis choice and outcome. The ground photon's
+outcome, and the visibility's error on it, are drawn by the ground
+analyzer for the photons that arrive. The beacon is an exact
+arithmetic pulse train used by the receivers for clock
 synchronization.
 """
 from __future__ import annotations
@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
-from .seeding import _uniform_below, module_rng
+from .seeding import module_rng
 
 MODULE_NAME = "photon_source"
 
 BASIS_HV = 0
-BASIS_AD = 1
 
 
 @dataclass(frozen=True)
@@ -62,19 +61,14 @@ class PairEventStream:
     """Timed pair emissions plus the beacon pulse schedule.
 
     Columns share one index: emission_times (s, strictly increasing),
-    idler_basis (0=HV, 1=AD) and idler_outcome for the onboard arm,
-    latent_bit and latent_bit_ad holding the shared hidden outcome a
-    measurement in the H/V or A/D basis would see (idler_outcome is
-    the one matching idler_basis), and error_flag (True where the
-    ground-side correlation is broken by source imperfection).
+    and idler_basis (0=HV, 1=AD) and idler_outcome for the onboard
+    arm, 10 bytes per pair in all. The ground arm derives its outcome
+    from the idler's when it measures an arriving photon.
     """
 
     emission_times: np.ndarray
     idler_basis: np.ndarray
     idler_outcome: np.ndarray
-    latent_bit: np.ndarray
-    latent_bit_ad: np.ndarray
-    error_flag: np.ndarray
     beacon_times: np.ndarray
     duration_s: float
     config: SourceConfig = field(repr=False)
@@ -138,9 +132,8 @@ def generate_pair_stream(
 ) -> PairEventStream:
     """Emit a Poisson pair stream over [0, duration_s].
 
-    Deterministic for a given seed. Error flags are set with
-    probability (1 - visibility)/2, the QBER the source alone would
-    produce on an otherwise perfect link.
+    Deterministic for a given seed: the pair count, the distinct
+    sorted times, then the idler basis and outcome, in that order.
     """
     if duration_s <= 0.0:
         raise OutOfRange(f"duration must be positive, got {duration_s}")
@@ -149,18 +142,10 @@ def generate_pair_stream(
     n = int(rng.poisson(rate * duration_s))
     times = _sorted_distinct(rng.uniform(0.0, duration_s, size=n))
     n = len(times)
-    latent_hv = rng.integers(0, 2, size=n, dtype=np.uint8)
-    latent_ad = rng.integers(0, 2, size=n, dtype=np.uint8)
-    basis = rng.integers(0, 2, size=n, dtype=np.uint8)
-    qber = qber_from_visibility(config.visibility)
     return PairEventStream(
         emission_times=times,
-        idler_basis=basis,
-        # the A/D outcome where basis is BASIS_AD (1), else the H/V one
-        idler_outcome=latent_hv ^ (basis & (latent_hv ^ latent_ad)),
-        latent_bit=latent_hv,
-        latent_bit_ad=latent_ad,
-        error_flag=_uniform_below(rng, (qber,), (0, n)),
+        idler_basis=rng.integers(0, 2, size=n, dtype=np.uint8),
+        idler_outcome=rng.integers(0, 2, size=n, dtype=np.uint8),
         beacon_times=beacon_schedule(config, duration_s),
         duration_s=duration_s,
         config=config,

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OutOfRange, SyncFailed
-from .photon_source import BASIS_HV, PairEventStream
+from .photon_source import BASIS_HV, PairEventStream, qber_from_visibility
 from .polarization_correction import qber_from_residual
-from .seeding import _uniform_below, _uniforms_at, module_rng
+from .seeding import _uniform_below, module_rng
 
 MODULE_NAME = "quantum_receiver"
 
@@ -128,15 +128,15 @@ def measure_polarization(
     rows indexes the measured pairs, every pair by default; residual_deg
     is a scalar or one value per measured pair. The onboard side replays
     the idler basis and outcome recorded at emission. The ground side
-    picks its basis uniformly and reads the shared hidden outcome for
-    that basis, flipped where the source error flag is set and,
-    independently, with probability sin^2(residual misalignment). It
-    draws the basis and the misalignment uniform for every emitted pair
-    and reads them at rows, so rows never shift its stream.
-    ad_anticorrelated selects the convention of correlated H/V and
-    anticorrelated A/D outcomes, matching the source's fringe extrema.
+    draws, per measured photon and in this order, its basis, a fair bit,
+    a source error with probability (1 - visibility)/2 and a
+    misalignment flip with probability sin^2(residual). In the idler's
+    basis it reads the idler outcome, otherwise the fair bit; both flips
+    then apply. Its draws follow the measured photons, not their row
+    numbers. ad_anticorrelated selects the convention of correlated H/V
+    and anticorrelated A/D outcomes, matching the source's fringe
+    extrema.
     """
-    n = len(stream)
     if side == "onboard":
         return (stream.idler_basis[rows].astype(np.uint8) * 2
                 + stream.idler_outcome[rows].astype(np.uint8))
@@ -144,14 +144,16 @@ def measure_polarization(
         raise OutOfRange(f"side must be 'ground' or 'onboard', got {side!r}")
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".ground")
-    basis = rng.integers(0, 2, size=n, dtype=np.uint8)[rows]
-    flip_mis = _uniforms_at(rng, n, rows) < qber_from_residual(residual_deg)
-    bit = np.where(basis == BASIS_HV, stream.latent_bit[rows],
-                   stream.latent_bit_ad[rows])
+    idler_basis = stream.idler_basis[rows]
+    bit = stream.idler_outcome[rows]
+    m = len(bit)
+    basis = rng.integers(0, 2, size=m, dtype=np.uint8)
+    fair = rng.integers(0, 2, size=m, dtype=np.uint8)
+    error = rng.random(m) < qber_from_visibility(stream.config.visibility)
+    mis = rng.random(m) < qber_from_residual(residual_deg)
     if ad_anticorrelated:
         bit = bit ^ (basis != BASIS_HV)
-    bit = (bit.astype(np.uint8) ^ stream.error_flag[rows].astype(np.uint8)
-           ^ flip_mis.astype(np.uint8))
+    bit = np.where(basis == idler_basis, bit, fair) ^ error ^ mis
     return basis * 2 + bit
 
 

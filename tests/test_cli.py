@@ -339,15 +339,16 @@ def _background_run_digests(tmp_path) -> dict[str, str]:
                for name in ("tags_ground.bin", "tags_onboard.bin")}}
 
 
-# recorded before the per-pair kernels were rewritten (sifted=244, 29,895
-# ground and 92,419 onboard tags; most ground tags are sky background)
+# recorded when the ground arm began to draw per arriving photon
+# (sifted=271, 29,866 ground and 92,419 onboard tags; most ground tags
+# are sky background)
 BACKGROUND_RUN_SHA256 = {
     "report.json":
-        "94dfa3814cb192389fedc4b2dabab291a4a21eb9d1e1ddf6c938f0e92dddd7b5",
+        "aab98a3950d2cc8d537aa1c800a50ae64e488e460e06ad72033a176262c244e0",
     "tags_ground.bin":
-        "38b8e28363b6d006769f24a2ef29a9e944a173e4e6bb5c4887a9765aa481cd71",
+        "157af023071fffd14efb287487915f07572a648b386759039bd71984304641a3",
     "tags_onboard.bin":
-        "0cd4e7d23e6a3288fadcfdefd6023de0aea09f30028513fb27daea3520ff46ab",
+        "ddccd1ca2dd6a8096ab51d318d24d853b924f8f6107d0b37458ea258cc0a32f5",
 }
 
 

@@ -1,6 +1,7 @@
 """Detection chain, clock sync, coincidence matching, tag export."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -170,32 +171,54 @@ def test_measurement_accepts_per_event_residual():
 @pytest.mark.parametrize("ad_anticorrelated", [True, False])
 @pytest.mark.parametrize("residual", ["zero", "scalar", "per_row"])
 def test_measurement_of_rows_matches_all_pairs(ad_anticorrelated, residual):
-    # the ground side draws per emitted pair, so measuring a subset reads
-    # the same channels and leaves its generator where the full call does
+    # the ground side draws per measured photon: measuring rows of a stream
+    # is measuring every pair of the sub-stream those rows make up
     stream = generate_pair_stream(SourceConfig(pump_power_mw=0.01), 0.5, seed=4)
     n = len(stream)
     draw = np.random.default_rng(5)
     rows = np.sort(draw.choice(n, size=n // 7, replace=False))
-    every = {"zero": 0.0, "scalar": 20.0,
-             "per_row": draw.uniform(-90.0, 90.0, n)}[residual]
+    at_rows = {"zero": 0.0, "scalar": 20.0,
+               "per_row": draw.uniform(-90.0, 90.0, len(rows))}[residual]
+    sub = dataclasses.replace(
+        stream, emission_times=stream.emission_times[rows],
+        idler_basis=stream.idler_basis[rows],
+        idler_outcome=stream.idler_outcome[rows])
 
-    def ground(idx, rng):
-        at_idx = every[idx] if np.ndim(every) else every
-        return measure_polarization(stream, "ground", residual_deg=at_idx, rows=idx,
-                                    rng=rng, ad_anticorrelated=ad_anticorrelated)
-
-    full_rng, rows_rng = np.random.default_rng(9), np.random.default_rng(9)
-    full = measure_polarization(stream, "ground", residual_deg=every, rng=full_rng,
-                                ad_anticorrelated=ad_anticorrelated)
-    part = ground(rows, rows_rng)
-    assert part.dtype == full.dtype and np.array_equal(part, full[rows])
-    assert full_rng.random() == rows_rng.random()
+    rows_rng, sub_rng = np.random.default_rng(9), np.random.default_rng(9)
+    part = measure_polarization(stream, "ground", residual_deg=at_rows, rows=rows,
+                                rng=rows_rng, ad_anticorrelated=ad_anticorrelated)
+    whole = measure_polarization(sub, "ground", residual_deg=at_rows, rng=sub_rng,
+                                 ad_anticorrelated=ad_anticorrelated)
+    assert part.dtype == whole.dtype and np.array_equal(part, whole)
+    assert rows_rng.random() == sub_rng.random()
     onboard = measure_polarization(stream, "onboard")
     assert np.array_equal(measure_polarization(stream, "onboard", rows=rows),
                           onboard[rows])
     none = np.empty(0, dtype=np.intp)
-    assert ground(none, 9).shape == (0,)
+    assert measure_polarization(stream, "ground", rows=none, rng=9).shape == (0,)
     assert measure_polarization(stream, "onboard", rows=none).shape == (0,)
+
+
+@pytest.mark.parametrize("visibility, residual", [(0.5, 0.0), (1.0, 90.0)])
+def test_measurement_mismatched_basis_is_fair(visibility, residual):
+    # outside the idler's basis the ground bit is a fair coin, flips or not;
+    # in it, the bit disagrees with the idler's at the combined flip rate
+    config = SourceConfig(pump_power_mw=0.01, visibility=visibility)
+    stream = generate_pair_stream(config, 0.5, seed=8)
+    onboard = measure_polarization(stream, "onboard")
+    ground = measure_polarization(stream, "ground", residual_deg=residual, rng=2)
+    g_basis = channel_basis(ground)
+    agree = channel_bit(onboard) == (channel_bit(ground) ^ (g_basis == 1))
+    mismatched = channel_basis(onboard) != g_basis
+    for basis in (0, 1):
+        rows = mismatched & (g_basis == basis)
+        assert rows.sum() > 5000
+        assert abs(agree[rows].mean() - 0.5) < 5.0 * 0.5 / math.sqrt(rows.sum())
+    e, m = (1.0 - visibility) / 2.0, math.sin(math.radians(residual)) ** 2
+    flip = e * (1.0 - m) + m * (1.0 - e)
+    matched = ~mismatched
+    sigma = math.sqrt(flip * (1.0 - flip) / matched.sum())
+    assert abs((1.0 - agree[matched].mean()) - flip) <= 5.0 * sigma
 
 
 def test_measurement_rejects_unknown_side():

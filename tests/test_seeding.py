@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdpass import seeding
-from qkdpass.seeding import _uniform_below, _uniforms_at
+from qkdpass.seeding import _uniform_below
 
 CHUNKS = st.sampled_from([1, 7, 64])
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -30,39 +30,3 @@ def test_uniform_below_is_one_draw(sizes, probs, chunk, seed):
         got = _uniform_below(got_rng, p, bounds)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got_rng.random() == want_rng.random()
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=200),
-    picks=st.lists(st.integers(min_value=0, max_value=199), max_size=60),
-    order=st.sampled_from(["ascending", "repeated", "shuffled", "mask", "slice",
-                           "negative"]),
-    chunk=CHUNKS, seed=SEEDS,
-)
-def test_uniforms_at_is_one_draw(n, picks, order, chunk, seed):
-    rows = np.array([p for p in picks if p < n], dtype=np.intp)
-    if order == "ascending":
-        rows = np.unique(rows)
-    elif order == "repeated":
-        rows = np.sort(rows)
-    elif order == "shuffled":
-        rows = rows[::-1]
-    elif order == "mask":
-        rows = np.isin(np.arange(n), rows)
-    elif order == "slice":
-        rows = slice(1, None, 3)
-    else:
-        rows = np.unique(rows) - n
-    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = want_rng.random(n)[rows]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seeding, "_DRAW_CHUNK", chunk)
-        got = _uniforms_at(got_rng, n, rows)
-    assert got.tobytes() == want.tobytes()
-    assert got_rng.random() == want_rng.random()
-
-
-def test_uniforms_at_rejects_rows_past_the_draw():
-    with pytest.raises(IndexError):
-        _uniforms_at(np.random.default_rng(0), 10, np.array([3, 10]))

@@ -85,15 +85,14 @@ def test_stream_statistics():
     assert np.all(np.diff(stream.emission_times) > 0.0)
     assert stream.emission_times[0] >= 0.0
     assert stream.emission_times[-1] <= duration
-    # half the idlers in each basis, flags near (1 - V)/2
+    # half the idlers in each basis, and half of their outcomes 1
     n = len(stream)
     assert abs(stream.idler_basis.mean() - 0.5) < 5.0 / (2.0 * np.sqrt(n))
-    q = qber_from_visibility(config.visibility)
-    assert abs(stream.error_flag.mean() - q) < 5.0 * np.sqrt(q * (1.0 - q) / n)
-    # outcome equals the latent bit matching the announced basis
-    hv = stream.idler_basis == 0
-    assert np.array_equal(stream.idler_outcome[hv], stream.latent_bit[hv])
-    assert np.array_equal(stream.idler_outcome[~hv], stream.latent_bit_ad[~hv])
+    assert abs(stream.idler_outcome.mean() - 0.5) < 5.0 / (2.0 * np.sqrt(n))
+    # times, basis and outcome are the only per-pair columns: 10 B a pair
+    per_pair = sum(value.nbytes for value in vars(stream).values()
+                   if isinstance(value, np.ndarray) and len(value) == n)
+    assert per_pair == 10 * n
 
 
 def test_stream_deterministic_per_seed():
@@ -101,7 +100,8 @@ def test_stream_deterministic_per_seed():
     a = generate_pair_stream(config, 1.0, seed=3)
     b = generate_pair_stream(config, 1.0, seed=3)
     assert np.array_equal(a.emission_times, b.emission_times)
-    assert np.array_equal(a.error_flag, b.error_flag)
+    assert np.array_equal(a.idler_basis, b.idler_basis)
+    assert np.array_equal(a.idler_outcome, b.idler_outcome)
     c = generate_pair_stream(config, 1.0, seed=4)
     assert len(a) != len(c) or not np.array_equal(a.emission_times, c.emission_times)
 
@@ -136,7 +136,7 @@ def test_stream_times_are_unique_draws():
     want = np.unique(rng.uniform(0.0, 0.5, size=rng.poisson(pair_rate(config) * 0.5)))
     stream = generate_pair_stream(config, 0.5, seed=6)
     assert stream.emission_times.tobytes() == want.tobytes()
-    assert np.array_equal(stream.latent_bit,
+    assert np.array_equal(stream.idler_basis,
                           rng.integers(0, 2, size=len(want), dtype=np.uint8))
 
 
