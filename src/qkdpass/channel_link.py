@@ -110,6 +110,9 @@ class LinkConfig:
             raise OutOfRange(f"optics efficiency {self.optics_efficiency} outside (0, 1]")
         if self.qfov_arcsec <= 0.0:
             raise OutOfRange("qfov must be positive")
+        for radius in (self.spot_radius_arcsec, self.stop_radius_arcsec):
+            if radius is not None and not radius > 0.0:
+                raise OutOfRange("spot and stop radii must be positive when set")
         if self.sky_background_rate_zenith < 0.0:
             raise OutOfRange("background rate must be nonnegative")
 

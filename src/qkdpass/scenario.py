@@ -7,20 +7,28 @@ text file (INI/TOML-style) or an equivalent JSON document; each value
 in the text form is a JSON fragment (numbers, lists, quoted strings,
 true/false), with bare words read as strings. Writing the resolved
 scenario and reading it back reproduces it exactly.
+
+One walk over the config dataclasses lays out the sections both ways:
+[scenario] holds the scenario's own keys, and every config object gets
+a section named by its field ([site], [pat]), dotted below the top
+level ([pat.nfov]); the detector models are [detectors.ground] and
+[detectors.onboard]. A subsection is not a key of its parent. A section
+needs only its non-default keys; an unknown key or section is an error.
 """
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from numbers import Integral
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .channel_link import LinkConfig
 from .errors import OutOfRange, QkdPassError, TleParseError
 from .orbit_dynamics import GroundSite, TwoLineElement, parse_tle, parse_tle_file
 from .orbit_dynamics.passes import MAX_SEARCH_DAYS
-from .pat_controller import CameraModel, FsmModel, MountModel, PatControllerConfig
+from .pat_controller import PatControllerConfig
 from .photon_source import SourceConfig
 from .polarization_correction import PolarimeterConfig
 from .quantum_receiver import ClockModel, DetectorModel
@@ -39,6 +47,9 @@ class PredictionConfig:
     profile_step_s: float = 1.0
 
     def __post_init__(self):
+        if not 0.0 < self.min_elevation_deg < 90.0:
+            raise OutOfRange(f"min_elevation_deg {self.min_elevation_deg} "
+                             "outside (0, 90)")
         if not 0.0 < self.search_hours <= MAX_SEARCH_DAYS * 24.0:
             raise OutOfRange(f"search_hours {self.search_hours} outside "
                              f"(0, {MAX_SEARCH_DAYS * 24.0:g}]")
@@ -137,6 +148,12 @@ class Scenario:
     def __post_init__(self):
         if not self.pat_dt_s > 0.0:
             raise OutOfRange("pat_dt_s must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise TypeError(f"seed {self.seed!r} is not an integer")
+        if not isinstance(self.tle_path, (str, type(None))):
+            raise TypeError(f"tle_path {self.tle_path!r} is not a string")
+        if not isinstance(self.output_dir, str):
+            raise TypeError(f"output_dir {self.output_dir!r} is not a string")
 
     def load_tle(self) -> TwoLineElement:
         if self.tle_lines:
@@ -149,119 +166,78 @@ class Scenario:
         raise ScenarioError("scenario provides neither tle_path nor tle_lines")
 
 
-# section name -> (scenario attribute path, constructor)
-_SECTIONS: dict[str, tuple[str, type]] = {
-    "site": ("site", GroundSite),
-    "source": ("source", SourceConfig),
-    "link": ("link", LinkConfig),
-    "pat": ("pat", PatControllerConfig),
-    "pat.mount": ("pat.mount", MountModel),
-    "pat.wfov": ("pat.wfov", CameraModel),
-    "pat.nfov": ("pat.nfov", CameraModel),
-    "pat.fsm": ("pat.fsm", FsmModel),
-    "pcs": ("pcs", PcsConfig),
-    "pcs.polarimeter": ("pcs.polarimeter", PolarimeterConfig),
-    "detectors.ground": ("ground_detector", DetectorModel),
-    "detectors.onboard": ("onboard_detector", DetectorModel),
-    "clock": ("clock", ClockModel),
-    "sync": ("sync", SyncConfig),
-    "prediction": ("prediction", PredictionConfig),
-    "protocol": ("protocol", ProtocolConfig),
-}
-
-_SCENARIO_KEYS = ("tle_path", "tle_lines", "pat_dt_s", "seed", "output_dir")
-
-_TUPLE_FIELDS = {"systematic_bias_arcsec", "hwp_settings_deg", "scripted_ramp_deg",
-                 "tle_lines"}
+# The two detector sections keep their grouped names.
+_SECTION_NAMES = {"ground_detector": "detectors.ground",
+                  "onboard_detector": "detectors.onboard"}
 
 
-def _coerce(name: str, value: Any) -> Any:
-    if isinstance(value, list):
-        value = tuple(value)
-    if name in _TUPLE_FIELDS and value is not None and not isinstance(value, tuple):
-        raise ScenarioError(f"{name} must be a list")
-    return value
+def _walk(config: Any, section: str, visit: Callable) -> Any:
+    """Visit a config's section, then its subsections; return the updated config.
 
-
-def _build(cls: type, items: dict[str, Any], where: str):
-    allowed = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in items.items():
-        if key not in allowed:
-            raise ScenarioError(f"unknown key {key!r} in [{where}]")
-        kwargs[key] = _coerce(key, value)
+    A field holding a config object is a subsection, [field] at the top
+    level (or as _SECTION_NAMES says) and [section.field] below it; every
+    other field is a key. visit(section, config, key_fields) returns new
+    key values, applied over the config's own ones.
+    """
+    keys, subsections = [], []
+    for f in fields(config):
+        (subsections if is_dataclass(getattr(config, f.name)) else keys).append(f)
+    updates = visit(section, config, keys)
+    for f in subsections:
+        value = getattr(config, f.name)
+        name = (_SECTION_NAMES.get(f.name, f.name) if section == "scenario"
+                else f"{section}.{f.name}")
+        new = _walk(value, name, visit)
+        if new is not value:
+            updates[f.name] = new
     try:
-        return cls(**kwargs)
+        return replace(config, **updates) if updates else config
     except (TypeError, ValueError, QkdPassError) as exc:
-        raise ScenarioError(f"invalid [{where}] configuration: {exc}") from exc
+        raise ScenarioError(f"invalid [{section}] configuration: {exc}") from exc
 
 
 def scenario_from_nested(data: dict[str, Any]) -> Scenario:
-    """Build a scenario from {section: {key: value}} plus top-level keys."""
-    updates: dict[str, Any] = {}
-    sub_updates: dict[str, dict[str, Any]] = {}
-    for section, payload in data.items():
-        if section == "scenario":
-            for key, value in payload.items():
-                if key not in _SCENARIO_KEYS:
-                    raise ScenarioError(f"unknown key {key!r} in [scenario]")
-                updates[key] = _coerce(key, value)
-            continue
-        if section not in _SECTIONS:
-            raise ScenarioError(f"unknown section [{section}]")
-        target, cls = _SECTIONS[section]
-        if "." in target:
-            head, _, rest = target.partition(".")
-            sub_updates.setdefault(head, {})[rest] = (cls, payload)
-        else:
-            sub_updates.setdefault(target, {})["."] = (cls, payload)
+    """Build a scenario from {section: {key: value}}; [scenario] holds its own keys."""
+    seen: set[str] = set()
 
-    base = Scenario()
-    for target, parts in sub_updates.items():
-        own = dict(parts.get(".", (None, {}))[1])
-        cls = parts.get(".", (type(getattr(base, target)), None))[0]
-        # nested sections ([pat.mount] inside [pat]) become constructor args
-        for rest, (sub_cls, payload) in parts.items():
-            if rest == ".":
-                continue
-            own[rest] = _build(sub_cls, payload, f"{target}.{rest}")
-        updates[target] = _build(cls, own, target)
-    try:
-        return replace(base, **updates)
-    except (TypeError, ValueError, QkdPassError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
+    def read(section: str, config: Any, keys: list) -> dict[str, Any]:
+        seen.add(section)
+        payload = data.get(section, {})
+        if not isinstance(payload, dict):
+            raise ScenarioError(f"invalid [{section}] configuration: "
+                                "not an object of keys")
+        known = {f.name: f for f in keys}
+        updates = {}
+        for key, value in payload.items():
+            if key not in known:
+                raise ScenarioError(f"unknown key {key!r} in [{section}]")
+            if isinstance(value, list):
+                value = tuple(value)
+            tuple_key = str(known[key].type).startswith("tuple")
+            if tuple_key and not isinstance(value, (tuple, type(None))):
+                raise ScenarioError(f"invalid [{section}] configuration: "
+                                    f"{key} must be a list")
+            updates[key] = value
+        return updates
+
+    scenario = _walk(Scenario(), "scenario", read)
+    for section in data:
+        if section not in seen:
+            raise ScenarioError(f"unknown section [{section}]")
+    return scenario
 
 
 def scenario_to_nested(scenario: Scenario) -> dict[str, Any]:
     """Inverse of scenario_from_nested on resolved scenarios."""
-    def plain(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return list(value)
-        return value
+    data: dict[str, Any] = {}
 
-    def section(obj, skip=()) -> dict[str, Any]:
-        return {f.name: plain(getattr(obj, f.name))
-                for f in fields(obj) if f.name not in skip}
+    def write(section: str, config: Any, keys: list) -> dict[str, Any]:
+        values = {f.name: getattr(config, f.name) for f in keys}
+        data[section] = {key: list(value) if isinstance(value, tuple) else value
+                         for key, value in values.items()}
+        return {}
 
-    data: dict[str, Any] = {
-        "scenario": {key: plain(getattr(scenario, key)) for key in _SCENARIO_KEYS},
-        "site": section(scenario.site),
-        "source": section(scenario.source),
-        "link": section(scenario.link),
-        "pat": section(scenario.pat, skip=("mount", "wfov", "nfov", "fsm")),
-        "pat.mount": section(scenario.pat.mount),
-        "pat.wfov": section(scenario.pat.wfov),
-        "pat.nfov": section(scenario.pat.nfov),
-        "pat.fsm": section(scenario.pat.fsm),
-        "pcs": section(scenario.pcs, skip=("polarimeter",)),
-        "pcs.polarimeter": section(scenario.pcs.polarimeter),
-        "detectors.ground": section(scenario.ground_detector),
-        "detectors.onboard": section(scenario.onboard_detector),
-        "clock": section(scenario.clock),
-        "sync": section(scenario.sync),
-        "prediction": section(scenario.prediction),
-        "protocol": section(scenario.protocol),
-    }
+    _walk(scenario, "scenario", write)
     return data
 
 

@@ -179,6 +179,22 @@ def test_corrupt_tle_is_input_error(tmp_path, capsys, command):
     ("protocol", "sample_fraction = 1.5"),
     ("protocol", "max_source_events = 0"),
     ("protocol", "max_source_events = -10"),
+    ("prediction", "min_elevation_deg = 0"),
+    ("prediction", "min_elevation_deg = -5"),
+    ("prediction", "min_elevation_deg = 90"),
+    ("scenario", 'seed = "abc"'),
+    ("scenario", "seed = [1]"),
+    ("scenario", "seed = 1.5"),
+    ("scenario", "seed = true"),
+    ("scenario", "tle_path = 5"),
+    ("scenario", "output_dir = 5"),
+    ("link", "spot_radius_arcsec = 0"),
+    ("link", "spot_radius_arcsec = -3"),
+    ("link", "stop_radius_arcsec = -1"),
+    # a subsection is not a key of its parent section
+    ("pat", "mount = 3"),
+    ("pcs", "polarimeter = 5"),
+    ("pat", "wfov = [1, 2]"),
 ])
 def test_invalid_value_is_config_error(tmp_path, capsys, command, section, line):
     cfg, _ = write_demo_inputs(tmp_path, **{section: [line]})

@@ -1,11 +1,14 @@
 """Scenario files: both formats, round trips, validation."""
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qkdpass.orbit_dynamics import format_tle
-from qkdpass.pat_controller import MountModel
+from qkdpass.pat_controller import DEFAULT_NFOV, MountModel
 from qkdpass.scenario import (Scenario, ScenarioError, load_scenario,
                               save_scenario, scenario_from_nested,
                               scenario_to_nested, write_example)
@@ -60,12 +63,16 @@ def test_nested_sections_reach_subobjects(tmp_path):
         "[pat.mount]\n"
         "systematic_bias_arcsec = [10.0, -20.0]\n"
         "jitter_rms_arcsec = 2.5\n"
+        "[pat.nfov]\n"
+        "frame_rate_hz = 20\n"
         "[detectors.ground]\n"
         "efficiency = 0.25\n"
         "[sync]\n"
         "bin_s = 5e-08\n"
     )
     scenario = load_scenario(path)
+    # a partial section keeps the defaults of the keys it leaves out
+    assert scenario.pat.nfov == replace(DEFAULT_NFOV, frame_rate_hz=20)
     assert scenario.site.latitude_deg == -33.9
     assert scenario.pat.mount == MountModel(systematic_bias_arcsec=(10.0, -20.0),
                                             jitter_rms_arcsec=2.5)
@@ -111,6 +118,10 @@ def test_unknown_section_rejected(tmp_path):
     ("pat.wfov", "detection_snr_threshold"),
     # the frame-offset profile follows from the keys that are set
     ("pcs", "mode"),
+    # a subsection is not a key of its parent
+    ("pat", "mount"),
+    ("pcs", "polarimeter"),
+    ("pat", "wfov"),
 ])
 def test_unknown_key_rejected(tmp_path, section, key):
     path = tmp_path / "bad.cfg"
@@ -168,3 +179,22 @@ def test_malformed_files_surface_as_scenario_error(tmp_path):
     list_json.write_text("[1, 2]")
     with pytest.raises(ScenarioError):
         load_scenario(list_json)
+    scalar_section = tmp_path / "scalar.json"
+    scalar_section.write_text('{"site": 5}')
+    with pytest.raises(ScenarioError, match="invalid \\[site\\]"):
+        load_scenario(scalar_section)
+
+
+# sha256 of the writer's output for the default scenario: files written by
+# earlier versions must keep loading, so the section layout may not drift.
+EXAMPLE_SHA256 = "7dc9a81246bb4a184f14d63420ae7834bfa8de0c52ace10cb452a09cb3c9c62e"
+DEFAULT_JSON_SHA256 = "bc19a41fb9dc6c14e1eb8013f5dc54df3d7f192f8bd9063a1e1f926e46ed756a"
+
+
+def test_writer_bytes_are_pinned(tmp_path):
+    example = tmp_path / "scenario.example"
+    write_example(example)
+    assert hashlib.sha256(example.read_bytes()).hexdigest() == EXAMPLE_SHA256
+    defaults = tmp_path / "defaults.json"
+    save_scenario(Scenario(), defaults)
+    assert hashlib.sha256(defaults.read_bytes()).hexdigest() == DEFAULT_JSON_SHA256
