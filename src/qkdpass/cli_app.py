@@ -26,7 +26,7 @@ from . import __version__
 from .bbm92_pipeline import PassResult, select_pass, simulate_pass
 from .channel_link import LinkProfile, build_link_profile
 from .errors import QkdPassError, SimulationError, TleParseError
-from .orbit_dynamics import max_angular_rate, predict_passes, sample_pass
+from .orbit_dynamics import max_angular_rates, predict_passes, sample_pass
 from .pat_controller import run_pat
 from .photon_source import polarizer_scan, scan_fringe_mean, scan_visibility
 from .quantum_receiver import write_tags_binary, write_tags_csv
@@ -69,6 +69,7 @@ def _load(args) -> Scenario:
 
 
 def _pass_rows(passes, tle, site) -> list[dict]:
+    rates = max_angular_rates(passes, tle, site).tolist()
     return [
         {
             "index": i,
@@ -77,9 +78,9 @@ def _pass_rows(passes, tle, site) -> list[dict]:
             "los_utc": w.los.isoformat(),
             "duration_s": float(w.duration_s),
             "max_elevation_deg": float(w.max_elevation_deg),
-            "max_angular_rate_dps": max_angular_rate(w, tle, site),
+            "max_angular_rate_dps": rate,
         }
-        for i, w in enumerate(passes)
+        for i, (w, rate) in enumerate(zip(passes, rates))
     ]
 
 

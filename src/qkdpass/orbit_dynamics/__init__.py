@@ -10,6 +10,7 @@ from .passes import (
     PassProfile,
     PassWindow,
     max_angular_rate,
+    max_angular_rates,
     predict_passes,
     sample_pass,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "line_checksum",
     "make_tle",
     "max_angular_rate",
+    "max_angular_rates",
     "parse_tle",
     "parse_tle_file",
     "predict_passes",

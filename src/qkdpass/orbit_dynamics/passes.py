@@ -3,7 +3,11 @@
 A pass is the interval during which the satellite's elevation stays at
 or above the configured minimum. Crossings are bracketed on a coarse
 grid and refined by bisection to 0.1 s; every search evaluates all of
-its candidate instants in one array call.
+its candidate instants in one array call. Instants are whole
+microseconds after a reference datetime, converted to Julian dates as
+arrays (julian_dates_us): a datetime is built only for each returned
+AOS, TCA and LOS. The rate table (max_angular_rates) propagates the
+sample grids of all passes in one call.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ import numpy as np
 
 from ..errors import ProfileGap
 from .frames import GroundSite, eci_to_topocentric, site_elevation_deg
-from .sgp4 import Sgp4Propagator, julian_date
+from .sgp4 import Sgp4Propagator, julian_dates_us
 from .tle import TwoLineElement
 
 COARSE_STEP_S = 30.0
@@ -156,7 +160,7 @@ def predict_passes(
         return [start + timedelta(microseconds=int(k)) for k in offsets_us]
 
     def elevation_us(offsets_us: np.ndarray) -> np.ndarray:
-        jd = julian_date(stamps(offsets_us))
+        jd = julian_dates_us(start, offsets_us)
         r, _ = prop.propagate(jd)
         return site_elevation_deg(r, site, jd)
 
@@ -199,20 +203,19 @@ def predict_passes(
     ]
 
 
-def max_angular_rate(
-    window: PassWindow, tle: TwoLineElement, site: GroundSite, step_s: float = 1.0
-) -> float:
-    """Peak sky-plane angular rate over a pass, on the sample_pass grid."""
-    return float(np.max(sample_pass(tle, site, window, step_s).angular_rate_dps))
+def _sample_offsets_us(window: PassWindow, step_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sample_pass grid: seconds since AOS and whole microseconds after AOS."""
+    n = int(math.ceil(window.duration_s / step_s)) + 1
+    times = np.minimum(np.arange(n) * step_s, window.duration_s)
+    return times, _seconds_to_us(times)
 
 
 def sample_pass(
     tle: TwoLineElement, site: GroundSite, window: PassWindow, step_s: float = 1.0
 ) -> PassProfile:
     """Sample pass geometry on a uniform grid from AOS to LOS."""
-    n = int(math.ceil(window.duration_s / step_s)) + 1
-    times = np.minimum(np.arange(n) * step_s, window.duration_s)
-    jd = julian_date([window.aos + timedelta(seconds=float(ts)) for ts in times])
+    times, offsets_us = _sample_offsets_us(window, step_s)
+    jd = julian_dates_us(window.aos, offsets_us)
     r, v = Sgp4Propagator(tle).propagate(jd)
     state = eci_to_topocentric(r, v, site, jd)
     return PassProfile(
@@ -226,3 +229,29 @@ def sample_pass(
         v_teme_kms=v,
         site=site,
     )
+
+
+def max_angular_rates(
+    windows: list[PassWindow], tle: TwoLineElement, site: GroundSite, step_s: float = 1.0
+) -> np.ndarray:
+    """Peak sky-plane angular rate of each pass, on its sample_pass grid.
+
+    Every pass's grid joins one array of whole microseconds after the
+    first AOS, so all passes share one propagation.
+    """
+    if not windows:
+        return np.empty(0)
+    first = windows[0].aos
+    grids = [(w.aos - first) // timedelta(microseconds=1) + _sample_offsets_us(w, step_s)[1]
+             for w in windows]
+    starts = np.cumsum([0] + [g.size for g in grids[:-1]])
+    jd = julian_dates_us(first, np.concatenate(grids))
+    r, v = Sgp4Propagator(tle).propagate(jd)
+    return np.maximum.reduceat(eci_to_topocentric(r, v, site, jd).angular_rate_dps, starts)
+
+
+def max_angular_rate(
+    window: PassWindow, tle: TwoLineElement, site: GroundSite, step_s: float = 1.0
+) -> float:
+    """Peak sky-plane angular rate over one pass (max_angular_rates of one window)."""
+    return float(max_angular_rates([window], tle, site, step_s)[0])

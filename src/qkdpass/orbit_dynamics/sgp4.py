@@ -71,6 +71,42 @@ def julian_date(t):
     )
 
 
+def julian_dates_us(start: datetime, offsets_us) -> np.ndarray:
+    """Julian dates of start + timedelta(microseconds=k) for int64 offsets k.
+
+    Bit for bit what julian_date gives for each of those datetimes
+    (start naive, taken as UTC, or aware with a fixed offset), without
+    building them: the calendar fields come from datetime64[us] and go
+    through julian_date's float operations in the same order.
+    """
+    if start.tzinfo is not None:
+        start = start.astimezone(timezone.utc).replace(tzinfo=None)
+    t = np.datetime64(start, "us") + np.asarray(offsets_us, dtype=np.int64).astype("m8[us]")
+    days = t.astype("M8[D]")
+    months = t.astype("M8[M]")
+    year = t.astype("M8[Y]").astype(np.int64) + 1970
+    month = months.astype(np.int64) % 12 + 1
+    day = (days - months.astype("M8[D]")).astype(np.int64) + 1
+    us_of_day = (t - days).astype(np.int64)
+    hour = us_of_day // 3_600_000_000
+    minute = us_of_day // 60_000_000 % 60
+    second = us_of_day // 1_000_000 % 60
+    microsecond = us_of_day % 1_000_000
+    winter = month <= 2
+    year = year - winter
+    month = month + 12 * winter
+    a = year // 100
+    b = 2 - a + a // 4
+    day_frac = day + (hour + (minute + (second + microsecond * 1e-6) / 60.0) / 60.0) / 24.0
+    return (
+        np.floor(365.25 * (year + 4716))
+        + np.floor(30.6001 * (month + 1))
+        + day_frac
+        + b
+        - 1524.5
+    )
+
+
 def gmst_radians(jd_ut1):
     """Greenwich mean sidereal time from a UT1 Julian date (float or array)."""
     t = (jd_ut1 - 2451545.0) / 36525.0

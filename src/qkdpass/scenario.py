@@ -152,6 +152,10 @@ class Scenario:
             raise TypeError(f"seed {self.seed!r} is not an integer")
         if not isinstance(self.tle_path, (str, type(None))):
             raise TypeError(f"tle_path {self.tle_path!r} is not a string")
+        if self.tle_lines is not None and not (
+                isinstance(self.tle_lines, tuple)
+                and all(isinstance(line, str) for line in self.tle_lines)):
+            raise TypeError(f"tle_lines {self.tle_lines!r} is not a list of strings")
         if not isinstance(self.output_dir, str):
             raise TypeError(f"output_dir {self.output_dir!r} is not a string")
 
@@ -196,6 +200,17 @@ def _walk(config: Any, section: str, visit: Callable) -> Any:
         raise ScenarioError(f"invalid [{section}] configuration: {exc}") from exc
 
 
+def _type_problem(annotation: str, value: Any) -> str | None:
+    """Why a key of this annotation cannot hold value (as read), or None."""
+    if annotation.startswith("tuple") and not isinstance(value, (tuple, type(None))):
+        return "must be a list"
+    if annotation == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+        return "must be an integer"
+    if annotation == "bool" and not isinstance(value, bool):
+        return "must be true or false"
+    return None
+
+
 def scenario_from_nested(data: dict[str, Any]) -> Scenario:
     """Build a scenario from {section: {key: value}}; [scenario] holds its own keys."""
     seen: set[str] = set()
@@ -213,10 +228,9 @@ def scenario_from_nested(data: dict[str, Any]) -> Scenario:
                 raise ScenarioError(f"unknown key {key!r} in [{section}]")
             if isinstance(value, list):
                 value = tuple(value)
-            tuple_key = str(known[key].type).startswith("tuple")
-            if tuple_key and not isinstance(value, (tuple, type(None))):
-                raise ScenarioError(f"invalid [{section}] configuration: "
-                                    f"{key} must be a list")
+            problem = _type_problem(str(known[key].type), value)
+            if problem:
+                raise ScenarioError(f"invalid [{section}] configuration: {key} {problem}")
             updates[key] = value
         return updates
 

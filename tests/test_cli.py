@@ -16,9 +16,10 @@ import pytest
 import qkdpass
 from qkdpass.cli_app import (EXIT_CONFIG, EXIT_INPUT, EXIT_OK,
                              EXIT_SIMULATION, main)
+from qkdpass.orbit_dynamics import format_tle
 from qkdpass.quantum_receiver import read_tags_binary, read_tags_csv
 from qkdpass.scenario import load_scenario
-from conftest import write_demo_inputs
+from conftest import write_demo_inputs, zenith_tle
 
 
 def run(argv):
@@ -66,6 +67,46 @@ def test_predict_json_format(tmp_path):
     assert run(["predict", "--scenario", cfg, "--format", "json"]) == EXIT_OK
     rows = json.loads((tmp_path / "out" / "passes.json").read_text())
     assert rows and {"index", "aos_utc", "duration_s"} <= set(rows[0])
+
+
+# recorded while the pass search still converted one datetime per instant
+# (168 h of passes; the rate column has no other byte-level check)
+PREDICT_SHA256 = {
+    "90.0": {
+        "passes.csv":
+            "4bccbf0b369b3563f7fc5fdf6ec7068663a84f5378871be836599bc3cf127d2d",
+        "passes.json":
+            "3a9a115f28d7a222e8b8abea3380aa49df4c3f576df1535c39f40ad2ffd3ddbf",
+    },
+    "51.6": {
+        "passes.csv":
+            "9693944a57a76c60756dddf1a989fd6862d09f62a687489c13f3c6edf13548d9",
+        "passes.json":
+            "3d246b5fbb08d23250434b8b6d9c16e02d0b6376acb55fc0b0084257e6eb9d8b",
+    },
+    "97.5": {
+        "passes.csv":
+            "251fb9658c2d213a2e3d25c87a848658667cd4f7b2421de9eddb024c64f0a6d7",
+        "passes.json":
+            "002e8683fe4f301cf46b4e382213f1ec131666e161f06459366d2494a341275b",
+    },
+}
+
+
+def _predict_digests(tmp_path, inclination: str) -> dict[str, str]:
+    tle = tmp_path / "sat.tle"
+    tle.write_text("\n".join(format_tle(zenith_tle(inclination=float(inclination)))) + "\n")
+    cfg, _ = write_demo_inputs(tmp_path, scenario=[f'tle_path = "{tle}"'],
+                               prediction=["search_hours = 168"])
+    for fmt in ("csv", "json"):
+        assert run(["predict", "--scenario", cfg, "--format", fmt]) == EXIT_OK
+    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("passes.csv", "passes.json")}
+
+
+@pytest.mark.parametrize("inclination", sorted(PREDICT_SHA256))
+def test_predict_bytes_are_pinned(tmp_path, capsys, inclination):
+    assert _predict_digests(tmp_path, inclination) == PREDICT_SHA256[inclination]
 
 
 def test_predict_no_passes_is_success(tmp_path, capsys):
@@ -188,6 +229,14 @@ def test_corrupt_tle_is_input_error(tmp_path, capsys, command):
     ("scenario", "seed = true"),
     ("scenario", "tle_path = 5"),
     ("scenario", "output_dir = 5"),
+    ("scenario", "tle_lines = [1, 2]"),
+    ("sync", "min_matched = 2.5"),
+    ("sync", "min_matched = 200.0"),
+    ("protocol", "max_source_events = 1.5"),
+    ("protocol", "max_source_events = true"),
+    ("protocol", "ad_anticorrelated = 3"),
+    ("protocol", 'ad_anticorrelated = "yes"'),
+    ("pat", "dropout_limit = 5.5"),
     ("link", "spot_radius_arcsec = 0"),
     ("link", "spot_radius_arcsec = -3"),
     ("link", "stop_radius_arcsec = -1"),

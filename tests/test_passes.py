@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import qkdpass.orbit_dynamics.passes as passes
 import qkdpass.orbit_dynamics.sgp4 as sgp4
 from qkdpass.errors import ProfileGap
 from qkdpass.orbit_dynamics import (Sgp4Propagator, eci_to_topocentric, julian_date,
-                                    max_angular_rate, predict_passes, sample_pass)
+                                    max_angular_rates, predict_passes, sample_pass)
 from conftest import EPOCH, SITE, zenith_tle
 
 
@@ -113,10 +113,27 @@ def test_range_minimum_near_tca(zenith_pass, zenith_profile):
 
 def test_max_angular_rate_overhead(zenith_pass):
     tle, window = zenith_pass
-    fine = max_angular_rate(window, tle, SITE)
+    (fine,) = max_angular_rates([window], tle, SITE)
     assert 0.7 <= fine <= 1.1
-    coarse = max_angular_rate(window, tle, SITE, step_s=2.0)
+    (coarse,) = max_angular_rates([window], tle, SITE, step_s=2.0)
     assert coarse == pytest.approx(fine, rel=0.02)
+
+
+@pytest.mark.parametrize("step_s", [1.0, 2.0])
+@pytest.mark.parametrize("inclination", [90.0, 51.6, 97.5])
+def test_max_angular_rates_match_each_profile(inclination, step_s):
+    """One propagation for every pass gives each pass's profile maximum bit for bit."""
+    tle = zenith_tle(inclination=inclination)
+    windows = predict_passes(tle, SITE, EPOCH, EPOCH + timedelta(hours=48))
+    assert len(windows) >= 3
+    expected = [sample_pass(tle, SITE, w, step_s).angular_rate_dps.max() for w in windows]
+    assert max_angular_rates(windows, tle, SITE, step_s).tobytes() == \
+        np.array(expected).tobytes()
+
+
+def test_max_angular_rates_of_no_passes():
+    rates = max_angular_rates([], zenith_tle(), SITE)
+    assert rates.shape == (0,) and rates.dtype == float
 
 
 def test_lower_mean_motion_longer_pass(zenith_pass):
@@ -165,18 +182,53 @@ def conversions(monkeypatch):
 def test_predict_passes_converts_each_instant_once(conversions):
     windows = predict_passes(zenith_tle(), SITE, EPOCH, EPOCH + timedelta(hours=12))
     assert windows and conversions["instants"] > 1000
-    # one conversion per propagated instant, plus the element-set epoch
-    assert conversions["datetimes"] == conversions["instants"] + 1
+    # instants convert once, as arrays; the element-set epoch is the only datetime
+    assert conversions["datetimes"] == 1
 
 
 def test_sample_pass_converts_each_instant_once(zenith_pass, conversions):
     tle, window = zenith_pass
     profile = sample_pass(tle, SITE, window, step_s=1.0)
     assert conversions["instants"] == len(profile.times_s)
-    assert conversions["datetimes"] == conversions["instants"] + 1
+    assert conversions["datetimes"] == 1
+
+
+def test_max_angular_rates_propagate_once(conversions):
+    tle = zenith_tle()
+    windows = predict_passes(tle, SITE, EPOCH, EPOCH + timedelta(hours=24))
+    conversions.update(datetimes=0, instants=0)
+    max_angular_rates(windows, tle, SITE)
+    assert conversions["instants"] == sum(
+        int(np.ceil(w.duration_s)) + 1 for w in windows)
+    assert conversions["datetimes"] == 1
 
 
 def test_sample_pass_jd_is_each_sample_instant(zenith_pass, zenith_profile):
     _, window = zenith_pass
     stamps = [window.aos + timedelta(seconds=float(ts)) for ts in zenith_profile.times_s]
     assert np.array_equal(zenith_profile.jd, julian_date(stamps))
+
+
+@pytest.mark.parametrize("start", [
+    datetime(2024, 2, 28, 23, 59, 59, 999_999),
+    datetime(2024, 2, 28, 23, 59, 59, 999_999, tzinfo=timezone.utc),
+    datetime(2023, 12, 31, 23, 59, 30, tzinfo=timezone(timedelta(hours=8))),
+])
+def test_julian_dates_us_match_each_datetime(start):
+    """Offsets across a leap day, month ends and a year end, and sample-grid fractions."""
+    days = np.arange(-3, 370) * 86_400_000_000
+    offsets = np.concatenate([
+        np.add.outer(days, [0, 1, 499_999, 999_999, 3_599_999_999]).ravel(),
+        passes._seconds_to_us(np.minimum(np.arange(700) * 0.7, 483.123456789)),
+        passes._seconds_to_us(np.arange(400) * 0.1 + 1e-7),
+    ])
+    stamps = [start + timedelta(microseconds=int(k)) for k in offsets]
+    assert {(t.month, t.day) for t in stamps} >= {(2, 29), (3, 1), (12, 31), (1, 1)}
+    assert sgp4.julian_dates_us(start, offsets).tobytes() == julian_date(stamps).tobytes()
+
+
+def test_seconds_to_us_rounds_as_timedelta():
+    seconds = np.concatenate([np.arange(2000) * 0.1, np.arange(2000) * 0.7,
+                              np.arange(2000) * 1e-7, [0.5e-6, 1.5e-6, 2.5e-6, 483.0000005]])
+    expected = [timedelta(seconds=float(s)) // timedelta(microseconds=1) for s in seconds]
+    assert passes._seconds_to_us(seconds).tolist() == expected
