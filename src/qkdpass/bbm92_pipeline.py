@@ -35,7 +35,7 @@ from .polarization_correction import PcsSeries, frame_offset_profile, \
     run_polarization_correction
 from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                DetectorModel, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
-                               SyncResult, TagStream, apply_detector,
+                               SyncResult, TagStream, _is_sorted, apply_detector,
                                beacon_clock_sync, channel_basis, channel_bit,
                                find_coincidences, measure_polarization)
 from .scenario import Scenario
@@ -364,21 +364,15 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             rng=module_rng(seed, "quantum_receiver.ground"),
             ad_anticorrelated=proto.ad_anticorrelated, rows=signal_idx,
         )
-        bg_times = channel.background_times
         bg_channels = module_rng(seed, "quantum_receiver.ground.background").integers(
-            0, 4, size=len(bg_times), dtype=np.uint8
+            0, 4, size=len(channel.background_times), dtype=np.uint8
         )
-        arrivals = np.concatenate([signal_emit + flight_s(signal_emit), bg_times])
-        chans = np.concatenate([signal_channels, bg_channels])
-        origins = np.concatenate([
-            np.full(len(signal_idx), ORIGIN_SIGNAL, dtype=np.uint8),
-            np.full(len(bg_times), ORIGIN_BACKGROUND, dtype=np.uint8),
-        ])
-        order = np.argsort(arrivals, kind="stable")
-        arrivals, chans, origins = arrivals[order], chans[order], origins[order]
-        # only the sorted arrivals go on: free the unsorted columns and the
-        # background times before the detector makes its own copies
-        del order, channel, bg_times, bg_channels, signal_channels
+        arrivals, chans, origins = _ground_arrivals(
+            signal_emit + flight_s(signal_emit), signal_channels,
+            channel.background_times, bg_channels)
+        # only the merged arrivals go on: free the background columns
+        # before the detector makes its own
+        del channel, bg_channels, signal_channels
         ground_tags = apply_detector(
             arrivals, chans,
             scenario.ground_detector, scenario.clock,
@@ -386,6 +380,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             span_s=ground_span,
             origins=origins,
         )
+        del arrivals, chans, origins
 
         # classical beacon: bright pulse train, lost only in a blackout
         beacon_keep = link.transmittance_at(stream.beacon_times) > BEACON_BLACKOUT
@@ -421,10 +416,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
                 stream.beacon_times, scenario)
 
             # beacon tags are a stream of their own: both arms' tags are quad
-            emit_q = _emission_estimate(ground_tags.times_s, sync.clock, flight_s)
-            t_hat = sync.clock.invert(
-                ground_tags.times_s - flight_s(emit_q) * (1.0 + sync.clock.drift))
-            ground_corrected = ground_tags.with_times(t_hat)
+            ground_corrected = ground_tags.with_times(
+                _corrected_times(ground_tags.times_s, sync.clock, flight_s))
 
             coincidences = find_coincidences(
                 onboard_tags.times_s,
@@ -508,3 +501,54 @@ def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:
     t0 = clock.invert(np.asarray(tag_times_s, dtype=float))
     t1 = t0 - flight_s(t0)
     return t0 - flight_s(t1)
+
+
+# Tags per step of _corrected_times: bounds its temporaries.
+_CORRECTION_BLOCK = 1 << 16
+
+
+def _corrected_times(tag_times_s: np.ndarray, clock: ClockModel,
+                     flight_s) -> np.ndarray:
+    """Reference-time estimate of each ground tag, a block at a time.
+
+    Per tag, clock.invert(tag - flight(emit) * (1 + drift)) with emit
+    from _emission_estimate: elementwise operations, so the blocks give
+    the values of one whole-array evaluation.
+    """
+    out = np.empty(len(tag_times_s))
+    for start in range(0, len(out), _CORRECTION_BLOCK):
+        tags = tag_times_s[start:start + _CORRECTION_BLOCK]
+        emit = _emission_estimate(tags, clock, flight_s)
+        out[start:start + _CORRECTION_BLOCK] = clock.invert(
+            tags - flight_s(emit) * (1.0 + clock.drift))
+    return out
+
+
+def _ground_arrivals(
+    signal_t: np.ndarray, signal_channels: np.ndarray,
+    background_t: np.ndarray, background_channels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrival times, channels and origins of both ground streams, in time order.
+
+    The order is that of a stable argsort of the signal rows followed
+    by the background rows. Both inputs are sorted in practice (a
+    monotone flight time; background drawn in order), so the signal
+    rows are inserted into the background ahead of equal times. The
+    background's inverse-CDF map cannot rule out a rounding inversion
+    at a rate step, so an input out of order takes the argsort.
+    """
+    if not (_is_sorted(signal_t) and _is_sorted(background_t)):
+        arrivals = np.concatenate([signal_t, background_t])
+        order = np.argsort(arrivals, kind="stable")
+        origins = np.repeat(np.array([ORIGIN_SIGNAL, ORIGIN_BACKGROUND], dtype=np.uint8),
+                            [len(signal_t), len(background_t)])
+        return (arrivals[order],
+                np.concatenate([signal_channels, background_channels])[order],
+                origins[order])
+    at = np.searchsorted(background_t, signal_t, side="left")
+    origins = np.full(len(signal_t) + len(background_t), ORIGIN_BACKGROUND,
+                      dtype=np.uint8)
+    origins[at + np.arange(len(at))] = ORIGIN_SIGNAL
+    return (np.insert(background_t, at, signal_t),
+            np.insert(background_channels, at, signal_channels),
+            origins)

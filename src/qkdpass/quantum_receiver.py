@@ -20,7 +20,7 @@ import numpy as np
 from .errors import OutOfRange, SyncFailed
 from .photon_source import BASIS_HV, PairEventStream, qber_from_visibility
 from .polarization_correction import qber_from_residual
-from .seeding import _uniform_below, module_rng
+from .seeding import _add_normal, _uniform_below, module_rng
 
 MODULE_NAME = "quantum_receiver"
 
@@ -110,9 +110,86 @@ class TagStream:
         return len(self.times_s)
 
     def with_times(self, times_s: np.ndarray) -> TagStream:
-        order = np.argsort(times_s, kind="stable")
-        return TagStream(np.asarray(times_s, dtype=float)[order],
-                         self.channels[order], self.origins[order])
+        """The same tags at new times, re-sorted stably.
+
+        Times already in order keep the row order, so the channel and
+        origin columns are shared rather than copied.
+        """
+        times = np.asarray(times_s, dtype=float)
+        if _is_sorted(times):
+            return TagStream(times, self.channels, self.origins)
+        order = np.argsort(times, kind="stable")
+        return TagStream(times[order], self.channels[order], self.origins[order])
+
+
+def _is_sorted(times: np.ndarray) -> bool:
+    """Whether times never decrease (False if any time is NaN)."""
+    return bool(np.all(times[1:] >= times[:-1]))
+
+
+# Rows per step of _compress: bounds its temporaries.
+_ROW_CHUNK = 1 << 16
+
+
+def _compress(mask: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """column[mask] for each column, gathered _ROW_CHUNK rows at a time.
+
+    A gather by index is several times faster than a boolean mask on
+    randomly thinned rows; taken a chunk at a time it needs no
+    full-length index array, and each chunk's rows serve every column.
+    The rows are in range, so take runs unchecked ("clip"), which also
+    spares it a buffered copy of out.
+    """
+    n_out = int(np.count_nonzero(mask))
+    out = [np.empty(n_out, dtype=column.dtype) for column in columns]
+    done = 0
+    for start in range(0, len(mask), _ROW_CHUNK):
+        rows = np.flatnonzero(mask[start:start + _ROW_CHUNK])
+        for column, gathered in zip(columns, out):
+            column[start:start + _ROW_CHUNK].take(
+                rows, out=gathered[done:done + len(rows)], mode="clip")
+        done += len(rows)
+    return out
+
+
+# Rows per block of _sort_in_place: small, so that the blocks a few
+# out-of-order rows fall in are a small share of a stream.
+_SORT_BLOCK = 1 << 12
+
+
+def _sort_in_place(times: np.ndarray, *columns: np.ndarray) -> None:
+    """Stable-sort finite times in place, permuting the columns with them.
+
+    Row i is already where a stable argsort puts it when no earlier
+    time is larger and no later time smaller. Only the other rows are
+    gathered, sorted among themselves and written back to their own
+    places. A block of rows that is sorted and lies between the largest
+    time before it and the smallest after it holds no such row, so only
+    the other blocks are searched. Arrivals plus timing jitter are
+    near-sorted: few blocks are searched and few rows move.
+    """
+    if not len(times):
+        return
+    starts = np.arange(0, len(times), _SORT_BLOCK)
+    lows = np.minimum.reduceat(times, starts)
+    highs = np.maximum.reduceat(times, starts)
+    earlier = np.maximum.accumulate(np.append(-np.inf, highs[:-1]))
+    later = np.minimum.accumulate(np.append(lows[1:], np.inf)[::-1])[::-1]
+    search = (lows < earlier) | (highs > later)
+    search[(np.flatnonzero(times[1:] < times[:-1]) + 1) // _SORT_BLOCK] = True
+    out_of_place = [np.empty(0, dtype=np.intp)]
+    for k in np.flatnonzero(search):
+        start = starts[k]
+        t = times[start:start + _SORT_BLOCK]
+        before = np.maximum.accumulate(np.append(earlier[k], t))
+        after = np.minimum.accumulate(np.append(t, later[k])[::-1])[::-1]
+        out_of_place.append(
+            np.flatnonzero((before[:-1] > t) | (t > after[1:])) + start)
+    rows = np.concatenate(out_of_place)
+    if len(rows):
+        order = rows[np.argsort(times[rows], kind="stable")]
+        for column in (times, *columns):
+            column[rows] = column[order]
 
 
 def measure_polarization(
@@ -227,28 +304,44 @@ def apply_detector(
     _prune_dead_time). span_s (in arrival-side time) bounds the
     dark-count window; it defaults to the arrival extent and is
     required for empty arrival lists when dark counts matter.
+
+    The tags come out in the order of a stable argsort of the jittered
+    arrivals followed by the dark counts: arrivals go first on equal
+    times. Arrivals sorted on input stay near-sorted after the jitter,
+    so they are sorted in place (_sort_in_place); the few dark counts
+    are sorted on their own and merged in, per channel for the dead
+    time and once more for the output.
     """
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".detector")
     times = np.asarray(arrival_times_s, dtype=float)
+    columns = [times, np.asarray(channels)]
+    if origins is not None:
+        columns.append(np.asarray(origins))
+    if any(len(column) != len(times) for column in columns):
+        raise ValueError("arrival columns must share one length")
 
-    kept = np.flatnonzero(_uniform_below(rng, (model.efficiency,), (0, len(times))))
-    times = times.take(kept)
-    chan = np.asarray(channels).take(kept).astype(np.uint8, copy=False)
+    kept = _uniform_below(rng, (model.efficiency,), (0, len(times)))
     if origins is None:
-        orig = np.full(len(kept), ORIGIN_SIGNAL, dtype=np.uint8)
+        times, chan = _compress(kept, *columns)
+        orig = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8)
     else:
-        orig = np.asarray(origins).take(kept).astype(np.uint8, copy=False)
-    del kept
+        times, chan, orig = _compress(kept, *columns)
+        orig = orig.astype(np.uint8, copy=False)
+    chan = chan.astype(np.uint8, copy=False)
+    del kept, columns
 
-    if model.timing_jitter_rms_s > 0.0 and len(times):
-        times += rng.normal(0.0, model.timing_jitter_rms_s, size=len(times))
-    times = clock.apply(times)
+    if model.timing_jitter_rms_s > 0.0:
+        _add_normal(rng, times, model.timing_jitter_rms_s)
+    # clock.apply, in place
+    times *= 1.0 + clock.drift
+    times += clock.offset_s
 
     if span_s is None:
         span_s = (float(arrival_times_s[0]), float(arrival_times_s[-1])) \
             if len(arrival_times_s) else (0.0, 0.0)
     lo, hi = clock.apply(np.asarray(span_s, dtype=float))
+    dark_t, dark_c = np.empty(0), np.empty(0, dtype=np.uint8)
     if model.dark_rate_hz > 0.0 and hi > lo:
         extra_t, extra_c = [], []
         for channel in QUAD_CHANNELS:
@@ -256,23 +349,43 @@ def apply_detector(
             extra_t.append(rng.uniform(lo, hi, size=n_dark))
             extra_c.append(np.full(n_dark, channel, dtype=np.uint8))
         dark_t = np.concatenate(extra_t)
-        times = np.concatenate([times, dark_t])
-        chan = np.concatenate([chan, np.concatenate(extra_c)])
-        orig = np.concatenate([orig, np.full(len(dark_t), ORIGIN_DARK, dtype=np.uint8)])
+        order = np.argsort(dark_t, kind="stable")
+        dark_t, dark_c = dark_t[order], np.concatenate(extra_c)[order]
 
-    order = np.argsort(times, kind="stable")
-    times, chan, orig = times[order], chan[order], orig[order]
-    del order  # frees n indices before the channel grouping takes as many
+    _sort_in_place(times, chan, orig)
 
-    if model.dead_time_s > 0.0 and len(times):
-        # each channel's rows, in time order: one scan per channel number
-        # in the span the tags use (the four quad channels on both arms)
+    if model.dead_time_s > 0.0:
         keep = np.empty(len(times), dtype=bool)
-        for channel in range(int(chan.min()), int(chan.max()) + 1):
+        keep_dark = np.empty(len(dark_t), dtype=bool)
+        # the channel codes that occur (a bincount would copy chan to intp)
+        present = np.zeros(256, dtype=bool)
+        present[chan] = True
+        present[dark_c] = True
+        for channel in np.flatnonzero(present):
             rows = np.flatnonzero(chan == channel)
-            keep[rows] = _prune_dead_time(times[rows], model.dead_time_s)
-        times, chan, orig = times[keep], chan[keep], orig[keep]
+            darks = np.flatnonzero(dark_c == channel)
+            merged = times[rows]
+            # this channel's darks go after its arrivals at equal times
+            at = np.searchsorted(merged, dark_t[darks], side="right")
+            merged = np.insert(merged, at, dark_t[darks])
+            alive = _prune_dead_time(merged, model.dead_time_s)
+            slots = at + np.arange(len(at))
+            keep_dark[darks] = alive[slots]
+            keep[rows] = np.delete(alive, slots)
+            del rows, merged, alive
+        # one column at a time, the widest last: each full-length column
+        # goes as soon as its output-size copy is made
+        chan, = _compress(keep, chan)
+        orig, = _compress(keep, orig)
+        times, = _compress(keep, times)
+        del keep
+        dark_t, dark_c = dark_t[keep_dark], dark_c[keep_dark]
 
+    if len(dark_t):
+        at = np.searchsorted(times, dark_t, side="right")
+        times = np.insert(times, at, dark_t)
+        chan = np.insert(chan, at, dark_c)
+        orig = np.insert(orig, at, ORIGIN_DARK)
     return TagStream(times, chan, orig)
 
 
@@ -555,7 +668,7 @@ def write_tags_binary(stream: TagStream, path: str | Path) -> None:
     records = np.empty(len(stream), dtype=_BINARY_DTYPE)
     records["time_s"] = stream.times_s
     records["channel"] = stream.channels
-    Path(path).write_bytes(records.tobytes())
+    records.tofile(path)
 
 
 def read_tags_binary(path: str | Path) -> TagStream:

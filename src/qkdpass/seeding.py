@@ -5,8 +5,9 @@ draws from its own ``numpy`` generator seeded with
 ``seed XOR sha256(module_name)[:8]`` so that module-level tests and the
 end-to-end pipeline see identical streams. A module with several noise
 sources spawns one child stream per source from that same seed.
-Long per-row thinning draws over photon streams go through
-``_uniform_below``, which draws the same uniforms a chunk at a time.
+Long per-row draws over photon streams go through ``_uniform_below``
+(thinning) and ``_add_normal`` (timing jitter), which draw the same
+values as one whole draw, a chunk at a time.
 """
 import hashlib
 
@@ -51,3 +52,18 @@ def _uniform_below(rng: np.random.Generator, probs, bounds) -> np.ndarray:
             stop = min(start + _DRAW_CHUNK, int(hi))
             np.less(rng.random(stop - start), p, out=below[start:stop])
     return below
+
+
+def _add_normal(rng: np.random.Generator, values: np.ndarray, scale: float) -> None:
+    """values += rng.normal(0.0, scale, len(values)), in place.
+
+    The normals are drawn _DRAW_CHUNK at a time as scale times
+    standard normals: rng.normal computes 0.0 + scale * z from the same
+    z, so the sums and the generator's final state are those of one
+    whole draw.
+    """
+    for start in range(0, len(values), _DRAW_CHUNK):
+        block = values[start:start + _DRAW_CHUNK]
+        z = rng.standard_normal(len(block))
+        z *= scale
+        block += z

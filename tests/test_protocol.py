@@ -18,7 +18,8 @@ from qkdpass.errors import EmptyKey, LowSample, OutOfRange, SimulationError
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
 from qkdpass.polarization_correction import PcsSeries
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_D, CHANNEL_H,
-                                      CHANNEL_V, ORIGIN_SIGNAL, QUAD_CHANNELS,
+                                      CHANNEL_V, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
+                                      QUAD_CHANNELS, ClockModel,
                                       measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
 from conftest import base_scenario
@@ -243,6 +244,74 @@ def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
     assert len(signal_arrivals) == 1
     assert residual_sizes == signal_arrivals
     assert 0 < signal_arrivals[0] < len(result.stream)
+
+
+def reference_ground_arrivals(signal_t, signal_c, background_t, background_c):
+    """Concatenate and stable-argsort: the glue the merge replaces."""
+    arrivals = np.concatenate([signal_t, background_t])
+    chans = np.concatenate([signal_c, background_c])
+    origins = np.concatenate([
+        np.full(len(signal_t), ORIGIN_SIGNAL, dtype=np.uint8),
+        np.full(len(background_t), ORIGIN_BACKGROUND, dtype=np.uint8),
+    ])
+    order = np.argsort(arrivals, kind="stable")
+    return arrivals[order], chans[order], origins[order]
+
+
+def assert_matches_reference_glue(signal_t, background_t, seed):
+    rng = np.random.default_rng(seed)
+    signal_c = rng.integers(0, 4, len(signal_t), dtype=np.uint8)
+    background_c = rng.integers(0, 4, len(background_t), dtype=np.uint8)
+    got = pipeline._ground_arrivals(signal_t, signal_c, background_t, background_c)
+    want = reference_ground_arrivals(signal_t, signal_c, background_t, background_c)
+    for column, expected in zip(got, want):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_signal=st.integers(min_value=0, max_value=60),
+    n_background=st.integers(min_value=0, max_value=200),
+    grid=st.sampled_from([None, 0.05]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ground_arrivals_match_concatenate_and_argsort(n_signal, n_background,
+                                                       grid, seed):
+    # on a coarse grid many signal and background times tie exactly
+    rng = np.random.default_rng(seed)
+    signal_t = np.sort(rng.uniform(0.0, 1.0, n_signal))
+    background_t = np.sort(rng.uniform(0.0, 1.0, n_background))
+    if grid:
+        signal_t, background_t = (np.round(t / grid) * grid
+                                  for t in (signal_t, background_t))
+    assert_matches_reference_glue(signal_t, background_t, seed)
+
+
+def test_ground_arrivals_fall_back_on_out_of_order_input():
+    # one rounding inversion in the background, then one in the signal: an
+    # insertion by binary search would misplace rows, the argsort does not
+    background_t = np.array([0.0, 0.1, 0.2, np.nextafter(0.2, -1.0), 0.2, 0.3])
+    signal_t = np.array([0.05, 0.2, 0.25])
+    assert not pipeline._is_sorted(background_t)
+    assert_matches_reference_glue(signal_t, background_t, seed=1)
+    assert_matches_reference_glue(signal_t[::-1], np.sort(background_t), seed=2)
+
+
+def test_corrected_times_blocks_match_one_evaluation(monkeypatch):
+    rng = np.random.default_rng(17)
+    tags = np.sort(rng.uniform(0.0, 20.0, 1000))
+    clock = ClockModel(offset_s=2e-3, drift=4e-6)
+    profile_t = np.linspace(-5.0, 30.0, 36)
+    profile_km = 500.0 + 10.0 * (profile_t - 12.0) ** 2
+
+    def flight_s(t):
+        return np.interp(t, profile_t, profile_km) / pipeline.SPEED_OF_LIGHT_KM_S
+
+    emit = pipeline._emission_estimate(tags, clock, flight_s)
+    want = clock.invert(tags - flight_s(emit) * (1.0 + clock.drift))
+    monkeypatch.setattr(pipeline, "_CORRECTION_BLOCK", 7)
+    assert pipeline._corrected_times(tags, clock, flight_s).tobytes() == want.tobytes()
 
 
 def test_simulate_pass_deterministic(sim_result):

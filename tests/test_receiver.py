@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdpass import quantum_receiver
 from qkdpass.errors import OutOfRange, SyncFailed
 from qkdpass.photon_source import SourceConfig, beacon_schedule, generate_pair_stream
 from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
+                                      _sort_in_place,
                                       CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
                                       CHANNEL_H, CHANNEL_V, ORIGIN_DARK,
                                       ORIGIN_SIGNAL, QUAD_CHANNELS, ClockModel,
@@ -116,6 +120,22 @@ def test_tag_stream_invariants():
     shuffled = stream.with_times(np.array([3.0, 2.0, 1.0, 0.0]))
     assert np.all(np.diff(shuffled.times_s) >= 0.0)
     assert shuffled.channels[0] == CHANNEL_H  # carried along with its new time
+
+
+def test_tag_stream_with_times_keeps_order():
+    stream = TagStream(
+        np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([CHANNEL_H, CHANNEL_V, CHANNEL_A, CHANNEL_D], np.uint8),
+        np.arange(4, dtype=np.uint8),
+    )
+    # times still in order: the rows stay put and the columns are shared
+    shifted = stream.with_times(stream.times_s + 0.5)
+    assert shifted.channels is stream.channels
+    assert shifted.origins is stream.origins
+    # equal times keep their row order, as a stable argsort does
+    moved = stream.with_times(np.array([2.0, 1.0, 1.0, 0.0]))
+    assert moved.times_s.tolist() == [0.0, 1.0, 1.0, 2.0]
+    assert moved.origins.tolist() == [3, 1, 2, 0]
 
 
 def _perfect_stream(seed: int = 1, duration: float = 0.5):
@@ -297,6 +317,113 @@ def test_detector_matches_mask_and_argsort_form(case):
     assert got_rng.random() == want_rng.random()
 
 
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+CLOCKS = st.sampled_from([IDENTITY, ClockModel(offset_s=1.5e-3, drift=3e-6),
+                          ClockModel(offset_s=-2e-3, drift=-5e-5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=120),
+    ties=st.integers(min_value=0, max_value=30),
+    shuffled=st.booleans(),
+    codes=st.sampled_from([QUAD_CHANNELS, (CHANNEL_H, CHANNEL_D, CHANNEL_BEACON)]),
+    with_origins=st.booleans(),
+    efficiency=st.sampled_from([0.7, 1.0]),
+    dark_rate=st.sampled_from([0.0, 2e4]),
+    dead_time=st.sampled_from([0.0, 1e-6, 5e-5]),
+    jitter=st.sampled_from([0.0, 3e-7]),
+    clock=CLOCKS,
+    chunk=st.sampled_from([1, 5, 64]),
+    seed=SEEDS,
+)
+def test_detector_matches_reference_properties(n, ties, shuffled, codes, with_origins,
+                                               efficiency, dark_rate, dead_time,
+                                               jitter, clock, chunk, seed):
+    # small row chunks run the chunked gathers and sort over many blocks;
+    # n = 0 with dark counts is a dark-only stream, without them an empty one
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, 1e-3, n)
+    if n:
+        times = np.concatenate([times, rng.choice(times, ties)])  # identical times
+    times = rng.permutation(times) if shuffled else np.sort(times)
+    channels = rng.choice(codes, size=len(times)).astype(np.uint8)
+    origins = rng.integers(0, 3, size=len(times)).astype(np.uint8) \
+        if with_origins else None
+    model = DetectorModel(efficiency=efficiency, dark_rate_hz=dark_rate,
+                          dead_time_s=dead_time, timing_jitter_rms_s=jitter)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_detector(times, channels, model, clock, want_rng,
+                              span_s=(0.0, 1e-3), origins=origins)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum_receiver, "_ROW_CHUNK", chunk)
+        patch.setattr(quantum_receiver, "_SORT_BLOCK", chunk)
+        got = apply_detector(times, channels, model, clock, rng=got_rng,
+                             span_s=(0.0, 1e-3), origins=origins)
+    for column, expected in zip((got.times_s, got.channels, got.origins), want):
+        assert column.tobytes() == expected.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=300),
+    spread=st.sampled_from([0.0, 1e-3, 0.05, 10.0]),
+    grid=st.sampled_from([None, 0.01]),
+    chunk=st.sampled_from([1, 3, 16, 1 << 16]),
+    seed=SEEDS,
+)
+def test_sort_in_place_is_stable_argsort(n, spread, grid, chunk, seed):
+    # sorted times plus noise of a few gaps (spread 10 shuffles them), on a
+    # coarse grid for exact ties
+    rng = np.random.default_rng(seed)
+    times = np.arange(n) / max(n, 1) + spread * rng.standard_normal(n)
+    if grid:
+        times = np.round(times / grid) * grid
+    rows = np.arange(n)
+    order = np.argsort(times, kind="stable")
+    want_times, want_rows = times[order], rows[order]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum_receiver, "_SORT_BLOCK", chunk)
+        _sort_in_place(times, rows)
+    assert times.tobytes() == want_times.tobytes()
+    assert np.array_equal(rows, want_rows)
+
+
+def test_detector_peak_memory_per_arrival():
+    # the detector's own columns stay near one copy of the kept rows plus
+    # the output; the full concatenate-and-argsort form peaked at 14 B
+    n = 2_000_000
+    rng = np.random.default_rng(3)
+    times = np.sort(rng.uniform(0.0, 4.0, n))
+    channels = rng.choice(QUAD_CHANNELS, size=n).astype(np.uint8)
+    origins = rng.integers(0, 3, size=n).astype(np.uint8)
+    model = DetectorModel(efficiency=0.5, dark_rate_hz=100.0, dead_time_s=1e-6)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tags = apply_detector(times, channels, model, IDENTITY, rng=1,
+                              span_s=(0.0, 4.0), origins=origins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert 0.4 * n < len(tags) < 0.5 * n
+    assert (peak - base) / n <= 10.0
+
+
+def test_detector_rejects_columns_of_other_lengths():
+    times = np.arange(5) * 1e-3
+    with pytest.raises(ValueError):
+        apply_detector(times, np.zeros(4, np.uint8), IDEAL, IDENTITY, rng=0)
+    with pytest.raises(ValueError):
+        apply_detector(times, np.zeros(5, np.uint8), IDEAL, IDENTITY, rng=0,
+                       origins=np.zeros(6, np.uint8))
+
+
 def test_detector_identity_chain():
     times = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 200))
     channels = np.full(200, CHANNEL_H, np.uint8)
@@ -375,6 +502,32 @@ def test_detector_dead_time_per_channel_matches_loop():
     assert np.array_equal(tags.times_s, times[keep])
     assert np.array_equal(tags.channels, channels[keep])
     assert np.array_equal(tags.origins, origins[keep])
+
+
+def test_detector_dead_time_visits_present_channels_only(monkeypatch):
+    # a beacon code next to quad codes: three channels to prune, not the
+    # 256 codes from the lowest to the highest
+    rng = np.random.default_rng(16)
+    codes = (CHANNEL_H, CHANNEL_D, CHANNEL_BEACON)
+    times = np.sort(rng.uniform(0.0, 2e-3, 4500))
+    channels = rng.choice(codes, size=4500).astype(np.uint8)
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=1e-6,
+                          timing_jitter_rms_s=0.0)
+    pruned = []
+
+    def counting_prune(channel_times, dead_time_s):
+        pruned.append(len(channel_times))
+        return _prune_dead_time(channel_times, dead_time_s)
+
+    monkeypatch.setattr(quantum_receiver, "_prune_dead_time", counting_prune)
+    tags = apply_detector(times, channels, model, IDENTITY, rng=0)
+    keep = np.ones(len(times), dtype=bool)
+    for channel in codes:
+        mask = channels == channel
+        keep[mask] = reference_prune_dead_time(times[mask], 1e-6)
+    assert sorted(pruned) == sorted(int(np.count_nonzero(channels == c)) for c in codes)
+    assert np.array_equal(tags.times_s, times[keep])
+    assert np.array_equal(tags.channels, channels[keep])
 
 
 @settings(max_examples=200, deadline=None)
@@ -620,6 +773,19 @@ def test_tags_csv_round_trip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
         read_tags_csv(bad)
+
+
+# recorded while the export still copied its records to one bytes object
+TAGS_BINARY_SHA256 = "e663db05679e0e7e5ba1fef514346274c1bfb5258d48740c950d2405639ae834"
+
+
+def test_tags_binary_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(12)
+    times = np.sort(rng.uniform(0.0, 450.0, 1000))
+    channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], 1000).astype(np.uint8)
+    path = tmp_path / "tags.bin"
+    write_tags_binary(TagStream(times, channels, np.zeros(1000, np.uint8)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_BINARY_SHA256
 
 
 def test_tags_binary_round_trip(tmp_path):

@@ -1,4 +1,4 @@
-"""Chunked uniform draws: the same stream as one whole draw."""
+"""Chunked uniform and normal draws: the same stream as one whole draw."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdpass import seeding
-from qkdpass.seeding import _uniform_below
+from qkdpass.seeding import _add_normal, _uniform_below
 
 CHUNKS = st.sampled_from([1, 7, 64])
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -29,4 +29,16 @@ def test_uniform_below_is_one_draw(sizes, probs, chunk, seed):
         patch.setattr(seeding, "_DRAW_CHUNK", chunk)
         got = _uniform_below(got_rng, p, bounds)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("n", [0, seeding._DRAW_CHUNK - 1, seeding._DRAW_CHUNK,
+                               3 * seeding._DRAW_CHUNK + 5])
+def test_add_normal_is_one_draw(n):
+    values = np.linspace(0.0, 450.0, n)
+    want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+    want = values + want_rng.normal(0.0, 1e-10, n)
+    got = values.copy()
+    _add_normal(got_rng, got, 1e-10)
+    assert got.tobytes() == want.tobytes()
     assert got_rng.random() == want_rng.random()
