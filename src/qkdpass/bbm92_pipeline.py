@@ -27,8 +27,8 @@ import numpy as np
 from .channel_link import LinkProfile, apply_channel, build_link_profile
 from .errors import (EmptyKey, LowSample, OutOfRange, QkdPassError,
                      SimulationError, SyncFailed)
-from .orbit_dynamics import PassWindow, TwoLineElement, predict_passes, \
-    sample_pass
+from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
+    predict_passes, sample_pass
 from .pat_controller import PatSeries, run_pat
 from .photon_source import PairEventStream, generate_pair_stream, pair_rate
 from .polarization_correction import PcsSeries, frame_offset_profile, \
@@ -245,19 +245,19 @@ def _loss_budget(link: LinkProfile) -> dict[str, float | None]:
     }
 
 
+def find_passes(scenario: Scenario) -> tuple[TwoLineElement, list[PassWindow]]:
+    """The scenario's TLE and its passes within prediction.search_hours of its epoch."""
+    tle = scenario.load_tle()
+    end = tle.epoch + timedelta(hours=scenario.prediction.search_hours)
+    return tle, predict_passes(tle, scenario.site, tle.epoch, end,
+                               scenario.prediction.min_elevation_deg)
+
+
 def select_pass(
     scenario: Scenario, pass_index: int = 0
 ) -> tuple[TwoLineElement, PassWindow]:
-    """The scenario's TLE and its pass_index-th pass, in time order.
-
-    Passes are searched from the TLE epoch over prediction.search_hours.
-    No pass, or an index outside the list, raises SimulationError.
-    """
-    tle = scenario.load_tle()
-    start = tle.epoch
-    end = start + timedelta(hours=scenario.prediction.search_hours)
-    passes = predict_passes(tle, scenario.site, start, end,
-                            scenario.prediction.min_elevation_deg)
+    """The TLE and find_passes' pass_index-th pass; SimulationError if there is none."""
+    tle, passes = find_passes(scenario)
     if not passes:
         raise SimulationError(
             "orbit_dynamics",
@@ -270,6 +270,37 @@ def select_pass(
             f"pass index {pass_index} outside 0..{len(passes) - 1}",
         )
     return tle, passes[pass_index]
+
+
+def _track(scenario: Scenario, pass_index: int):
+    """(tle, window, profile, pat): select_pass, then sample_pass and run_pat over it."""
+    tle, window = select_pass(scenario, pass_index)
+    with _stage("orbit_dynamics"):
+        profile = sample_pass(tle, scenario.site, window,
+                              step_s=scenario.prediction.profile_step_s)
+    with _stage("pat_controller"):
+        pat = run_pat(profile.elevation_at, scenario.pat, duration_s=float(profile.duration_s),
+                      dt_s=scenario.pat_dt_s, seed=scenario.seed)
+    return tle, window, profile, pat
+
+
+def _link_over(scenario: Scenario, profile: PassProfile, pat: PatSeries,
+               start_s: float, span_s: float) -> LinkProfile:
+    """The link on the samples bracketing [start_s, start_s + span_s], times from start_s."""
+    times = profile.times_s
+    lo = max(np.searchsorted(times, start_s, side="right") - 1, 0)
+    seg = slice(lo, np.searchsorted(times, start_s + span_s, side="left") + 1)
+    with _stage("channel_link"):
+        res_times, res_vals = pat.residual_profile()
+        return build_link_profile(times[seg] - start_s, profile.range_km[seg],
+                                  profile.elevation_deg[seg],
+                                  np.interp(times[seg], res_times, res_vals), scenario.link)
+
+
+def link_budget(scenario: Scenario, pass_index: int = 0) -> LinkProfile:
+    """simulate_pass's pass, pointing and link stages over the whole pass, times from AOS."""
+    _, _, profile, pat = _track(scenario, pass_index)
+    return _link_over(scenario, profile, pat, 0.0, float(profile.duration_s))
 
 
 def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
@@ -287,17 +318,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     seed = scenario.seed
     proto = scenario.protocol
 
-    tle, window = select_pass(scenario, pass_index)
-    with _stage("orbit_dynamics"):
-        profile = sample_pass(tle, scenario.site, window,
-                              step_s=scenario.prediction.profile_step_s)
+    tle, window, profile, pat = _track(scenario, pass_index)
     duration = float(profile.duration_s)
-
-    with _stage("pat_controller"):
-        pat = run_pat(
-            profile.elevation_at,
-            scenario.pat, duration_s=duration, dt_s=scenario.pat_dt_s, seed=seed,
-        )
 
     with _stage("polarization_correction"):
         frame = frame_offset_profile(
@@ -321,21 +343,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         q_start = min(max(tca_rel - q_dur / 2.0, 0.0), duration - q_dur)
         stream = generate_pair_stream(scenario.source, q_dur, seed=seed)
 
+    link = _link_over(scenario, profile, pat, q_start, q_dur)
     with _stage("channel_link"):
-        # link samples bracketing the quantum window, on its timeline
-        lo = max(np.searchsorted(profile.times_s, q_start, side="right") - 1, 0)
-        hi = min(np.searchsorted(profile.times_s, q_start + q_dur, side="left") + 1,
-                 len(profile.times_s))
-        seg = slice(lo, hi)
-        seg_times = profile.times_s[seg]
-        res_times, res_vals = pat.residual_profile()
-        link = build_link_profile(
-            seg_times - q_start,
-            profile.range_km[seg],
-            profile.elevation_deg[seg],
-            np.interp(seg_times, res_times, res_vals),
-            scenario.link,
-        )
         channel = apply_channel(stream, link, seed=seed)
 
     def flight_s(t_window: np.ndarray) -> np.ndarray:
@@ -343,7 +352,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
                            profile.times_s, profile.range_km)
         return rng_km / SPEED_OF_LIGHT_KM_S
 
-    max_flight = float(np.max(profile.range_km[seg])) / SPEED_OF_LIGHT_KM_S
+    max_flight = float(np.max(link.range_km)) / SPEED_OF_LIGHT_KM_S
     ground_span = (0.0, q_dur + max_flight)
 
     with _stage("quantum_receiver"):

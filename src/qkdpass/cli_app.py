@@ -17,19 +17,19 @@ import dataclasses
 import itertools
 import json
 import sys
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bbm92_pipeline import PassResult, select_pass, simulate_pass
-from .channel_link import LinkProfile, build_link_profile
+from .bbm92_pipeline import PassResult, find_passes, link_budget, simulate_pass
+# not called here: bench/tracing.py patches these four names in this module
+from .bbm92_pipeline import build_link_profile, predict_passes, run_pat, sample_pass  # noqa: F401
+from .channel_link import LinkProfile
 from .errors import QkdPassError, SimulationError, TleParseError
-from .orbit_dynamics import max_angular_rates, predict_passes, sample_pass
-from .pat_controller import run_pat
+from .orbit_dynamics import max_angular_rates
 from .photon_source import polarizer_scan, scan_fringe_mean, scan_visibility
-from .quantum_receiver import write_tags_binary, write_tags_csv
+from .quantum_receiver import write_tags_binary, write_tags_csv, write_tags_json
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario, \
     write_example
 
@@ -86,11 +86,7 @@ def _pass_rows(passes, tle, site) -> list[dict]:
 
 def cmd_predict(args) -> int:
     scenario = _load(args)
-    tle = scenario.load_tle()
-    start = tle.epoch
-    end = start + timedelta(hours=scenario.prediction.search_hours)
-    passes = predict_passes(tle, scenario.site, start, end,
-                            scenario.prediction.min_elevation_deg)
+    tle, passes = find_passes(scenario)
     rows = _pass_rows(passes, tle, scenario.site)
     print(f"{'idx':>3} {'aos_utc':<25} {'tca_utc':<25} {'dur_s':>7} "
           f"{'max_el':>7} {'rate_dps':>8}")
@@ -164,19 +160,12 @@ def cmd_simulate(args) -> int:
     _write_json(out / "report.json", report)
     save_scenario(scenario, out / "resolved.cfg")
     _write_telemetry(result, out)
-    if args.format == "csv":
-        write_tags_csv(result.ground_tags, out / "tags_ground.csv")
-        write_tags_csv(result.onboard_tags, out / "tags_onboard.csv")
-    elif args.format == "bin":
-        write_tags_binary(result.ground_tags, out / "tags_ground.bin")
-        write_tags_binary(result.onboard_tags, out / "tags_onboard.bin")
-    elif args.format == "json":
+    if args.format:
+        write = {"csv": write_tags_csv, "json": write_tags_json,
+                 "bin": write_tags_binary}[args.format]
         for name, stream in (("ground", result.ground_tags),
                              ("onboard", result.onboard_tags)):
-            _write_json(out / f"tags_{name}.json", {
-                "time_s": [float(t) for t in stream.times_s],
-                "channel": [int(c) for c in stream.channels],
-            })
+            write(stream, out / f"tags_{name}.{args.format}")
     r = result.report
     print(f"sifted={r.sifted_bits} qber={r.qber_estimate:.6g} "
           f"secret={r.secret_bits}")
@@ -211,17 +200,7 @@ def cmd_source_check(args) -> int:
 
 def cmd_link_budget(args) -> int:
     scenario = _load(args)
-    tle, window = select_pass(scenario, args.pass_index)
-    profile = sample_pass(tle, scenario.site, window,
-                          step_s=scenario.prediction.profile_step_s)
-    pat = run_pat(profile.elevation_at, scenario.pat,
-                  duration_s=float(profile.duration_s),
-                  dt_s=scenario.pat_dt_s, seed=scenario.seed)
-    res_t, res_v = pat.residual_profile()
-    link = build_link_profile(
-        profile.times_s, profile.range_km, profile.elevation_deg,
-        np.interp(profile.times_s, res_t, res_v), scenario.link,
-    )
+    link = link_budget(scenario, args.pass_index)
     _write_link(link, _out_dir(scenario, args) / "link.csv")
     best = int(np.argmax(link.transmittance))
     print(f"samples={len(link.times_s)} "

@@ -34,8 +34,6 @@ class SourceConfig:
     downlink_fraction: float = 0.9   # as-built 90/10 splitter; intended design 0.99
     beacon_frequency_hz: float = 10e3
     intensity_imbalance: float = 0.0
-    signal_wavelength_nm: float = 785.0   # metadata only
-    idler_wavelength_nm: float = 837.0    # metadata only
 
     def __post_init__(self):
         if self.brightness_pairs_per_s_mw <= 0.0:

@@ -11,6 +11,8 @@ and finds coincidences between the two sides' tag streams.
 from __future__ import annotations
 
 import csv
+import itertools
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,7 +129,7 @@ def _is_sorted(times: np.ndarray) -> bool:
     return bool(np.all(times[1:] >= times[:-1]))
 
 
-# Rows per step of _compress: bounds its temporaries.
+# Rows per step of _compress and write_tags_csv: bounds their temporaries.
 _ROW_CHUNK = 1 << 16
 
 
@@ -634,12 +636,22 @@ def _greedy_sweep(a: np.ndarray, b: np.ndarray,
 
 
 def write_tags_csv(stream: TagStream, path: str | Path) -> None:
-    """Export tags as time_s,channel rows (origin labels dropped)."""
+    """Export tags as time_s,channel rows ending in \r\n, as csv.writer writes them."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "channel"])
-        for t, c in zip(stream.times_s, stream.channels):
-            writer.writerow([f"{t:.15g}", CHANNEL_TOKENS[int(c)]])
+        handle.write("time_s,channel\r\n")
+        for start in range(0, len(stream), _ROW_CHUNK):
+            block = slice(start, start + _ROW_CHUNK)
+            times = stream.times_s[block].tolist()
+            tokens = [CHANNEL_TOKENS[c] for c in stream.channels[block].tolist()]
+            handle.write("%.15g,%s\r\n" * len(times)
+                         % tuple(itertools.chain.from_iterable(zip(times, tokens))))
+
+
+def write_tags_json(stream: TagStream, path: str | Path) -> None:
+    """Export one object with time_s and channel lists (origins dropped)."""
+    Path(path).write_text(json.dumps(
+        {"time_s": stream.times_s.tolist(), "channel": stream.channels.tolist()},
+        sort_keys=True, indent=2) + "\n")
 
 
 def read_tags_csv(path: str | Path) -> TagStream:

@@ -109,6 +109,41 @@ def test_predict_bytes_are_pinned(tmp_path, capsys, inclination):
     assert _predict_digests(tmp_path, inclination) == PREDICT_SHA256[inclination]
 
 
+# recorded while cmd_link_budget still ran its own sample -> PAT -> link chain
+LINK_BUDGET_SHA256 = {
+    "link.csv": "8bf10a0313d4392b6e1f5c249f89c79eb212608db52f00ac56fc6b187fe97f7b",
+    "stdout": "26eefd06f662ae57b1b85318cb5dad66ef8cd774f9316429158b3103009b48b1",
+}
+
+
+def test_link_budget_bytes_are_pinned(tmp_path, capsys):
+    cfg, _ = write_demo_inputs(tmp_path)
+    assert run(["link-budget", "--scenario", cfg]) == EXIT_OK
+    digests = {
+        "link.csv": hashlib.sha256((tmp_path / "out" / "link.csv").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert digests == LINK_BUDGET_SHA256
+
+
+def test_tracer_patches_and_restores_cli_names(monkeypatch):
+    # bench/tracing.py wraps functions at the names cli_app and the
+    # pipeline resolve; a renamed call site must fail here, in tier-1
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert owner.__dict__[attr] is not original
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
 def test_predict_no_passes_is_success(tmp_path, capsys):
     cfg, _ = write_demo_inputs(
         tmp_path, prediction=["min_elevation_deg = 89.9"]
@@ -303,6 +338,16 @@ def test_link_budget_bad_index(tmp_path, capsys):
     cfg, _ = write_demo_inputs(tmp_path)
     assert run(["link-budget", "--scenario", cfg, "--pass", "42"]) == EXIT_SIMULATION
     assert "pass index" in capsys.readouterr().err
+
+
+def test_link_budget_model_failure_is_simulation_error(tmp_path, capsys):
+    # AOS is refined only to 0.1 s, so the first profile sample of a pass
+    # above 1e-6 deg can sit below the horizon, where the link model fails
+    cfg, _ = write_demo_inputs(
+        tmp_path, prediction=["min_elevation_deg = 1e-6"]
+    )
+    assert run(["link-budget", "--scenario", cfg]) == EXIT_SIMULATION
+    assert "[channel_link]" in capsys.readouterr().err
 
 
 def test_link_budget_no_pass(tmp_path, capsys):

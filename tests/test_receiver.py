@@ -24,7 +24,8 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       channel_bit, apply_detector,
                                       find_coincidences, measure_polarization,
                                       read_tags_binary, read_tags_csv,
-                                      write_tags_binary, write_tags_csv)
+                                      write_tags_binary, write_tags_csv,
+                                      write_tags_json)
 
 IDENTITY = ClockModel()
 IDEAL = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
@@ -773,6 +774,30 @@ def test_tags_csv_round_trip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
         read_tags_csv(bad)
+
+
+# recorded while write_tags_csv still wrote one csv.writer row per tag and
+# the JSON export was built per element in cli_app
+TAGS_TEXT_SHA256 = {
+    "csv": "959e669031292f50dfcddcbdd3029c63cb7bbf94feecd5ebc01777f12a23d200",
+    "json": "3bf4369a93d587268895547633b4cbb3d946b0eb0d91fe6f1e90026dea9922b8",
+}
+
+
+@pytest.mark.parametrize("rows_per_block", [quantum_receiver._ROW_CHUNK, 7])
+@pytest.mark.parametrize("fmt", sorted(TAGS_TEXT_SHA256))
+def test_tags_text_bytes_are_pinned(tmp_path, monkeypatch, fmt, rows_per_block):
+    # tied times, beacon tags, a zero and an exponent-form time; a small
+    # block size splits the stream across many formatted blocks
+    monkeypatch.setattr(quantum_receiver, "_ROW_CHUNK", rows_per_block)
+    rng = np.random.default_rng(13)
+    t = rng.uniform(0.0, 450.0, 900)
+    times = np.sort(np.concatenate([t, t[:100], [0.0, 1e-7]]))
+    channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], len(times)).astype(np.uint8)
+    path = tmp_path / f"tags.{fmt}"
+    write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
+    write(TagStream(times, channels, np.zeros(len(times), np.uint8)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_TEXT_SHA256[fmt]
 
 
 # recorded while the export still copied its records to one bytes object

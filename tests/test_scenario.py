@@ -116,6 +116,8 @@ def test_unknown_section_rejected(tmp_path):
     ("source", "rng_seed"),
     ("source", "beacon_pulse_width_s"),
     ("pat.wfov", "detection_snr_threshold"),
+    ("source", "signal_wavelength_nm"),
+    ("source", "idler_wavelength_nm"),
     # the frame-offset profile follows from the keys that are set
     ("pcs", "mode"),
     # a subsection is not a key of its parent
@@ -187,8 +189,10 @@ def test_malformed_files_surface_as_scenario_error(tmp_path):
 
 # sha256 of the writer's output for the default scenario: files written by
 # earlier versions must keep loading, so the section layout may not drift.
-EXAMPLE_SHA256 = "7dc9a81246bb4a184f14d63420ae7834bfa8de0c52ace10cb452a09cb3c9c62e"
-DEFAULT_JSON_SHA256 = "bc19a41fb9dc6c14e1eb8013f5dc54df3d7f192f8bd9063a1e1f926e46ed756a"
+# Re-recorded when [source] signal_wavelength_nm and idler_wavelength_nm
+# were removed; both files lost exactly those two keys.
+EXAMPLE_SHA256 = "209527e0349f9e1ed2832cd78b5fdf6f1e0db7477e3513ded1b8bc4f3456ce98"
+DEFAULT_JSON_SHA256 = "a86903b172805d637a7ae7e899d1a5bb9cc2d60383ae8e4e6c64b3058983ac92"
 
 
 def test_writer_bytes_are_pinned(tmp_path):
