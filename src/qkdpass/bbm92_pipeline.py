@@ -322,19 +322,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     duration = float(profile.duration_s)
 
     with _stage("polarization_correction"):
-        frame = frame_offset_profile(
-            profile,
-            constant_deg=scenario.pcs.scripted_constant_deg,
-            ramp_deg=scenario.pcs.scripted_ramp_deg,
-            body_yaw_deg=scenario.pcs.body_yaw_deg,
-            duration_s=duration,
-            step_s=scenario.prediction.profile_step_s,
-        )
-        pcs = run_polarization_correction(
-            frame, scenario.pcs.polarimeter, seed=seed,
-            update_interval_s=scenario.pcs.update_interval_s,
-            extra_offset_deg=scenario.pcs.uncompensated_offset_deg,
-        )
+        frame = frame_offset_profile(profile, scenario.pcs,
+                                     scenario.prediction.profile_step_s, duration)
+        pcs = run_polarization_correction(frame, scenario.pcs, seed)
 
     with _stage("photon_source"):
         rate = pair_rate(scenario.source)
@@ -415,14 +405,14 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             tags_b = beacon_tags.times_s
             # first pass: flight predicted at the raw tag time (the clock
             # offset slews the lookup point, worst case tens of ns)
-            sync1 = _sync_stage(
-                tags_b - flight_s(tags_b), stream.beacon_times, scenario)
+            sync1 = beacon_clock_sync(
+                tags_b - flight_s(tags_b), stream.beacon_times, scenario.sync)
             # second pass: invert the fitted clock, iterate emission time,
             # and scale the flight by the fitted rate
             emit_hat = _emission_estimate(tags_b, sync1.clock, flight_s)
-            sync = _sync_stage(
+            sync = beacon_clock_sync(
                 tags_b - flight_s(emit_hat) * (1.0 + sync1.clock.drift),
-                stream.beacon_times, scenario)
+                stream.beacon_times, scenario.sync)
 
             # beacon tags are a stream of their own: both arms' tags are quad
             ground_corrected = ground_tags.with_times(
@@ -485,19 +475,6 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         report=report, pat=pat, pcs=pcs, link=link, stream=stream,
         onboard_tags=onboard_tags, ground_tags=ground_tags, sync=sync,
         coincidences=coincidences, key=key,
-    )
-
-
-def _sync_stage(
-    compensated_times_s: np.ndarray,
-    schedule_s: np.ndarray,
-    scenario: Scenario,
-) -> SyncResult:
-    return beacon_clock_sync(
-        compensated_times_s, schedule_s,
-        max_offset_s=scenario.sync.max_offset_s,
-        bin_s=scenario.sync.bin_s,
-        min_matched=scenario.sync.min_matched,
     )
 
 

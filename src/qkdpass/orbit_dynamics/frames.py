@@ -29,7 +29,6 @@ class GroundSite:
     latitude_deg: float
     longitude_deg: float
     altitude_m: float = 0.0
-    name: str = "site"
 
     def __post_init__(self):
         if not -90.0 <= self.latitude_deg <= 90.0:

@@ -77,6 +77,36 @@ class PolarimeterConfig:
             raise OutOfRange("integration and count rate must be positive")
 
 
+@dataclass(frozen=True)
+class PcsConfig:
+    """Polarization-correction settings: the polarimeter, profile and cadence.
+
+    The frame rotation follows scripted_constant_deg or scripted_ramp_deg
+    when one is set, and the pass geometry (with body_yaw_deg) otherwise.
+    """
+
+    polarimeter: PolarimeterConfig = PolarimeterConfig()
+    body_yaw_deg: float = 0.0
+    scripted_constant_deg: float | None = None
+    scripted_ramp_deg: tuple[float, float] | None = None
+    update_interval_s: float = 1.0
+    uncompensated_offset_deg: float = 0.0
+
+    def __post_init__(self):
+        scripted = (self.scripted_constant_deg is not None,
+                    self.scripted_ramp_deg is not None)
+        if all(scripted):
+            raise OutOfRange("set scripted_constant_deg or scripted_ramp_deg, "
+                             "not both")
+        if scripted[1] and len(self.scripted_ramp_deg) != 2:
+            raise OutOfRange("scripted_ramp_deg must be a [start, end] pair")
+        if any(scripted) and self.body_yaw_deg != 0.0:
+            raise OutOfRange("body_yaw_deg applies only to the geometric "
+                             "profile, not to a scripted one")
+        if not self.update_interval_s > 0.0:
+            raise OutOfRange("update_interval_s must be positive")
+
+
 def wrap_half_turn(theta_deg):
     """Map an angle to the linear-polarization convention (-90, 90]."""
     wrapped = -((-np.asarray(theta_deg, dtype=float) + 90.0) % 180.0 - 90.0)
@@ -92,11 +122,11 @@ def _unwrap_half_turn(theta_deg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _geometric_theta(profile: PassProfile, body_yaw_deg: float) -> np.ndarray:
+def _geometric_theta(profile: PassProfile, config: PcsConfig) -> np.ndarray:
     """Rotation of a nadir-pointing satellite's transmit axis at the site.
 
     The satellite frame has its z axis at nadir and its x axis
-    along-track, rotated by a fixed body yaw; the transmit axis is
+    along-track, rotated by config.body_yaw_deg; the transmit axis is
     that x axis. The receiver's reference axis is anchored to the
     site's zenith direction at the first sample and then parallel
     transported along the line of sight as it sweeps, which is how the
@@ -110,7 +140,7 @@ def _geometric_theta(profile: PassProfile, body_yaw_deg: float) -> np.ndarray:
     site_ecef = profile.site.ecef_km()
     lat = math.radians(profile.site.latitude_deg)
     lon = math.radians(profile.site.longitude_deg)
-    yaw = math.radians(body_yaw_deg)
+    yaw = math.radians(config.body_yaw_deg)
     theta = np.empty(len(profile.jd))
     reference = None
     previous = 0.0
@@ -173,26 +203,24 @@ def _geometric_theta(profile: PassProfile, body_yaw_deg: float) -> np.ndarray:
 
 def frame_offset_profile(
     geometry: PassProfile | None,
-    *,
-    constant_deg: float | None = None,
-    ramp_deg: tuple[float, float] | None = None,
-    body_yaw_deg: float = 0.0,
+    config: PcsConfig,
+    step_s: float,
     duration_s: float | None = None,
-    step_s: float = 1.0,
 ) -> FrameOffsetProfile:
     """Build the frame rotation profile for a pass.
 
-    A constant, or a linear (start, end) ramp over the pass duration,
-    gives a scripted curve. With neither, theta is derived from the
-    pass geometry assuming a nadir-pointing satellite with a fixed
-    body yaw.
+    The config's scripted constant, or its linear (start, end) ramp over
+    the pass duration, gives a curve sampled every step_s. With neither,
+    theta is derived from the pass geometry assuming a nadir-pointing
+    satellite with a fixed body yaw.
     """
-    if constant_deg is None and ramp_deg is None:
+    constant, ramp = config.scripted_constant_deg, config.scripted_ramp_deg
+    if constant is None and ramp is None:
         if geometry is None:
             raise ProfileGap("geometric profile needs pass geometry")
         return FrameOffsetProfile(
             times_s=geometry.times_s.copy(),
-            theta_deg=_geometric_theta(geometry, body_yaw_deg),
+            theta_deg=_geometric_theta(geometry, config),
         )
     span = duration_s if duration_s is not None else \
         (geometry.duration_s if geometry is not None else None)
@@ -200,10 +228,10 @@ def frame_offset_profile(
         raise ProfileGap("scripted profile needs a duration or pass geometry")
     n = max(2, int(math.ceil(span / step_s)) + 1)
     times = np.linspace(0.0, span, n)
-    if constant_deg is not None:
+    if constant is not None:
         return FrameOffsetProfile(times_s=times,
-                                  theta_deg=np.full(n, float(constant_deg)))
-    start, end = ramp_deg
+                                  theta_deg=np.full(n, float(constant)))
+    start, end = ramp
     return FrameOffsetProfile(times_s=times,
                               theta_deg=np.linspace(start, end, n))
 
@@ -301,33 +329,32 @@ class PcsSeries:
 
 def run_polarization_correction(
     profile: FrameOffsetProfile,
-    config: PolarimeterConfig,
+    config: PcsConfig,
     seed: int,
-    update_interval_s: float = 1.0,
-    extra_offset_deg: float = 0.0,
 ) -> PcsSeries:
-    """Estimate and apply the frame correction on a fixed cadence.
+    """Estimate and apply the frame correction every config.update_interval_s.
 
     Each interval integrates the beacon at every wave-plate setting,
     estimates theta, and applies it until the next update. A nonzero
-    extra_offset_deg biases the applied correction away from the
-    estimate, modeling an uncompensated systematic (used for
+    uncompensated_offset_deg biases the applied correction away from
+    the estimate, modeling an uncompensated systematic (used for
     error-budget studies).
     """
+    polarimeter = config.polarimeter
     rng = module_rng(seed, MODULE_NAME)
     start = float(profile.times_s[0])
     end = float(profile.times_s[-1])
-    n = max(1, int(math.ceil((end - start) / update_interval_s)))
-    update_times = start + np.arange(n) * update_interval_s
+    n = max(1, int(math.ceil((end - start) / config.update_interval_s)))
+    update_times = start + np.arange(n) * config.update_interval_s
     theta_true = np.empty(n)
     theta_hat = np.empty(n)
     for i, t in enumerate(update_times):
         true = float(profile.theta_at(min(t, end)))
         theta_true[i] = true
-        rows = [(hwp, *polarimeter_counts(true, hwp, config, rng))
-                for hwp in config.hwp_settings_deg]
-        theta_hat[i] = estimate_offset(rows, config.detector_pair_efficiency_ratio) \
-            - extra_offset_deg
+        rows = [(hwp, *polarimeter_counts(true, hwp, polarimeter, rng))
+                for hwp in polarimeter.hwp_settings_deg]
+        theta_hat[i] = estimate_offset(rows, polarimeter.detector_pair_efficiency_ratio) \
+            - config.uncompensated_offset_deg
     return PcsSeries(
         update_times_s=update_times,
         theta_true_deg=theta_true,

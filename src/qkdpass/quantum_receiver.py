@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,7 +128,7 @@ def _is_sorted(times: np.ndarray) -> bool:
     return bool(np.all(times[1:] >= times[:-1]))
 
 
-# Rows per step of _compress and write_tags_csv: bounds their temporaries.
+# Rows per step of _compress and the tag text writers: bounds their temporaries.
 _ROW_CHUNK = 1 << 16
 
 
@@ -392,6 +391,24 @@ def apply_detector(
 
 
 @dataclass(frozen=True)
+class SyncConfig:
+    """Beacon timing and clock-recovery settings."""
+
+    beacon_jitter_rms_s: float = 1e-9
+    bin_s: float = 100e-9
+    max_offset_s: float = 10e-3
+    min_matched: int = 100
+
+    def __post_init__(self):
+        if not (self.bin_s > 0.0 and self.max_offset_s > 0.0):
+            raise OutOfRange("bin_s and max_offset_s must be positive")
+        if not self.beacon_jitter_rms_s >= 0.0:
+            raise OutOfRange("beacon_jitter_rms_s must be nonnegative")
+        if not self.min_matched >= 2:
+            raise OutOfRange(f"min_matched {self.min_matched} below 2")
+
+
+@dataclass(frozen=True)
 class SyncResult:
     """Recovered receiver clock and fit diagnostics."""
 
@@ -403,29 +420,30 @@ class SyncResult:
 def beacon_clock_sync(
     beacon_tag_times_s: np.ndarray,
     schedule_s: np.ndarray,
-    max_offset_s: float = 10e-3,
-    bin_s: float = 100e-9,
-    min_matched: int = 100,
+    config: SyncConfig,
 ) -> SyncResult:
     """Estimate the receiver clock from beacon tags and the known schedule.
 
     Coarse stage: tag times are folded modulo the beacon period and
-    histogrammed at bin_s; the peak bin gives the offset modulo one
+    histogrammed at config.bin_s; the peak bin gives the offset modulo one
     period, rejected as ambiguous unless it exceeds 5x the median
     bin. The fold uses only an initial slice short enough that the
     worst admissible drift cannot smear the peak. The whole number of
     periods is then anchored by pairing the first tag with its
     nearest pulse, which assumes the tag stream covers the start of
     the pulse train; a strictly periodic train constrains the offset
-    only modulo its period, so some edge reference is required.
+    only modulo its period, so some edge reference is required. An
+    offset beyond config.max_offset_s fails.
 
     Fine stage: each tag is matched to the nearest schedule pulse
     under the current clock estimate and a straight line of tag time
     against pulse time is refit (slope 1+drift, intercept offset),
     with the match tolerance tightened from the fit residuals. The
     first fit reuses the short fold slice so unmodeled drift cannot
-    scramble matches far from it; later rounds use every tag.
+    scramble matches far from it; later rounds use every tag. Fewer
+    than config.min_matched matched pulses fail.
     """
+    bin_s, max_offset_s = config.bin_s, config.max_offset_s
     tags = np.sort(np.asarray(beacon_tag_times_s, dtype=float))
     schedule = np.asarray(schedule_s, dtype=float)
     if len(tags) == 0 or len(schedule) == 0:
@@ -483,10 +501,9 @@ def beacon_clock_sync(
         offset, drift = float(intercept), float(slope) - 1.0
         rms = float(np.sqrt(np.mean(
             (matched_tags - (matched_pulses * (1.0 + drift) + offset)) ** 2)))
-    if len(matched_tags) < min_matched:
-        raise SyncFailed(
-            f"only {len(matched_tags)} beacon pulses matched; need {min_matched}"
-        )
+    if len(matched_tags) < config.min_matched:
+        raise SyncFailed(f"only {len(matched_tags)} beacon pulses matched; "
+                         f"need {config.min_matched}")
     if rms > 0.1 * period:
         raise SyncFailed(
             f"fit residual rms {rms:.3g} s is not well below the beacon period; "
@@ -648,10 +665,25 @@ def write_tags_csv(stream: TagStream, path: str | Path) -> None:
 
 
 def write_tags_json(stream: TagStream, path: str | Path) -> None:
-    """Export one object with time_s and channel lists (origins dropped)."""
-    Path(path).write_text(json.dumps(
-        {"time_s": stream.times_s.tolist(), "channel": stream.channels.tolist()},
-        sort_keys=True, indent=2) + "\n")
+    """Export one object with channel and time_s lists (origins dropped).
+
+    The bytes are json.dumps(..., sort_keys=True, indent=2) plus a
+    newline, written _ROW_CHUNK values at a time.
+    """
+    with open(path, "w") as handle:
+        handle.write("{\n")
+        for key, column, tail in (("channel", stream.channels, ","),
+                                  ("time_s", stream.times_s, "")):
+            if not len(column):
+                handle.write(f'  "{key}": []{tail}\n')
+                continue
+            handle.write(f'  "{key}": [')
+            for start in range(0, len(column), _ROW_CHUNK):
+                handle.write(",\n    " if start else "\n    ")
+                handle.write(",\n    ".join(
+                    map(repr, column[start:start + _ROW_CHUNK].tolist())))
+            handle.write(f"\n  ]{tail}\n")
+        handle.write("}\n")
 
 
 def read_tags_csv(path: str | Path) -> TagStream:

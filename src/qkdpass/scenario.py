@@ -30,8 +30,8 @@ from .orbit_dynamics import GroundSite, TwoLineElement, parse_tle, parse_tle_fil
 from .orbit_dynamics.passes import MAX_SEARCH_DAYS
 from .pat_controller import PatControllerConfig
 from .photon_source import SourceConfig
-from .polarization_correction import PolarimeterConfig
-from .quantum_receiver import ClockModel, DetectorModel
+from .polarization_correction import PcsConfig
+from .quantum_receiver import ClockModel, DetectorModel, SyncConfig
 
 
 class ScenarioError(QkdPassError):
@@ -55,54 +55,6 @@ class PredictionConfig:
                              f"(0, {MAX_SEARCH_DAYS * 24.0:g}]")
         if not self.profile_step_s > 0.0:
             raise OutOfRange("profile_step_s must be positive")
-
-
-@dataclass(frozen=True)
-class PcsConfig:
-    """Polarization-correction settings beyond the polarimeter itself.
-
-    The frame rotation follows scripted_constant_deg or scripted_ramp_deg
-    when one is set, and the pass geometry (with body_yaw_deg) otherwise.
-    """
-
-    polarimeter: PolarimeterConfig = PolarimeterConfig()
-    body_yaw_deg: float = 0.0
-    scripted_constant_deg: float | None = None
-    scripted_ramp_deg: tuple[float, float] | None = None
-    update_interval_s: float = 1.0
-    uncompensated_offset_deg: float = 0.0
-
-    def __post_init__(self):
-        scripted = (self.scripted_constant_deg is not None,
-                    self.scripted_ramp_deg is not None)
-        if all(scripted):
-            raise OutOfRange("set scripted_constant_deg or scripted_ramp_deg, "
-                             "not both")
-        if scripted[1] and len(self.scripted_ramp_deg) != 2:
-            raise OutOfRange("scripted_ramp_deg must be a [start, end] pair")
-        if any(scripted) and self.body_yaw_deg != 0.0:
-            raise OutOfRange("body_yaw_deg applies only to the geometric "
-                             "profile, not to a scripted one")
-        if not self.update_interval_s > 0.0:
-            raise OutOfRange("update_interval_s must be positive")
-
-
-@dataclass(frozen=True)
-class SyncConfig:
-    """Beacon timing and clock-recovery settings."""
-
-    beacon_jitter_rms_s: float = 1e-9
-    bin_s: float = 100e-9
-    max_offset_s: float = 10e-3
-    min_matched: int = 100
-
-    def __post_init__(self):
-        if not (self.bin_s > 0.0 and self.max_offset_s > 0.0):
-            raise OutOfRange("bin_s and max_offset_s must be positive")
-        if not self.beacon_jitter_rms_s >= 0.0:
-            raise OutOfRange("beacon_jitter_rms_s must be nonnegative")
-        if not self.min_matched >= 2:
-            raise OutOfRange(f"min_matched {self.min_matched} below 2")
 
 
 @dataclass(frozen=True)

@@ -427,12 +427,37 @@ def assert_matches_golden(got, want, where: str = "") -> None:
 @pytest.mark.parametrize("seed", ["7", "11"])
 def test_demo_outputs_match_golden(tmp_path, seed):
     """The demo scenario reproduces the report and telemetry recorded in
-    tests/golden_demo.json (pcs.csv and the tag files are not pinned)."""
+    tests/golden_demo.json (pcs.csv is pinned by PCS_CSV_SHA256 below;
+    the tag files are not pinned)."""
     cfg, _ = write_demo_inputs(tmp_path)
     out = tmp_path / "out"
     assert run(["simulate", "--scenario", cfg, "--seed", seed]) == EXIT_OK
     golden = json.loads(GOLDEN_DEMO.read_text())
     assert_matches_golden(demo_digest(out), golden[seed], seed)
+
+
+# [pcs] lines per case, and the sha256 of the demo's pcs.csv at seed 7;
+# recorded while the pipeline still unpacked [pcs] into keyword arguments
+PCS_CSV_SHA256 = {
+    "geometric": (
+        [], "f42db792cd9b4fd1d9737994fc582c4ce3f6af0fa31006311986a88d2440b969"),
+    "body_yaw": (
+        ["body_yaw_deg = 12"],
+        "36f033dfaeb3cb5742bb60bbe440439a6030013a5705b160ca7a779bd1454bbc"),
+    "scripted_ramp": (
+        ["scripted_ramp_deg = [-10, 20]", "uncompensated_offset_deg = 2"],
+        "eb100a3bb94c2c585aa5018eb5038ddd395381da8c2de6044faf05f3a984c82b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PCS_CSV_SHA256))
+def test_pcs_csv_bytes_are_pinned(tmp_path, case):
+    """The demo's frame profile and correction series, bit for bit, for
+    the geometric profile, a body yaw and a biased scripted ramp."""
+    lines, want = PCS_CSV_SHA256[case]
+    cfg, _ = write_demo_inputs(tmp_path, pcs=lines)
+    assert run(["simulate", "--scenario", cfg, "--seed", "7"]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "out" / "pcs.csv").read_bytes()).hexdigest() == want
 
 
 def _background_run_digests(tmp_path) -> dict[str, str]:

@@ -9,7 +9,7 @@ import pytest
 import qkdpass.orbit_dynamics.sgp4 as sgp4
 import qkdpass.polarization_correction as polarization_correction
 from qkdpass.errors import LowCounts, OutOfRange, ProfileGap, ZeroCounts
-from qkdpass.polarization_correction import (FrameOffsetProfile,
+from qkdpass.polarization_correction import (FrameOffsetProfile, PcsConfig,
                                              PolarimeterConfig,
                                              estimate_offset,
                                              frame_offset_profile,
@@ -105,22 +105,24 @@ def test_polarimeter_counts_statistics():
 
 
 def test_scripted_profiles():
-    constant = frame_offset_profile(None, constant_deg=12.0, duration_s=50.0)
+    constant = frame_offset_profile(None, PcsConfig(scripted_constant_deg=12.0), 1.0,
+                                    duration_s=50.0)
     assert constant.theta_at(np.array([0.0, 25.0, 50.0])) == pytest.approx([12.0] * 3)
-    ramp = frame_offset_profile(None, ramp_deg=(-10.0, 20.0), duration_s=100.0)
+    ramp = frame_offset_profile(None, PcsConfig(scripted_ramp_deg=(-10.0, 20.0)), 1.0,
+                                duration_s=100.0)
     assert ramp.theta_at(0.0) == pytest.approx(-10.0)
     assert ramp.theta_at(100.0) == pytest.approx(20.0)
     assert ramp.theta_at(50.0) == pytest.approx(5.0)
     with pytest.raises(ProfileGap):
-        frame_offset_profile(None, constant_deg=12.0)
+        frame_offset_profile(None, PcsConfig(scripted_constant_deg=12.0), 1.0)
     with pytest.raises(ProfileGap):
-        frame_offset_profile(None, duration_s=10.0)
+        frame_offset_profile(None, PcsConfig(), 1.0, duration_s=10.0)
 
 
 def test_geometric_profile_is_smooth(zenith_profile):
     # the constructor enforces the 5 deg/s continuity bound, so building
     # the profile is itself the smoothness check
-    profile = frame_offset_profile(zenith_profile)
+    profile = frame_offset_profile(zenith_profile, PcsConfig(), 1.0)
     assert len(profile.times_s) == len(zenith_profile.times_s)
     assert np.all(np.isfinite(profile.theta_deg))
     span = profile.theta_deg.max() - profile.theta_deg.min()
@@ -128,8 +130,8 @@ def test_geometric_profile_is_smooth(zenith_profile):
 
 
 def test_geometric_body_yaw_shifts_angle(zenith_profile):
-    base = frame_offset_profile(zenith_profile)
-    yawed = frame_offset_profile(zenith_profile, body_yaw_deg=30.0)
+    base = frame_offset_profile(zenith_profile, PcsConfig(), 1.0)
+    yawed = frame_offset_profile(zenith_profile, PcsConfig(body_yaw_deg=30.0), 1.0)
     peak = int(np.argmax(zenith_profile.elevation_deg))
     # near culmination the line of sight is close to nadir, so the body
     # yaw appears almost directly as a frame rotation; the sign flips
@@ -140,17 +142,18 @@ def test_geometric_body_yaw_shifts_angle(zenith_profile):
 
 
 def test_correction_tracks_constant_offset():
-    profile = frame_offset_profile(None, constant_deg=17.0, duration_s=20.0)
-    series = run_polarization_correction(profile, PolarimeterConfig(), seed=5)
+    profile = frame_offset_profile(None, PcsConfig(scripted_constant_deg=17.0), 1.0,
+                                   duration_s=20.0)
+    series = run_polarization_correction(profile, PcsConfig(), seed=5)
     assert len(series.update_times_s) == 20
     assert np.all(np.abs(series.theta_hat_deg - 17.0) < 0.5)
     assert np.all(np.abs(series.residual_at(series.update_times_s + 0.5)) < 0.5)
 
 
 def test_correction_tracks_ramp():
-    profile = frame_offset_profile(None, ramp_deg=(-20.0, 20.0),
+    profile = frame_offset_profile(None, PcsConfig(scripted_ramp_deg=(-20.0, 20.0)), 1.0,
                                    duration_s=40.0)
-    series = run_polarization_correction(profile, PolarimeterConfig(), seed=6)
+    series = run_polarization_correction(profile, PcsConfig(), seed=6)
     # residual is bounded by estimator noise plus the 1 deg/s hold lag
     residual = series.residual_at(np.linspace(0.0, 40.0, 400))
     assert np.max(np.abs(residual)) < 1.6
@@ -158,25 +161,28 @@ def test_correction_tracks_ramp():
 
 
 def test_correction_extra_offset_becomes_residual():
-    profile = frame_offset_profile(None, constant_deg=0.0, duration_s=10.0)
-    series = run_polarization_correction(profile, PolarimeterConfig(), seed=7,
-                                         extra_offset_deg=5.74)
+    profile = frame_offset_profile(None, PcsConfig(scripted_constant_deg=0.0), 1.0,
+                                   duration_s=10.0)
+    series = run_polarization_correction(
+        profile, PcsConfig(uncompensated_offset_deg=5.74), seed=7)
     residual = series.residual_at(series.update_times_s + 0.5)
     assert np.mean(residual) == pytest.approx(5.74, abs=0.3)
 
 
 def test_correction_deterministic():
-    profile = frame_offset_profile(None, constant_deg=3.0, duration_s=10.0)
-    a = run_polarization_correction(profile, PolarimeterConfig(), seed=1)
-    b = run_polarization_correction(profile, PolarimeterConfig(), seed=1)
+    profile = frame_offset_profile(None, PcsConfig(scripted_constant_deg=3.0), 1.0,
+                                   duration_s=10.0)
+    a = run_polarization_correction(profile, PcsConfig(), seed=1)
+    b = run_polarization_correction(profile, PcsConfig(), seed=1)
     assert np.array_equal(a.theta_hat_deg, b.theta_hat_deg)
-    c = run_polarization_correction(profile, PolarimeterConfig(), seed=2)
+    c = run_polarization_correction(profile, PcsConfig(), seed=2)
     assert not np.array_equal(a.theta_hat_deg, c.theta_hat_deg)
 
 
 def test_unbalanced_detector_pair_stays_unbiased():
-    profile = frame_offset_profile(None, constant_deg=25.0, duration_s=30.0)
-    config = PolarimeterConfig(detector_pair_efficiency_ratio=0.8)
+    profile = frame_offset_profile(None, PcsConfig(scripted_constant_deg=25.0), 1.0,
+                                   duration_s=30.0)
+    config = PcsConfig(polarimeter=PolarimeterConfig(detector_pair_efficiency_ratio=0.8))
     series = run_polarization_correction(profile, config, seed=8)
     assert abs(np.mean(series.theta_hat_deg) - 25.0) < 0.2
 
@@ -188,5 +194,5 @@ def test_geometric_profile_reads_the_sampled_julian_dates(zenith_profile, monkey
 
     for module in (sgp4, polarization_correction):
         monkeypatch.setattr(module, "julian_date", no_conversion, raising=False)
-    profile = frame_offset_profile(zenith_profile)
+    profile = frame_offset_profile(zenith_profile, PcsConfig(), 1.0)
     assert len(profile.theta_deg) == len(zenith_profile.jd)

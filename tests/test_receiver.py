@@ -19,7 +19,7 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
                                       CHANNEL_H, CHANNEL_V, ORIGIN_DARK,
                                       ORIGIN_SIGNAL, QUAD_CHANNELS, ClockModel,
-                                      DetectorModel, TagStream,
+                                      DetectorModel, SyncConfig, TagStream,
                                       beacon_clock_sync, channel_basis,
                                       channel_bit, apply_detector,
                                       find_coincidences, measure_polarization,
@@ -596,7 +596,7 @@ def _beacon_tags(clock: ClockModel, duration: float = 10.0,
 def test_beacon_sync_recovers_offset_and_drift():
     truth = ClockModel(offset_s=1.2345e-3, drift=1e-6)
     tags, schedule = _beacon_tags(truth)
-    result = beacon_clock_sync(tags, schedule)
+    result = beacon_clock_sync(tags, schedule, SyncConfig())
     assert abs(result.clock.offset_s - truth.offset_s) < 1e-10
     assert abs(result.clock.drift - truth.drift) < 1e-9
     assert result.n_matched > 0.9 * len(schedule)
@@ -605,7 +605,7 @@ def test_beacon_sync_recovers_offset_and_drift():
 
 def test_beacon_sync_identity_clock():
     tags, schedule = _beacon_tags(ClockModel(), jitter=1e-10)
-    result = beacon_clock_sync(tags, schedule)
+    result = beacon_clock_sync(tags, schedule, SyncConfig())
     assert abs(result.clock.offset_s) < 1e-10
     assert abs(result.clock.drift) < 1e-9
 
@@ -613,7 +613,7 @@ def test_beacon_sync_identity_clock():
 def test_beacon_sync_negative_offset():
     truth = ClockModel(offset_s=-4.2e-3, drift=-2e-6)
     tags, schedule = _beacon_tags(truth, seed=2)
-    result = beacon_clock_sync(tags, schedule)
+    result = beacon_clock_sync(tags, schedule, SyncConfig())
     assert abs(result.clock.offset_s - truth.offset_s) < 1e-10
     assert abs(result.clock.drift - truth.drift) < 1e-9
 
@@ -624,7 +624,7 @@ def test_beacon_sync_round_trip_invariant():
         truth = ClockModel(offset_s=float(rng.uniform(-8e-3, 8e-3)),
                            drift=float(rng.uniform(-5e-5, 5e-5)))
         tags, schedule = _beacon_tags(truth, duration=5.0, seed=int(rng.integers(1e6)))
-        recovered = beacon_clock_sync(tags, schedule).clock
+        recovered = beacon_clock_sync(tags, schedule, SyncConfig()).clock
         probe = np.array([0.0, 2.5, 5.0])
         assert np.allclose(recovered.apply(probe), truth.apply(probe), atol=1e-9)
 
@@ -632,21 +632,21 @@ def test_beacon_sync_round_trip_invariant():
 def test_beacon_sync_failure_modes():
     schedule = beacon_schedule(SourceConfig(), 1.0)
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(np.empty(0), schedule)
+        beacon_clock_sync(np.empty(0), schedule, SyncConfig())
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(np.array([0.0]), np.array([0.0]))
+        beacon_clock_sync(np.array([0.0]), np.array([0.0]), SyncConfig())
     # offset beyond the admissible window
     tags, _ = _beacon_tags(ClockModel(offset_s=20e-3), duration=1.0)
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(tags, schedule, max_offset_s=10e-3)
+        beacon_clock_sync(tags, schedule, SyncConfig(max_offset_s=10e-3))
     # incoherent tags carry no pulse comb
     noise = np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 10000))
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(noise, schedule)
+        beacon_clock_sync(noise, schedule, SyncConfig())
     # a clean comb that matches too few pulses for the configured floor
     tags, _ = _beacon_tags(ClockModel(), duration=1.0)
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(tags[:50], schedule, min_matched=100)
+        beacon_clock_sync(tags[:50], schedule, SyncConfig(min_matched=100))
 
 
 def test_coincidences_identical_streams():
@@ -798,6 +798,41 @@ def test_tags_text_bytes_are_pinned(tmp_path, monkeypatch, fmt, rows_per_block):
     write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
     write(TagStream(times, channels, np.zeros(len(times), np.uint8)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_TEXT_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", "time_s,channel\r\n"),
+    ("json", '{\n  "channel": [],\n  "time_s": []\n}\n'),
+])
+def test_empty_tag_stream_text(tmp_path, fmt, text):
+    # the JSON text is that of json.dumps(..., sort_keys=True, indent=2)
+    path = tmp_path / f"tags.{fmt}"
+    write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
+    write(TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8)), path)
+    assert path.read_bytes() == text.encode()
+
+
+def test_json_tag_export_memory_is_bounded_per_block(tmp_path, monkeypatch):
+    # the text is written a block at a time: the peak follows the block
+    # size, not the stream (a whole-text export peaks above 200 B per tag)
+    monkeypatch.setattr(quantum_receiver, "_ROW_CHUNK", 4096)
+    n = 100_000
+    rng = np.random.default_rng(14)
+    stream = TagStream(np.sort(rng.uniform(0.0, 450.0, n)),
+                       rng.choice(QUAD_CHANNELS, n).astype(np.uint8),
+                       np.zeros(n, np.uint8))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_tags_json(stream, tmp_path / "tags.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (peak - base) / n <= 16.0
 
 
 # recorded while the export still copied its records to one bytes object

@@ -118,6 +118,7 @@ def test_unknown_section_rejected(tmp_path):
     ("pat.wfov", "detection_snr_threshold"),
     ("source", "signal_wavelength_nm"),
     ("source", "idler_wavelength_nm"),
+    ("site", "name"),
     # the frame-offset profile follows from the keys that are set
     ("pcs", "mode"),
     # a subsection is not a key of its parent
@@ -189,10 +190,10 @@ def test_malformed_files_surface_as_scenario_error(tmp_path):
 
 # sha256 of the writer's output for the default scenario: files written by
 # earlier versions must keep loading, so the section layout may not drift.
-# Re-recorded when [source] signal_wavelength_nm and idler_wavelength_nm
-# were removed; both files lost exactly those two keys.
-EXAMPLE_SHA256 = "209527e0349f9e1ed2832cd78b5fdf6f1e0db7477e3513ded1b8bc4f3456ce98"
-DEFAULT_JSON_SHA256 = "a86903b172805d637a7ae7e899d1a5bb9cc2d60383ae8e4e6c64b3058983ac92"
+# Re-recorded when [site] name was removed; both files lost exactly that
+# key (the JSON file also the comma before it).
+EXAMPLE_SHA256 = "ea7da4283c01cdc6c4ecda18d6d45bfbad23179efdaab4175f7bfbdd19d23026"
+DEFAULT_JSON_SHA256 = "3eaf49c90c1b73c55fe14148c409740c92debfaca1f8fca315cbdf4915ff2977"
 
 
 def test_writer_bytes_are_pinned(tmp_path):
