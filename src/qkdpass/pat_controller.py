@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -192,7 +193,13 @@ def pat_transition(
 
 @dataclass(frozen=True)
 class PatSeries:
-    """run_pat output: outer-step telemetry plus fine-loop residuals."""
+    """run_pat output: outer-step telemetry plus fine-loop residuals.
+
+    fine_times_s and fine_residual, the fine loop's sub-step trace, are
+    not kept by run_pat: the first read rebuilds them from the fine
+    loop's per-update state and caches them. simulate and link-budget
+    read only the outer series, so they never build the trace.
+    """
 
     times_s: np.ndarray
     phases: np.ndarray            # PatPhase integer codes
@@ -200,9 +207,22 @@ class PatSeries:
     mount_cmd: np.ndarray         # (n, 2) cumulative mount correction
     fsm_cmd: np.ndarray           # (n, 2)
     residual_arcsec: np.ndarray   # (n,) |true - fsm| at step end
-    fine_times_s: np.ndarray      # fine-loop sample times (ClosedLoopFine only)
-    fine_residual: np.ndarray     # (m, 2)
     dt_s: float
+    _fine_updates: _FineUpdates = field(repr=False)
+
+    @cached_property
+    def _fine_trace(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._fine_updates.trace(self.times_s)
+
+    @property
+    def fine_times_s(self) -> np.ndarray:
+        """Fine-loop sample times (ClosedLoopFine only)."""
+        return self._fine_trace[0]
+
+    @property
+    def fine_residual(self) -> np.ndarray:
+        """(m, 2) fine-loop residual at each sample of fine_times_s."""
+        return self._fine_trace[1]
 
     def lock_fraction(self) -> float:
         """Fraction of steps spent in closed-loop fine tracking."""
@@ -218,8 +238,9 @@ class PatSeries:
         return self.times_s, self.residual_arcsec
 
 
-_FINE_BLOCK_SAMPLES = 1 << 17  # sub-steps per fine run: bounds its temporary arrays
+_FINE_BLOCK_SAMPLES = 1 << 17  # sub-steps per fine run: sizes its noise and scratch buffers
 _CHAIN_ROUNDS = 8  # fixed-point steps before _frame_chain chains row by row
+_COARSE_TRY_STEPS = 256  # steps a coarse loop tries before running on to the gate
 
 
 def _first(mask: np.ndarray, default: int) -> int:
@@ -233,30 +254,73 @@ def _row(values: np.ndarray) -> np.ndarray | None:
     return None if np.isnan(values[0]) else values
 
 
-def _servo_response(noise: np.ndarray, alpha: float) -> np.ndarray:
-    """Each frame's sub-step noise response, r[k] = (1 - alpha) r[k-1] - alpha n[k].
+def _servo_rows(noise: np.ndarray, alpha: float,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """Each frame's sub-step noise response, sub-step axis leading: (n_sub, 2 frames).
 
-    noise is (frames, n_sub, 2) and is left unchanged; every recurrence
-    starts from r = 0. This is lfilter([-alpha], [1, -(1 - alpha)],
-    noise, axis=1) bit for bit: that filter's state after sample k-1 is
-    0 n[k-1] + (1 - alpha) r[k-1], and since 0 n[k-1] is a signed zero,
-    adding it to -alpha n[k] first gives the same sum; its zero initial
-    state turns a -0.0 at k = 0 into +0.0. Each pass of the loop is one
-    vector operation across all frames. The (x, y) pairs travel as
-    complex numbers, so the copy that makes the sub-step axis leading
-    moves 16-byte items; that is about a fifth faster per fine run than
-    the same loop on a transposed (n_sub, frames, 2) copy.
+    r[k] = (1 - alpha) r[k-1] - alpha n[k] from r = 0, for the
+    (frames, n_sub, 2) noise, which is left unchanged. The recurrence is
+    rolled in place over scratch, a complex (2, n_sub, >= frames)
+    buffer (a new one when none is given): the noise is copied into its
+    first half sub-step axis leading, and the response fills its second.
+    The (x, y) pairs travel as complex numbers, so the transposing copy
+    moves 16-byte items.
+
+    This is lfilter([-alpha], [1, -(1 - alpha)], noise, axis=1) bit for
+    bit: that filter's state after sample k-1 is 0 n[k-1] + (1 - alpha)
+    r[k-1], and since 0 n[k-1] is a signed zero, adding it to -alpha n[k]
+    first gives the same sum; its zero initial state turns a -0.0 at
+    k = 0 into +0.0. Each pass of the loop is one vector operation
+    across all frames.
     """
     frames, n_sub, _ = noise.shape
-    x = noise.view(np.complex128)[..., 0].T.copy().view(np.float64)
-    r = (-alpha) * x
+    if scratch is None:
+        scratch = np.empty((2, n_sub, frames), np.complex128)
+    x, r = scratch[0, :, :frames], scratch[1, :, :frames]
+    np.copyto(x, noise.view(np.complex128)[..., 0].T)
+    x, r = x.view(np.float64), r.view(np.float64)
+    np.multiply(x, -alpha, out=r)
     r[0] += 0.0
-    r[1:] += 0.0 * x[:-1]
+    x[:-1] *= 0.0
+    r[1:] += x[:-1]
     keep = 1.0 - alpha
     for k in range(1, n_sub):
         r[k] += keep * r[k - 1]
+    return r
+
+
+def _servo_response(noise: np.ndarray, alpha: float) -> np.ndarray:
+    """Each frame's sub-step noise response as (frames, n_sub, 2), from _servo_rows."""
+    frames, n_sub, _ = noise.shape
+    r = _servo_rows(noise, alpha)
     return np.ascontiguousarray(r.view(np.complex128).T).view(np.float64).reshape(
         frames, n_sub, 2)
+
+
+def _servo_end(noise: np.ndarray, alpha: float,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """Each frame's last sub-step noise response: _servo_response(noise, alpha)[:, -1].
+
+    Returns (frames, 2). scratch is as in _servo_rows; noise is left
+    unchanged.
+    """
+    return _servo_rows(noise, alpha, scratch)[-1].reshape(len(noise), 2).copy()
+
+
+def _mirror_command(e: np.ndarray, residual: np.ndarray,
+                    range_arcsec: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mirror command e - residual, cut back to the mirror range, and where it was.
+
+    The last axis holds (x, y); a command beyond the range keeps its
+    direction at the range's length.
+    """
+    mirror = e - residual
+    over = np.einsum("...k,...k->...", mirror, mirror) > range_arcsec ** 2
+    if over.any():
+        clip = mirror[over]
+        clip *= range_arcsec / np.hypot(clip[:, 0], clip[:, 1])[:, np.newaxis]
+        mirror[over] = clip
+    return mirror, over
 
 
 def _frame_chain(x: np.ndarray, beta: float) -> np.ndarray:
@@ -270,7 +334,7 @@ def _frame_chain(x: np.ndarray, beta: float) -> np.ndarray:
     converged (beta near 1: a low loop gain with one sub-step per frame)
     the rows are chained one by one in Python floats, the same operations
     in the same order, which keeps the cost linear in len(x). As in
-    _servo_response, the filter state's signed zero 0 x[n-1] is added to
+    _servo_rows, the filter state's signed zero 0 x[n-1] is added to
     x[n]; 0.0 + x turns -0.0 into +0.0 as its zero initial state does.
     """
     y = 0.0 + x
@@ -285,6 +349,78 @@ def _frame_chain(x: np.ndarray, beta: float) -> np.ndarray:
     return np.array(chained).T
 
 
+class _FineLoop:
+    """The mirror servo's constants and noise stream, shared by run_pat and the trace rebuild."""
+
+    def __init__(self, config: PatControllerConfig, dt_s: float, seed: int):
+        sub_dt = 1.0 / (10.0 * config.fsm.bandwidth_hz)
+        self.n_sub = max(1, int(round(dt_s / sub_dt)))
+        sub_dt = dt_s / self.n_sub
+        self.sub_times = np.arange(1, self.n_sub + 1) * sub_dt
+        self.alpha = config.fsm.loop_gain * (
+            1.0 - math.exp(-2.0 * math.pi * config.fsm.bandwidth_hz * sub_dt))
+        # carry-over of an update's initial residual to each of its sub-steps
+        self.decay = ((1.0 - self.alpha) ** np.arange(1, self.n_sub + 1))[:, np.newaxis]
+        self.block = max(1, _FINE_BLOCK_SAMPLES // self.n_sub)
+        self.sigma = config.nfov.centroid_noise_rms_arcsec
+        self.range_arcsec = config.fsm.range_arcsec
+        self.seed = seed
+
+    def rng(self) -> np.random.Generator:
+        """A fresh copy of run_pat's fine-loop noise stream."""
+        return module_streams(self.seed, MODULE_NAME, 5)[4]
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """out = rng.normal(0.0, sigma, out.shape), in place.
+
+        rng.normal computes 0.0 + sigma z from the same standard normals
+        z, and adding 0.0 turns the -0.0 of a zero sigma into +0.0 as
+        that sum does.
+        """
+        rng.standard_normal(out=out)
+        out *= self.sigma
+        out += 0.0
+
+
+@dataclass(frozen=True)
+class _FineUpdates:
+    """The fine loop's updates, from which its sub-step trace is rebuilt.
+
+    Update u ran at step steps[u] from residual r0[u] while the mirror
+    tracked pointing error e[u] (40 B per update), on the u-th (n_sub, 2)
+    block of the fine-loop noise stream.
+    """
+
+    loop: _FineLoop
+    steps: np.ndarray
+    r0: np.ndarray
+    e: np.ndarray
+
+    def trace(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sample times, (m, 2) residuals) at every sub-step of every update.
+
+        The noise is drawn again from a fresh copy of the stream, block
+        updates at a time. Each sub-step residual is r0 (1 - alpha)^(k+1)
+        plus its noise response; where the mirror command it leaves is
+        beyond the range, the clipped command's residual replaces it.
+        """
+        loop, count = self.loop, len(self.steps)
+        times = (times_s[self.steps, np.newaxis] + loop.sub_times).reshape(-1)
+        residual = np.empty((count, loop.n_sub, 2))
+        rng = loop.rng()
+        noise = np.empty((min(count, loop.block), loop.n_sub, 2))
+        for lo in range(0, count, loop.block):
+            hi = min(lo + loop.block, count)
+            loop.draw(rng, noise[:hi - lo])
+            trace = residual[lo:hi]
+            e = self.e[lo:hi, np.newaxis]
+            np.multiply(loop.decay, self.r0[lo:hi, np.newaxis], out=trace)
+            trace += _servo_response(noise[:hi - lo], loop.alpha)
+            mirror, over = _mirror_command(e, trace, loop.range_arcsec)
+            np.subtract(e, mirror, out=trace, where=over[..., np.newaxis])
+        return times, residual.reshape(-1, 2)
+
+
 class _PatRun:
     """One run_pat call: the pre-drawn noise, the output arrays and the loop state.
 
@@ -295,7 +431,9 @@ class _PatRun:
     step jitter, the camera centroids and the mount jitter once per step
     or frame slot whether or not the draw is used, the fine loop one
     (n_sub, 2) block per update in order; so what is drawn for one
-    source does not depend on what the cameras saw.
+    source does not depend on what the cameras saw. Fine-loop noise is
+    drawn ahead into a buffer reused for the whole run; rows a fine run
+    does not commit move to its front for the next one.
     """
 
     def __init__(self, config: PatControllerConfig, times: np.ndarray,
@@ -304,19 +442,11 @@ class _PatRun:
         self.times = times
         self.elevations = elevations
         n = self.n = len(times)
-        sub_dt = 1.0 / (10.0 * config.fsm.bandwidth_hz)
-        self.n_sub = max(1, int(round(dt_s / sub_dt)))
-        sub_dt = dt_s / self.n_sub
-        self.sub_times = np.arange(1, self.n_sub + 1) * sub_dt
-        self.alpha = config.fsm.loop_gain * (
-            1.0 - math.exp(-2.0 * math.pi * config.fsm.bandwidth_hz * sub_dt))
-        # carry-over of a step's initial residual to each of its sub-steps
-        self.decay = ((1.0 - self.alpha) ** np.arange(1, self.n_sub + 1))[:, np.newaxis]
+        loop = self.loop = _FineLoop(config, dt_s, seed)
         self.wfov_every = max(1, int(round(1.0 / (config.wfov.frame_rate_hz * dt_s))))
         self.nfov_every = max(1, int(round(1.0 / (config.nfov.frame_rate_hz * dt_s))))
         self.frame_dt = self.wfov_every * dt_s
-        self.block = max(1, _FINE_BLOCK_SAMPLES // self.n_sub)
-        self.fine_len = self.block  # steps tried per fine run; shrinks where runs stop early
+        self.fine_len = loop.block  # steps tried per fine run; shrinks where runs stop early
 
         jitter, wfov, nfov, mount, fine = module_streams(seed, MODULE_NAME, 5)
         n_wfov = -(-n // self.wfov_every)
@@ -326,16 +456,20 @@ class _PatRun:
         self.nfov_noise = nfov.normal(0.0, config.nfov.centroid_noise_rms_arcsec, (n_nfov, 2))
         self.mount_jitter = mount.normal(0.0, config.mount.jitter_rms_arcsec, (n_wfov, 2))
         self.fine_rng = fine
-        self.fine_spare = np.empty((0, self.n_sub, 2))
+        capacity = -(-loop.block // self.nfov_every)  # updates in one fine run
+        self.fine_noise = np.empty((capacity, loop.n_sub, 2))  # rows [:n_drawn] drawn ahead
+        self.n_drawn = 0
+        self.scratch = np.empty((2, loop.n_sub, capacity), np.complex128)
 
         self.phases = np.empty(n, dtype=np.int8)
         self.true_err = np.empty((n, 2))
         self.mount_cmd = np.empty((n, 2))
         self.fsm_cmd = np.empty((n, 2))
-        # written in place, sized for a fine update on every narrow-camera frame
-        self.fine_times = np.empty(n_nfov * self.n_sub)
-        self.fine_res = np.empty((n_nfov * self.n_sub, 2))
-        self.n_fine = 0
+        # sized for a fine update on every narrow-camera frame
+        self.upd_steps = np.empty(n_nfov, dtype=np.int64)
+        self.upd_r0 = np.empty((n_nfov, 2))
+        self.upd_e = np.empty((n_nfov, 2))
+        self.n_upd = 0
 
         self.base = np.array(config.mount.systematic_bias_arcsec, dtype=float)
         self.mount_total = np.zeros(2)
@@ -439,79 +573,72 @@ class _PatRun:
         Idle lasts until the elevation gate opens; beacon pointing and
         SignalLost last one step; open-loop coarse lasts until the wide
         camera sees the beacon and closed-loop coarse until the narrow
-        camera does.
+        camera does. The coarse loops usually end within a few frames, so
+        they first try _COARSE_TRY_STEPS steps and run on to the gate only
+        when the phase outlasts them: every array is a function of the
+        steps before it, so a stop inside the first try is the stop of
+        the whole stretch, bit for bit.
         """
         if phase == PatPhase.Idle:
-            j = self._next(self.gate_open, i)
+            ends = [self._next(self.gate_open, i)]
         elif phase in (PatPhase.UplinkBeaconPointing, PatPhase.SignalLost):
-            j = i
+            ends = [i]
         else:
             j = self._next(self.gate_closed, i)
+            ends = [i + _COARSE_TRY_STEPS - 1, j] if i + _COARSE_TRY_STEPS - 1 < j else [j]
         measured = phase not in (PatPhase.Idle, PatPhase.UplinkBeaconPointing)
         closed = phase in (PatPhase.ClosedLoopCoarse, PatPhase.SignalLost)
-        j, err_pre, err_post, wfov, mount_total, base_after = self._pointing(
-            i, j, measured, closed)
-        fsm = np.repeat(self.fsm[np.newaxis], len(err_pre), axis=0)
-        nfov = self._nfov(i, err_pre, fsm) if measured else np.full_like(err_pre, np.nan)
-        if phase == PatPhase.OpenLoopCoarse:
-            j = i + _first(~np.isnan(wfov[:, 0]), j - i)
-        elif phase == PatPhase.ClosedLoopCoarse:
-            j = i + _first(~np.isnan(nfov[:, 0]), j - i)
+        for end in ends:
+            j, err_pre, err_post, wfov, mount_total, base_after = self._pointing(
+                i, end, measured, closed)
+            fsm = np.repeat(self.fsm[np.newaxis], len(err_pre), axis=0)
+            nfov = self._nfov(i, err_pre, fsm) if measured else np.full_like(err_pre, np.nan)
+            seen = (wfov if phase == PatPhase.OpenLoopCoarse
+                    else nfov if phase == PatPhase.ClosedLoopCoarse else None)
+            last = j - i if seen is None else _first(~np.isnan(seen[:, 0]), j - i)
+            if last < end - i:
+                break
+        j = i + last
         self._commit(i, j, phase, err_post, mount_total, base_after, fsm)
         return j, PatMeasurements(float(self.elevations[j]), _row(wfov[j - i]),
                                   _row(nfov[j - i]))
 
     def _fine_noise(self, count: int) -> np.ndarray:
         """Sub-step noise for the next count fine updates, in stream order."""
-        extra = count - len(self.fine_spare)
-        if extra > 0:
-            fresh = self.fine_rng.normal(
-                0.0, self.config.nfov.centroid_noise_rms_arcsec, (extra, self.n_sub, 2))
-            self.fine_spare = np.concatenate([self.fine_spare, fresh]) \
-                if len(self.fine_spare) else fresh
-        return self.fine_spare[:count]
+        if count > self.n_drawn:
+            self.loop.draw(self.fine_rng, self.fine_noise[self.n_drawn:count])
+            self.n_drawn = count
+        return self.fine_noise[:count]
 
     def _fine(self, i: int) -> tuple[int, PatMeasurements]:
         """ClosedLoopFine from step i, up to the first step that breaks the linear loop.
 
         Each narrow-camera frame runs n_sub servo updates,
-        r[k+1] = (1 - alpha) r[k] - alpha n[k]. The noise response of
-        every frame comes from _servo_response over the sub-step axis;
-        the step-end residuals chain across frames with coefficient
-        (1 - alpha)^n_sub through _frame_chain, and each sub-step trace is
-        r0 (1 - alpha)^(k+1) plus its noise response. That holds until
-        the narrow camera misses a frame, the mirror range clamps the
-        step-end command or the elevation gate closes; the run stops at
-        that step.
+        r[k+1] = (1 - alpha) r[k] - alpha n[k]. Only each frame's last
+        sub-step reaches the outer series: its noise response comes from
+        _servo_end, the step-end residuals chain across frames with
+        coefficient (1 - alpha)^n_sub through _frame_chain, and the
+        step-end residual is r0 (1 - alpha)^n_sub plus that response.
+        That holds until the narrow camera misses a frame, the mirror
+        range clamps the step-end command or the elevation gate closes;
+        the run stops at that step. Each committed update keeps its step,
+        r0 and e, from which PatSeries rebuilds the sub-step trace on
+        demand.
         """
-        config, alpha = self.config, self.alpha
+        loop, alpha = self.loop, self.loop.alpha
         j = min(self._next(self.gate_closed, i), i + self.fine_len - 1)
         j, err_pre, err_post, wfov, mount_total, base_after = self._pointing(
             i, j, True, True)
         steps = np.arange(i, j + 1)
         upd = np.flatnonzero(steps % self.nfov_every == 0)
         e = err_post[upd]
-        k_upd = len(upd)
-        response = _servo_response(self._fine_noise(k_upd), alpha)
-        beta = (1.0 - alpha) ** self.n_sub
+        response = _servo_end(self._fine_noise(len(upd)), alpha, self.scratch)
+        beta = (1.0 - alpha) ** loop.n_sub
         drive = np.diff(e, axis=0, prepend=self.fsm[np.newaxis])
-        ends = _frame_chain(beta * drive + response[:, -1], beta)
+        ends = _frame_chain(beta * drive + response, beta)
         r0 = drive + np.vstack([np.zeros(2), ends[:-1]])
-        # traces go straight into the output; rows past the cut are overwritten later
-        trace = self.fine_res[self.n_fine:self.n_fine + k_upd * self.n_sub].reshape(
-            k_upd, self.n_sub, 2)
-        np.multiply(self.decay, r0[:, np.newaxis], out=trace)
-        trace += response
-        # apply the mirror range limit sample by sample
-        mirror = e[:, np.newaxis] - trace
-        over = np.einsum("ijk,ijk->ij", mirror, mirror) > config.fsm.range_arcsec ** 2
-        if over.any():
-            clip = mirror[over]
-            clip *= config.fsm.range_arcsec / np.hypot(clip[:, 0], clip[:, 1])[:, np.newaxis]
-            mirror[over] = clip
-            trace[over] = np.broadcast_to(e[:, np.newaxis], mirror.shape)[over] - clip
-        fsm_upd = mirror[:, -1]
-        clamped = over[:, -1]
+        fsm_upd, clamped = _mirror_command(e, loop.decay[-1] * r0 + response,
+                                           loop.range_arcsec)
 
         # the mirror command each step's camera frame sees, and the one it leaves
         held = np.searchsorted(upd, np.arange(len(steps)), side="right")
@@ -526,16 +653,20 @@ class _PatRun:
 
         done = int(np.searchsorted(upd, last, side="right")) - int(missed[last])
         fsm = np.vstack([self.fsm, fsm_upd[:done]])[np.minimum(held, done)]
-        np.add(self.times[i + upd[:done], np.newaxis], self.sub_times,
-               out=self.fine_times[self.n_fine:self.n_fine + done * self.n_sub].reshape(
-                   done, self.n_sub))
-        self.n_fine += done * self.n_sub
-        self.fine_spare = self.fine_spare[done:]
+        kept = slice(self.n_upd, self.n_upd + done)
+        self.upd_steps[kept] = i + upd[:done]
+        self.upd_r0[kept] = r0[:done]
+        self.upd_e[kept] = e[:done]
+        self.n_upd += done
+        if done:
+            left = self.n_drawn - done
+            self.fine_noise[:left] = self.fine_noise[done:self.n_drawn]
+            self.n_drawn = left
         self._commit(i, i + last, PatPhase.ClosedLoopFine, err_post, mount_total,
                      base_after, fsm)
         # consecutive missed narrow-camera frames; the run ends at its first miss
         self.dropouts = (0 if seen[:last + 1].any() else self.dropouts) + int(missed[last])
-        self.fine_len = min(self.block, 2 * (last + 1))
+        self.fine_len = min(loop.block, 2 * (last + 1))
         return i + last, PatMeasurements(float(self.elevations[i + last]), _row(wfov[last]),
                                          _row(nfov[last]), self.dropouts)
 
@@ -570,7 +701,7 @@ def run_pat(
         fsm_cmd=run.fsm_cmd,
         residual_arcsec=np.hypot(run.true_err[:, 0] - run.fsm_cmd[:, 0],
                                  run.true_err[:, 1] - run.fsm_cmd[:, 1]),
-        fine_times_s=run.fine_times[:run.n_fine],
-        fine_residual=run.fine_res[:run.n_fine],
         dt_s=dt_s,
+        _fine_updates=_FineUpdates(run.loop, run.upd_steps[:run.n_upd],
+                                   run.upd_r0[:run.n_upd], run.upd_e[:run.n_upd]),
     )

@@ -34,6 +34,11 @@ from .polarization_correction import PcsConfig
 from .quantum_receiver import ClockModel, DetectorModel, SyncConfig
 
 
+# beacon_clock_sync folds the beacon period into period / bin_s histogram
+# bins; 2**24 of them take 256 MB of counts and edges
+MAX_FOLD_BINS = 2 ** 24
+
+
 class ScenarioError(QkdPassError):
     """Scenario file missing, unreadable, or failing validation."""
 
@@ -110,6 +115,10 @@ class Scenario:
             raise TypeError(f"tle_lines {self.tle_lines!r} is not a list of strings")
         if not isinstance(self.output_dir, str):
             raise TypeError(f"output_dir {self.output_dir!r} is not a string")
+        beacon_hz = self.source.beacon_frequency_hz
+        if beacon_hz and 1.0 / beacon_hz / self.sync.bin_s > MAX_FOLD_BINS:
+            raise OutOfRange(f"[sync] bin_s {self.sync.bin_s} splits one beacon period "
+                             f"into more than {MAX_FOLD_BINS} fold bins")
 
     def load_tle(self) -> TwoLineElement:
         if self.tle_lines:

@@ -245,6 +245,7 @@ def test_corrupt_tle_is_input_error(tmp_path, capsys, command):
     ("sync", "bin_s = 0"),
     ("sync", "bin_s = -1e-7"),
     ("sync", 'bin_s = "fast"'),
+    ("sync", "bin_s = 1e-14"),  # 1e10 fold bins per beacon period
     ("sync", "max_offset_s = 0"),
     ("sync", "beacon_jitter_rms_s = -1e-9"),
     ("sync", "min_matched = 1"),
@@ -424,16 +425,25 @@ def assert_matches_golden(got, want, where: str = "") -> None:
         assert type(got) is type(want) and got == want, where
 
 
+# sha256 of the demo's pat.csv per seed, recorded while run_pat still
+# wrote every sub-step of the fine loop as it ran
+PAT_CSV_SHA256 = {
+    "7": "c6b17517f144a3fd7722884547eda8bbedda7b396ea373885b1a0a56124c33fc",
+    "11": "94aa4d4342ad56463afac5a7505371a3bc5060c454a11c3d813dcd5fa79b642d",
+}
+
+
 @pytest.mark.parametrize("seed", ["7", "11"])
 def test_demo_outputs_match_golden(tmp_path, seed):
     """The demo scenario reproduces the report and telemetry recorded in
-    tests/golden_demo.json (pcs.csv is pinned by PCS_CSV_SHA256 below;
-    the tag files are not pinned)."""
+    tests/golden_demo.json, and pat.csv bit for bit (pcs.csv is pinned
+    by PCS_CSV_SHA256 below; the tag files are not pinned)."""
     cfg, _ = write_demo_inputs(tmp_path)
     out = tmp_path / "out"
     assert run(["simulate", "--scenario", cfg, "--seed", seed]) == EXIT_OK
     golden = json.loads(GOLDEN_DEMO.read_text())
     assert_matches_golden(demo_digest(out), golden[seed], seed)
+    assert hashlib.sha256((out / "pat.csv").read_bytes()).hexdigest() == PAT_CSV_SHA256[seed]
 
 
 # [pcs] lines per case, and the sha256 of the demo's pcs.csv at seed 7;

@@ -1,7 +1,11 @@
 """Acquisition sequence and tracking-loop behavior."""
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from qkdpass import pat_controller
+from qkdpass.bbm92_pipeline import link_budget, simulate_pass
 from qkdpass.errors import OutOfRange
 from qkdpass.pat_controller import (MODULE_NAME, CameraModel, FsmModel,
                                     MountModel, PatControllerConfig,
                                     PatMeasurements, PatPhase, _CHAIN_ROUNDS,
-                                    _frame_chain, _servo_response, centroid_offset,
-                                    mount_step, pat_transition, run_pat)
+                                    _frame_chain, _servo_end, _servo_response,
+                                    centroid_offset, mount_step, pat_transition,
+                                    run_pat)
 from qkdpass.seeding import module_streams
+from conftest import base_scenario
 
 
 def first_index(phases: np.ndarray, phase: PatPhase) -> int:
@@ -176,6 +184,43 @@ def test_config_requires_nested_fields():
         MountModel(max_slew_rate_dps=0.0)
     with pytest.raises(OutOfRange):
         FsmModel(loop_gain=0.0)
+
+
+def test_run_pat_memory_is_bounded_per_step():
+    # the sub-step trace is rebuilt only when read: run_pat keeps about
+    # 40 B per fine update, not the 60 sub-steps of each (the whole trace
+    # took 1505 B per step live and a 77.5 MiB peak)
+    n = 45_000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        series = run_pat(45.0, duration_s=450.0, dt_s=0.01)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(series.times_s) == n and series.lock_fraction() > 0.99
+    assert (live - base) / n <= 200.0
+    assert peak - base <= 25 * 2**20
+
+
+def test_pipeline_leaves_fine_trace_unbuilt(monkeypatch):
+    def refuse(self, times_s):
+        raise AssertionError("fine-loop trace built")
+
+    monkeypatch.setattr(pat_controller._FineUpdates, "trace", refuse)
+    scenario = base_scenario(protocol=replace(base_scenario().protocol,
+                                              max_source_events=20_000))
+    assert len(link_budget(scenario).times_s) > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_pass(scenario)
+    assert result.pat.lock_fraction() > 0.5
+    with pytest.raises(AssertionError, match="trace built"):
+        result.pat.fine_residual_norm()
 
 
 def test_fine_loop_step_end_variance_pull():
@@ -342,6 +387,102 @@ def test_segment_kernels_match_step_loop(case):
         assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
 
+_PINNED_SERIES = ("phases", "true_error", "mount_cmd", "fsm_cmd", "residual_arcsec",
+                  "fine_residual", "fine_times_s")
+# sha256 of each of _PINNED_SERIES on _DIP at seed 3, recorded while run_pat
+# still wrote every sub-step of the fine loop as it ran
+PAT_SERIES_SHA256 = {
+    "coarse_step": (
+        "f817f15e6339b454385cd46eebee9e3c4e37b6d3fc60d54253bb57e1c5ebc849",
+        "7c1e74e9617f32d6869bb1417cec48c6e1044e9683a958eb56dfc7f949281d46",
+        "c691ff2428a7ee5a8518e7583e5dfca944ec7e65341505d15e070cd3cc27e9ea",
+        "9dbc61ebf0b12ee05a82f9c84a87bcfdf8fab62ed6516a82a5022ad2704543fe",
+        "672edbe9d665cd5ba311f58e97c252245b3016ad1ce2336680dfa5444bc9c5d7",
+        "96ed91806afbd94d14290f1b279fbf5e460fc9e06a5dad13d5fc1363905c26ee",
+        "7fe599bf886284651a7471c8c3b7c89b5e16c2f7a7ced4f6c88756180aab9581",
+    ),
+    "default": (
+        "c7208ffacbe0db1dbfec3010e9c9dc571547793a2718d9e65115680fd91ecb46",
+        "e368fc62f037e7c12a87b2029e3814a7ebff9764819784acef47b09faf37ff05",
+        "73178b6905706fa416f4ef4baf57b40b525693ff47f617245e9d258b245630ed",
+        "1afef37fd0c6d23a8f3e187fa5f0dd61ad088b5c255415a6e858d5dce0dd18c4",
+        "b7de854b61e1e1faca51038c9bef9df19df7cfc02459c8f973cc89cdf24bc6ee",
+        "0c49d5561f1412f9aafeea3e2199aaa8075c507794c451ac8c8d641b9da64b7b",
+        "f1f3c9a2bff0f34dbd7a14e2c8012eebe3d2b0566470375c174a290b035b9fce",
+    ),
+    "low_gain": (
+        "c7208ffacbe0db1dbfec3010e9c9dc571547793a2718d9e65115680fd91ecb46",
+        "8461840ae4cdd4fbf41be224a9ff8f3bc67a018a9b7222673251cfd74e720df8",
+        "f779faa39cda7c0fb47d5f499f3f3219c39b6839cd9a9758dadf87c4dc9c8d0e",
+        "94f9c24b0f3a38442e248edaebc7dce13d2dd436efb9b8d9d0cc565798af8795",
+        "fd4ca48e0032dc174de7fc7c31d214b781cbda6fb8490d395374b7c245c1d2a5",
+        "ae66422c26531242172ac36a4960d23e7f6c26f9a68fe32a315821f14e669685",
+        "239fa8c78c0b2039fb042c9c983632b9289c67c90ce74024782a1904246e2fd8",
+    ),
+    "mirror_range": (
+        "c7208ffacbe0db1dbfec3010e9c9dc571547793a2718d9e65115680fd91ecb46",
+        "3f81571e5529281ce352db699387e308df62943ac133b419185df31e6c1d8106",
+        "91cce8722a405050ad180e30cfe171eb23e74f5818410f1690f3d827acdbe70d",
+        "32e6e86428190798472d348e8f6727f16843011fb3f68872572e69b5ffa9fa9b",
+        "c4e989dc28c3fb597c482e42c655b66517fae73c1b0fe0085a5f057a482fa3bf",
+        "55259709153309756111d2ee5460a1eb9f6dd9bdac6d0da1783be32046eda8fb",
+        "f1f3c9a2bff0f34dbd7a14e2c8012eebe3d2b0566470375c174a290b035b9fce",
+    ),
+    "narrow_field": (
+        "4298ad472dfb0698f2ae535a257e5a353ac895e3f796bb9c90c3ac83c1128d0c",
+        "70178ea694fcba3842569640138bbd07a6156f56fe25bd9c0912b025796b1bb9",
+        "6050636770d8dcd1b6f2c3283a9bae0dc1ff9446bde89a7612c7a5976ca6add4",
+        "6b9c97f03644a7b121fc872b17bcb76a587f302cef77f70229953c3123cc1d98",
+        "5af5272541cb8f6f10b5663608986bfb67113512c64e06342603eadf5535200b",
+        "c1389614966ac87b31675ba369555f77105e28755d47c24ffaa77573bfd2c6a8",
+        "10402bf5b7810f89b2122c5f15aa2d3fe595b6504a7f553fbf0e0f9efed110e6",
+    ),
+    "slew_limit": (
+        "90392c56e6321b583d3cf9b6f73c6c4c837d95bea5ad211cddc5d46145a09117",
+        "d71af013cc7a8bbc2961ee232ad95ea2652340bf50d74d8a177989e95192d2c8",
+        "ee7b87f0710fe16c0a0df321dae105110801058b090b8992d07f587c970cc00d",
+        "151ff79f29e96d211576b9a2e3e78f518b26109916616945d50cdee82dd2ba8b",
+        "855baa96868f3243639cede1480bb3d96666f6118a4fe443118bbf82404f36bf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "slow_narrow_camera": (
+        "48ce01a18f8180547d2bfa743fb636be1bf26a95eebe030df30444215ce91ee2",
+        "8461840ae4cdd4fbf41be224a9ff8f3bc67a018a9b7222673251cfd74e720df8",
+        "f779faa39cda7c0fb47d5f499f3f3219c39b6839cd9a9758dadf87c4dc9c8d0e",
+        "0efed6c560326172f6577b764817bfed4e714911f33c09a271e9097b65eb02a0",
+        "2533625d7ee65978c80fc327f91c44d32617cf646b5494d61df1a055ad7d0c67",
+        "c515d9aea266558c6a621148f473b37d778da79c8d1ef80966af9c797d12edab",
+        "3fb6849c9748c0edcd212321073d837641e10fcd0b7bccbb69fcd6f17403e4a4",
+    ),
+    "wide_camera_misses": (
+        "a9ebaf5cb653aa7a53a3a1e0be8dd24f3f8b7bda83d67fe6eb4a75da48d45ecb",
+        "edb7e972ddc6e4c253c38c4e14ce3c7633ac7f1f977343a0a988db4c39d2807b",
+        "151ff79f29e96d211576b9a2e3e78f518b26109916616945d50cdee82dd2ba8b",
+        "151ff79f29e96d211576b9a2e3e78f518b26109916616945d50cdee82dd2ba8b",
+        "774d5ebaaa6b0deb4d3eff9b8c6358d453aa3011bbc6bc5b4719eba070226af1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("coarse_try_steps", [None, 1, 7])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_series_bits_are_pinned(case, coarse_try_steps, monkeypatch):
+    """Every bit of the outer series and the sub-step trace: the step-loop
+    comparison above holds only to 1e-9. However few steps a coarse loop
+    tries first, the bits stay."""
+    if coarse_try_steps:
+        monkeypatch.setattr(pat_controller, "_COARSE_TRY_STEPS", coarse_try_steps)
+    config, dt = _REFERENCE_CASES[case]
+    series = run_pat(lambda times: _DIP, config, duration_s=len(_DIP) * dt, dt_s=dt, seed=3)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(getattr(series, name)).tobytes())
+                    .hexdigest() for name in _PINNED_SERIES)
+    assert dict(zip(_PINNED_SERIES, digests)) == dict(
+        zip(_PINNED_SERIES, PAT_SERIES_SHA256[case]))
+
+
 def _oracle_noise(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """Gaussian noise with zeros, -0.0 and values small enough to underflow mixed in."""
     rng = np.random.default_rng(seed)
@@ -371,6 +512,23 @@ def test_servo_response_is_lfilter_bit_for_bit(alpha, n_sub, frames, seed):
     before = noise.copy()
     want = lfilter([-alpha], [1.0, -(1.0 - alpha)], noise, axis=1)
     assert _same_bits(_servo_response(noise, alpha), want)
+    assert _same_bits(noise, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=_ALPHA, n_sub=st.integers(1, 120), frames=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+@example(alpha=0.3, n_sub=60, frames=1, seed=0)
+@example(alpha=0.3, n_sub=60, frames=1450, seed=1)
+@example(alpha=0.01, n_sub=1, frames=3000, seed=3)  # the step end is the only sub-step
+def test_servo_end_is_lfilter_last_sample_bit_for_bit(alpha, n_sub, frames, seed):
+    noise = _oracle_noise(seed, (frames, n_sub, 2))
+    before = noise.copy()
+    want = lfilter([-alpha], [1.0, -(1.0 - alpha)], noise, axis=1)[:, -1]
+    # a scratch buffer wider than the block, as run_pat passes one
+    scratch = np.empty((2, n_sub, frames + 7), np.complex128)
+    assert _same_bits(_servo_end(noise, alpha, scratch), want)
+    assert _same_bits(_servo_end(noise, alpha), want)
     assert _same_bits(noise, before)
 
 

@@ -153,6 +153,22 @@ def test_invalid_pcs_keys_rejected(tmp_path, lines):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("lines, loads", [
+    (["[sync]", "bin_s = 1e-14"], False),  # 1e10 bins at 10 kHz
+    (["[sync]", "bin_s = 1e-11"], True),   # 1e7 bins: sync fails, the run does not
+    (["[sync]", "bin_s = 1e-11", "[source]", "beacon_frequency_hz = 1e3"], False),
+    (["[sync]", "bin_s = 1e-14", "[source]", "beacon_frequency_hz = 0"], True),  # no beacon
+])
+def test_sync_bins_per_beacon_period_are_bounded(tmp_path, lines, loads):
+    path = tmp_path / "bins.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    if loads:
+        load_scenario(path)
+    else:
+        with pytest.raises(ScenarioError, match="fold bins"):
+            load_scenario(path)
+
+
 def test_write_example_is_loadable(tmp_path):
     path = tmp_path / "scenario.example"
     write_example(path)
