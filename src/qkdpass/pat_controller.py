@@ -11,8 +11,8 @@ is what the link budget sees.
 
 run_pat computes each phase segment as arrays, up to the step at which
 pat_transition may change the phase, and draws each noise source (step
-jitter, wide- and narrow-camera centroids, mount jitter, fine-loop
-sub-step noise) from its own stream.
+jitter, wide- and narrow-camera centroids, mount jitter, the fine
+loop's step-end noise) from its own stream.
 """
 from __future__ import annotations
 
@@ -238,7 +238,7 @@ class PatSeries:
         return self.times_s, self.residual_arcsec
 
 
-_FINE_BLOCK_SAMPLES = 1 << 17  # sub-steps per fine run: sizes its noise and scratch buffers
+_FINE_BLOCK_SAMPLES = 1 << 17  # sub-steps per fine run and per trace block
 _CHAIN_ROUNDS = 8  # fixed-point steps before _frame_chain chains row by row
 _COARSE_TRY_STEPS = 256  # steps a coarse loop tries before running on to the gate
 
@@ -254,17 +254,15 @@ def _row(values: np.ndarray) -> np.ndarray | None:
     return None if np.isnan(values[0]) else values
 
 
-def _servo_rows(noise: np.ndarray, alpha: float,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+def _servo_rows(noise: np.ndarray, alpha: float) -> np.ndarray:
     """Each frame's sub-step noise response, sub-step axis leading: (n_sub, 2 frames).
 
     r[k] = (1 - alpha) r[k-1] - alpha n[k] from r = 0, for the
     (frames, n_sub, 2) noise, which is left unchanged. The recurrence is
-    rolled in place over scratch, a complex (2, n_sub, >= frames)
-    buffer (a new one when none is given): the noise is copied into its
-    first half sub-step axis leading, and the response fills its second.
-    The (x, y) pairs travel as complex numbers, so the transposing copy
-    moves 16-byte items.
+    rolled in place over one complex (2, n_sub, frames) buffer: the
+    noise is copied into its first half sub-step axis leading, and the
+    response fills its second. The (x, y) pairs travel as complex
+    numbers, so the transposing copy moves 16-byte items.
 
     This is lfilter([-alpha], [1, -(1 - alpha)], noise, axis=1) bit for
     bit: that filter's state after sample k-1 is 0 n[k-1] + (1 - alpha)
@@ -274,9 +272,7 @@ def _servo_rows(noise: np.ndarray, alpha: float,
     across all frames.
     """
     frames, n_sub, _ = noise.shape
-    if scratch is None:
-        scratch = np.empty((2, n_sub, frames), np.complex128)
-    x, r = scratch[0, :, :frames], scratch[1, :, :frames]
+    x, r = np.empty((2, n_sub, frames), np.complex128)
     np.copyto(x, noise.view(np.complex128)[..., 0].T)
     x, r = x.view(np.float64), r.view(np.float64)
     np.multiply(x, -alpha, out=r)
@@ -295,16 +291,6 @@ def _servo_response(noise: np.ndarray, alpha: float) -> np.ndarray:
     r = _servo_rows(noise, alpha)
     return np.ascontiguousarray(r.view(np.complex128).T).view(np.float64).reshape(
         frames, n_sub, 2)
-
-
-def _servo_end(noise: np.ndarray, alpha: float,
-               scratch: np.ndarray | None = None) -> np.ndarray:
-    """Each frame's last sub-step noise response: _servo_response(noise, alpha)[:, -1].
-
-    Returns (frames, 2). scratch is as in _servo_rows; noise is left
-    unchanged.
-    """
-    return _servo_rows(noise, alpha, scratch)[-1].reshape(len(noise), 2).copy()
 
 
 def _mirror_command(e: np.ndarray, residual: np.ndarray,
@@ -350,7 +336,16 @@ def _frame_chain(x: np.ndarray, beta: float) -> np.ndarray:
 
 
 class _FineLoop:
-    """The mirror servo's constants and noise stream, shared by run_pat and the trace rebuild."""
+    """The mirror servo's constants and noise streams, shared by run_pat and the trace rebuild.
+
+    An update runs n_sub servo sub-steps, r[k] = (1 - alpha) r[k-1] -
+    alpha n[k], so its step-end residual is r0 (1 - alpha)^n_sub plus
+    the noise response c . n, with c[k] = -alpha (1 - alpha)^(n_sub-1-k)
+    and n the update's (n_sub, 2) sub-step noise at sigma. run_pat reads
+    only step ends, so it draws that response directly: one normal per
+    axis at end_sigma = sigma |c|. The trace draws the sub-step noise on
+    a stream of its own and conditions it on the step end.
+    """
 
     def __init__(self, config: PatControllerConfig, dt_s: float, seed: int):
         sub_dt = 1.0 / (10.0 * config.fsm.bandwidth_hz)
@@ -361,25 +356,21 @@ class _FineLoop:
             1.0 - math.exp(-2.0 * math.pi * config.fsm.bandwidth_hz * sub_dt))
         # carry-over of an update's initial residual to each of its sub-steps
         self.decay = ((1.0 - self.alpha) ** np.arange(1, self.n_sub + 1))[:, np.newaxis]
+        # weight of each sub-step's noise in the step-end residual
+        self.weights = -self.alpha * (1.0 - self.alpha) ** np.arange(self.n_sub - 1, -1, -1)
         self.block = max(1, _FINE_BLOCK_SAMPLES // self.n_sub)
         self.sigma = config.nfov.centroid_noise_rms_arcsec
+        self.end_sigma = self.sigma * math.sqrt(self.weights @ self.weights)
         self.range_arcsec = config.fsm.range_arcsec
         self.seed = seed
 
-    def rng(self) -> np.random.Generator:
-        """A fresh copy of run_pat's fine-loop noise stream."""
-        return module_streams(self.seed, MODULE_NAME, 5)[4]
+    def streams(self) -> list[np.random.Generator]:
+        """Fresh copies of run_pat's step-end stream and the trace's sub-step stream."""
+        return module_streams(self.seed, MODULE_NAME, 6)[4:]
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """out = rng.normal(0.0, sigma, out.shape), in place.
-
-        rng.normal computes 0.0 + sigma z from the same standard normals
-        z, and adding 0.0 turns the -0.0 of a zero sigma into +0.0 as
-        that sum does.
-        """
-        rng.standard_normal(out=out)
-        out *= self.sigma
-        out += 0.0
+    def step_ends(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The next count updates' step-end noise responses, (count, 2)."""
+        return rng.normal(0.0, self.end_sigma, (count, 2))
 
 
 @dataclass(frozen=True)
@@ -387,8 +378,8 @@ class _FineUpdates:
     """The fine loop's updates, from which its sub-step trace is rebuilt.
 
     Update u ran at step steps[u] from residual r0[u] while the mirror
-    tracked pointing error e[u] (40 B per update), on the u-th (n_sub, 2)
-    block of the fine-loop noise stream.
+    tracked pointing error e[u] (40 B per update), on the u-th row of
+    run_pat's step-end stream.
     """
 
     loop: _FineLoop
@@ -399,23 +390,30 @@ class _FineUpdates:
     def trace(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sample times, (m, 2) residuals) at every sub-step of every update.
 
-        The noise is drawn again from a fresh copy of the stream, block
-        updates at a time. Each sub-step residual is r0 (1 - alpha)^(k+1)
-        plus its noise response; where the mirror command it leaves is
-        beyond the range, the clipped command's residual replaces it.
+        Block updates at a time, the step-end responses z are drawn again
+        from a fresh copy of run_pat's stream, and sub-step noise n' from
+        the trace's own. n = n' + c (z - c . n') / |c|^2 has c . n = z, and
+        is distributed as the sub-step noise given that step end, so the
+        rebuilt last sub-step is the step end run_pat used (to rounding).
+        Each sub-step residual is r0 (1 - alpha)^(k+1) plus the noise
+        response of n; where the mirror command it leaves is beyond the
+        range, the clipped command's residual replaces it.
         """
         loop, count = self.loop, len(self.steps)
+        w = loop.weights
         times = (times_s[self.steps, np.newaxis] + loop.sub_times).reshape(-1)
         residual = np.empty((count, loop.n_sub, 2))
-        rng = loop.rng()
-        noise = np.empty((min(count, loop.block), loop.n_sub, 2))
+        ends_rng, sub_rng = loop.streams()
         for lo in range(0, count, loop.block):
             hi = min(lo + loop.block, count)
-            loop.draw(rng, noise[:hi - lo])
+            z = loop.step_ends(ends_rng, hi - lo)
+            noise = sub_rng.normal(0.0, loop.sigma, (hi - lo, loop.n_sub, 2))
+            shift = (z - np.einsum("k,ukx->ux", w, noise)) / (w @ w)
+            noise += w[:, np.newaxis] * shift[:, np.newaxis]
             trace = residual[lo:hi]
             e = self.e[lo:hi, np.newaxis]
             np.multiply(loop.decay, self.r0[lo:hi, np.newaxis], out=trace)
-            trace += _servo_response(noise[:hi - lo], loop.alpha)
+            trace += _servo_response(noise, loop.alpha)
             mirror, over = _mirror_command(e, trace, loop.range_arcsec)
             np.subtract(e, mirror, out=trace, where=over[..., np.newaxis])
         return times, residual.reshape(-1, 2)
@@ -427,13 +425,12 @@ class _PatRun:
     Each phase segment is computed as arrays up to the first step at
     which pat_transition may leave the phase (or the loop state stops
     being a linear function of the noise), and that step's measurements
-    go to pat_transition. Every noise source draws from its own stream:
-    step jitter, the camera centroids and the mount jitter once per step
-    or frame slot whether or not the draw is used, the fine loop one
-    (n_sub, 2) block per update in order; so what is drawn for one
-    source does not depend on what the cameras saw. Fine-loop noise is
-    drawn ahead into a buffer reused for the whole run; rows a fine run
-    does not commit move to its front for the next one.
+    go to pat_transition. Every noise source draws from its own stream,
+    once per step or frame slot whether or not the draw is used: step
+    jitter, the camera centroids, the mount jitter, and the fine loop's
+    step-end noise, one (x, y) pair per narrow-camera frame slot that
+    the fine updates take in order (the u-th update the u-th pair). So
+    what is drawn for one source does not depend on what the cameras saw.
     """
 
     def __init__(self, config: PatControllerConfig, times: np.ndarray,
@@ -455,11 +452,7 @@ class _PatRun:
         self.wfov_noise = wfov.normal(0.0, config.wfov.centroid_noise_rms_arcsec, (n_wfov, 2))
         self.nfov_noise = nfov.normal(0.0, config.nfov.centroid_noise_rms_arcsec, (n_nfov, 2))
         self.mount_jitter = mount.normal(0.0, config.mount.jitter_rms_arcsec, (n_wfov, 2))
-        self.fine_rng = fine
-        capacity = -(-loop.block // self.nfov_every)  # updates in one fine run
-        self.fine_noise = np.empty((capacity, loop.n_sub, 2))  # rows [:n_drawn] drawn ahead
-        self.n_drawn = 0
-        self.scratch = np.empty((2, loop.n_sub, capacity), np.complex128)
+        self.fine_ends = loop.step_ends(fine, n_nfov)
 
         self.phases = np.empty(n, dtype=np.int8)
         self.true_err = np.empty((n, 2))
@@ -603,27 +596,20 @@ class _PatRun:
         return j, PatMeasurements(float(self.elevations[j]), _row(wfov[j - i]),
                                   _row(nfov[j - i]))
 
-    def _fine_noise(self, count: int) -> np.ndarray:
-        """Sub-step noise for the next count fine updates, in stream order."""
-        if count > self.n_drawn:
-            self.loop.draw(self.fine_rng, self.fine_noise[self.n_drawn:count])
-            self.n_drawn = count
-        return self.fine_noise[:count]
-
     def _fine(self, i: int) -> tuple[int, PatMeasurements]:
         """ClosedLoopFine from step i, up to the first step that breaks the linear loop.
 
-        Each narrow-camera frame runs n_sub servo updates,
+        Each narrow-camera frame runs n_sub servo sub-steps,
         r[k+1] = (1 - alpha) r[k] - alpha n[k]. Only each frame's last
-        sub-step reaches the outer series: its noise response comes from
-        _servo_end, the step-end residuals chain across frames with
-        coefficient (1 - alpha)^n_sub through _frame_chain, and the
-        step-end residual is r0 (1 - alpha)^n_sub plus that response.
-        That holds until the narrow camera misses a frame, the mirror
-        range clamps the step-end command or the elevation gate closes;
-        the run stops at that step. Each committed update keeps its step,
-        r0 and e, from which PatSeries rebuilds the sub-step trace on
-        demand.
+        sub-step reaches the outer series: its noise response is the
+        update's row of fine_ends, the step-end residuals chain across
+        frames with coefficient (1 - alpha)^n_sub through _frame_chain,
+        and the step-end residual is r0 (1 - alpha)^n_sub plus that
+        response. That holds until the narrow camera misses a frame, the
+        mirror range clamps the step-end command or the elevation gate
+        closes; the run stops at that step. Each committed update keeps
+        its step, r0 and e, from which PatSeries rebuilds the sub-step
+        trace on demand.
         """
         loop, alpha = self.loop, self.loop.alpha
         j = min(self._next(self.gate_closed, i), i + self.fine_len - 1)
@@ -632,7 +618,7 @@ class _PatRun:
         steps = np.arange(i, j + 1)
         upd = np.flatnonzero(steps % self.nfov_every == 0)
         e = err_post[upd]
-        response = _servo_end(self._fine_noise(len(upd)), alpha, self.scratch)
+        response = self.fine_ends[self.n_upd:self.n_upd + len(upd)]
         beta = (1.0 - alpha) ** loop.n_sub
         drive = np.diff(e, axis=0, prepend=self.fsm[np.newaxis])
         ends = _frame_chain(beta * drive + response, beta)
@@ -658,10 +644,6 @@ class _PatRun:
         self.upd_r0[kept] = r0[:done]
         self.upd_e[kept] = e[:done]
         self.n_upd += done
-        if done:
-            left = self.n_drawn - done
-            self.fine_noise[:left] = self.fine_noise[done:self.n_drawn]
-            self.n_drawn = left
         self._commit(i, i + last, PatPhase.ClosedLoopFine, err_post, mount_total,
                      base_after, fsm)
         # consecutive missed narrow-camera frames; the run ends at its first miss

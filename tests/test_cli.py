@@ -109,10 +109,11 @@ def test_predict_bytes_are_pinned(tmp_path, capsys, inclination):
     assert _predict_digests(tmp_path, inclination) == PREDICT_SHA256[inclination]
 
 
-# recorded while cmd_link_budget still ran its own sample -> PAT -> link chain
+# recorded when the PAT fine loop began to draw each update's step-end noise
+# directly
 LINK_BUDGET_SHA256 = {
-    "link.csv": "8bf10a0313d4392b6e1f5c249f89c79eb212608db52f00ac56fc6b187fe97f7b",
-    "stdout": "26eefd06f662ae57b1b85318cb5dad66ef8cd774f9316429158b3103009b48b1",
+    "link.csv": "c139edd6e1ca2835dd98b3f8c9a7cffcfa2a1695afac7a5217fdf1eec8dc14d6",
+    "stdout": "2fc87c0bbe2bc11c0da909d491a88e1e4036a7edb154ca25250b61bb951fde44",
 }
 
 
@@ -425,11 +426,11 @@ def assert_matches_golden(got, want, where: str = "") -> None:
         assert type(got) is type(want) and got == want, where
 
 
-# sha256 of the demo's pat.csv per seed, recorded while run_pat still
-# wrote every sub-step of the fine loop as it ran
+# sha256 of the demo's pat.csv per seed, recorded when the PAT fine loop
+# began to draw each update's step-end noise directly
 PAT_CSV_SHA256 = {
-    "7": "c6b17517f144a3fd7722884547eda8bbedda7b396ea373885b1a0a56124c33fc",
-    "11": "94aa4d4342ad56463afac5a7505371a3bc5060c454a11c3d813dcd5fa79b642d",
+    "7": "b8a299f1d67e130aa7384643c83db865dc691708c0483ae304aff9348006bc47",
+    "11": "860379f87d5b771f3b650a136b542d5aefd97fa8826649f122b990800c0a361e",
 }
 
 
@@ -484,14 +485,16 @@ def _background_run_digests(tmp_path) -> dict[str, str]:
                for name in ("tags_ground.bin", "tags_onboard.bin")}}
 
 
-# recorded when the ground arm began to draw per arriving photon
-# (sifted=271, 29,866 ground and 92,419 onboard tags; most ground tags
-# are sky background)
+# recorded when the PAT fine loop began to draw each update's step-end
+# noise directly (sifted=283, 29,875 ground and 92,419 onboard tags; most
+# ground tags are sky background); tags_onboard.bin, which PAT does not
+# reach, is as first recorded, when the ground arm began to draw per
+# arriving photon
 BACKGROUND_RUN_SHA256 = {
     "report.json":
-        "aab98a3950d2cc8d537aa1c800a50ae64e488e460e06ad72033a176262c244e0",
+        "dd1e1d01abcd6d8a34a3c96a8d7b4fc07d63103c8d58d4069911abc96bb8b728",
     "tags_ground.bin":
-        "157af023071fffd14efb287487915f07572a648b386759039bd71984304641a3",
+        "60e3f49ac43951b5914c34c21a7fcd9f48c692b53c47430b3b3e89ba621a91d0",
     "tags_onboard.bin":
         "ddccd1ca2dd6a8096ab51d318d24d853b924f8f6107d0b37458ea258cc0a32f5",
 }
