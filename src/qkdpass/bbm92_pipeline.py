@@ -20,6 +20,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import timedelta
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -30,16 +31,17 @@ from .errors import (EmptyKey, LowSample, OutOfRange, QkdPassError,
 from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
     predict_passes, sample_pass
 from .pat_controller import PatSeries, run_pat
-from .photon_source import PairEventStream, generate_pair_stream, pair_rate
+from .photon_source import (PairCarry, PairEventStream, SourceConfig, beacon_schedule,
+                            generate_pair_stream, pair_rate)
 from .polarization_correction import PcsSeries, frame_offset_profile, \
     run_polarization_correction
 from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
-                               DetectorModel, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
-                               SyncResult, TagStream, _is_sorted, apply_detector,
-                               beacon_clock_sync, channel_basis, channel_bit,
-                               find_coincidences, measure_polarization)
+                               DetectorCarry, DetectorModel, ORIGIN_BACKGROUND,
+                               ORIGIN_SIGNAL, SyncResult, TagStream, _is_sorted,
+                               apply_detector, beacon_clock_sync, channel_basis,
+                               channel_bit, find_coincidences, measure_polarization)
 from .scenario import Scenario
-from .seeding import module_rng
+from .seeding import module_rng, module_streams
 
 MODULE_NAME = "bbm92_pipeline"
 
@@ -203,12 +205,23 @@ class PassResult:
     pat: PatSeries = field(repr=False)
     pcs: PcsSeries = field(repr=False)
     link: LinkProfile = field(repr=False)
-    stream: PairEventStream = field(repr=False)
+    source: SourceConfig = field(repr=False)
+    seed: int
     onboard_tags: TagStream = field(repr=False)
     ground_tags: TagStream = field(repr=False)
     sync: SyncResult | None = field(repr=False)
     coincidences: CoincidenceResult | None = field(repr=False)
     key: SiftedKey = field(repr=False)
+
+    @cached_property
+    def stream(self) -> PairEventStream:
+        """The quantum window's pair stream, drawn again from the seed on first read.
+
+        simulate_pass keeps no whole-window pair stream: it draws the
+        pairs a block at a time, and blocks do not change the draws.
+        """
+        return generate_pair_stream(self.source, self.report.quantum_window_duration_s,
+                                    seed=self.seed)
 
 
 @contextmanager
@@ -309,9 +322,12 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     The pass comes from select_pass. The quantum source runs over a
     window centered on the closest approach, capped so the event count
     stays at protocol.max_source_events; pointing and frame tracking
-    run over the whole pass. The onboard arm measures every emitted
-    pair; the ground arm measures only those that survive the channel
-    and the downlink split. Deterministic for a given scenario and
+    run over the whole pass. The pairs are drawn, thinned by the
+    channel and detected onboard one block at a time (see
+    generate_pair_stream); the results do not depend on the block size.
+    The onboard arm measures every emitted pair; the ground arm
+    measures only those that survive the channel and the downlink
+    split. Deterministic for a given scenario and
     seed. A pass with no usable beacon (total blackout) yields a
     well-formed zero-key report instead of an error.
     """
@@ -331,11 +347,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         q_dur = min(duration, proto.max_source_events / max(rate, 1.0))
         tca_rel = (window.tca - window.aos).total_seconds()
         q_start = min(max(tca_rel - q_dur / 2.0, 0.0), duration - q_dur)
-        stream = generate_pair_stream(scenario.source, q_dur, seed=seed)
 
     link = _link_over(scenario, profile, pat, q_start, q_dur)
-    with _stage("channel_link"):
-        channel = apply_channel(stream, link, seed=seed)
 
     def flight_s(t_window: np.ndarray) -> np.ndarray:
         rng_km = np.interp(np.asarray(t_window, dtype=float) + q_start,
@@ -345,21 +358,45 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     max_flight = float(np.max(link.range_km)) / SPEED_OF_LIGHT_KM_S
     ground_span = (0.0, q_dur + max_flight)
 
-    with _stage("quantum_receiver"):
-        onboard_channels = measure_polarization(stream, "onboard")
-        onboard_tags = apply_detector(
-            stream.emission_times, onboard_channels,
-            scenario.onboard_detector, ClockModel(),
-            rng=module_rng(seed, "quantum_receiver.onboard.detector"),
-            span_s=(0.0, q_dur),
-        )
+    # The pairs are drawn, thinned by the channel and detected onboard a
+    # block at a time. Only the channel survivors (time and idler
+    # channel) and the onboard tags outlive their block.
+    source = PairCarry.seeded(seed)
+    channel_rng = module_rng(seed, "channel_link")
+    onboard_rngs = module_streams(seed, "quantum_receiver.onboard.detector", 3)
+    onboard_carry = DetectorCarry()
+    kept_t, kept_c = [], []
+    # at most one tag per pair that passes the efficiency, plus the darks
+    onboard = scenario.onboard_detector
+    onboard_tags = _TagSink(int(
+        1.01 * (rate * onboard.efficiency + 4.0 * onboard.dark_rate_hz) * q_dur) + 1024)
+    while not source.done:
+        with _stage("photon_source"):
+            block = generate_pair_stream(scenario.source, q_dur, carry=source)
+        with _stage("channel_link"):
+            channel = apply_channel(block, link, channel_rng, background=source.done)
+        kept_t.append(block.emission_times[channel.survivor_indices])
+        kept_c.append(block.idler_channel[channel.survivor_indices])
+        with _stage("quantum_receiver"):
+            onboard_tags.append(apply_detector(
+                block.emission_times, measure_polarization(block, "onboard"),
+                onboard, ClockModel(),
+                rng=onboard_rngs, span_s=(0.0, q_dur),
+                carry=onboard_carry, last=source.done,
+            ))
+        del block
+    survivors = PairEventStream(np.concatenate(kept_t), np.concatenate(kept_c),
+                                q_dur, scenario.source)
+    del kept_t, kept_c
+    onboard_tags = onboard_tags.joined()
 
+    with _stage("quantum_receiver"):
         downlink = module_rng(seed, "photon_source.downlink").random(
-            len(channel.survivor_indices)) < scenario.source.downlink_fraction
-        signal_idx = channel.survivor_indices[downlink]
-        signal_emit = stream.emission_times[signal_idx]
+            len(survivors)) < scenario.source.downlink_fraction
+        signal_idx = np.flatnonzero(downlink)
+        signal_emit = survivors.emission_times[signal_idx]
         signal_channels = measure_polarization(
-            stream, "ground", residual_deg=pcs.residual_at(q_start + signal_emit),
+            survivors, "ground", residual_deg=pcs.residual_at(q_start + signal_emit),
             rng=module_rng(seed, "quantum_receiver.ground"),
             ad_anticorrelated=proto.ad_anticorrelated, rows=signal_idx,
         )
@@ -371,19 +408,20 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             channel.background_times, bg_channels)
         # only the merged arrivals go on: free the background columns
         # before the detector makes its own
-        del channel, bg_channels, signal_channels
+        del channel, bg_channels, signal_channels, survivors
         ground_tags = apply_detector(
             arrivals, chans,
             scenario.ground_detector, scenario.clock,
-            rng=module_rng(seed, "quantum_receiver.ground.detector"),
+            rng=module_streams(seed, "quantum_receiver.ground.detector", 3),
             span_s=ground_span,
             origins=origins,
         )
         del arrivals, chans, origins
 
         # classical beacon: bright pulse train, lost only in a blackout
-        beacon_keep = link.transmittance_at(stream.beacon_times) > BEACON_BLACKOUT
-        beacon_emit = stream.beacon_times[beacon_keep]
+        beacon_times = beacon_schedule(scenario.source, q_dur)
+        beacon_keep = link.transmittance_at(beacon_times) > BEACON_BLACKOUT
+        beacon_emit = beacon_times[beacon_keep]
         beacon_model = DetectorModel(
             efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
             timing_jitter_rms_s=scenario.sync.beacon_jitter_rms_s,
@@ -392,7 +430,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             beacon_emit + flight_s(beacon_emit),
             np.full(len(beacon_emit), CHANNEL_BEACON, dtype=np.uint8),
             beacon_model, scenario.clock,
-            rng=module_rng(seed, "quantum_receiver.ground.beacon"),
+            rng=module_streams(seed, "quantum_receiver.ground.beacon", 3),
             span_s=ground_span,
         )
 
@@ -406,13 +444,13 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             # first pass: flight predicted at the raw tag time (the clock
             # offset slews the lookup point, worst case tens of ns)
             sync1 = beacon_clock_sync(
-                tags_b - flight_s(tags_b), stream.beacon_times, scenario.sync)
+                tags_b - flight_s(tags_b), beacon_times, scenario.sync)
             # second pass: invert the fitted clock, iterate emission time,
             # and scale the flight by the fitted rate
             emit_hat = _emission_estimate(tags_b, sync1.clock, flight_s)
             sync = beacon_clock_sync(
                 tags_b - flight_s(emit_hat) * (1.0 + sync1.clock.drift),
-                stream.beacon_times, scenario.sync)
+                beacon_times, scenario.sync)
 
             # beacon tags are a stream of their own: both arms' tags are quad
             ground_corrected = ground_tags.with_times(
@@ -472,10 +510,39 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         )
 
     return PassResult(
-        report=report, pat=pat, pcs=pcs, link=link, stream=stream,
+        report=report, pat=pat, pcs=pcs, link=link, source=scenario.source, seed=seed,
         onboard_tags=onboard_tags, ground_tags=ground_tags, sync=sync,
         coincidences=coincidences, key=key,
     )
+
+
+class _TagSink:
+    """The tags of successive blocks, copied into columns allocated once.
+
+    The columns start at a capacity the caller does not expect to pass
+    and double when it does. Pages never written take no memory, so a
+    generous capacity costs address space only, and each block can go
+    as soon as it is copied: the blocks and the joined tags are never
+    held whole at the same time.
+    """
+
+    def __init__(self, capacity: int):
+        self.columns = [np.empty(capacity), np.empty(capacity, dtype=np.uint8),
+                        np.empty(capacity, dtype=np.uint8)]
+        self.size = 0
+
+    def append(self, tags: TagStream) -> None:
+        end = self.size + len(tags)
+        if end > len(self.columns[0]):
+            self.columns = [np.concatenate([column[:self.size], np.empty(
+                max(end, 2 * len(column)) - self.size, dtype=column.dtype)])
+                for column in self.columns]
+        for column, values in zip(self.columns, (tags.times_s, tags.channels, tags.origins)):
+            column[self.size:end] = values
+        self.size = end
+
+    def joined(self) -> TagStream:
+        return TagStream(*(column[:self.size] for column in self.columns))
 
 
 def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:

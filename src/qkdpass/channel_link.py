@@ -317,25 +317,31 @@ def _inhomogeneous_poisson(
 
 
 def apply_channel(
-    stream: PairEventStream, profile: LinkProfile, seed: int
+    stream: PairEventStream, profile: LinkProfile,
+    seed: int | np.random.Generator, background: bool = True,
 ) -> ChannelResult:
     """Thin the pair stream at the time-local transmittance.
 
     Each downlink photon survives independently with the profile's
-    transmittance at its emission time; background events are drawn
-    from an inhomogeneous Poisson process at the profile's background
-    rate. Deterministic for a given seed.
+    transmittance at its emission time, one uniform per pair; then,
+    with background, background events are drawn from an inhomogeneous
+    Poisson process at the profile's background rate over the stream's
+    window. A window drawn in blocks passes one generator to a call per
+    block, background only on the last: the uniforms are sequential in
+    it, so the survivors and the background are those of one call over
+    the whole window. Deterministic for a given seed.
     """
     if not profile.covers(stream.duration_s):
         raise ProfileGap(
             f"profile [{profile.times_s[0]:.3f}, {profile.times_s[-1]:.3f}] s does not "
             f"cover stream duration {stream.duration_s:.3f} s"
         )
-    rng = module_rng(seed, MODULE_NAME)
+    rng = seed if isinstance(seed, np.random.Generator) \
+        else module_rng(seed, MODULE_NAME)
     survivors = np.flatnonzero(_uniform_below(
         rng, profile.transmittance, profile._hold_bounds(stream.emission_times)))
-    background = _inhomogeneous_poisson(rng, profile, stream.duration_s)
     return ChannelResult(
         survivor_indices=survivors,
-        background_times=background,
+        background_times=_inhomogeneous_poisson(rng, profile, stream.duration_s)
+        if background else np.empty(0),
     )

@@ -3,11 +3,12 @@
 A pass is the interval during which the satellite's elevation stays at
 or above the configured minimum. Crossings are bracketed on a coarse
 grid and refined by bisection to 0.1 s; every search evaluates all of
-its candidate instants in one array call. Instants are whole
-microseconds after a reference datetime, converted to Julian dates as
-arrays (julian_dates_us): a datetime is built only for each returned
-AOS, TCA and LOS. The rate table (max_angular_rates) propagates the
-sample grids of all passes in one call.
+its candidate instants in one array call, the coarse grid in blocks of
+samples. Instants are whole microseconds after a reference datetime,
+converted to Julian dates as arrays (julian_dates_us): a datetime is
+built only for each returned AOS, TCA and LOS. The rate table
+(max_angular_rates) propagates the joined sample grids of all passes
+in the same blocks.
 """
 from __future__ import annotations
 
@@ -78,6 +79,20 @@ class PassProfile:
         idx, frac = self._weights(t_s)
         e = self.elevation_deg
         return e[idx] * (1.0 - frac) + e[idx + 1] * frac
+
+
+# Samples per propagation of the pass search's coarse grid and the rate
+# table's joined grid: bounds their SGP4 temporaries, which over whole
+# grids cost thousands of page faults per search as the heap grew and
+# was trimmed again.
+_GRID_BLOCK = 1 << 11
+
+
+def _in_blocks(fn, offsets_us: np.ndarray) -> np.ndarray:
+    """fn of the offsets, _GRID_BLOCK at a time; fn is elementwise, so
+    the values are those of one call on every offset."""
+    return np.concatenate([fn(offsets_us[k:k + _GRID_BLOCK])
+                           for k in range(0, len(offsets_us), _GRID_BLOCK)])
 
 
 _US_PER_S = 1_000_000
@@ -169,7 +184,7 @@ def predict_passes(
     grid = _seconds_to_us(np.arange(n_steps) * COARSE_STEP_S)
     if grid[-1] < end_us:
         grid = np.append(grid, end_us)
-    above = elevation_us(grid) >= min_elevation_deg
+    above = _in_blocks(elevation_us, grid) >= min_elevation_deg
 
     # runs of coarse samples above the threshold
     edges = np.diff(np.concatenate([[0], above.astype(np.int8), [0]]))
@@ -237,7 +252,8 @@ def max_angular_rates(
     """Peak sky-plane angular rate of each pass, on its sample_pass grid.
 
     Every pass's grid joins one array of whole microseconds after the
-    first AOS, so all passes share one propagation.
+    first AOS, propagated in blocks of samples that ignore the pass
+    boundaries.
     """
     if not windows:
         return np.empty(0)
@@ -245,9 +261,13 @@ def max_angular_rates(
     grids = [(w.aos - first) // timedelta(microseconds=1) + _sample_offsets_us(w, step_s)[1]
              for w in windows]
     starts = np.cumsum([0] + [g.size for g in grids[:-1]])
-    jd = julian_dates_us(first, np.concatenate(grids))
-    r, v = Sgp4Propagator(tle).propagate(jd)
-    return np.maximum.reduceat(eci_to_topocentric(r, v, site, jd).angular_rate_dps, starts)
+    prop = Sgp4Propagator(tle)
+
+    def rates(offsets_us: np.ndarray) -> np.ndarray:
+        jd = julian_dates_us(first, offsets_us)
+        return eci_to_topocentric(*prop.propagate(jd), site, jd).angular_rate_dps
+
+    return np.maximum.reduceat(_in_blocks(rates, np.concatenate(grids)), starts)
 
 
 def max_angular_rate(

@@ -12,12 +12,13 @@ synchronization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
-from .seeding import module_rng
+from .seeding import module_rng, module_streams
 
 MODULE_NAME = "photon_source"
 
@@ -56,18 +57,17 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class PairEventStream:
-    """Timed pair emissions plus the beacon pulse schedule.
+    """Timed pair emissions over [0, duration_s), or one block of them.
 
-    Columns share one index: emission_times (s, strictly increasing),
-    and idler_basis (0=HV, 1=AD) and idler_outcome for the onboard
-    arm, 10 bytes per pair in all. The ground arm derives its outcome
-    from the idler's when it measures an arriving photon.
+    Columns share one index: emission_times (s, strictly increasing)
+    and idler_channel, the onboard arm's channel code basis * 2 +
+    outcome (basis 0=HV, 1=AD), 9 bytes per pair in all. The ground arm
+    derives its outcome from the idler's when it measures an arriving
+    photon.
     """
 
     emission_times: np.ndarray
-    idler_basis: np.ndarray
-    idler_outcome: np.ndarray
-    beacon_times: np.ndarray
+    idler_channel: np.ndarray
     duration_s: float
     config: SourceConfig = field(repr=False)
 
@@ -113,38 +113,107 @@ def beacon_schedule(config: SourceConfig, duration_s: float) -> np.ndarray:
     return np.arange(n) / config.beacon_frequency_hz
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), sorting values in place.
+# Pairs per block of generate_pair_stream: bounds the per-pair working
+# set of a window's chain, whatever the window's length.
+_BLOCK_PAIRS = 1 << 20
 
-    Repeated draws are rare (about one 1e7-pair stream in 200 has one),
-    so np.unique and its copies run only when the sorted array has one.
+
+@dataclass
+class PairCarry:
+    """Where one window's pair sequence stands between blocks.
+
+    times_rng draws the exponential spacings and idler_rng the idler
+    channels; last_s is the last time drawn (0 before the first), spare
+    the idler channels drawn but not yet given to a pair, and done is
+    set once a time reaches the window's end.
     """
-    values.sort()
-    if np.any(values[1:] == values[:-1]):
-        return np.unique(values)
-    return values
+
+    times_rng: np.random.Generator
+    idler_rng: np.random.Generator
+    last_s: float = 0.0
+    spare: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint8))
+    done: bool = False
+
+    @classmethod
+    def seeded(cls, seed: int) -> PairCarry:
+        return cls(*module_streams(seed, MODULE_NAME, 2))
+
+
+def _next_block(config: SourceConfig, duration_s: float,
+                carry: PairCarry) -> PairEventStream:
+    """The window's next pairs, at most _BLOCK_PAIRS of them."""
+    rate = pair_rate(config)
+    times = np.empty(0)
+    if rate > 0.0:
+        # draw about what is left of the window when that is under a block
+        left = rate * (duration_s - carry.last_s)
+        times = carry.times_rng.standard_exponential(
+            min(_BLOCK_PAIRS, int(left + 6.0 * math.sqrt(left)) + 1))
+        times *= 1.0 / rate
+        times[0] += carry.last_s
+        np.cumsum(times, out=times)
+        inside = int(np.searchsorted(times, duration_s, side="left"))
+        carry.done = inside < len(times)
+        times = times[:inside]
+    else:
+        carry.done = True
+    if len(times):
+        # a spacing below half an ulp of the time repeats it: keep the first
+        fresh = np.empty(len(times), dtype=bool)
+        fresh[0] = times[0] > carry.last_s
+        np.greater(times[1:], times[:-1], out=fresh[1:])
+        carry.last_s = float(times[-1])
+        if not fresh.all():
+            times = times[fresh]
+    return PairEventStream(
+        emission_times=times,
+        idler_channel=_idler_channels(carry, len(times)),
+        duration_s=duration_s,
+        config=config,
+    )
+
+
+def _idler_channels(carry: PairCarry, n: int) -> np.ndarray:
+    """The next n idler channels: the low two bits of each byte of raw
+    64-bit words, little-endian, eight pairs a word. Whole words are
+    drawn and the unused channels kept for the next block."""
+    words = carry.idler_rng.integers(
+        0, 2**64 - 1, size=-(-(n - len(carry.spare)) // 8), dtype=np.uint64,
+        endpoint=True)
+    fresh = words.astype("<u8", copy=False).view(np.uint8) & 3
+    codes = np.concatenate([carry.spare, fresh]) if len(carry.spare) else fresh
+    carry.spare = codes[n:].copy()
+    return codes[:n]
 
 
 def generate_pair_stream(
-    config: SourceConfig, duration_s: float, seed: int = 0
+    config: SourceConfig, duration_s: float, seed: int = 0,
+    carry: PairCarry | None = None,
 ) -> PairEventStream:
-    """Emit a Poisson pair stream over [0, duration_s].
+    """Emit a Poisson pair stream over [0, duration_s).
 
-    Deterministic for a given seed: the pair count, the distinct
-    sorted times, then the idler basis and outcome, in that order.
+    The pair times are running sums of exponential spacings of mean
+    1/rate from one generator, and the idler channels (basis * 2 +
+    outcome, all four equally likely) come from the raw words of a
+    second, both spawned from the seed; a time that repeats its
+    predecessor is dropped. Every draw is sequential in its own stream,
+    so the pairs do not depend on how the window is split into blocks.
+    Without carry this is the whole window; with carry
+    (PairCarry.seeded(seed), seed then unused) each call returns the
+    next block of at most _BLOCK_PAIRS pairs, and carry.done is set by
+    the call that returns the last.
     """
     if duration_s <= 0.0:
         raise OutOfRange(f"duration must be positive, got {duration_s}")
-    rng = module_rng(seed, MODULE_NAME)
-    rate = pair_rate(config)
-    n = int(rng.poisson(rate * duration_s))
-    times = _sorted_distinct(rng.uniform(0.0, duration_s, size=n))
-    n = len(times)
+    if carry is not None:
+        return _next_block(config, duration_s, carry)
+    carry = PairCarry.seeded(seed)
+    blocks = [_next_block(config, duration_s, carry)]
+    while not carry.done:
+        blocks.append(_next_block(config, duration_s, carry))
     return PairEventStream(
-        emission_times=times,
-        idler_basis=rng.integers(0, 2, size=n, dtype=np.uint8),
-        idler_outcome=rng.integers(0, 2, size=n, dtype=np.uint8),
-        beacon_times=beacon_schedule(config, duration_s),
+        emission_times=np.concatenate([b.emission_times for b in blocks]),
+        idler_channel=np.concatenate([b.idler_channel for b in blocks]),
         duration_s=duration_s,
         config=config,
     )

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import OutOfRange, SyncFailed
 from .photon_source import BASIS_HV, PairEventStream, qber_from_visibility
 from .polarization_correction import qber_from_residual
-from .seeding import _add_normal, _uniform_below, module_rng
+from .seeding import NORMAL_BOUND, _add_normal, _uniform_below, module_rng, module_streams
 
 MODULE_NAME = "quantum_receiver"
 
@@ -205,7 +206,7 @@ def measure_polarization(
 
     rows indexes the measured pairs, every pair by default; residual_deg
     is a scalar or one value per measured pair. The onboard side replays
-    the idler basis and outcome recorded at emission. The ground side
+    the idler channel recorded at emission. The ground side
     draws, per measured photon and in this order, its basis, a fair bit,
     a source error with probability (1 - visibility)/2 and a
     misalignment flip with probability sin^2(residual). In the idler's
@@ -216,14 +217,14 @@ def measure_polarization(
     extrema.
     """
     if side == "onboard":
-        return (stream.idler_basis[rows].astype(np.uint8) * 2
-                + stream.idler_outcome[rows].astype(np.uint8))
+        return stream.idler_channel[rows]
     if side != "ground":
         raise OutOfRange(f"side must be 'ground' or 'onboard', got {side!r}")
     if not isinstance(rng, np.random.Generator):
         rng = module_rng(rng, MODULE_NAME + ".ground")
-    idler_basis = stream.idler_basis[rows]
-    bit = stream.idler_outcome[rows]
+    idler = stream.idler_channel[rows]
+    idler_basis = channel_basis(idler)
+    bit = channel_bit(idler)
     m = len(bit)
     basis = rng.integers(0, 2, size=m, dtype=np.uint8)
     fair = rng.integers(0, 2, size=m, dtype=np.uint8)
@@ -286,25 +287,67 @@ def _prune_dead_time(times: np.ndarray, dead_time_s: float) -> np.ndarray:
     return keep
 
 
+@dataclass
+class DetectorCarry:
+    """What apply_detector keeps between the blocks of one arrival stream.
+
+    floor: the lowest arrival time a later block may hold (the last
+    block's latest). held: kept rows on the output timebase that a later
+    arrival could still precede, sorted. darks: the dark counts not yet
+    emitted, sorted (None until the first block draws them over the
+    span). last_kept: each channel code's last kept time, for the dead
+    time (-inf before the first).
+    """
+
+    floor: float = -np.inf
+    held: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default_factory=lambda: (
+        np.empty(0), np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)))
+    darks: tuple[np.ndarray, np.ndarray] | None = None
+    last_kept: np.ndarray = field(default_factory=lambda: np.full(256, -np.inf))
+
+
+def _dark_counts(rng: np.random.Generator, model: DetectorModel,
+                 lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each quad channel's dark counts on [lo, hi): a Poisson count, then
+    uniform times; returned sorted by a stable argsort of the times."""
+    if not (model.dark_rate_hz > 0.0 and hi > lo):
+        return np.empty(0), np.empty(0, dtype=np.uint8)
+    extra_t, extra_c = [], []
+    for channel in QUAD_CHANNELS:
+        n_dark = rng.poisson(model.dark_rate_hz * (hi - lo))
+        extra_t.append(rng.uniform(lo, hi, size=n_dark))
+        extra_c.append(np.full(n_dark, channel, dtype=np.uint8))
+    dark_t = np.concatenate(extra_t)
+    order = np.argsort(dark_t, kind="stable")
+    return dark_t[order], np.concatenate(extra_c)[order]
+
+
 def apply_detector(
     arrival_times_s: np.ndarray,
     channels: np.ndarray,
     model: DetectorModel,
     clock: ClockModel,
-    rng: np.random.Generator | int = 0,
+    rng: np.random.Generator | int | Sequence[np.random.Generator] = 0,
     span_s: tuple[float, float] | None = None,
     origins: np.ndarray | None = None,
+    carry: DetectorCarry | None = None,
+    last: bool = True,
 ) -> TagStream:
     """Detection chain from photon arrivals to clock-stamped tags.
 
     In order: Bernoulli thinning at the detector efficiency, Gaussian
-    timing jitter, the receiver clock transform, dark counts injected
-    per channel over the clock-transformed span, then per-channel
-    non-paralyzable dead-time pruning on the final timebase (an exact
-    array kernel that follows every dead-time cluster in lockstep; see
-    _prune_dead_time). span_s (in arrival-side time) bounds the
-    dark-count window; it defaults to the arrival extent and is
-    required for empty arrival lists when dark counts matter.
+    timing jitter (truncated at NORMAL_BOUND standard deviations), the
+    receiver clock transform, dark counts injected per channel over the
+    clock-transformed span, then per-channel non-paralyzable dead-time
+    pruning on the final timebase (an exact array kernel that follows
+    every dead-time cluster in lockstep; see _prune_dead_time). span_s
+    (in arrival-side time) bounds the dark-count window; it defaults to
+    the arrival extent and is required for empty arrival lists when dark
+    counts matter.
+
+    rng gives the thinning, jitter and dark-count streams: a sequence
+    of three generators, one generator that all three draw from in that
+    order, or a seed for three child streams of this module's.
 
     The tags come out in the order of a stable argsort of the jittered
     arrivals followed by the dark counts: arrivals go first on equal
@@ -312,17 +355,39 @@ def apply_detector(
     so they are sorted in place (_sort_in_place); the few dark counts
     are sorted on their own and merged in, per channel for the dead
     time and once more for the output.
+
+    A stream can come in blocks, in time order: each call passes the
+    same rng streams and carry, span_s is required, and last marks the
+    final block. A call returns the tags no later arrival can precede:
+    those before the block's latest arrival moved back by the largest
+    jitter. The rest wait in carry.held, and each channel's last kept
+    time carries the dead time over. Every draw is sequential in its
+    own stream, so the tags of all blocks together are those of one
+    call over the whole stream, for any split.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = module_rng(rng, MODULE_NAME + ".detector")
+    if isinstance(rng, np.random.Generator):
+        thin_rng = jitter_rng = dark_rng = rng
+    elif isinstance(rng, (int, np.integer)):
+        thin_rng, jitter_rng, dark_rng = module_streams(rng, MODULE_NAME + ".detector", 3)
+    else:
+        thin_rng, jitter_rng, dark_rng = rng
     times = np.asarray(arrival_times_s, dtype=float)
     columns = [times, np.asarray(channels)]
     if origins is not None:
         columns.append(np.asarray(origins))
     if any(len(column) != len(times) for column in columns):
         raise ValueError("arrival columns must share one length")
+    if carry is None:
+        carry, last = DetectorCarry(), True
+    elif span_s is None:
+        raise ValueError("a stream in blocks needs span_s")
+    floor = carry.floor
+    if len(times):
+        if times.min() < floor:
+            raise ValueError("blocks of arrivals must come in time order")
+        floor = carry.floor = float(times.max())
 
-    kept = _uniform_below(rng, (model.efficiency,), (0, len(times)))
+    kept = _uniform_below(thin_rng, (model.efficiency,), (0, len(times)))
     if origins is None:
         times, chan = _compress(kept, *columns)
         orig = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8)
@@ -333,27 +398,33 @@ def apply_detector(
     del kept, columns
 
     if model.timing_jitter_rms_s > 0.0:
-        _add_normal(rng, times, model.timing_jitter_rms_s)
+        _add_normal(jitter_rng, times, model.timing_jitter_rms_s)
+        # the earliest a later arrival can land, as the jitter rounds it
+        floor += -NORMAL_BOUND * model.timing_jitter_rms_s
     # clock.apply, in place
     times *= 1.0 + clock.drift
     times += clock.offset_s
+    final_before = np.inf if last else floor * (1.0 + clock.drift) + clock.offset_s
 
-    if span_s is None:
-        span_s = (float(arrival_times_s[0]), float(arrival_times_s[-1])) \
-            if len(arrival_times_s) else (0.0, 0.0)
-    lo, hi = clock.apply(np.asarray(span_s, dtype=float))
-    dark_t, dark_c = np.empty(0), np.empty(0, dtype=np.uint8)
-    if model.dark_rate_hz > 0.0 and hi > lo:
-        extra_t, extra_c = [], []
-        for channel in QUAD_CHANNELS:
-            n_dark = rng.poisson(model.dark_rate_hz * (hi - lo))
-            extra_t.append(rng.uniform(lo, hi, size=n_dark))
-            extra_c.append(np.full(n_dark, channel, dtype=np.uint8))
-        dark_t = np.concatenate(extra_t)
-        order = np.argsort(dark_t, kind="stable")
-        dark_t, dark_c = dark_t[order], np.concatenate(extra_c)[order]
+    if carry.darks is None:
+        if span_s is None:
+            span_s = (float(arrival_times_s[0]), float(arrival_times_s[-1])) \
+                if len(arrival_times_s) else (0.0, 0.0)
+        lo, hi = clock.apply(np.asarray(span_s, dtype=float))
+        carry.darks = _dark_counts(dark_rng, model, lo, hi)
 
+    if len(carry.held[0]):
+        # held rows come from earlier arrivals: they go first on equal times
+        times, chan, orig = (np.concatenate(pair)
+                             for pair in zip(carry.held, (times, chan, orig)))
     _sort_in_place(times, chan, orig)
+    done = int(np.searchsorted(times, final_before, side="left"))
+    carry.held = (times[done:].copy(), chan[done:].copy(), orig[done:].copy())
+    times, chan, orig = times[:done], chan[:done], orig[:done]
+    dark_t, dark_c = carry.darks
+    done = int(np.searchsorted(dark_t, final_before, side="left"))
+    carry.darks = (dark_t[done:], dark_c[done:])
+    dark_t, dark_c = dark_t[:done], dark_c[:done]
 
     if model.dead_time_s > 0.0:
         keep = np.empty(len(times), dtype=bool)
@@ -365,14 +436,19 @@ def apply_detector(
         for channel in np.flatnonzero(present):
             rows = np.flatnonzero(chan == channel)
             darks = np.flatnonzero(dark_c == channel)
+            # the channel's last kept time in an earlier block, if any,
+            # leads; its darks go after its arrivals at equal times
+            lead = carry.last_kept[channel:channel + 1]
+            lead = lead[lead > -np.inf]
             merged = times[rows]
-            # this channel's darks go after its arrivals at equal times
             at = np.searchsorted(merged, dark_t[darks], side="right")
-            merged = np.insert(merged, at, dark_t[darks])
+            merged = np.insert(merged, np.append(np.zeros_like(lead, np.intp), at),
+                               np.append(lead, dark_t[darks]))
             alive = _prune_dead_time(merged, model.dead_time_s)
-            slots = at + np.arange(len(at))
+            carry.last_kept[channel] = merged[len(alive) - 1 - np.argmax(alive[::-1])]
+            slots = at + np.arange(len(lead), len(lead) + len(at))
             keep_dark[darks] = alive[slots]
-            keep[rows] = np.delete(alive, slots)
+            keep[rows] = np.delete(alive, np.append(np.arange(len(lead)), slots))
             del rows, merged, alive
         # one column at a time, the widest last: each full-length column
         # goes as soon as its output-size copy is made

@@ -7,7 +7,8 @@ end-to-end pipeline see identical streams. A module with several noise
 sources spawns one child stream per source from that same seed.
 Long per-row draws over photon streams go through ``_uniform_below``
 (thinning) and ``_add_normal`` (timing jitter), which draw the same
-values as one whole draw, a chunk at a time.
+values as one whole draw, a chunk at a time; the normals are truncated
+at NORMAL_BOUND standard deviations, which no draw reaches in practice.
 """
 import hashlib
 
@@ -54,16 +55,23 @@ def _uniform_below(rng: np.random.Generator, probs, bounds) -> np.ndarray:
     return below
 
 
+# Standard normals _add_normal truncates at, in units of its scale: one
+# lies beyond with probability 1.5e-23, so the truncation only gives a
+# consumer a hard bound on how far a value can move.
+NORMAL_BOUND = 10.0
+
+
 def _add_normal(rng: np.random.Generator, values: np.ndarray, scale: float) -> None:
     """values += rng.normal(0.0, scale, len(values)), in place.
 
     The normals are drawn _DRAW_CHUNK at a time as scale times
-    standard normals: rng.normal computes 0.0 + scale * z from the same
-    z, so the sums and the generator's final state are those of one
-    whole draw.
+    standard normals clipped at +/-NORMAL_BOUND: rng.normal computes
+    0.0 + scale * z from the same z, so the sums and the generator's
+    final state are those of one whole draw.
     """
     for start in range(0, len(values), _DRAW_CHUNK):
         block = values[start:start + _DRAW_CHUNK]
         z = rng.standard_normal(len(block))
+        np.clip(z, -NORMAL_BOUND, NORMAL_BOUND, out=z)
         z *= scale
         block += z

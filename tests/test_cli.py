@@ -485,18 +485,19 @@ def _background_run_digests(tmp_path) -> dict[str, str]:
                for name in ("tags_ground.bin", "tags_onboard.bin")}}
 
 
-# recorded when the PAT fine loop began to draw each update's step-end
-# noise directly (sifted=283, 29,875 ground and 92,419 onboard tags; most
-# ground tags are sky background); tags_onboard.bin, which PAT does not
-# reach, is as first recorded, when the ground arm began to draw per
-# arriving photon
+# recorded when the pairs, the channel thinning and the onboard detector
+# began to run in blocks (sifted=235, 30,263 ground and 92,706 onboard
+# tags; most ground tags are sky background): the pair times became
+# running sums of exponential spacings, each pair got one idler channel
+# code, and every detector site draws thinning, jitter and dark counts
+# from three child streams
 BACKGROUND_RUN_SHA256 = {
     "report.json":
-        "dd1e1d01abcd6d8a34a3c96a8d7b4fc07d63103c8d58d4069911abc96bb8b728",
+        "ffa7fe2d5e8ce1b268e810722294d2664538cb3647af4154064f0aab90c4b115",
     "tags_ground.bin":
-        "60e3f49ac43951b5914c34c21a7fcd9f48c692b53c47430b3b3e89ba621a91d0",
+        "47a191479327715d13d40e04dfa850d231db1ac191b128a349f7bca980ae10d0",
     "tags_onboard.bin":
-        "ddccd1ca2dd6a8096ab51d318d24d853b924f8f6107d0b37458ea258cc0a32f5",
+        "911dda509a7eb84ca7aca4fe8f4f14fe475bd15b80e48a17f6d8083e203cb06d",
 }
 
 

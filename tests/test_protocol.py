@@ -1,8 +1,10 @@
 """Sifting, error estimation, key-rate arithmetic, and the full pipeline."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdpass.bbm92_pipeline as pipeline
+from qkdpass import photon_source
 from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
                                     estimate_qber, secret_fraction, sift,
                                     simulate_pass)
@@ -19,7 +22,7 @@ from qkdpass.photon_source import SourceConfig, generate_pair_stream
 from qkdpass.polarization_correction import PcsSeries
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_D, CHANNEL_H,
                                       CHANNEL_V, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
-                                      QUAD_CHANNELS, ClockModel,
+                                      QUAD_CHANNELS, ClockModel, TagStream,
                                       measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
 from conftest import base_scenario
@@ -244,6 +247,87 @@ def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
     assert len(signal_arrivals) == 1
     assert residual_sizes == signal_arrivals
     assert 0 < signal_arrivals[0] < len(result.stream)
+
+
+def _run_recording_survivors(monkeypatch, scenario):
+    """simulate_pass, and the emission time and idler channel of every
+    channel survivor, joined over the blocks in call order."""
+    survivors, apply_channel = [], pipeline.apply_channel
+
+    def recording_channel(block, *args, **kwargs):
+        result = apply_channel(block, *args, **kwargs)
+        rows = result.survivor_indices
+        survivors.append((block.emission_times[rows], block.idler_channel[rows]))
+        return result
+
+    monkeypatch.setattr(pipeline, "apply_channel", recording_channel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_pass(scenario)
+    return result, [np.concatenate(column).tobytes() for column in zip(*survivors)]
+
+
+def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
+    # the pairs, the channel thinning and the onboard detector run a block
+    # at a time; every per-pair draw is sequential in its own stream, so
+    # any block size gives the same bytes (3000 pairs: 1 pair a block
+    # stays quick; 22 ms of window still holds 220 beacon pulses)
+    scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3000))
+    scenario = dataclasses.replace(
+        scenario, source=dataclasses.replace(scenario.source, pump_power_mw=0.01),
+        link=dataclasses.replace(scenario.link, sky_background_rate_zenith=2e5))
+    runs = {}
+    for block in (1, 7, 4096, 1 << 40):
+        monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
+        result, survivors = _run_recording_survivors(monkeypatch, scenario)
+        runs[block] = (
+            json.dumps(result.report.to_dict(), sort_keys=True), survivors,
+            *(getattr(tags, column).tobytes()
+              for tags in (result.onboard_tags, result.ground_tags)
+              for column in ("times_s", "channels", "origins")))
+    assert runs[1][0] and json.loads(runs[1][0])["coincidences_total"] > 0
+    assert np.any(np.frombuffer(runs[1][-1], np.uint8) == ORIGIN_BACKGROUND)
+    assert runs[1] == runs[7] == runs[4096] == runs[1 << 40]
+
+
+def test_tag_sink_grows_past_its_capacity():
+    # the onboard tags of all blocks, whatever the first capacity
+    rng = np.random.default_rng(3)
+    times = np.sort(rng.uniform(0.0, 1.0, 40))
+    tags = TagStream(times, rng.integers(0, 4, 40).astype(np.uint8),
+                     rng.integers(0, 3, 40).astype(np.uint8))
+    for capacity in (0, 1, 7, 40, 100):
+        sink = pipeline._TagSink(capacity)
+        for lo, hi in ((0, 0), (0, 3), (3, 30), (30, 30), (30, 40)):
+            sink.append(TagStream(tags.times_s[lo:hi], tags.channels[lo:hi],
+                                  tags.origins[lo:hi]))
+        joined = sink.joined()
+        for column in ("times_s", "channels", "origins"):
+            got, want = getattr(joined, column), getattr(tags, column)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_simulate_pass_memory_is_bounded_per_pair():
+    # only the channel survivors, the onboard tags (10 B each, about half
+    # the pairs) and one block's working set outlive a block; a
+    # whole-window pair stream and its detector pass peaked at 22 B a pair
+    scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3_000_000))
+    tracing = tracemalloc.is_tracing()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = simulate_pass(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    pairs = 3_000_000
+    assert len(result.onboard_tags) > 0.4 * pairs
+    assert (peak - base) / pairs <= 16.0
 
 
 def reference_ground_arrivals(signal_t, signal_c, background_t, background_c):

@@ -19,7 +19,8 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
                                       CHANNEL_H, CHANNEL_V, ORIGIN_DARK,
                                       ORIGIN_SIGNAL, QUAD_CHANNELS, ClockModel,
-                                      DetectorModel, SyncConfig, TagStream,
+                                      DetectorCarry, DetectorModel, SyncConfig,
+                                      TagStream,
                                       beacon_clock_sync, channel_basis,
                                       channel_bit, apply_detector,
                                       find_coincidences, measure_polarization,
@@ -147,8 +148,8 @@ def _perfect_stream(seed: int = 1, duration: float = 0.5):
 def test_measurement_onboard_replays_idler():
     stream = _perfect_stream()
     channels = measure_polarization(stream, "onboard")
-    assert np.array_equal(channel_basis(channels), stream.idler_basis)
-    assert np.array_equal(channel_bit(channels), stream.idler_outcome)
+    assert np.array_equal(channels, stream.idler_channel)
+    assert set(np.unique(channels).tolist()) == set(QUAD_CHANNELS)
 
 
 def test_measurement_correlations_perfect_source():
@@ -202,8 +203,7 @@ def test_measurement_of_rows_matches_all_pairs(ad_anticorrelated, residual):
                "per_row": draw.uniform(-90.0, 90.0, len(rows))}[residual]
     sub = dataclasses.replace(
         stream, emission_times=stream.emission_times[rows],
-        idler_basis=stream.idler_basis[rows],
-        idler_outcome=stream.idler_outcome[rows])
+        idler_channel=stream.idler_channel[rows])
 
     rows_rng, sub_rng = np.random.default_rng(9), np.random.default_rng(9)
     part = measure_polarization(stream, "ground", residual_deg=at_rows, rows=rows,
@@ -414,6 +414,145 @@ def test_detector_peak_memory_per_arrival():
             tracemalloc.stop()
     assert 0.4 * n < len(tags) < 0.5 * n
     assert (peak - base) / n <= 10.0
+
+
+def _three_streams(seed):
+    return [np.random.default_rng([seed, k]) for k in range(3)]
+
+
+def blocked_detector(times, channels, model, clock, seed, span_s, cuts,
+                     origins=None):
+    """apply_detector over the arrivals cut at the given rows, one call a
+    block with one carry, and the tags of all blocks joined."""
+    rngs, carry = _three_streams(seed), DetectorCarry()
+    edges = [0, *cuts, len(times)]
+    parts = []
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        parts.append(apply_detector(
+            times[lo:hi], channels[lo:hi], model, clock, rng=rngs, span_s=span_s,
+            origins=None if origins is None else origins[lo:hi],
+            carry=carry, last=k == len(edges) - 2))
+    joined = [np.concatenate(column) for column in zip(
+        *((p.times_s, p.channels, p.origins) for p in parts))]
+    return joined, rngs, parts
+
+
+def assert_blocks_match_whole(times, channels, model, clock, seed, span_s, cuts,
+                              origins=None):
+    whole_rngs = _three_streams(seed)
+    whole = apply_detector(times, channels, model, clock, rng=whole_rngs,
+                           span_s=span_s, origins=origins)
+    joined, rngs, parts = blocked_detector(times, channels, model, clock, seed,
+                                           span_s, cuts, origins)
+    for column, expected in zip(joined, (whole.times_s, whole.channels, whole.origins)):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
+    for got_rng, want_rng in zip(rngs, whole_rngs):
+        assert got_rng.random() == want_rng.random()
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=120),
+    n_cuts=st.integers(min_value=0, max_value=6),
+    with_origins=st.booleans(),
+    efficiency=st.sampled_from([0.7, 1.0]),
+    dark_rate=st.sampled_from([0.0, 2e4]),
+    dead_time=st.sampled_from([0.0, 1e-6, 5e-5]),
+    jitter=st.sampled_from([0.0, 3e-8, 3e-5]),
+    grid=st.sampled_from([None, 1e-5]),
+    clock=CLOCKS,
+    seed=SEEDS,
+)
+def test_detector_blocks_match_one_call(n, n_cuts, with_origins, efficiency,
+                                        dark_rate, dead_time, jitter, grid, clock,
+                                        seed):
+    # 3e-5 s of jitter spans several blocks, so rows wait across more
+    # than one edge; repeated cuts make empty blocks; a coarse grid makes
+    # ties in time across block edges
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, 1e-3, n))
+    if grid:
+        times = np.round(times / grid) * grid
+    channels = rng.choice(QUAD_CHANNELS, size=n).astype(np.uint8)
+    origins = rng.integers(0, 3, size=n).astype(np.uint8) if with_origins else None
+    cuts = np.sort(rng.integers(0, n + 1, n_cuts)).tolist()
+    model = DetectorModel(efficiency=efficiency, dark_rate_hz=dark_rate,
+                          dead_time_s=dead_time, timing_jitter_rms_s=jitter)
+    assert_blocks_match_whole(times, channels, model, clock, seed, (0.0, 1e-3),
+                              cuts, origins)
+
+
+def test_detector_dead_time_straddles_block_edge():
+    # a cluster on H runs across the edge: the second block's first
+    # arrival falls in the dead time of the first block's last kept tag
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=1e-6,
+                          timing_jitter_rms_s=0.0)
+    times = np.array([1e-6, 1.4e-6, 1.8e-6, 2.2e-6, 2.6e-6, 3.0e-6])
+    channels = np.full(6, CHANNEL_H, np.uint8)
+    parts = assert_blocks_match_whole(times, channels, model, IDENTITY, 0,
+                                      (0.0, 4e-6), [3])
+    assert np.concatenate([p.times_s for p in parts]).tolist() == [1e-6, 2.2e-6]
+
+
+def test_detector_jitter_inverts_across_block_edge():
+    # the jitter is far wider than a block's span: rows of later blocks
+    # land before rows of earlier ones, and the tags come out sorted
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
+                          timing_jitter_rms_s=1e-3)
+    times = np.arange(40) * 1e-6
+    channels = np.full(40, CHANNEL_V, np.uint8)
+    cuts = list(range(4, 40, 4))
+    parts = assert_blocks_match_whole(times, channels, model, IDENTITY, 3,
+                                      (0.0, 40e-6), cuts)
+    # nothing is final before the last block: any later arrival may precede it
+    assert [len(p) for p in parts] == [0] * len(cuts) + [40]
+
+
+def test_detector_dark_count_at_block_edge():
+    # a dark count exactly at the edge goes out with the block that
+    # finalizes its time, after an arrival at the same time
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=1e6, dead_time_s=0.0,
+                          timing_jitter_rms_s=0.0)
+    whole = apply_detector(np.empty(0), np.empty(0, np.uint8), model, IDENTITY,
+                           rng=_three_streams(5), span_s=(0.0, 1e-4))
+    edge = whole.times_s[len(whole) // 2]
+    times = np.array([0.5 * edge, edge, edge, 1.5 * edge])
+    channels = np.array([CHANNEL_H, CHANNEL_V, CHANNEL_A, CHANNEL_D], np.uint8)
+    for cut in (1, 2, 3):
+        parts = assert_blocks_match_whole(times, channels, model, IDENTITY, 5,
+                                          (0.0, 1e-4), [cut])
+        tags = TagStream(*(np.concatenate(column) for column in zip(
+            *((p.times_s, p.channels, p.origins) for p in parts))))
+        at_edge = tags.origins[tags.times_s == edge].tolist()
+        assert at_edge == [ORIGIN_SIGNAL, ORIGIN_SIGNAL, ORIGIN_DARK]
+
+
+def test_detector_empty_blocks_and_one_short_window():
+    model = DetectorModel(efficiency=0.8, dark_rate_hz=1e5, dead_time_s=1e-6,
+                          timing_jitter_rms_s=1e-7)
+    rng = np.random.default_rng(8)
+    times = np.sort(rng.uniform(0.0, 1e-3, 500))
+    channels = rng.choice(QUAD_CHANNELS, size=500).astype(np.uint8)
+    # empty blocks first, in the middle and last
+    assert_blocks_match_whole(times, channels, model, IDENTITY, 9, (0.0, 1e-3),
+                              [0, 0, 250, 250, 500])
+    # a window shorter than one block: its only call is the last
+    assert_blocks_match_whole(times, channels, model, IDENTITY, 9, (0.0, 1e-3), [])
+
+
+def test_detector_blocks_must_come_in_time_order():
+    carry = DetectorCarry()
+    rngs = _three_streams(0)
+    apply_detector(np.array([1.0, 2.0]), np.zeros(2, np.uint8), IDEAL, IDENTITY,
+                   rng=rngs, span_s=(0.0, 3.0), carry=carry, last=False)
+    with pytest.raises(ValueError):
+        apply_detector(np.array([1.5]), np.zeros(1, np.uint8), IDEAL, IDENTITY,
+                       rng=rngs, span_s=(0.0, 3.0), carry=carry)
+    with pytest.raises(ValueError):
+        apply_detector(np.array([1.0]), np.zeros(1, np.uint8), IDEAL, IDENTITY,
+                       rng=rngs, carry=DetectorCarry())
 
 
 def test_detector_rejects_columns_of_other_lengths():

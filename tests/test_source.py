@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import chisquare, kstest
+
+from qkdpass import photon_source
 from qkdpass.errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
-from qkdpass.photon_source import (MODULE_NAME, SourceConfig, _sorted_distinct,
+from qkdpass.photon_source import (MODULE_NAME, PairCarry, SourceConfig,
                                    beacon_schedule,
                                    generate_pair_stream, pair_rate,
                                    polarizer_scan, qber_from_visibility,
                                    required_pump_power, scan_fringe_mean,
                                    scan_visibility, visibility_from_extrema)
-from qkdpass.seeding import module_rng
+from qkdpass.seeding import module_streams
 
 
 def test_pair_rate_is_brightness_times_pump():
@@ -84,15 +87,12 @@ def test_stream_statistics():
     assert abs(len(stream) - mean) < 5.0 * np.sqrt(mean)
     assert np.all(np.diff(stream.emission_times) > 0.0)
     assert stream.emission_times[0] >= 0.0
-    assert stream.emission_times[-1] <= duration
-    # half the idlers in each basis, and half of their outcomes 1
+    assert stream.emission_times[-1] < duration
+    # times and idler channel are the only per-pair columns: 9 B a pair
     n = len(stream)
-    assert abs(stream.idler_basis.mean() - 0.5) < 5.0 / (2.0 * np.sqrt(n))
-    assert abs(stream.idler_outcome.mean() - 0.5) < 5.0 / (2.0 * np.sqrt(n))
-    # times, basis and outcome are the only per-pair columns: 10 B a pair
     per_pair = sum(value.nbytes for value in vars(stream).values()
                    if isinstance(value, np.ndarray) and len(value) == n)
-    assert per_pair == 10 * n
+    assert per_pair == 9 * n
 
 
 def test_stream_deterministic_per_seed():
@@ -100,44 +100,104 @@ def test_stream_deterministic_per_seed():
     a = generate_pair_stream(config, 1.0, seed=3)
     b = generate_pair_stream(config, 1.0, seed=3)
     assert np.array_equal(a.emission_times, b.emission_times)
-    assert np.array_equal(a.idler_basis, b.idler_basis)
-    assert np.array_equal(a.idler_outcome, b.idler_outcome)
+    assert np.array_equal(a.idler_channel, b.idler_channel)
     c = generate_pair_stream(config, 1.0, seed=4)
     assert len(a) != len(c) or not np.array_equal(a.emission_times, c.emission_times)
 
 
-@pytest.mark.parametrize("values", [
-    [],
-    [0.5],
-    [0.3, 0.1, 0.2],
-    [0.3, 0.1, 0.3, 0.2, 0.1, 0.1],
-    [2.0, 2.0],
-    [0.0, 1e-300, 0.0, 5e-324, 5e-324],
-])
-def test_sorted_distinct_is_unique(values):
-    values = np.asarray(values, dtype=float)
-    want = np.unique(values)
-    got = _sorted_distinct(values.copy())
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def test_stream_is_running_sum_of_spacings():
+    # the reference form: one time at a time, each the last plus an
+    # exponential spacing, until one reaches the window's end; the idler
+    # channels are the low two bits of the bytes of the second stream's
+    # raw words, lowest byte first
+    config = SourceConfig(pump_power_mw=0.001)
+    rate, duration = pair_rate(config), 0.05
+    times_rng, idler_rng = module_streams(6, MODULE_NAME, 2)
+    want, t = [], 0.0
+    spacings = iter((times_rng.standard_exponential(2000) * (1.0 / rate)).tolist())
+    while (t := t + next(spacings)) < duration:
+        want.append(t)
+    stream = generate_pair_stream(config, duration, seed=6)
+    assert stream.emission_times.tolist() == want
+    words = idler_rng.integers(0, 2**64, size=len(want) // 8 + 1, dtype=np.uint64)
+    codes = [(int(word) >> (8 * k)) & 3 for word in words for k in range(8)]
+    assert stream.idler_channel.tolist() == codes[:len(want)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.sampled_from([0.0, 0.125, 0.25, 1.0, 3.5, 7.0]),
-                       max_size=40) | st.lists(st.floats(0.0, 10.0), max_size=40))
-def test_sorted_distinct_is_unique_property(values):
-    values = np.asarray(values, dtype=float)
-    assert _sorted_distinct(values.copy()).tobytes() == np.unique(values).tobytes()
+@pytest.mark.parametrize("block", [1, 7, 4096, 1 << 40])
+def test_stream_blocks_are_one_stream(monkeypatch, block):
+    # any block size gives the same pairs, strictly increasing across the
+    # block edges; the blocks hold at most block pairs, the last sets done
+    config = SourceConfig(pump_power_mw=0.001)
+    whole = generate_pair_stream(config, 0.02, seed=2)
+    monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
+    carry = PairCarry.seeded(2)
+    blocks = []
+    while not carry.done:
+        blocks.append(generate_pair_stream(config, 0.02, carry=carry))
+        assert len(blocks[-1]) <= block
+    times = np.concatenate([b.emission_times for b in blocks])
+    assert times.tobytes() == whole.emission_times.tobytes()
+    assert np.all(np.diff(times) > 0.0)
+    assert np.concatenate([b.idler_channel for b in blocks]).tobytes() \
+        == whole.idler_channel.tobytes()
+    assert generate_pair_stream(config, 0.02, seed=2).emission_times.tobytes() \
+        == whole.emission_times.tobytes()
 
 
-def test_stream_times_are_unique_draws():
-    # the form generate_pair_stream replaces: np.unique of the raw uniforms
+class _Spacings:
+    """A times generator that replays fixed standard exponentials."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_exponential(self, n):
+        drawn, self.values = self.values[:n], self.values[n:]
+        return np.array(drawn + [1e9] * (n - len(drawn)))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 1 << 20])
+def test_stream_drops_repeated_times(monkeypatch, block):
+    # a zero spacing, or one under half an ulp of the time, repeats the
+    # time: the pair is dropped, within a block and across an edge
+    config = SourceConfig(brightness_pairs_per_s_mw=1.0, pump_power_mw=1.0)
+    monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
+    carry = PairCarry(_Spacings([0.0, 0.25, 0.0, 1e-17, 0.25, 0.0, 0.25]),
+                      np.random.default_rng(1))
+    times = []
+    while not carry.done:
+        block_pairs = generate_pair_stream(config, 2.0, carry=carry)
+        assert len(block_pairs.idler_channel) == len(block_pairs)
+        times.extend(block_pairs.emission_times.tolist())
+    assert times == [0.25, 0.5, 0.75]
+
+
+def test_stream_pair_count_is_poisson():
+    # pulls of the pair count against Poisson(R d) over independent seeds
+    config = SourceConfig(pump_power_mw=0.0005)
+    duration = 0.1
+    mean = pair_rate(config) * duration
+    pulls = np.array([(len(generate_pair_stream(config, duration, seed=s)) - mean)
+                      / np.sqrt(mean) for s in range(200)])
+    assert abs(pulls.mean()) < 5.0 / np.sqrt(len(pulls))
+    assert 0.8 < pulls.std() < 1.2
+
+
+def test_stream_times_are_uniform():
     config = SourceConfig(pump_power_mw=0.01)
-    rng = module_rng(6, MODULE_NAME)
-    want = np.unique(rng.uniform(0.0, 0.5, size=rng.poisson(pair_rate(config) * 0.5)))
-    stream = generate_pair_stream(config, 0.5, seed=6)
-    assert stream.emission_times.tobytes() == want.tobytes()
-    assert np.array_equal(stream.idler_basis,
-                          rng.integers(0, 2, size=len(want), dtype=np.uint8))
+    duration = 0.5
+    stream = generate_pair_stream(config, duration, seed=12)
+    assert kstest(stream.emission_times, "uniform", args=(0.0, duration)).pvalue > 1e-3
+
+
+def test_stream_idler_basis_and_outcome_are_fair_and_independent():
+    config = SourceConfig(pump_power_mw=0.01)
+    codes = generate_pair_stream(config, 0.5, seed=13).idler_channel
+    counts = np.bincount(codes, minlength=4)
+    assert len(counts) == 4
+    # the four codes (basis * 2 + outcome) equally likely: both fair, and
+    # the outcome independent of the basis
+    assert chisquare(counts).pvalue > 1e-3
 
 
 def test_scan_visibility_noise_free_exact():
