@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel_link import LinkProfile, apply_channel, build_link_profile
+from .channel_link import BackgroundCarry, LinkProfile, apply_channel, build_link_profile
 from .errors import (EmptyKey, LowSample, OutOfRange, QkdPassError,
                      SimulationError, SyncFailed)
 from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
@@ -41,7 +41,7 @@ from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                apply_detector, beacon_clock_sync, channel_basis,
                                channel_bit, find_coincidences, measure_polarization)
 from .scenario import Scenario
-from .seeding import module_rng, module_streams
+from .seeding import _two_bit_codes, module_rng, module_streams
 
 MODULE_NAME = "bbm92_pipeline"
 
@@ -324,12 +324,15 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     stays at protocol.max_source_events; pointing and frame tracking
     run over the whole pass. The pairs are drawn, thinned by the
     channel and detected onboard one block at a time (see
-    generate_pair_stream); the results do not depend on the block size.
-    The onboard arm measures every emitted pair; the ground arm
-    measures only those that survive the channel and the downlink
-    split. Deterministic for a given scenario and
-    seed. A pass with no usable beacon (total blackout) yields a
-    well-formed zero-key report instead of an error.
+    generate_pair_stream). The onboard arm measures every emitted pair;
+    the ground arm measures only those that survive the channel and the
+    downlink split. The sky background is then drawn over the ground
+    receiver's gate (the window plus the longest flight time) one block
+    at a time (see apply_channel), and each block is detected merged
+    with the signal arrivals up to its last time (_ground_block). The
+    results do not depend on either block size. Deterministic for a
+    given scenario and seed. A pass with no usable beacon (total
+    blackout) yields a well-formed zero-key report instead of an error.
     """
     seed = scenario.seed
     proto = scenario.protocol
@@ -374,7 +377,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         with _stage("photon_source"):
             block = generate_pair_stream(scenario.source, q_dur, carry=source)
         with _stage("channel_link"):
-            channel = apply_channel(block, link, channel_rng, background=source.done)
+            channel = apply_channel(block, link, channel_rng, background=False)
         kept_t.append(block.emission_times[channel.survivor_indices])
         kept_c.append(block.idler_channel[channel.survivor_indices])
         with _stage("quantum_receiver"):
@@ -400,23 +403,49 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             rng=module_rng(seed, "quantum_receiver.ground"),
             ad_anticorrelated=proto.ad_anticorrelated, rows=signal_idx,
         )
-        bg_channels = module_rng(seed, "quantum_receiver.ground.background").integers(
-            0, 4, size=len(channel.background_times), dtype=np.uint8
-        )
-        arrivals, chans, origins = _ground_arrivals(
-            signal_emit + flight_s(signal_emit), signal_channels,
-            channel.background_times, bg_channels)
-        # only the merged arrivals go on: free the background columns
-        # before the detector makes its own
-        del channel, bg_channels, signal_channels, survivors
-        ground_tags = apply_detector(
-            arrivals, chans,
-            scenario.ground_detector, scenario.clock,
-            rng=module_streams(seed, "quantum_receiver.ground.detector", 3),
-            span_s=ground_span,
-            origins=origins,
-        )
-        del arrivals, chans, origins
+        del survivors, downlink, signal_idx
+        signal_t = signal_emit + flight_s(signal_emit)
+        del signal_emit
+        # the blocks split the signal by time; a flight time that rounds
+        # the other way could still swap two arrivals attoseconds apart
+        if not _is_sorted(signal_t):
+            order = np.argsort(signal_t, kind="stable")
+            signal_t, signal_channels = signal_t[order], signal_channels[order]
+
+        # The ground arm runs a block of sky background at a time, each
+        # merged with the signal arrivals up to its last time. Only the
+        # signal arrivals and the ground tags outlive a block.
+        ground = scenario.ground_detector
+        gate_s = ground_span[1] - ground_span[0]
+        # at most one tag per arrival that passes the efficiency, plus the darks
+        sky_max = float(np.max(link.background_rate)) * gate_s
+        ground_tags = _TagSink(int(1.01 * (
+            ground.efficiency * (len(signal_t) + sky_max)
+            + 4.0 * ground.dark_rate_hz * gate_s)) + 1024)
+        ground_rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
+        ground_carry = DetectorCarry()
+        sky = BackgroundCarry(ground_span)
+        sky_codes = module_rng(seed, "quantum_receiver.ground.background")
+        spare = np.empty(0, dtype=np.uint8)
+        no_pairs = PairEventStream(np.empty(0), np.empty(0, dtype=np.uint8),
+                                   q_dur, scenario.source)
+        taken = 0
+        while not sky.done:
+            with _stage("channel_link"):
+                sky_t = apply_channel(no_pairs, link, channel_rng,
+                                      background=sky).background_times
+            sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
+            arrivals, chans, origins, taken = _ground_block(
+                signal_t, signal_channels, taken, sky_t, sky_c, sky.done)
+            del sky_t, sky_c
+            ground_tags.append(apply_detector(
+                arrivals, chans, ground, scenario.clock,
+                rng=ground_rngs, span_s=ground_span,
+                origins=origins, carry=ground_carry, last=sky.done,
+            ))
+            del arrivals, chans, origins
+        del signal_t, signal_channels
+        ground_tags = ground_tags.joined()
 
         # classical beacon: bright pulse train, lost only in a blackout
         beacon_times = beacon_schedule(scenario.source, q_dur)
@@ -584,11 +613,11 @@ def _ground_arrivals(
     """Arrival times, channels and origins of both ground streams, in time order.
 
     The order is that of a stable argsort of the signal rows followed
-    by the background rows. Both inputs are sorted in practice (a
-    monotone flight time; background drawn in order), so the signal
-    rows are inserted into the background ahead of equal times. The
-    background's inverse-CDF map cannot rule out a rounding inversion
-    at a rate step, so an input out of order takes the argsort.
+    by the background rows. simulate_pass passes sorted inputs, a block
+    of each at a time (the signal sorted once before its blocks, the
+    background sorted as drawn), so the signal rows are inserted into
+    the background ahead of equal times; an input out of order takes
+    the argsort.
     """
     if not (_is_sorted(signal_t) and _is_sorted(background_t)):
         arrivals = np.concatenate([signal_t, background_t])
@@ -605,3 +634,23 @@ def _ground_arrivals(
     return (np.insert(background_t, at, signal_t),
             np.insert(background_channels, at, signal_channels),
             origins)
+
+
+def _ground_block(
+    signal_t: np.ndarray, signal_channels: np.ndarray, taken: int,
+    background_t: np.ndarray, background_channels: np.ndarray, last: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One sky block's ground arrivals (_ground_arrivals) and the end of
+    the sorted signal rows it took.
+
+    The block takes the signal rows from taken up to its last background
+    time, all that are left if it is the last block. A signal arrival
+    equal to that time goes with the block, ahead of the background
+    arrival, so the blocks joined are _ground_arrivals over the whole
+    streams, and each block starts no earlier than the last one ended.
+    Only the last block can be empty.
+    """
+    end = len(signal_t) if last else \
+        int(np.searchsorted(signal_t, background_t[-1], side="right"))
+    return (*_ground_arrivals(signal_t[taken:end], signal_channels[taken:end],
+                              background_t, background_channels), end)

@@ -9,6 +9,7 @@ photon at the time-local transmittance and injects background events.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -280,56 +281,89 @@ class ChannelResult:
     """Signal photons surviving the channel, plus injected background."""
 
     survivor_indices: np.ndarray   # indices into the source stream
-    background_times: np.ndarray   # sorted, on the source timeline
+    background_times: np.ndarray   # sorted, arrival times on the window's timeline
 
 
-def _inhomogeneous_poisson(
-    rng: np.random.Generator, profile: LinkProfile, duration_s: float
-) -> np.ndarray:
-    """Background arrivals for a stepwise-constant rate, via inverse CDF.
+# Background arrivals per block: bounds the ground arm's working set,
+# whatever the sky rate and the span.
+_BLOCK_ARRIVALS = 1 << 20
 
-    The sorted uniforms are mapped in place, one segment at a time with
-    that segment's scalars; a segment holds the uniforms from its
-    cumulative start up to the next segment's.
+
+@dataclass
+class BackgroundCarry:
+    """Where one span's background arrivals stand between blocks.
+
+    span_s is the (start, end) the arrivals cover; reached is the
+    cumulated rate of the last arrival drawn (0 before the first), and
+    done is set by the block that reaches the span's total.
     """
-    edges = np.append(
-        np.clip(profile.times_s, 0.0, duration_s), duration_s
-    )
+
+    span_s: tuple[float, float]
+    reached: float = 0.0
+    done: bool = False
+
+
+def _background_block(rng: np.random.Generator, profile: LinkProfile,
+                      carry: BackgroundCarry) -> np.ndarray:
+    """The span's next background arrivals, at most _BLOCK_ARRIVALS of them.
+
+    In the cumulated rate L(t), an integral of the stepwise-constant
+    rate, the arrivals are a unit-rate Poisson process: running sums of
+    standard exponentials, carried across block edges, up to L's total
+    over the span. Each maps back through L's piecewise-linear inverse,
+    one segment at a time with that segment's scalars, clipped into its
+    segment, so the times are sorted across segments and blocks.
+    """
+    lo, hi = carry.span_s
+    edges = np.append(np.clip(profile.times_s, lo, hi), hi)
     widths = np.diff(edges)
     rates = profile.background_rate[: len(widths)]
     cum = np.concatenate([[0.0], np.cumsum(rates * widths)])
     total = cum[-1]
-    if total <= 0.0:
+    if not total > 0.0:
+        carry.done = True
         return np.empty(0)
-    n = int(rng.poisson(total))
-    u = rng.uniform(0.0, total, size=n)
-    u.sort()
-    bounds = np.concatenate(([0], np.searchsorted(u, cum[1:-1], side="left"), [n]))
-    with np.errstate(invalid="ignore"):
-        for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            seg = u[bounds[k]:bounds[k + 1]]
-            seg -= cum[k]
-            seg /= rates[k] * widths[k]
-            np.nan_to_num(seg, copy=False)
-            seg *= widths[k]
-            seg += edges[k]
+    # draw about what is left of the span when that is under a block
+    left = total - carry.reached
+    u = rng.standard_exponential(
+        min(_BLOCK_ARRIVALS, int(left + 6.0 * math.sqrt(left)) + 1))
+    u[0] += carry.reached
+    np.cumsum(u, out=u)
+    inside = int(np.searchsorted(u, total, side="left"))
+    carry.done = inside < len(u)
+    u = u[:inside]
+    if not len(u):
+        return u
+    carry.reached = float(u[-1])
+    bounds = np.concatenate(
+        ([0], np.searchsorted(u, cum[1:-1], side="left"), [len(u)]))
+    for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        seg = u[bounds[k]:bounds[k + 1]]
+        seg -= cum[k]
+        seg /= rates[k]
+        seg += edges[k]
+        np.clip(seg, edges[k], edges[k + 1], out=seg)
     return u
 
 
 def apply_channel(
     stream: PairEventStream, profile: LinkProfile,
-    seed: int | np.random.Generator, background: bool = True,
+    seed: int | np.random.Generator,
+    background: bool | BackgroundCarry = True,
 ) -> ChannelResult:
     """Thin the pair stream at the time-local transmittance.
 
     Each downlink photon survives independently with the profile's
-    transmittance at its emission time, one uniform per pair; then,
-    with background, background events are drawn from an inhomogeneous
-    Poisson process at the profile's background rate over the stream's
-    window. A window drawn in blocks passes one generator to a call per
-    block, background only on the last: the uniforms are sequential in
-    it, so the survivors and the background are those of one call over
-    the whole window. Deterministic for a given seed.
+    transmittance at its emission time, one uniform per pair. Then,
+    from the same generator, background arrivals of an inhomogeneous
+    Poisson process at the profile's background rate: with background
+    True all of them over the stream's window; with a BackgroundCarry
+    the next block of them over its span (see _background_block), and
+    carry.done is set by the call that returns the last. A window drawn
+    in blocks passes one generator to a call per block of pairs, then
+    to a call per block of background (with an empty stream): every
+    draw is sequential in it, so the survivors and the background do
+    not depend on the block sizes. Deterministic for a given seed.
     """
     if not profile.covers(stream.duration_s):
         raise ProfileGap(
@@ -340,8 +374,14 @@ def apply_channel(
         else module_rng(seed, MODULE_NAME)
     survivors = np.flatnonzero(_uniform_below(
         rng, profile.transmittance, profile._hold_bounds(stream.emission_times)))
-    return ChannelResult(
-        survivor_indices=survivors,
-        background_times=_inhomogeneous_poisson(rng, profile, stream.duration_s)
-        if background else np.empty(0),
-    )
+    if background is True:
+        carry = BackgroundCarry((0.0, stream.duration_s))
+        blocks = [_background_block(rng, profile, carry)]
+        while not carry.done:
+            blocks.append(_background_block(rng, profile, carry))
+        arrivals = np.concatenate(blocks)
+    elif background:
+        arrivals = _background_block(rng, profile, background)
+    else:
+        arrivals = np.empty(0)
+    return ChannelResult(survivor_indices=survivors, background_times=arrivals)

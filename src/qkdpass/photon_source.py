@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
-from .seeding import module_rng, module_streams
+from .seeding import _two_bit_codes, module_rng, module_streams
 
 MODULE_NAME = "photon_source"
 
@@ -165,25 +165,13 @@ def _next_block(config: SourceConfig, duration_s: float,
         carry.last_s = float(times[-1])
         if not fresh.all():
             times = times[fresh]
+    idler, carry.spare = _two_bit_codes(carry.idler_rng, carry.spare, len(times))
     return PairEventStream(
         emission_times=times,
-        idler_channel=_idler_channels(carry, len(times)),
+        idler_channel=idler,
         duration_s=duration_s,
         config=config,
     )
-
-
-def _idler_channels(carry: PairCarry, n: int) -> np.ndarray:
-    """The next n idler channels: the low two bits of each byte of raw
-    64-bit words, little-endian, eight pairs a word. Whole words are
-    drawn and the unused channels kept for the next block."""
-    words = carry.idler_rng.integers(
-        0, 2**64 - 1, size=-(-(n - len(carry.spare)) // 8), dtype=np.uint64,
-        endpoint=True)
-    fresh = words.astype("<u8", copy=False).view(np.uint8) & 3
-    codes = np.concatenate([carry.spare, fresh]) if len(carry.spare) else fresh
-    carry.spare = codes[n:].copy()
-    return codes[:n]
 
 
 def generate_pair_stream(

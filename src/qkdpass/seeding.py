@@ -9,6 +9,7 @@ Long per-row draws over photon streams go through ``_uniform_below``
 (thinning) and ``_add_normal`` (timing jitter), which draw the same
 values as one whole draw, a chunk at a time; the normals are truncated
 at NORMAL_BOUND standard deviations, which no draw reaches in practice.
+Channel codes drawn a block at a time go through ``_two_bit_codes``.
 """
 import hashlib
 
@@ -75,3 +76,20 @@ def _add_normal(rng: np.random.Generator, values: np.ndarray, scale: float) -> N
         np.clip(z, -NORMAL_BOUND, NORMAL_BOUND, out=z)
         z *= scale
         block += z
+
+
+def _two_bit_codes(rng: np.random.Generator, spare: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next n uniform two-bit codes, and the spare codes left over.
+
+    The codes are spare first, then the low two bits of each byte of
+    raw 64-bit words, little-endian, eight codes a word. Whole words are
+    drawn, and the codes not given out come back as the next call's
+    spare, so the codes do not depend on how a stream is split into
+    calls (a split integers(0, 4) draw would not repeat one whole draw).
+    """
+    words = rng.integers(0, 2**64 - 1, size=-(-(n - len(spare)) // 8),
+                         dtype=np.uint64, endpoint=True)
+    fresh = words.astype("<u8", copy=False).view(np.uint8) & 3
+    codes = np.concatenate([spare, fresh]) if len(spare) else fresh
+    return codes[:n], codes[n:].copy()

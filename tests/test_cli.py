@@ -485,17 +485,17 @@ def _background_run_digests(tmp_path) -> dict[str, str]:
                for name in ("tags_ground.bin", "tags_onboard.bin")}}
 
 
-# recorded when the pairs, the channel thinning and the onboard detector
-# began to run in blocks (sifted=235, 30,263 ground and 92,706 onboard
-# tags; most ground tags are sky background): the pair times became
-# running sums of exponential spacings, each pair got one idler channel
-# code, and every detector site draws thinning, jitter and dark counts
-# from three child streams
+# recorded when the sky background began to be drawn a block at a time
+# (sifted=238, 30,356 ground and 92,706 onboard tags; most ground tags
+# are sky background): its times became running sums of exponentials in
+# the cumulated rate, over the receiver's gate rather than the source
+# window, and its channel codes the bits of raw words. The onboard tags
+# are those recorded when the pair chain began to run in blocks.
 BACKGROUND_RUN_SHA256 = {
     "report.json":
-        "ffa7fe2d5e8ce1b268e810722294d2664538cb3647af4154064f0aab90c4b115",
+        "4b58103e38878b4c0d39a3c1097e4603f5a93a885d67946ccf9df1b143350ac5",
     "tags_ground.bin":
-        "47a191479327715d13d40e04dfa850d231db1ac191b128a349f7bca980ae10d0",
+        "9de9e25a6d11ce3e2b9038fb62a981312a2e5cb89a3dd10089a493e7d4896eab",
     "tags_onboard.bin":
         "911dda509a7eb84ca7aca4fe8f4f14fe475bd15b80e48a17f6d8083e203cb06d",
 }

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0e
-from scipy.stats import ncx2
+from scipy.stats import chi2, ncx2
 
-from qkdpass.channel_link import (MODULE_NAME, LinkConfig, LinkProfile, _i0e,
-                                  _inhomogeneous_poisson, apply_channel,
+from qkdpass import channel_link
+from qkdpass.channel_link import (MODULE_NAME, BackgroundCarry, LinkConfig,
+                                  LinkProfile, _i0e, apply_channel,
                                   atmospheric_loss, background_rate,
                                   build_link_profile, geometric_transmittance,
                                   pointing_transmittance)
@@ -262,22 +263,35 @@ def _profile(times, transmittance=None, background=None) -> LinkProfile:
     )
 
 
-def reference_background(rng, profile, duration_s):
-    """Background arrivals with one segment search per arrival: the form
-    _inhomogeneous_poisson replaces."""
-    edges = np.append(np.clip(profile.times_s, 0.0, duration_s), duration_s)
-    widths = np.diff(edges)
-    rates = profile.background_rate[: len(widths)]
-    cum = np.concatenate([[0.0], np.cumsum(rates * widths)])
-    total = cum[-1]
-    if total <= 0.0:
-        return np.empty(0)
-    n = int(rng.poisson(total))
-    u = np.sort(rng.uniform(0.0, total, size=n))
-    seg = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(widths) - 1)
-    with np.errstate(invalid="ignore"):
-        frac = (u - cum[seg]) / (rates[seg] * widths[seg])
-    return edges[seg] + np.nan_to_num(frac) * widths[seg]
+def _segments(profile, span_s):
+    """Edges, rates and cumulated rate of the profile's holds over a span."""
+    lo, hi = span_s
+    edges = np.append(np.clip(profile.times_s, lo, hi), hi)
+    rates = profile.background_rate[: len(edges) - 1]
+    return edges, rates, np.concatenate([[0.0], np.cumsum(rates * np.diff(edges))])
+
+
+def reference_background(rng, profile, span_s):
+    """Background arrivals one at a time: a running sum of standard
+    exponentials in the cumulated rate, until one reaches its total,
+    each mapped by its own segment search and clipped into the segment:
+    the form _background_block computes a block at a time."""
+    edges, rates, cum = _segments(profile, span_s)
+    out, u = [], 0.0
+    if cum[-1] > 0.0:
+        while (u := u + float(rng.standard_exponential())) < cum[-1]:
+            k = int(np.searchsorted(cum, u, side="right")) - 1
+            out.append(min(max((u - cum[k]) / rates[k] + edges[k], edges[k]),
+                           edges[k + 1]))
+    return np.array(out)
+
+
+def draw_background(rng, profile, span_s):
+    """Every block of one span's background, as the blocks came."""
+    carry, blocks = BackgroundCarry(span_s), []
+    while not carry.done:
+        blocks.append(channel_link._background_block(rng, profile, carry))
+    return blocks
 
 
 @pytest.mark.parametrize("samples", [
@@ -318,39 +332,68 @@ def test_hold_bounds_match_per_time_search(samples):
 def test_background_segments_match_per_arrival_form(samples, rates, duration):
     profile = _profile(samples, background=rates)
     for seed in range(3):
-        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = reference_background(want_rng, profile, duration)
-        got = _inhomogeneous_poisson(got_rng, profile, duration)
+        want = reference_background(np.random.default_rng(seed), profile, (0.0, duration))
+        got = np.concatenate(draw_background(np.random.default_rng(seed), profile,
+                                             (0.0, duration)))
         assert got.tobytes() == want.tobytes()
-        assert got_rng.random() == want_rng.random()
 
 
 class _ScriptedDraws:
-    """A generator stand-in whose uniforms are chosen by the test."""
+    """A generator stand-in whose exponentials are chosen by the test,
+    then a spacing no cumulated rate here reaches."""
 
-    def __init__(self, uniforms):
-        self.uniforms = np.asarray(uniforms, dtype=float)
+    def __init__(self, spacings):
+        self.spacings = list(spacings)
 
-    def poisson(self, lam):
-        return len(self.uniforms)
-
-    def uniform(self, low, high, size):
-        assert size == len(self.uniforms)
-        return self.uniforms.copy()
+    def standard_exponential(self, size=None):
+        n = 1 if size is None else size
+        drawn, self.spacings = self.spacings[:n], self.spacings[n:]
+        drawn = np.array(drawn + [1e9] * (n - len(drawn)))
+        return drawn[0] if size is None else drawn
 
 
 def test_background_segments_match_per_arrival_form_on_boundaries():
-    # uniforms exactly on the cumulative segment starts, one ulp either
-    # side, and at the total, which the last zero-rate segment holds
+    # running sums exactly on the cumulative segment starts and one ulp
+    # either side, some repeated, with zero-width and zero-rate segments
     profile = _profile([0.0, 1.0, 1.0, 2.0, 3.0], background=[2.0, 5.0, 0.0, 3.0, 0.0])
-    duration = 3.5
-    cum = np.cumsum([0.0, 2.0, 0.0, 0.0, 3.0, 0.0])
-    draws = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
-    draws = np.sort(np.clip(draws, 0.0, cum[-1]))
-    want = reference_background(_ScriptedDraws(draws), profile, duration)
-    got = _inhomogeneous_poisson(_ScriptedDraws(draws), profile, duration)
-    assert np.isfinite(got).all()
+    span = (0.0, 3.5)
+    cum = _segments(profile, span)[2]
+    sums = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    sums = np.sort(sums[(sums > 0.0) & (sums < cum[-1])])
+    spacings = np.diff(sums, prepend=0.0)
+    assert np.array_equal(np.cumsum(spacings), sums)
+    want = reference_background(_ScriptedDraws(spacings), profile, span)
+    got = np.concatenate(draw_background(_ScriptedDraws(spacings), profile, span))
+    assert len(got) == len(sums) and np.isfinite(got).all()
     assert got.tobytes() == want.tobytes()
+    assert np.all(np.diff(got) >= 0.0)
+
+
+@pytest.mark.parametrize("edges,rates", [
+    ([0.0, 0.8564016483033118, 1.9109420312818977, 2.0490178631608127,
+      2.671603697512742],
+     [1616.5313536428532, 11725.628401035023, 39.942473378413176, 390.8121524686562]),
+    ([0.0, 0.5670011551510183, 2.6651514910205374],
+     [76.95306271172322, 25652.67366099094]),
+])
+def test_background_clipped_into_its_hold(edges, rates):
+    # the double just below the second hold's cumulated end maps, rounded,
+    # past that hold's end time (holds found by a search); clipped into
+    # its hold it stays ahead of an arrival at the next hold's start, or
+    # inside the span when the hold is the last
+    span = (0.0, edges[-1])
+    profile = _profile(edges[:-1], background=rates)
+    edges, rates, cum = _segments(profile, span)
+    below = np.nextafter(cum[2], -np.inf)
+    assert (below - cum[1]) / rates[1] + edges[1] > edges[2]
+    sums = np.array([cum[1], below, cum[2]])
+    sums = sums[sums < cum[-1]]
+    spacings = np.diff(sums, prepend=0.0)
+    assert np.array_equal(np.cumsum(spacings), sums)
+    want = reference_background(_ScriptedDraws(spacings), profile, span)
+    got = np.concatenate(draw_background(_ScriptedDraws(spacings), profile, span))
+    assert got.tobytes() == want.tobytes()
+    assert got[1] == edges[2] and np.all(np.diff(got) >= 0.0) and got[-1] <= span[1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -366,11 +409,77 @@ def test_background_segments_match_per_arrival_form_property(gaps, start, rates,
     samples = start + np.concatenate([[0.0], np.cumsum(gaps)])
     duration = max(float(samples[-1]) + extra, 0.5)
     profile = _profile(samples, background=rates[: len(samples)])
-    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = reference_background(want_rng, profile, duration)
-    got = _inhomogeneous_poisson(got_rng, profile, duration)
+    want = reference_background(np.random.default_rng(seed), profile, (0.0, duration))
+    got = np.concatenate(draw_background(np.random.default_rng(seed), profile,
+                                         (0.0, duration)))
     assert got.tobytes() == want.tobytes()
-    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 1 << 40])
+def test_background_blocks_are_one_stream(monkeypatch, block):
+    # any block size gives the same arrivals, sorted across the block
+    # edges; the blocks hold at most block arrivals, only the last is done
+    profile = _profile([-0.5, 0.0, 0.7, 0.7, 1.9, 2.2, 3.0],
+                       background=[1e3, 2e3, 0.0, 5e3, 1e3, 0.0, 4e3])
+    span = (0.0, 3.3)
+    whole = np.concatenate(draw_background(np.random.default_rng(4), profile, span))
+    monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", block)
+    blocks = draw_background(np.random.default_rng(4), profile, span)
+    assert all(0 < len(b) <= block for b in blocks[:-1]) and len(blocks[-1]) <= block
+    joined = np.concatenate(blocks)
+    assert joined.tobytes() == whole.tobytes()
+    assert len(whole) > 5000 and np.all(np.diff(joined) >= 0.0)
+    assert 0.0 <= joined[0] and joined[-1] <= span[1]
+
+
+def test_background_count_is_poisson():
+    # pulls of the count against Poisson(integral of the rate) over seeds
+    profile = _profile([-0.2, 0.0, 0.3, 0.3, 0.5, 0.8],
+                       background=[9e9, 400.0, 9e9, 1500.0, 0.0, 250.0])
+    span = (0.0, 1.1)
+    mean = 0.3 * 400.0 + 0.2 * 1500.0 + 0.3 * 250.0
+    pulls = np.array([
+        (sum(map(len, draw_background(np.random.default_rng(s), profile, span))) - mean)
+        / np.sqrt(mean) for s in range(300)])
+    assert abs(pulls.mean()) < 5.0 / np.sqrt(len(pulls))
+    assert 0.8 < pulls.std() < 1.2
+
+
+def test_background_segment_counts_follow_rate_times_width():
+    # chi-square of the counts per hold against rate * width; a hold of
+    # zero rate or zero width gets none, even where the rate is huge
+    samples = np.array([0.0, 0.4, 0.4, 1.0, 1.5, 2.5, 2.6, 3.0])
+    rates = np.array([5e4, 1e12, 2e4, 0.0, 8e4, 1e4, 3e4, 7e4])
+    profile = _profile(samples, background=rates)
+    span = (0.0, 3.2)
+    got = np.concatenate(draw_background(np.random.default_rng(11), profile, span))
+    edges = np.append(samples, span[1])
+    widths = np.diff(edges)
+    positive = rates * widths > 0.0
+    counts = np.histogram(got, bins=edges[np.r_[True, widths > 0.0]])[0]
+    expected = (rates * widths)[widths > 0.0]
+    assert np.all(counts[expected == 0.0] == 0)
+    assert not np.any((got > 1.0) & (got < 1.5))   # the zero-rate hold, open
+    assert np.count_nonzero(got == 0.4) <= 1      # the zero-width hold's time
+    live = expected > 0.0
+    stat = float(np.sum((counts[live] - expected[live]) ** 2 / expected[live]))
+    assert chi2.sf(stat, int(np.count_nonzero(positive))) > 1e-4
+
+
+def test_background_sorted_across_holds_an_ulp_apart():
+    # holds one ulp wide at a rate that still puts arrivals in them: each
+    # arrival is clipped into its hold, so rounding cannot reorder them
+    t = [1.0]
+    for _ in range(4):
+        t.append(float(np.nextafter(t[-1], np.inf)))
+    samples = np.array([0.0, *t, 2.0])
+    rates = np.array([1e3, 5e16, 2e17, 3e17, 9e16, 1e3, 1e3])
+    profile = _profile(samples, background=rates)
+    for seed in range(20):
+        got = np.concatenate(draw_background(np.random.default_rng(seed), profile,
+                                             (0.0, 2.5)))
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.count_nonzero((got >= t[0]) & (got <= t[-1])) > 10
 
 
 def test_apply_channel_matches_per_pair_thinning():
@@ -382,7 +491,7 @@ def test_apply_channel_matches_per_pair_thinning():
     rng = module_rng(8, MODULE_NAME)
     p = profile.transmittance_at(stream.emission_times)
     want = np.flatnonzero(rng.random(len(stream)) < p)
-    want_background = reference_background(rng, profile, stream.duration_s)
+    want_background = reference_background(rng, profile, (0.0, stream.duration_s))
     got = apply_channel(stream, profile, seed=8)
     assert np.array_equal(got.survivor_indices, want)
     assert got.survivor_indices.dtype == want.dtype

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdpass.bbm92_pipeline as pipeline
-from qkdpass import photon_source
+from qkdpass import channel_link, photon_source
 from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
                                     estimate_qber, secret_fraction, sift,
                                     simulate_pass)
@@ -250,43 +250,56 @@ def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
 
 
 def _run_recording_survivors(monkeypatch, scenario):
-    """simulate_pass, and the emission time and idler channel of every
-    channel survivor, joined over the blocks in call order."""
-    survivors, apply_channel = [], pipeline.apply_channel
+    """simulate_pass, the emission time and idler channel of every
+    channel survivor and the sky background, each joined over the blocks
+    in call order, and the number of ground detector calls."""
+    survivors, background, ground_calls = [], [], []
+    apply_channel, apply_detector = pipeline.apply_channel, pipeline.apply_detector
 
     def recording_channel(block, *args, **kwargs):
         result = apply_channel(block, *args, **kwargs)
         rows = result.survivor_indices
         survivors.append((block.emission_times[rows], block.idler_channel[rows]))
+        background.append(result.background_times)
         return result
 
+    def recording_detector(*args, **kwargs):
+        ground_calls.append(kwargs.get("origins") is not None)
+        return apply_detector(*args, **kwargs)
+
     monkeypatch.setattr(pipeline, "apply_channel", recording_channel)
+    monkeypatch.setattr(pipeline, "apply_detector", recording_detector)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = simulate_pass(scenario)
-    return result, [np.concatenate(column).tobytes() for column in zip(*survivors)]
+    return (result, [np.concatenate(column).tobytes() for column in zip(*survivors)]
+            + [np.concatenate(background).tobytes()], sum(ground_calls))
 
 
 def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
     # the pairs, the channel thinning and the onboard detector run a block
-    # at a time; every per-pair draw is sequential in its own stream, so
-    # any block size gives the same bytes (3000 pairs: 1 pair a block
-    # stays quick; 22 ms of window still holds 220 beacon pulses)
+    # of pairs at a time, the sky background and the ground detector a
+    # block of background at a time; every draw is sequential in its own
+    # stream, so any block sizes give the same bytes (3000 pairs and about
+    # 5000 background arrivals: 1 a block stays quick; 22 ms of window
+    # still holds 220 beacon pulses)
     scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3000))
     scenario = dataclasses.replace(
         scenario, source=dataclasses.replace(scenario.source, pump_power_mw=0.01),
         link=dataclasses.replace(scenario.link, sky_background_rate_zenith=2e5))
-    runs = {}
+    runs, ground_calls = {}, {}
     for block in (1, 7, 4096, 1 << 40):
         monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
-        result, survivors = _run_recording_survivors(monkeypatch, scenario)
+        monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", block)
+        result, drawn, ground_calls[block] = _run_recording_survivors(monkeypatch, scenario)
         runs[block] = (
-            json.dumps(result.report.to_dict(), sort_keys=True), survivors,
+            json.dumps(result.report.to_dict(), sort_keys=True), drawn,
             *(getattr(tags, column).tobytes()
               for tags in (result.onboard_tags, result.ground_tags)
               for column in ("times_s", "channels", "origins")))
     assert runs[1][0] and json.loads(runs[1][0])["coincidences_total"] > 0
     assert np.any(np.frombuffer(runs[1][-1], np.uint8) == ORIGIN_BACKGROUND)
+    assert ground_calls[1] > 1000 and ground_calls[1 << 40] == 1
     assert runs[1] == runs[7] == runs[4096] == runs[1 << 40]
 
 
@@ -380,6 +393,102 @@ def test_ground_arrivals_fall_back_on_out_of_order_input():
     assert not pipeline._is_sorted(background_t)
     assert_matches_reference_glue(signal_t, background_t, seed=1)
     assert_matches_reference_glue(signal_t[::-1], np.sort(background_t), seed=2)
+
+
+def ground_blocks(signal_t, signal_c, background_t, background_c, ends):
+    """_ground_block over the background split at ends, as the pipeline
+    calls it, joined; and each block's arrival times."""
+    taken, blocks, bounds = 0, [], [0, *ends, len(background_t)]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        *block, taken = pipeline._ground_block(
+            signal_t, signal_c, taken, background_t[lo:hi], background_c[lo:hi],
+            k == len(ends))
+        blocks.append(block)
+    return [np.concatenate(column) for column in zip(*blocks)], [b[0] for b in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_signal=st.integers(min_value=0, max_value=60),
+    n_background=st.integers(min_value=1, max_value=200),
+    n_blocks=st.integers(min_value=1, max_value=12),
+    grid=st.sampled_from([None, 0.05]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, seed):
+    # any split of the background into blocks (only the last one may be
+    # empty) gives the stable argsort of the whole streams, and no block
+    # starts before the last one ended
+    rng = np.random.default_rng(seed)
+    signal_t = np.sort(rng.uniform(0.0, 1.0, n_signal))
+    background_t = np.sort(rng.uniform(0.0, 1.0, n_background))
+    if grid:
+        signal_t, background_t = (np.round(t / grid) * grid
+                                  for t in (signal_t, background_t))
+    signal_c = rng.integers(0, 4, n_signal, dtype=np.uint8)
+    background_c = rng.integers(0, 4, n_background, dtype=np.uint8)
+    ends = np.sort(rng.choice(np.arange(1, n_background + 1),
+                              min(n_blocks, n_background) - 1, replace=False)).tolist()
+    got, times = ground_blocks(signal_t, signal_c, background_t, background_c, ends)
+    want = reference_ground_arrivals(signal_t, signal_c, background_t, background_c)
+    for column, expected in zip(got, want):
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
+    for before, after in zip(times, times[1:]):
+        assert not len(before) or not len(after) or before[-1] <= after[0]
+
+
+def test_ground_block_edge_tie_puts_signal_first():
+    # a signal arrival equal to the last background time of a block goes
+    # with that block, ahead of it; the next block starts with the
+    # background arrival at the same time
+    signal_t = np.array([0.1, 0.3, 0.5])
+    background_t = np.array([0.2, 0.3, 0.3, 0.4])
+    signal_c = np.zeros(3, dtype=np.uint8)
+    background_c = np.ones(4, dtype=np.uint8)
+    (arrivals, _, origins), times = ground_blocks(
+        signal_t, signal_c, background_t, background_c, [2])
+    S, B = ORIGIN_SIGNAL, ORIGIN_BACKGROUND
+    assert [t.tolist() for t in times] == [[0.1, 0.2, 0.3, 0.3], [0.3, 0.4, 0.5]]
+    assert origins.tolist() == [S, B, S, B, B, B, S]
+    assert arrivals.tolist() == sorted(arrivals.tolist())
+
+
+def test_simulate_pass_memory_is_bounded_per_background_arrival(monkeypatch):
+    # the sky background and the ground detector run a block at a time,
+    # so only the signal arrivals (9 B each), the ground tags (10 B each,
+    # about 0.22 per arrival here) and one block's working set outlive a
+    # block. Holding the whole background (9 B an arrival), its merge with
+    # the signal (10 B) and the ground detector's pass over all of it
+    # peaked at 23.7 B an arrival on this run; blocks of 2^16 arrivals,
+    # so that one block is a small share of the run, peak at 13.0 B
+    scenario = base_scenario(protocol=ProtocolConfig(max_source_events=100_000))
+    scenario = dataclasses.replace(scenario, link=dataclasses.replace(
+        scenario.link, sky_background_rate_zenith=1e7))
+    monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", 1 << 16)
+    drawn, apply_channel = [], pipeline.apply_channel
+
+    def counting_channel(*args, **kwargs):
+        result = apply_channel(*args, **kwargs)
+        drawn.append(len(result.background_times))
+        return result
+
+    monkeypatch.setattr(pipeline, "apply_channel", counting_channel)
+    tracing = tracemalloc.is_tracing()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = simulate_pass(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    arrivals = sum(drawn)
+    assert arrivals > 1_000_000 and result.report.coincidences_total > 0
+    assert (peak - base) / arrivals <= 16.0
 
 
 def test_corrected_times_blocks_match_one_evaluation(monkeypatch):
