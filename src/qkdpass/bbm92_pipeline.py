@@ -15,8 +15,10 @@ subtraction once the first clock fit pins down the emission times.
 """
 from __future__ import annotations
 
+import copy
 import math
 import warnings
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import timedelta
@@ -39,7 +41,8 @@ from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                DetectorCarry, DetectorModel, ORIGIN_BACKGROUND,
                                ORIGIN_SIGNAL, SyncResult, TagStream, _is_sorted,
                                apply_detector, beacon_clock_sync, channel_basis,
-                               channel_bit, find_coincidences, measure_polarization)
+                               channel_bit, find_coincidences, match_blocks,
+                               measure_polarization)
 from .scenario import Scenario
 from .seeding import _two_bit_codes, module_rng, module_streams
 
@@ -199,7 +202,13 @@ class KeyReport:
 
 @dataclass(frozen=True)
 class PassResult:
-    """Everything simulate_pass produced, report plus telemetry."""
+    """Everything simulate_pass produced, report plus telemetry.
+
+    Neither the pair stream nor the ground tags are kept: stream and
+    ground_tags draw them again from the seed on first read. ground_arm
+    holds what the ground tags are drawn from, the channel survivors
+    among it.
+    """
 
     report: KeyReport
     pat: PatSeries = field(repr=False)
@@ -208,7 +217,7 @@ class PassResult:
     source: SourceConfig = field(repr=False)
     seed: int
     onboard_tags: TagStream = field(repr=False)
-    ground_tags: TagStream = field(repr=False)
+    ground_arm: _GroundArm = field(repr=False)
     sync: SyncResult | None = field(repr=False)
     coincidences: CoincidenceResult | None = field(repr=False)
     key: SiftedKey = field(repr=False)
@@ -222,6 +231,19 @@ class PassResult:
         """
         return generate_pair_stream(self.source, self.report.quantum_window_duration_s,
                                     seed=self.seed)
+
+    @cached_property
+    def ground_tags(self) -> TagStream:
+        """The ground receiver's tags, drawn again from the seed on first read.
+
+        simulate_pass corrects and matches the ground tags a block at a
+        time and keeps none of them; this runs the same ground arm once
+        more and joins its blocks. coincidences.ground_indices index
+        these tags on the reference timebase, stable-sorted.
+        """
+        blocks = [(tags.times_s, tags.channels, tags.origins)
+                  for tags in self.ground_arm.blocks()]
+        return TagStream(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 @contextmanager
@@ -322,17 +344,25 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     The pass comes from select_pass. The quantum source runs over a
     window centered on the closest approach, capped so the event count
     stays at protocol.max_source_events; pointing and frame tracking
-    run over the whole pass. The pairs are drawn, thinned by the
-    channel and detected onboard one block at a time (see
-    generate_pair_stream). The onboard arm measures every emitted pair;
-    the ground arm measures only those that survive the channel and the
-    downlink split. The sky background is then drawn over the ground
-    receiver's gate (the window plus the longest flight time) one block
-    at a time (see apply_channel), and each block is detected merged
-    with the signal arrivals up to its last time (_ground_block). The
-    results do not depend on either block size. Deterministic for a
-    given scenario and seed. A pass with no usable beacon (total
-    blackout) yields a well-formed zero-key report instead of an error.
+    run over the whole pass. Then, in this order:
+
+    - Beacon clock sync (_clock_sync). It reads only the link and the
+      flight time, so it runs before any photon. A pass with no usable
+      beacon (total blackout) yields a well-formed zero-key report
+      instead of an error, and its ground arm does not run.
+    - The pairs, drawn, thinned by the channel and detected onboard one
+      block at a time (see generate_pair_stream). The onboard arm
+      measures every emitted pair; only the channel survivors and the
+      onboard tags outlive a block.
+    - The ground arm, a block of sky background at a time
+      (_GroundArm.blocks). Each block's tags are corrected to the
+      reference timebase with the fitted clock and the flight time and
+      matched against the onboard tags a segment at a time
+      (match_blocks), so no whole ground tag stream is held;
+      PassResult.ground_tags runs the arm again when read.
+
+    The results do not depend on either block size. Deterministic for a
+    given scenario and seed.
     """
     seed = scenario.seed
     proto = scenario.protocol
@@ -360,6 +390,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     max_flight = float(np.max(link.range_km)) / SPEED_OF_LIGHT_KM_S
     ground_span = (0.0, q_dur + max_flight)
+    sync = _clock_sync(scenario, link, flight_s, q_dur, ground_span)
 
     # The pairs are drawn, thinned by the channel and detected onboard a
     # block at a time. Only the channel survivors (time and idler
@@ -392,115 +423,26 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
                                 q_dur, scenario.source)
     del kept_t, kept_c
     onboard_tags = onboard_tags.joined()
+    # the sky background continues the channel stream where the pairs left it
+    ground_arm = _GroundArm(scenario, link, pcs, q_start, ground_span, flight_s,
+                            survivors, channel_rng)
 
-    with _stage("quantum_receiver"):
-        downlink = module_rng(seed, "photon_source.downlink").random(
-            len(survivors)) < scenario.source.downlink_fraction
-        signal_idx = np.flatnonzero(downlink)
-        signal_emit = survivors.emission_times[signal_idx]
-        signal_channels = measure_polarization(
-            survivors, "ground", residual_deg=pcs.residual_at(q_start + signal_emit),
-            rng=module_rng(seed, "quantum_receiver.ground"),
-            ad_anticorrelated=proto.ad_anticorrelated, rows=signal_idx,
-        )
-        del survivors, downlink, signal_idx
-        signal_t = signal_emit + flight_s(signal_emit)
-        del signal_emit
-        # the blocks split the signal by time; a flight time that rounds
-        # the other way could still swap two arrivals attoseconds apart
-        if not _is_sorted(signal_t):
-            order = np.argsort(signal_t, kind="stable")
-            signal_t, signal_channels = signal_t[order], signal_channels[order]
-
-        # The ground arm runs a block of sky background at a time, each
-        # merged with the signal arrivals up to its last time. Only the
-        # signal arrivals and the ground tags outlive a block.
-        ground = scenario.ground_detector
-        gate_s = ground_span[1] - ground_span[0]
-        # at most one tag per arrival that passes the efficiency, plus the darks
-        sky_max = float(np.max(link.background_rate)) * gate_s
-        ground_tags = _TagSink(int(1.01 * (
-            ground.efficiency * (len(signal_t) + sky_max)
-            + 4.0 * ground.dark_rate_hz * gate_s)) + 1024)
-        ground_rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
-        ground_carry = DetectorCarry()
-        sky = BackgroundCarry(ground_span)
-        sky_codes = module_rng(seed, "quantum_receiver.ground.background")
-        spare = np.empty(0, dtype=np.uint8)
-        no_pairs = PairEventStream(np.empty(0), np.empty(0, dtype=np.uint8),
-                                   q_dur, scenario.source)
-        taken = 0
-        while not sky.done:
-            with _stage("channel_link"):
-                sky_t = apply_channel(no_pairs, link, channel_rng,
-                                      background=sky).background_times
-            sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
-            arrivals, chans, origins, taken = _ground_block(
-                signal_t, signal_channels, taken, sky_t, sky_c, sky.done)
-            del sky_t, sky_c
-            ground_tags.append(apply_detector(
-                arrivals, chans, ground, scenario.clock,
-                rng=ground_rngs, span_s=ground_span,
-                origins=origins, carry=ground_carry, last=sky.done,
-            ))
-            del arrivals, chans, origins
-        del signal_t, signal_channels
-        ground_tags = ground_tags.joined()
-
-        # classical beacon: bright pulse train, lost only in a blackout
-        beacon_times = beacon_schedule(scenario.source, q_dur)
-        beacon_keep = link.transmittance_at(beacon_times) > BEACON_BLACKOUT
-        beacon_emit = beacon_times[beacon_keep]
-        beacon_model = DetectorModel(
-            efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
-            timing_jitter_rms_s=scenario.sync.beacon_jitter_rms_s,
-        )
-        beacon_tags = apply_detector(
-            beacon_emit + flight_s(beacon_emit),
-            np.full(len(beacon_emit), CHANNEL_BEACON, dtype=np.uint8),
-            beacon_model, scenario.clock,
-            rng=module_streams(seed, "quantum_receiver.ground.beacon", 3),
-            span_s=ground_span,
-        )
-
-    sync: SyncResult | None = None
     coincidences: CoincidenceResult | None = None
     key = SiftedKey(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8),
                     np.empty(0, dtype=np.uint8))
-    try:
+    if sync is not None:
         with _stage("quantum_receiver"):
-            tags_b = beacon_tags.times_s
-            # first pass: flight predicted at the raw tag time (the clock
-            # offset slews the lookup point, worst case tens of ns)
-            sync1 = beacon_clock_sync(
-                tags_b - flight_s(tags_b), beacon_times, scenario.sync)
-            # second pass: invert the fitted clock, iterate emission time,
-            # and scale the flight by the fitted rate
-            emit_hat = _emission_estimate(tags_b, sync1.clock, flight_s)
-            sync = beacon_clock_sync(
-                tags_b - flight_s(emit_hat) * (1.0 + sync1.clock.drift),
-                beacon_times, scenario.sync)
-
             # beacon tags are a stream of their own: both arms' tags are quad
-            ground_corrected = ground_tags.with_times(
-                _corrected_times(ground_tags.times_s, sync.clock, flight_s))
-
-            coincidences = find_coincidences(
+            coincidences, ground_channels = match_blocks(
                 onboard_tags.times_s,
-                ground_corrected.times_s,
-                proto.coincidence_window_s,
-            )
-    except SimulationError as exc:
-        if not isinstance(exc.__cause__, SyncFailed):
-            raise
-        # no timing reference: no coincidence identification is
-        # possible, report zero key rather than failing the pass
+                _corrected_blocks(ground_arm.blocks(), sync.clock, flight_s),
+                proto.coincidence_window_s, match=find_coincidences)
 
     with _stage(MODULE_NAME):
         if coincidences is not None:
             key = sift(
                 onboard_tags.channels[coincidences.onboard_indices],
-                ground_corrected.channels[coincidences.ground_indices],
+                ground_channels,
                 ad_anticorrelated=proto.ad_anticorrelated,
             )
         total = len(coincidences.onboard_indices) if coincidences else 0
@@ -540,9 +482,127 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     return PassResult(
         report=report, pat=pat, pcs=pcs, link=link, source=scenario.source, seed=seed,
-        onboard_tags=onboard_tags, ground_tags=ground_tags, sync=sync,
+        onboard_tags=onboard_tags, ground_arm=ground_arm, sync=sync,
         coincidences=coincidences, key=key,
     )
+
+
+def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
+                ground_span: tuple[float, float]) -> SyncResult | None:
+    """The ground clock fitted to the beacon tags, or None if sync fails.
+
+    The classical beacon is a bright pulse train, lost only in a
+    blackout. Two fits: the first predicts the flight time at the raw
+    tag time (the clock offset slews the lookup point, worst case tens
+    of ns); the second inverts the fitted clock, iterates the emission
+    time and scales the flight time by the fitted rate.
+    """
+    with _stage("quantum_receiver"):
+        beacon_times = beacon_schedule(scenario.source, q_dur)
+        beacon_keep = link.transmittance_at(beacon_times) > BEACON_BLACKOUT
+        beacon_emit = beacon_times[beacon_keep]
+        beacon_model = DetectorModel(
+            efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
+            timing_jitter_rms_s=scenario.sync.beacon_jitter_rms_s,
+        )
+        tags_b = apply_detector(
+            beacon_emit + flight_s(beacon_emit),
+            np.full(len(beacon_emit), CHANNEL_BEACON, dtype=np.uint8),
+            beacon_model, scenario.clock,
+            rng=module_streams(scenario.seed, "quantum_receiver.ground.beacon", 3),
+            span_s=ground_span,
+        ).times_s
+    try:
+        with _stage("quantum_receiver"):
+            sync1 = beacon_clock_sync(
+                tags_b - flight_s(tags_b), beacon_times, scenario.sync)
+            emit_hat = _emission_estimate(tags_b, sync1.clock, flight_s)
+            return beacon_clock_sync(
+                tags_b - flight_s(emit_hat) * (1.0 + sync1.clock.drift),
+                beacon_times, scenario.sync)
+    except SimulationError as exc:
+        if not isinstance(exc.__cause__, SyncFailed):
+            raise
+        # no timing reference: no coincidence identification is
+        # possible, report zero key rather than failing the pass
+        return None
+
+
+@dataclass(frozen=True)
+class _GroundArm:
+    """The ground receiver's arm, run from the same state on every call.
+
+    survivors are the channel survivors of all pair blocks, and
+    channel_rng the channel stream as the last pair block left it: the
+    sky background continues it. span_s is the receiver's gate, the
+    window plus the longest flight time.
+    """
+
+    scenario: Scenario
+    link: LinkProfile
+    pcs: PcsSeries
+    q_start: float
+    span_s: tuple[float, float]
+    flight_s: Callable[[np.ndarray], np.ndarray]
+    survivors: PairEventStream
+    channel_rng: np.random.Generator
+
+    def blocks(self) -> Iterator[TagStream]:
+        """The ground tags, one block of sky background at a time.
+
+        The downlink split picks the survivors that reach the ground
+        analyzer, measured at the PCS residual of their emission time
+        and sorted by arrival. The sky background is then drawn over the
+        gate a block at a time (see apply_channel), and each block is
+        detected merged with the signal arrivals up to its last time
+        (_ground_block). The blocks joined do not depend on the block
+        size.
+        """
+        scenario, seed, survivors = self.scenario, self.scenario.seed, self.survivors
+        with _stage("quantum_receiver"):
+            downlink = module_rng(seed, "photon_source.downlink").random(
+                len(survivors)) < scenario.source.downlink_fraction
+            signal_idx = np.flatnonzero(downlink)
+            signal_emit = survivors.emission_times[signal_idx]
+            signal_channels = measure_polarization(
+                survivors, "ground",
+                residual_deg=self.pcs.residual_at(self.q_start + signal_emit),
+                rng=module_rng(seed, "quantum_receiver.ground"),
+                ad_anticorrelated=scenario.protocol.ad_anticorrelated, rows=signal_idx,
+            )
+            del downlink, signal_idx
+            signal_t = signal_emit + self.flight_s(signal_emit)
+            del signal_emit
+            # the blocks split the signal by time; a flight time that rounds
+            # the other way could still swap two arrivals attoseconds apart
+            if not _is_sorted(signal_t):
+                order = np.argsort(signal_t, kind="stable")
+                signal_t, signal_channels = signal_t[order], signal_channels[order]
+
+        ground_rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
+        ground_carry = DetectorCarry()
+        channel_rng = copy.deepcopy(self.channel_rng)
+        sky = BackgroundCarry(self.span_s)
+        sky_codes = module_rng(seed, "quantum_receiver.ground.background")
+        spare = np.empty(0, dtype=np.uint8)
+        no_pairs = PairEventStream(np.empty(0), np.empty(0, dtype=np.uint8),
+                                   survivors.duration_s, scenario.source)
+        taken = 0
+        while not sky.done:
+            with _stage("channel_link"):
+                sky_t = apply_channel(no_pairs, self.link, channel_rng,
+                                      background=sky).background_times
+            with _stage("quantum_receiver"):
+                sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
+                arrivals, chans, origins, taken = _ground_block(
+                    signal_t, signal_channels, taken, sky_t, sky_c, sky.done)
+                del sky_t, sky_c
+                yield apply_detector(
+                    arrivals, chans, scenario.ground_detector, scenario.clock,
+                    rng=ground_rngs, span_s=self.span_s,
+                    origins=origins, carry=ground_carry, last=sky.done,
+                )
+                del arrivals, chans, origins
 
 
 class _TagSink:
@@ -585,6 +645,23 @@ def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:
     return t0 - flight_s(t1)
 
 
+# Ground tags within this of a block's last corrected time wait for the
+# next block (match_blocks' until). The correction rises with the tag
+# time, and rounding reorders neighbours by a few ulps only, under
+# 1e-13 s for tags within hours of the window start.
+_CORRECTION_HOLD_S = 1e-9
+
+
+def _corrected_blocks(blocks: Iterable[TagStream], clock: ClockModel, flight_s):
+    """match_blocks' blocks: each block's times on the reference timebase
+    (_corrected_times), its channels, and a time that no tag of a later
+    block comes before."""
+    for tags in blocks:
+        times = _corrected_times(tags.times_s, clock, flight_s)
+        until = times[-1] - _CORRECTION_HOLD_S if len(times) else -np.inf
+        yield times, tags.channels, until
+
+
 # Tags per step of _corrected_times: bounds its temporaries.
 _CORRECTION_BLOCK = 1 << 16
 
@@ -612,21 +689,12 @@ def _ground_arrivals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival times, channels and origins of both ground streams, in time order.
 
-    The order is that of a stable argsort of the signal rows followed
-    by the background rows. simulate_pass passes sorted inputs, a block
-    of each at a time (the signal sorted once before its blocks, the
-    background sorted as drawn), so the signal rows are inserted into
-    the background ahead of equal times; an input out of order takes
-    the argsort.
+    Both inputs must be sorted; the order is then that of a stable
+    argsort of the signal rows followed by the background rows. The
+    ground arm passes a block of each at a time (the signal sorted once
+    before its blocks, the background sorted as drawn), so the signal
+    rows are inserted into the background ahead of equal times.
     """
-    if not (_is_sorted(signal_t) and _is_sorted(background_t)):
-        arrivals = np.concatenate([signal_t, background_t])
-        order = np.argsort(arrivals, kind="stable")
-        origins = np.repeat(np.array([ORIGIN_SIGNAL, ORIGIN_BACKGROUND], dtype=np.uint8),
-                            [len(signal_t), len(background_t)])
-        return (arrivals[order],
-                np.concatenate([signal_channels, background_channels])[order],
-                origins[order])
     at = np.searchsorted(background_t, signal_t, side="left")
     origins = np.full(len(signal_t) + len(background_t), ORIGIN_BACKGROUND,
                       dtype=np.uint8)

@@ -285,8 +285,11 @@ class ChannelResult:
 
 
 # Background arrivals per block: bounds the ground arm's working set,
-# whatever the sky rate and the span.
-_BLOCK_ARRIVALS = 1 << 20
+# whatever the sky rate and the span. A block costs about 32 B per
+# arrival while it is detected (about 4 MB here) and each block a fixed
+# 120-190 us in apply_detector (about 57 blocks on 1e6/s of sky over a
+# 7.4 s gate).
+_BLOCK_ARRIVALS = 1 << 17
 
 
 @dataclass

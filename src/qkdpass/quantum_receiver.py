@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -629,7 +629,9 @@ def find_coincidences(
     such tags are swept. The cost is
     O(min(n_onboard, n_ground) x log) plus the conflict components.
     The accidental estimate is r_onboard x r_ground x window over the
-    overlap span.
+    overlap span (_expected_accidentals). A ground stream that comes in
+    blocks is matched a segment at a time by match_blocks, with the same
+    result.
     """
     if window_s < 0.0:
         raise OutOfRange(f"window must be nonnegative, got {window_s}")
@@ -658,17 +660,28 @@ def find_coincidences(
     ib = np.concatenate([(lo if onboard_short else rows)[single], sub_b[ib]])
     order = np.argsort(ia)
 
-    overlap = min(a[-1], b[-1]) - max(a[0], b[0]) if na and nb else 0.0
-    expected = 0.0
-    if overlap > 0.0:
-        rate_a = na / (a[-1] - a[0]) if a[-1] > a[0] else 0.0
-        rate_b = nb / (b[-1] - b[0]) if b[-1] > b[0] else 0.0
-        expected = rate_a * rate_b * window_s * overlap
     return CoincidenceResult(
         onboard_indices=ia[order].astype(np.int64, copy=False),
         ground_indices=ib[order].astype(np.int64, copy=False),
-        expected_accidentals=expected,
+        expected_accidentals=_expected_accidentals(_extent(a), _extent(b), window_s),
     )
+
+
+def _extent(times: np.ndarray) -> tuple[int, float | None, float | None]:
+    """(count, first time, last time) of a sorted tag stream."""
+    return (len(times), times[0], times[-1]) if len(times) else (0, None, None)
+
+
+def _expected_accidentals(a: tuple, b: tuple, window_s: float) -> float:
+    """r_a x r_b x window over the overlap of two streams given by _extent."""
+    (na, a_first, a_last), (nb, b_first, b_last) = a, b
+    overlap = min(a_last, b_last) - max(a_first, b_first) if na and nb else 0.0
+    expected = 0.0
+    if overlap > 0.0:
+        rate_a = na / (a_last - a_first) if a_last > a_first else 0.0
+        rate_b = nb / (b_last - b_first) if b_last > b_first else 0.0
+        expected = rate_a * rate_b * window_s * overlap
+    return expected
 
 
 # Shorter-stream tags searched per step of _candidate_ranges: bounds
@@ -726,6 +739,106 @@ def _greedy_sweep(a: np.ndarray, b: np.ndarray,
             i += 1
             j += 1
     return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+
+
+def match_blocks(
+    onboard_times_s: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, float]],
+    window_s: float,
+    match=find_coincidences,
+) -> tuple[CoincidenceResult, np.ndarray]:
+    """find_coincidences against a ground stream that comes in blocks.
+
+    Each block is (times_s, channels, until): ground tags on the
+    reference timebase, in the whole stream's order, and a time that no
+    tag of a later block comes before. The blocks joined need not be
+    sorted. The result is that of one match call on the onboard tags
+    and the joined ground tags stable-sorted (TagStream.with_times),
+    with ground indices into that order, plus the matched ground tags'
+    channels; the whole ground stream is never held.
+
+    Each block joins the ground tags carried from earlier blocks and is
+    stable-sorted with them; the carried tags all come earlier in the
+    stream, so ties keep the whole stream's order. The tags up to the
+    latest cut before until (_last_cut) and the onboard tags not yet
+    matched up to it form one segment, matched by one match call; the
+    rest are carried. No candidate pair spans a cut, and the matching
+    splits over the components of the candidate graph, so the segments
+    give the whole-stream pairs once their indices are offset. After
+    the last block, the carried tags are matched with every onboard tag
+    left. The accidental estimate reads the whole streams' counts and
+    end times, as find_coincidences does. match is find_coincidences
+    under whatever name the caller resolves it by.
+    """
+    a = np.asarray(onboard_times_s, dtype=float)
+    times, channels = np.empty(0), np.empty(0, dtype=np.uint8)
+    a_from = b_from = 0
+    first = last = None
+    found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+              np.empty(0, dtype=np.uint8))]
+    for block in itertools.chain(blocks, [None]):
+        if block is None:
+            a_end, b_end = len(a), len(times)
+        else:
+            block_times, block_channels, until = block
+            times = np.concatenate([times, block_times])
+            channels = np.concatenate([channels, block_channels])
+            if not _is_sorted(times):
+                order = np.argsort(times, kind="stable")
+                times, channels = times[order], channels[order]
+            a_end, b_end = _last_cut(a, times, a_from, until, window_s)
+        if a_end == a_from and not b_end:
+            continue
+        segment = times[:b_end]
+        pairs = match(a[a_from:a_end], segment, window_s)
+        found.append((pairs.onboard_indices + a_from, pairs.ground_indices + b_from,
+                      channels[pairs.ground_indices]))
+        if b_end:
+            first = segment[0] if first is None else first
+            last = segment[-1]
+        a_from, b_from = a_end, b_from + b_end
+        times, channels = times[b_end:], channels[b_end:]
+    onboard_rows, ground_rows, ground_channels = (np.concatenate(column)
+                                                  for column in zip(*found))
+    return CoincidenceResult(
+        onboard_indices=onboard_rows, ground_indices=ground_rows,
+        expected_accidentals=_expected_accidentals(
+            _extent(a), (b_from, first, last), window_s),
+    ), ground_channels
+
+
+# Tags of each stream that _last_cut first merges to look for a cut.
+_CUT_TAIL = 64
+
+
+def _last_cut(a: np.ndarray, b: np.ndarray, a_from: int, until: float,
+              window_s: float) -> tuple[int, int]:
+    """Row ends in a (rows from a_from on) and b of the latest cut before until.
+
+    A cut is a gap wider than window_s between neighbours of a[a_from:]
+    and b merged, both before until; no candidate pair spans it, as a
+    rounded difference across it is at least the gap's. Only the last
+    tags of each stream are merged, more each round until they hold a
+    cut or all of them; with no cut, the ends are (a_from, 0).
+    """
+    a_stop = max(a_from, int(np.searchsorted(a, until, side="left")))
+    b_stop = int(np.searchsorted(b, until, side="left"))
+    tail = _CUT_TAIL
+    while True:
+        a_lo, b_lo = max(a_from, a_stop - tail), max(0, b_stop - tail)
+        merged = np.sort(np.concatenate([a[a_lo:a_stop], b[b_lo:b_stop]]))
+        # every tag of either stream from here up to until is in merged
+        complete = max(a[a_lo] if a_lo > a_from else -np.inf,
+                       b[b_lo] if b_lo > 0 else -np.inf)
+        gaps = np.flatnonzero((merged[1:] - merged[:-1] > window_s)
+                              & (merged[:-1] >= complete))
+        if len(gaps):
+            cut = merged[gaps[-1]]
+            return (int(np.searchsorted(a, cut, side="right")),
+                    int(np.searchsorted(b, cut, side="right")))
+        if a_lo == a_from and b_lo == 0:
+            return a_from, 0
+        tail *= 4
 
 
 def write_tags_csv(stream: TagStream, path: str | Path) -> None:

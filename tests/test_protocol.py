@@ -23,7 +23,7 @@ from qkdpass.polarization_correction import PcsSeries
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_D, CHANNEL_H,
                                       CHANNEL_V, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
                                       QUAD_CHANNELS, ClockModel, TagStream,
-                                      measure_polarization)
+                                      find_coincidences, measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
 from conftest import base_scenario
 
@@ -303,6 +303,60 @@ def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
     assert runs[1] == runs[7] == runs[4096] == runs[1 << 40]
 
 
+ON_DEMAND_RUNS = {
+    "zero_sky": base_scenario(protocol=ProtocolConfig(max_source_events=300_000)),
+    "sky": base_scenario(
+        protocol=ProtocolConfig(max_source_events=300_000),
+        link=LinkConfig(rx_aperture_diameter_m=1.0, tx_divergence_rad=10e-6,
+                        sky_background_rate_zenith=2e6)),
+    "blackout": base_scenario(
+        protocol=ProtocolConfig(max_source_events=300_000),
+        link=LinkConfig(rx_aperture_diameter_m=1.0, tx_divergence_rad=10e-6,
+                        zenith_atmospheric_loss_db=500.0)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ON_DEMAND_RUNS))
+def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
+    # simulate_pass matches the ground tags a block at a time and keeps
+    # none; ground_tags runs the ground arm again, and one find_coincidences
+    # call on those tags, corrected and stable-sorted, gives the pass's
+    # coincidences and key. Small sky blocks make many blocks and segments.
+    monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", 1 << 12)
+    ground_calls, apply_detector = [], pipeline.apply_detector
+
+    def counting_detector(*args, **kwargs):
+        ground_calls.append(kwargs.get("origins") is not None)
+        return apply_detector(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_detector", counting_detector)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_pass(ON_DEMAND_RUNS[run])
+    during = sum(ground_calls)
+    tags = result.ground_tags
+    assert sum(ground_calls) > during and result.ground_tags is tags
+    assert len(tags) and set(np.unique(tags.channels).tolist()) <= set(QUAD_CHANNELS)
+    if run == "blackout":
+        # no sync: the ground arm does not run, yet its tags can be drawn
+        assert during == 0 and result.sync is None and result.coincidences is None
+        assert not np.any(tags.origins == ORIGIN_SIGNAL)
+        return
+    assert during > (100 if run == "sky" else 0)
+    whole = tags.with_times(pipeline._corrected_times(
+        tags.times_s, result.sync.clock, result.ground_arm.flight_s))
+    want = find_coincidences(result.onboard_tags.times_s, whole.times_s,
+                             ProtocolConfig().coincidence_window_s)
+    got = result.coincidences
+    assert len(want) > 0 and got.expected_accidentals == want.expected_accidentals
+    for column in ("onboard_indices", "ground_indices"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    key = sift(result.onboard_tags.channels[want.onboard_indices],
+               whole.channels[want.ground_indices])
+    assert key.bits.tobytes() == result.key.bits.tobytes()
+    assert key.partner_bits.tobytes() == result.key.partner_bits.tobytes()
+
+
 def test_tag_sink_grows_past_its_capacity():
     # the onboard tags of all blocks, whatever the first capacity
     rng = np.random.default_rng(3)
@@ -383,16 +437,6 @@ def test_ground_arrivals_match_concatenate_and_argsort(n_signal, n_background,
         signal_t, background_t = (np.round(t / grid) * grid
                                   for t in (signal_t, background_t))
     assert_matches_reference_glue(signal_t, background_t, seed)
-
-
-def test_ground_arrivals_fall_back_on_out_of_order_input():
-    # one rounding inversion in the background, then one in the signal: an
-    # insertion by binary search would misplace rows, the argsort does not
-    background_t = np.array([0.0, 0.1, 0.2, np.nextafter(0.2, -1.0), 0.2, 0.3])
-    signal_t = np.array([0.05, 0.2, 0.25])
-    assert not pipeline._is_sorted(background_t)
-    assert_matches_reference_glue(signal_t, background_t, seed=1)
-    assert_matches_reference_glue(signal_t[::-1], np.sort(background_t), seed=2)
 
 
 def ground_blocks(signal_t, signal_c, background_t, background_c, ends):
@@ -489,6 +533,41 @@ def test_simulate_pass_memory_is_bounded_per_background_arrival(monkeypatch):
     arrivals = sum(drawn)
     assert arrivals > 1_000_000 and result.report.coincidences_total > 0
     assert (peak - base) / arrivals <= 16.0
+
+
+def test_simulate_pass_memory_per_background_arrival_at_default_blocks(monkeypatch):
+    # at the default block sizes one sky block is a small share of a run,
+    # and the ground tags are corrected and matched a block at a time,
+    # never held whole: 6.5 B an arrival on this run (1.51M arrivals),
+    # against 22.6 B with 2^20-arrival blocks, the whole ground tag stream
+    # and its corrected copy
+    scenario = base_scenario(protocol=ProtocolConfig(max_source_events=100_000))
+    scenario = dataclasses.replace(scenario, link=dataclasses.replace(
+        scenario.link, sky_background_rate_zenith=1e7))
+    drawn, apply_channel = [], pipeline.apply_channel
+
+    def counting_channel(*args, **kwargs):
+        result = apply_channel(*args, **kwargs)
+        drawn.append(len(result.background_times))
+        return result
+
+    monkeypatch.setattr(pipeline, "apply_channel", counting_channel)
+    tracing = tracemalloc.is_tracing()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = simulate_pass(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    arrivals = sum(drawn)
+    assert arrivals > 1_000_000 and result.report.coincidences_total > 0
+    assert (peak - base) / arrivals <= 10.0
 
 
 def test_corrected_times_blocks_match_one_evaluation(monkeypatch):

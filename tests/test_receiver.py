@@ -23,7 +23,8 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       TagStream,
                                       beacon_clock_sync, channel_basis,
                                       channel_bit, apply_detector,
-                                      find_coincidences, measure_polarization,
+                                      find_coincidences, match_blocks,
+                                      measure_polarization,
                                       read_tags_binary, read_tags_csv,
                                       write_tags_binary, write_tags_csv,
                                       write_tags_json)
@@ -851,7 +852,16 @@ def test_coincidences_accidental_rate():
 )
 def test_coincidence_kernel_matches_sweep(n_a, n_b, rate_window, offset, repeats,
                                           edges, clusters, seed):
-    rng = np.random.default_rng(seed)
+    a, b = candidate_streams(np.random.default_rng(seed), n_a, n_b, rate_window,
+                             offset, repeats, edges, clusters)
+    assert_matches_sweep(a, b, 1e-9)
+
+
+def candidate_streams(rng, n_a, n_b, rate_window, offset, repeats, edges, clusters):
+    """Sorted onboard and ground times that test the matching at a 1 ns
+    window: random tags at rate_window tags per window, repeated times,
+    differences of exactly +/- half a window and one ulp either way, and
+    clusters with several candidates per tag."""
     window = 1e-9
     half = 0.5 * window
     duration = max(n_a, n_b, 1) * window / rate_window
@@ -870,7 +880,69 @@ def test_coincidence_kernel_matches_sweep(n_a, n_b, rate_window, offset, repeats
     for centre in offset + duration * rng.random(clusters):
         a = np.concatenate([a, centre + half * rng.uniform(-1.0, 1.0, rng.integers(1, 5))])
         b = np.concatenate([b, centre + half * rng.uniform(-1.0, 1.0, rng.integers(1, 5))])
-    assert_matches_sweep(np.sort(a), np.sort(b), window)
+    return np.sort(a), np.sort(b)
+
+
+def ground_blocks(times, channels, size):
+    """match_blocks' blocks: the ground stream cut every size tags, each
+    with the tightest until a sorted stream allows, its last time."""
+    for start in range(0, max(len(times), 1), size):
+        block = times[start:start + size]
+        yield block, channels[start:start + size], block[-1] if len(block) else -np.inf
+
+
+def assert_matches_one_call(a, b, ground_channels, blocks, window_s):
+    """match_blocks against one find_coincidences call on the whole streams."""
+    want = find_coincidences(a, b, window_s)
+    got, got_channels = match_blocks(a, blocks, window_s)
+    for column in ("onboard_indices", "ground_indices"):
+        assert getattr(got, column).dtype == np.int64
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.expected_accidentals == want.expected_accidentals
+    assert got_channels.tobytes() == ground_channels[want.ground_indices].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_a=st.integers(min_value=0, max_value=120),
+    n_b=st.integers(min_value=0, max_value=120),
+    rate_window=st.floats(min_value=1e-3, max_value=3.0),
+    offset=st.sampled_from([0.0, 449.9]),
+    repeats=st.integers(min_value=0, max_value=4),
+    edges=st.integers(min_value=0, max_value=6),
+    clusters=st.integers(min_value=0, max_value=4),
+    size=st.sampled_from([1, 7, 1 << 20]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_match_blocks_equal_one_call(n_a, n_b, rate_window, offset, repeats,
+                                     edges, clusters, size, seed):
+    # the ground stream in blocks of 1, 7 or all its tags: the pairs, their
+    # order and the accidental estimate are those of one call
+    rng = np.random.default_rng(seed)
+    a, b = candidate_streams(rng, n_a, n_b, rate_window, offset, repeats, edges, clusters)
+    channels = rng.integers(0, 4, len(b), dtype=np.uint8)
+    assert_matches_one_call(a, b, channels, ground_blocks(b, channels, size), 1e-9)
+
+
+def test_match_blocks_sort_a_swap_across_a_block_edge():
+    # a correction that rounds a block's first tag an ulp below the last
+    # tag of the block before: the result is that of the whole stream
+    # stable-sorted, as TagStream.with_times sorts it, so the onboard tag
+    # pairs with the later block's tag
+    window = 1e-9
+    edge = 2.0
+    raw = TagStream(np.array([1.0, 1.5, 1.6, 1.7]), np.array([0, 1, 2, 3], np.uint8),
+                    np.zeros(4, np.uint8))
+    corrected = np.array([1.0, edge, np.nextafter(edge, 0.0), 3.0])
+    whole = raw.with_times(corrected)
+    assert whole.channels.tolist() == [0, 2, 1, 3]
+    a = np.array([0.5, edge - 0.25 * window, 2.5])
+    hold = 1e-9
+    blocks = [(corrected[:2], raw.channels[:2], corrected[1] - hold),
+              (corrected[2:], raw.channels[2:], corrected[3] - hold)]
+    assert_matches_one_call(a, whole.times_s, whole.channels, blocks, window)
+    got, channels = match_blocks(a, blocks, window)
+    assert got.ground_indices.tolist() == [1] and channels.tolist() == [2]
 
 
 @pytest.mark.parametrize("n_a,n_b", [(0, 0), (0, 5), (5, 0)])
