@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from .channel_link import BackgroundCarry, LinkProfile, apply_channel, build_link_profile
-from .errors import (EmptyKey, LowSample, OutOfRange, QkdPassError,
+from .errors import (EmptyKey, LowSample, NoSync, OutOfRange, QkdPassError,
                      SimulationError, SyncFailed)
 from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
     predict_passes, sample_pass
@@ -204,10 +204,10 @@ class KeyReport:
 class PassResult:
     """Everything simulate_pass produced, report plus telemetry.
 
-    Neither the pair stream nor the ground tags are kept: stream and
-    ground_tags draw them again from the seed on first read. ground_arm
-    holds what the ground tags are drawn from, the channel survivors
-    among it.
+    Neither the pair stream nor either arm's tags are kept: stream,
+    onboard_tags and ground_tags draw them again from the seed on first
+    read. onboard_arm and ground_arm hold what the tags are drawn from,
+    the channel survivors among it.
     """
 
     report: KeyReport
@@ -216,7 +216,7 @@ class PassResult:
     link: LinkProfile = field(repr=False)
     source: SourceConfig = field(repr=False)
     seed: int
-    onboard_tags: TagStream = field(repr=False)
+    onboard_arm: _OnboardArm = field(repr=False)
     ground_arm: _GroundArm = field(repr=False)
     sync: SyncResult | None = field(repr=False)
     coincidences: CoincidenceResult | None = field(repr=False)
@@ -233,6 +233,16 @@ class PassResult:
                                     seed=self.seed)
 
     @cached_property
+    def onboard_tags(self) -> TagStream:
+        """The onboard detector's tags, drawn again from the seed on first read.
+
+        simulate_pass matches the onboard tags a block at a time and
+        keeps none of them; this runs the same onboard arm once more and
+        joins its blocks. coincidences.onboard_indices index these tags.
+        """
+        return _joined(tags for tags, _ in self.onboard_arm.blocks())
+
+    @cached_property
     def ground_tags(self) -> TagStream:
         """The ground receiver's tags, drawn again from the seed on first read.
 
@@ -241,9 +251,13 @@ class PassResult:
         more and joins its blocks. coincidences.ground_indices index
         these tags on the reference timebase, stable-sorted.
         """
-        blocks = [(tags.times_s, tags.channels, tags.origins)
-                  for tags in self.ground_arm.blocks()]
-        return TagStream(*(np.concatenate(column) for column in zip(*blocks)))
+        return _joined(self.ground_arm.blocks())
+
+
+def _joined(blocks: Iterable[TagStream]) -> TagStream:
+    """The tags of successive blocks of one stream, joined."""
+    columns = [(tags.times_s, tags.channels, tags.origins) for tags in blocks]
+    return TagStream(*(np.concatenate(column) for column in zip(*columns)))
 
 
 @contextmanager
@@ -348,18 +362,21 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     - Beacon clock sync (_clock_sync). It reads only the link and the
       flight time, so it runs before any photon. A pass with no usable
-      beacon (total blackout) yields a well-formed zero-key report
-      instead of an error, and its ground arm does not run.
-    - The pairs, drawn, thinned by the channel and detected onboard one
-      block at a time (see generate_pair_stream). The onboard arm
-      measures every emitted pair; only the channel survivors and the
-      onboard tags outlive a block.
-    - The ground arm, a block of sky background at a time
-      (_GroundArm.blocks). Each block's tags are corrected to the
-      reference timebase with the fitted clock and the flight time and
-      matched against the onboard tags a segment at a time
-      (match_blocks), so no whole ground tag stream is held;
-      PassResult.ground_tags runs the arm again when read.
+      beacon (total blackout) warns NoSync with the reason and yields a
+      well-formed zero-key report instead of an error; neither arm runs.
+    - The survivor pass (_survivors): the pairs, drawn and thinned by
+      the channel one block at a time (see generate_pair_stream). Only
+      the channel survivors outlive a block.
+    - Both arms, matched in time order (match_blocks). The onboard arm
+      (_OnboardArm.blocks) draws the pairs again and detects every idler
+      a pair block at a time; the ground arm (_GroundArm.blocks) detects
+      the survivors that reach it and the sky background a block of
+      background at a time, and corrects each block's tags to the
+      reference timebase with the fitted clock and the flight time.
+      Whichever arm is behind gives its next block, and the tags of both
+      up to a gap wider than the coincidence window are matched as one
+      segment, so neither whole tag stream is held;
+      PassResult.onboard_tags and ground_tags run an arm again when read.
 
     The results do not depend on either block size. Deterministic for a
     given scenario and seed.
@@ -392,37 +409,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     ground_span = (0.0, q_dur + max_flight)
     sync = _clock_sync(scenario, link, flight_s, q_dur, ground_span)
 
-    # The pairs are drawn, thinned by the channel and detected onboard a
-    # block at a time. Only the channel survivors (time and idler
-    # channel) and the onboard tags outlive their block.
-    source = PairCarry.seeded(seed)
-    channel_rng = module_rng(seed, "channel_link")
-    onboard_rngs = module_streams(seed, "quantum_receiver.onboard.detector", 3)
-    onboard_carry = DetectorCarry()
-    kept_t, kept_c = [], []
-    # at most one tag per pair that passes the efficiency, plus the darks
-    onboard = scenario.onboard_detector
-    onboard_tags = _TagSink(int(
-        1.01 * (rate * onboard.efficiency + 4.0 * onboard.dark_rate_hz) * q_dur) + 1024)
-    while not source.done:
-        with _stage("photon_source"):
-            block = generate_pair_stream(scenario.source, q_dur, carry=source)
-        with _stage("channel_link"):
-            channel = apply_channel(block, link, channel_rng, background=False)
-        kept_t.append(block.emission_times[channel.survivor_indices])
-        kept_c.append(block.idler_channel[channel.survivor_indices])
-        with _stage("quantum_receiver"):
-            onboard_tags.append(apply_detector(
-                block.emission_times, measure_polarization(block, "onboard"),
-                onboard, ClockModel(),
-                rng=onboard_rngs, span_s=(0.0, q_dur),
-                carry=onboard_carry, last=source.done,
-            ))
-        del block
-    survivors = PairEventStream(np.concatenate(kept_t), np.concatenate(kept_c),
-                                q_dur, scenario.source)
-    del kept_t, kept_c
-    onboard_tags = onboard_tags.joined()
+    survivors, channel_rng = _survivors(scenario, link, q_dur)
+    onboard_arm = _OnboardArm(scenario, q_dur)
     # the sky background continues the channel stream where the pairs left it
     ground_arm = _GroundArm(scenario, link, pcs, q_start, ground_span, flight_s,
                             survivors, channel_rng)
@@ -433,18 +421,16 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     if sync is not None:
         with _stage("quantum_receiver"):
             # beacon tags are a stream of their own: both arms' tags are quad
-            coincidences, ground_channels = match_blocks(
-                onboard_tags.times_s,
+            coincidences, onboard_channels, ground_channels = match_blocks(
+                ((tags.times_s, tags.channels, until)
+                 for tags, until in onboard_arm.blocks()),
                 _corrected_blocks(ground_arm.blocks(), sync.clock, flight_s),
                 proto.coincidence_window_s, match=find_coincidences)
 
     with _stage(MODULE_NAME):
         if coincidences is not None:
-            key = sift(
-                onboard_tags.channels[coincidences.onboard_indices],
-                ground_channels,
-                ad_anticorrelated=proto.ad_anticorrelated,
-            )
+            key = sift(onboard_channels, ground_channels,
+                       ad_anticorrelated=proto.ad_anticorrelated)
         total = len(coincidences.onboard_indices) if coincidences else 0
         if len(key):
             est = estimate_qber(key, proto.sample_fraction,
@@ -482,7 +468,7 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     return PassResult(
         report=report, pat=pat, pcs=pcs, link=link, source=scenario.source, seed=seed,
-        onboard_tags=onboard_tags, ground_arm=ground_arm, sync=sync,
+        onboard_arm=onboard_arm, ground_arm=ground_arm, sync=sync,
         coincidences=coincidences, key=key,
     )
 
@@ -495,7 +481,8 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
     blackout. Two fits: the first predicts the flight time at the raw
     tag time (the clock offset slews the lookup point, worst case tens
     of ns); the second inverts the fitted clock, iterates the emission
-    time and scales the flight time by the fitted rate.
+    time and scales the flight time by the fitted rate. A failed sync
+    warns NoSync with the SyncFailed message.
     """
     with _stage("quantum_receiver"):
         beacon_times = beacon_schedule(scenario.source, q_dur)
@@ -525,7 +512,70 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
             raise
         # no timing reference: no coincidence identification is
         # possible, report zero key rather than failing the pass
+        warnings.warn(f"beacon clock sync failed, so the key is zero: {exc.__cause__}",
+                      NoSync, stacklevel=3)
         return None
+
+
+def _survivors(scenario: Scenario, link: LinkProfile,
+               q_dur: float) -> tuple[PairEventStream, np.random.Generator]:
+    """The window's channel survivors, and the channel stream as the last
+    pair block left it.
+
+    The pairs are drawn and thinned by the channel a block at a time;
+    only the survivors' emission times and idler channels (9 B each)
+    outlive a block.
+    """
+    source = PairCarry.seeded(scenario.seed)
+    channel_rng = module_rng(scenario.seed, "channel_link")
+    kept_t, kept_c = [], []
+    while not source.done:
+        with _stage("photon_source"):
+            block = generate_pair_stream(scenario.source, q_dur, carry=source)
+        with _stage("channel_link"):
+            rows = apply_channel(block, link, channel_rng,
+                                 background=False).survivor_indices
+        kept_t.append(block.emission_times[rows])
+        kept_c.append(block.idler_channel[rows])
+        del block, rows
+    return (PairEventStream(np.concatenate(kept_t), np.concatenate(kept_c),
+                            q_dur, scenario.source), channel_rng)
+
+
+@dataclass(frozen=True)
+class _OnboardArm:
+    """The onboard idler arm, run from the same state on every call.
+
+    The survivor pass keeps no pair that the channel lost, and the
+    onboard detector measures every pair, so the arm draws the window's
+    pairs again from the seed; duration_s is the window.
+    """
+
+    scenario: Scenario
+    duration_s: float
+
+    def blocks(self) -> Iterator[tuple[TagStream, float]]:
+        """The onboard tags, one pair block at a time, each block with a
+        time that no tag of a later block comes before (DetectorCarry.until).
+
+        The idlers are detected on the reference timebase. The blocks
+        joined do not depend on the block size.
+        """
+        scenario, span = self.scenario, (0.0, self.duration_s)
+        source = PairCarry.seeded(scenario.seed)
+        rngs = module_streams(scenario.seed, "quantum_receiver.onboard.detector", 3)
+        carry = DetectorCarry()
+        while not source.done:
+            with _stage("photon_source"):
+                block = generate_pair_stream(scenario.source, self.duration_s,
+                                             carry=source)
+            with _stage("quantum_receiver"):
+                tags = apply_detector(
+                    block.emission_times, measure_polarization(block, "onboard"),
+                    scenario.onboard_detector, ClockModel(), rng=rngs,
+                    span_s=span, carry=carry, last=source.done)
+            del block
+            yield tags, carry.until
 
 
 @dataclass(frozen=True)
@@ -603,35 +653,6 @@ class _GroundArm:
                     origins=origins, carry=ground_carry, last=sky.done,
                 )
                 del arrivals, chans, origins
-
-
-class _TagSink:
-    """The tags of successive blocks, copied into columns allocated once.
-
-    The columns start at a capacity the caller does not expect to pass
-    and double when it does. Pages never written take no memory, so a
-    generous capacity costs address space only, and each block can go
-    as soon as it is copied: the blocks and the joined tags are never
-    held whole at the same time.
-    """
-
-    def __init__(self, capacity: int):
-        self.columns = [np.empty(capacity), np.empty(capacity, dtype=np.uint8),
-                        np.empty(capacity, dtype=np.uint8)]
-        self.size = 0
-
-    def append(self, tags: TagStream) -> None:
-        end = self.size + len(tags)
-        if end > len(self.columns[0]):
-            self.columns = [np.concatenate([column[:self.size], np.empty(
-                max(end, 2 * len(column)) - self.size, dtype=column.dtype)])
-                for column in self.columns]
-        for column, values in zip(self.columns, (tags.times_s, tags.channels, tags.origins)):
-            column[self.size:end] = values
-        self.size = end
-
-    def joined(self) -> TagStream:
-        return TagStream(*(column[:self.size] for column in self.columns))
 
 
 def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:

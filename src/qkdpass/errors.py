@@ -85,6 +85,10 @@ class SyncFailed(QkdPassError, RuntimeError):
     """Beacon clock synchronisation found no unambiguous correlation peak."""
 
 
+class NoSync(UserWarning):
+    """A pass reports zero key because beacon sync failed; says why."""
+
+
 class ZeroCounts(QkdPassError, ValueError):
     """Polarimeter setting produced zero total counts."""
 

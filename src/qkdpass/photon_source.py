@@ -114,8 +114,10 @@ def beacon_schedule(config: SourceConfig, duration_s: float) -> np.ndarray:
 
 
 # Pairs per block of generate_pair_stream: bounds the per-pair working
-# set of a window's chain, whatever the window's length.
-_BLOCK_PAIRS = 1 << 20
+# set of a window's chain, whatever the window's length. Under 2^18 the
+# beacon sync, not a pair block, sets the traced peak of a 1e7-pair
+# window (25.3 MB at 2^17, 2^18 and 2^19; 39.5 MB at 2^20).
+_BLOCK_PAIRS = 1 << 18
 
 
 @dataclass

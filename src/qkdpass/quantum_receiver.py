@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,18 +110,6 @@ class TagStream:
 
     def __len__(self) -> int:
         return len(self.times_s)
-
-    def with_times(self, times_s: np.ndarray) -> TagStream:
-        """The same tags at new times, re-sorted stably.
-
-        Times already in order keep the row order, so the channel and
-        origin columns are shared rather than copied.
-        """
-        times = np.asarray(times_s, dtype=float)
-        if _is_sorted(times):
-            return TagStream(times, self.channels, self.origins)
-        order = np.argsort(times, kind="stable")
-        return TagStream(times[order], self.channels[order], self.origins[order])
 
 
 def _is_sorted(times: np.ndarray) -> bool:
@@ -296,10 +284,12 @@ class DetectorCarry:
     arrival could still precede, sorted. darks: the dark counts not yet
     emitted, sorted (None until the first block draws them over the
     span). last_kept: each channel code's last kept time, for the dead
-    time (-inf before the first).
+    time (-inf before the first). until: a time that no tag of a later
+    block comes before, inf once the last block is in.
     """
 
     floor: float = -np.inf
+    until: float = -np.inf
     held: tuple[np.ndarray, np.ndarray, np.ndarray] = field(default_factory=lambda: (
         np.empty(0), np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)))
     darks: tuple[np.ndarray, np.ndarray] | None = None
@@ -405,6 +395,7 @@ def apply_detector(
     times *= 1.0 + clock.drift
     times += clock.offset_s
     final_before = np.inf if last else floor * (1.0 + clock.drift) + clock.offset_s
+    carry.until = final_before
 
     if carry.darks is None:
         if span_s is None:
@@ -629,8 +620,8 @@ def find_coincidences(
     such tags are swept. The cost is
     O(min(n_onboard, n_ground) x log) plus the conflict components.
     The accidental estimate is r_onboard x r_ground x window over the
-    overlap span (_expected_accidentals). A ground stream that comes in
-    blocks is matched a segment at a time by match_blocks, with the same
+    overlap span (_expected_accidentals). Streams that come in blocks
+    are matched a segment at a time by match_blocks, with the same
     result.
     """
     if window_s < 0.0:
@@ -741,103 +732,134 @@ def _greedy_sweep(a: np.ndarray, b: np.ndarray,
     return np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
 
 
+@dataclass
+class _BlockSide:
+    """One stream of match_blocks: its blocks, the tags carried from them
+    and not yet matched (sorted), and what was matched before them.
+
+    until is the last block's, -inf before the first and inf once the
+    blocks run out. start counts the tags already matched, and first
+    and last are their extreme times, so (start, first, last) is the
+    stream's _extent once every tag is matched.
+    """
+
+    blocks: Iterator[tuple[np.ndarray, np.ndarray, float]]
+    times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    channels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint8))
+    until: float = -np.inf
+    start: int = 0
+    first: float | None = None
+    last: float | None = None
+
+    def pull(self) -> None:
+        """Join the next block to the carried tags, stable-sorted."""
+        block = next(self.blocks, None)
+        if block is None:
+            self.until = np.inf
+            return
+        times, channels, self.until = block
+        self.times = np.concatenate([self.times, times])
+        self.channels = np.concatenate([self.channels, channels])
+        if not _is_sorted(self.times):
+            order = np.argsort(self.times, kind="stable")
+            self.times, self.channels = self.times[order], self.channels[order]
+
+    def take(self, end: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Drop the first end tags as matched; rows (matched among them)
+        as whole-stream indices, and their channels."""
+        found = rows + self.start, self.channels[rows]
+        if end:
+            self.first = self.times[0] if self.first is None else self.first
+            self.last = self.times[end - 1]
+        self.start += end
+        self.times, self.channels = self.times[end:], self.channels[end:]
+        return found
+
+
 def match_blocks(
-    onboard_times_s: np.ndarray,
-    blocks: Iterable[tuple[np.ndarray, np.ndarray, float]],
+    onboard_blocks: Iterable[tuple[np.ndarray, np.ndarray, float]],
+    ground_blocks: Iterable[tuple[np.ndarray, np.ndarray, float]],
     window_s: float,
     match=find_coincidences,
-) -> tuple[CoincidenceResult, np.ndarray]:
-    """find_coincidences against a ground stream that comes in blocks.
+) -> tuple[CoincidenceResult, np.ndarray, np.ndarray]:
+    """find_coincidences on two tag streams that each come in blocks.
 
-    Each block is (times_s, channels, until): ground tags on the
-    reference timebase, in the whole stream's order, and a time that no
-    tag of a later block comes before. The blocks joined need not be
-    sorted. The result is that of one match call on the onboard tags
-    and the joined ground tags stable-sorted (TagStream.with_times),
-    with ground indices into that order, plus the matched ground tags'
-    channels; the whole ground stream is never held.
+    Each block is (times_s, channels, until): tags on the reference
+    timebase, in their stream's order, and a time that no tag of a later
+    block of that stream comes before. The blocks of a stream joined
+    need not be sorted. The result is that of one match call on the two
+    streams joined and stable-sorted, with indices into that order, plus
+    the matched onboard and ground tags' channels, one per pair; neither
+    whole stream is ever held.
 
-    Each block joins the ground tags carried from earlier blocks and is
-    stable-sorted with them; the carried tags all come earlier in the
-    stream, so ties keep the whole stream's order. The tags up to the
-    latest cut before until (_last_cut) and the onboard tags not yet
-    matched up to it form one segment, matched by one match call; the
-    rest are carried. No candidate pair spans a cut, and the matching
-    splits over the components of the candidate graph, so the segments
-    give the whole-stream pairs once their indices are offset. After
-    the last block, the carried tags are matched with every onboard tag
-    left. The accidental estimate reads the whole streams' counts and
-    end times, as find_coincidences does. match is find_coincidences
-    under whatever name the caller resolves it by.
+    The stream whose until is lower gives its next block, which joins the
+    tags carried from its earlier blocks and is stable-sorted with them;
+    the carried tags all come earlier in the stream, so ties keep the
+    whole stream's order. The tags of both streams up to the latest cut
+    before the lower until (_last_cut) form one segment, matched by one
+    match call; the rest are carried. No candidate pair spans a cut, and
+    the matching splits over the components of the candidate graph, so
+    the segments give the whole-stream pairs once their indices are
+    offset. Once both streams run out, the carried tags are matched. The
+    accidental estimate reads the whole streams' counts and end times,
+    as find_coincidences does. match is find_coincidences under whatever
+    name the caller resolves it by.
     """
-    a = np.asarray(onboard_times_s, dtype=float)
-    times, channels = np.empty(0), np.empty(0, dtype=np.uint8)
-    a_from = b_from = 0
-    first = last = None
-    found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-              np.empty(0, dtype=np.uint8))]
-    for block in itertools.chain(blocks, [None]):
-        if block is None:
-            a_end, b_end = len(a), len(times)
+    onboard, ground = _BlockSide(iter(onboard_blocks)), _BlockSide(iter(ground_blocks))
+    found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
+              np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))]
+    while min(onboard.until, ground.until) < np.inf:
+        (onboard if onboard.until <= ground.until else ground).pull()
+        until = min(onboard.until, ground.until)
+        if until < np.inf:
+            a_end, b_end = _last_cut(onboard.times, ground.times, until, window_s)
         else:
-            block_times, block_channels, until = block
-            times = np.concatenate([times, block_times])
-            channels = np.concatenate([channels, block_channels])
-            if not _is_sorted(times):
-                order = np.argsort(times, kind="stable")
-                times, channels = times[order], channels[order]
-            a_end, b_end = _last_cut(a, times, a_from, until, window_s)
-        if a_end == a_from and not b_end:
+            a_end, b_end = len(onboard.times), len(ground.times)
+        if not (a_end or b_end):
             continue
-        segment = times[:b_end]
-        pairs = match(a[a_from:a_end], segment, window_s)
-        found.append((pairs.onboard_indices + a_from, pairs.ground_indices + b_from,
-                      channels[pairs.ground_indices]))
-        if b_end:
-            first = segment[0] if first is None else first
-            last = segment[-1]
-        a_from, b_from = a_end, b_from + b_end
-        times, channels = times[b_end:], channels[b_end:]
-    onboard_rows, ground_rows, ground_channels = (np.concatenate(column)
-                                                  for column in zip(*found))
+        pairs = match(onboard.times[:a_end], ground.times[:b_end], window_s)
+        found.append((*onboard.take(a_end, pairs.onboard_indices),
+                      *ground.take(b_end, pairs.ground_indices)))
+    onboard_rows, onboard_channels, ground_rows, ground_channels = (
+        np.concatenate(column) for column in zip(*found))
     return CoincidenceResult(
         onboard_indices=onboard_rows, ground_indices=ground_rows,
         expected_accidentals=_expected_accidentals(
-            _extent(a), (b_from, first, last), window_s),
-    ), ground_channels
+            (onboard.start, onboard.first, onboard.last),
+            (ground.start, ground.first, ground.last), window_s),
+    ), onboard_channels, ground_channels
 
 
 # Tags of each stream that _last_cut first merges to look for a cut.
 _CUT_TAIL = 64
 
 
-def _last_cut(a: np.ndarray, b: np.ndarray, a_from: int, until: float,
+def _last_cut(a: np.ndarray, b: np.ndarray, until: float,
               window_s: float) -> tuple[int, int]:
-    """Row ends in a (rows from a_from on) and b of the latest cut before until.
+    """Row ends in a and b of the latest cut before until.
 
-    A cut is a gap wider than window_s between neighbours of a[a_from:]
-    and b merged, both before until; no candidate pair spans it, as a
-    rounded difference across it is at least the gap's. Only the last
-    tags of each stream are merged, more each round until they hold a
-    cut or all of them; with no cut, the ends are (a_from, 0).
+    A cut is a gap wider than window_s between neighbours of a and b
+    merged, both before until; no candidate pair spans it, as a rounded
+    difference across it is at least the gap's. Only the last tags of
+    each stream are merged, more each round until they hold a cut or all
+    of them; with no cut, the ends are (0, 0).
     """
-    a_stop = max(a_from, int(np.searchsorted(a, until, side="left")))
+    a_stop = int(np.searchsorted(a, until, side="left"))
     b_stop = int(np.searchsorted(b, until, side="left"))
     tail = _CUT_TAIL
     while True:
-        a_lo, b_lo = max(a_from, a_stop - tail), max(0, b_stop - tail)
+        a_lo, b_lo = max(0, a_stop - tail), max(0, b_stop - tail)
         merged = np.sort(np.concatenate([a[a_lo:a_stop], b[b_lo:b_stop]]))
         # every tag of either stream from here up to until is in merged
-        complete = max(a[a_lo] if a_lo > a_from else -np.inf,
-                       b[b_lo] if b_lo > 0 else -np.inf)
+        complete = max(a[a_lo] if a_lo else -np.inf, b[b_lo] if b_lo else -np.inf)
         gaps = np.flatnonzero((merged[1:] - merged[:-1] > window_s)
                               & (merged[:-1] >= complete))
         if len(gaps):
             cut = merged[gaps[-1]]
             return (int(np.searchsorted(a, cut, side="right")),
                     int(np.searchsorted(b, cut, side="right")))
-        if a_lo == a_from and b_lo == 0:
-            return a_from, 0
+        if not (a_lo or b_lo):
+            return 0, 0
         tail *= 4
 
 

@@ -50,6 +50,13 @@ def base_scenario(**overrides) -> Scenario:
     return dataclasses.replace(Scenario(), **defaults)
 
 
+def stable_sorted(times, *columns):
+    """times and each column reordered by a stable argsort of times: the
+    order of a tag stream whose blocks were corrected and joined."""
+    order = np.argsort(times, kind="stable")
+    return (times[order], *(column[order] for column in columns))
+
+
 @pytest.fixture(scope="session")
 def zenith_pass():
     tle = zenith_tle()

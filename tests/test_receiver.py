@@ -28,6 +28,7 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       read_tags_binary, read_tags_csv,
                                       write_tags_binary, write_tags_csv,
                                       write_tags_json)
+from conftest import stable_sorted
 
 IDENTITY = ClockModel()
 IDEAL = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
@@ -116,29 +117,11 @@ def test_tag_stream_invariants():
     with pytest.raises(ValueError):
         TagStream(np.array([1.0]), np.zeros(2, np.uint8), np.zeros(1, np.uint8))
     stream = TagStream(
-        np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([0.0, 1.0, 1.0, 3.0]),
         np.array([CHANNEL_H, CHANNEL_BEACON, CHANNEL_D, CHANNEL_H], np.uint8),
         np.zeros(4, np.uint8),
     )
-    shuffled = stream.with_times(np.array([3.0, 2.0, 1.0, 0.0]))
-    assert np.all(np.diff(shuffled.times_s) >= 0.0)
-    assert shuffled.channels[0] == CHANNEL_H  # carried along with its new time
-
-
-def test_tag_stream_with_times_keeps_order():
-    stream = TagStream(
-        np.array([0.0, 1.0, 2.0, 3.0]),
-        np.array([CHANNEL_H, CHANNEL_V, CHANNEL_A, CHANNEL_D], np.uint8),
-        np.arange(4, dtype=np.uint8),
-    )
-    # times still in order: the rows stay put and the columns are shared
-    shifted = stream.with_times(stream.times_s + 0.5)
-    assert shifted.channels is stream.channels
-    assert shifted.origins is stream.origins
-    # equal times keep their row order, as a stable argsort does
-    moved = stream.with_times(np.array([2.0, 1.0, 1.0, 0.0]))
-    assert moved.times_s.tolist() == [0.0, 1.0, 1.0, 2.0]
-    assert moved.origins.tolist() == [3, 1, 2, 0]
+    assert len(stream) == 4  # equal times are in order
 
 
 def _perfect_stream(seed: int = 1, duration: float = 0.5):
@@ -427,12 +410,18 @@ def blocked_detector(times, channels, model, clock, seed, span_s, cuts,
     block with one carry, and the tags of all blocks joined."""
     rngs, carry = _three_streams(seed), DetectorCarry()
     edges = [0, *cuts, len(times)]
-    parts = []
+    parts, untils = [], []
     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         parts.append(apply_detector(
             times[lo:hi], channels[lo:hi], model, clock, rng=rngs, span_s=span_s,
             origins=None if origins is None else origins[lo:hi],
             carry=carry, last=k == len(edges) - 2))
+        untils.append(carry.until)
+    # each block's until: its tags come before it, no later block's tag does
+    assert untils[-1] == np.inf
+    for k, until in enumerate(untils):
+        assert all(np.all(p.times_s < until) for p in parts[:k + 1])
+        assert all(np.all(p.times_s >= until) for p in parts[k + 1:])
     joined = [np.concatenate(column) for column in zip(
         *((p.times_s, p.channels, p.origins) for p in parts))]
     return joined, rngs, parts
@@ -883,26 +872,43 @@ def candidate_streams(rng, n_a, n_b, rate_window, offset, repeats, edges, cluste
     return np.sort(a), np.sort(b)
 
 
-def ground_blocks(times, channels, size):
-    """match_blocks' blocks: the ground stream cut every size tags, each
-    with the tightest until a sorted stream allows, its last time."""
-    for start in range(0, max(len(times), 1), size):
-        block = times[start:start + size]
-        yield block, channels[start:start + size], block[-1] if len(block) else -np.inf
+def stream_blocks(times, channels, cuts):
+    """match_blocks' blocks of a sorted stream cut at the given rows, each
+    with the tightest until the stream allows: the next block's first
+    time, or the block's own last time for the last block."""
+    edges = [0, *cuts, len(times)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = times[lo:hi]
+        until = times[hi] if hi < len(times) else block[-1] if len(block) else -np.inf
+        yield block, channels[lo:hi], until
 
 
-def assert_matches_one_call(a, b, ground_channels, blocks, window_s):
+def block_cuts(rng, n, mode):
+    """Rows to cut a stream of n tags at: after every tag, at a few random
+    rows (repeated rows make empty blocks), or nowhere."""
+    if mode == "ones":
+        return list(range(1, n))
+    if mode == "random":
+        return np.sort(rng.integers(0, n + 1, rng.integers(1, 8))).tolist()
+    return []
+
+
+def assert_matches_one_call(a, b, a_channels, b_channels, onboard_blocks,
+                            ground_blocks, window_s):
     """match_blocks against one find_coincidences call on the whole streams."""
     want = find_coincidences(a, b, window_s)
-    got, got_channels = match_blocks(a, blocks, window_s)
+    got, onboard_channels, ground_channels = match_blocks(
+        onboard_blocks, ground_blocks, window_s)
     for column in ("onboard_indices", "ground_indices"):
         assert getattr(got, column).dtype == np.int64
         assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
     assert got.expected_accidentals == want.expected_accidentals
-    assert got_channels.tobytes() == ground_channels[want.ground_indices].tobytes()
+    assert onboard_channels.tobytes() == a_channels[want.onboard_indices].tobytes()
+    assert ground_channels.tobytes() == b_channels[want.ground_indices].tobytes()
+    return got
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     n_a=st.integers(min_value=0, max_value=120),
     n_b=st.integers(min_value=0, max_value=120),
@@ -911,38 +917,64 @@ def assert_matches_one_call(a, b, ground_channels, blocks, window_s):
     repeats=st.integers(min_value=0, max_value=4),
     edges=st.integers(min_value=0, max_value=6),
     clusters=st.integers(min_value=0, max_value=4),
-    size=st.sampled_from([1, 7, 1 << 20]),
+    onboard_cuts=st.sampled_from(["ones", "random", "whole"]),
+    ground_cuts=st.sampled_from(["ones", "random", "whole"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_match_blocks_equal_one_call(n_a, n_b, rate_window, offset, repeats,
-                                     edges, clusters, size, seed):
-    # the ground stream in blocks of 1, 7 or all its tags: the pairs, their
-    # order and the accidental estimate are those of one call
+                                     edges, clusters, onboard_cuts, ground_cuts,
+                                     seed):
+    # each stream in blocks of one tag, at random rows or whole: the pairs,
+    # their order, both channel gathers and the accidental estimate are
+    # those of one call; repeated times put ties on block edges
     rng = np.random.default_rng(seed)
     a, b = candidate_streams(rng, n_a, n_b, rate_window, offset, repeats, edges, clusters)
-    channels = rng.integers(0, 4, len(b), dtype=np.uint8)
-    assert_matches_one_call(a, b, channels, ground_blocks(b, channels, size), 1e-9)
+    a_channels = rng.integers(0, 4, len(a), dtype=np.uint8)
+    b_channels = rng.integers(0, 4, len(b), dtype=np.uint8)
+    assert_matches_one_call(
+        a, b, a_channels, b_channels,
+        stream_blocks(a, a_channels, block_cuts(rng, len(a), onboard_cuts)),
+        stream_blocks(b, b_channels, block_cuts(rng, len(b), ground_cuts)), 1e-9)
+
+
+def test_match_blocks_candidate_across_an_onboard_block_edge():
+    # the first onboard block ends before a ground tag that is a candidate
+    # of its last tag and of the next block's first: it waits for the next
+    # block, and the earlier onboard tag takes it, as in one call
+    window = 1e-9
+    edge = 2.0
+    a = np.array([0.5, edge - 0.3 * window, edge + 0.2 * window, 3.0])
+    b = np.array([1.0, edge + 0.1 * window, 3.0 + 0.1 * window])
+    a_channels = np.arange(4, dtype=np.uint8)
+    b_channels = np.array([3, 2, 1], np.uint8)
+    onboard = [(a[:2], a_channels[:2], edge), (a[2:], a_channels[2:], np.inf)]
+    ground = [(b, b_channels, b[-1])]
+    got = assert_matches_one_call(a, b, a_channels, b_channels, onboard, ground, window)
+    assert got.onboard_indices.tolist() == [1, 3]
+    assert got.ground_indices.tolist() == [1, 2]
 
 
 def test_match_blocks_sort_a_swap_across_a_block_edge():
     # a correction that rounds a block's first tag an ulp below the last
     # tag of the block before: the result is that of the whole stream
-    # stable-sorted, as TagStream.with_times sorts it, so the onboard tag
-    # pairs with the later block's tag
+    # stable-sorted, so the onboard tag pairs with the later block's tag
     window = 1e-9
     edge = 2.0
-    raw = TagStream(np.array([1.0, 1.5, 1.6, 1.7]), np.array([0, 1, 2, 3], np.uint8),
-                    np.zeros(4, np.uint8))
+    channels = np.array([0, 1, 2, 3], np.uint8)
     corrected = np.array([1.0, edge, np.nextafter(edge, 0.0), 3.0])
-    whole = raw.with_times(corrected)
-    assert whole.channels.tolist() == [0, 2, 1, 3]
+    whole_times, whole_channels = stable_sorted(corrected, channels)
+    assert whole_channels.tolist() == [0, 2, 1, 3]
     a = np.array([0.5, edge - 0.25 * window, 2.5])
+    a_channels = np.array([3, 2, 1], np.uint8)
     hold = 1e-9
-    blocks = [(corrected[:2], raw.channels[:2], corrected[1] - hold),
-              (corrected[2:], raw.channels[2:], corrected[3] - hold)]
-    assert_matches_one_call(a, whole.times_s, whole.channels, blocks, window)
-    got, channels = match_blocks(a, blocks, window)
-    assert got.ground_indices.tolist() == [1] and channels.tolist() == [2]
+    blocks = [(corrected[:2], channels[:2], corrected[1] - hold),
+              (corrected[2:], channels[2:], corrected[3] - hold)]
+    got = assert_matches_one_call(a, whole_times, a_channels, whole_channels,
+                                  stream_blocks(a, a_channels, [1, 2]), blocks, window)
+    assert got.ground_indices.tolist() == [1]
+    _, _, ground_channels = match_blocks(stream_blocks(a, a_channels, [1, 2]),
+                                         blocks, window)
+    assert ground_channels.tolist() == [2]
 
 
 @pytest.mark.parametrize("n_a,n_b", [(0, 0), (0, 5), (5, 0)])
