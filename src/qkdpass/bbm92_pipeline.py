@@ -27,13 +27,14 @@ from typing import Any
 
 import numpy as np
 
+from . import channel_link
 from .channel_link import BackgroundCarry, LinkProfile, apply_channel, build_link_profile
 from .errors import (EmptyKey, LowSample, NoSync, OutOfRange, QkdPassError,
                      SimulationError, SyncFailed)
 from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
     predict_passes, sample_pass
 from .pat_controller import PatSeries, run_pat
-from .photon_source import (PairCarry, PairEventStream, SourceConfig, beacon_schedule,
+from .photon_source import (PairCarry, PairEventStream, SourceConfig, beacon_pulse_count,
                             generate_pair_stream, pair_rate)
 from .polarization_correction import PcsSeries, frame_offset_profile, \
     run_polarization_correction
@@ -232,26 +233,35 @@ class PassResult:
         return generate_pair_stream(self.source, self.report.quantum_window_duration_s,
                                     seed=self.seed)
 
+    def tag_blocks(self, arm: str) -> Iterator[TagStream]:
+        """The "onboard" or "ground" arm's tags, drawn again from the seed
+        a block at a time: the same arm simulate_pass ran."""
+        if arm == "onboard":
+            return (tags for tags, _ in self.onboard_arm.blocks())
+        if arm == "ground":
+            return self.ground_arm.blocks()
+        raise ValueError(f"arm must be 'onboard' or 'ground', got {arm!r}")
+
     @cached_property
     def onboard_tags(self) -> TagStream:
         """The onboard detector's tags, drawn again from the seed on first read.
 
         simulate_pass matches the onboard tags a block at a time and
-        keeps none of them; this runs the same onboard arm once more and
-        joins its blocks. coincidences.onboard_indices index these tags.
+        keeps none of them; this joins tag_blocks("onboard").
+        coincidences.onboard_indices index these tags.
         """
-        return _joined(tags for tags, _ in self.onboard_arm.blocks())
+        return _joined(self.tag_blocks("onboard"))
 
     @cached_property
     def ground_tags(self) -> TagStream:
         """The ground receiver's tags, drawn again from the seed on first read.
 
         simulate_pass corrects and matches the ground tags a block at a
-        time and keeps none of them; this runs the same ground arm once
-        more and joins its blocks. coincidences.ground_indices index
-        these tags on the reference timebase, stable-sorted.
+        time and keeps none of them; this joins tag_blocks("ground").
+        coincidences.ground_indices index these tags on the reference
+        timebase, stable-sorted.
         """
-        return _joined(self.ground_arm.blocks())
+        return _joined(self.tag_blocks("ground"))
 
 
 def _joined(blocks: Iterable[TagStream]) -> TagStream:
@@ -478,35 +488,26 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
     """The ground clock fitted to the beacon tags, or None if sync fails.
 
     The classical beacon is a bright pulse train, lost only in a
-    blackout. Two fits: the first predicts the flight time at the raw
-    tag time (the clock offset slews the lookup point, worst case tens
-    of ns); the second inverts the fitted clock, iterates the emission
-    time and scales the flight time by the fitted rate. A failed sync
-    warns NoSync with the SyncFailed message.
+    blackout (_beacon_tags). Two fits: the first predicts the flight
+    time at the raw tag time (the clock offset slews the lookup point,
+    worst case tens of ns); the second inverts the fitted clock,
+    iterates the emission time and scales the flight time by the fitted
+    rate (_flight_removed). Each fit's input is built a block of tags at
+    a time into one array, so the tags and that input are all that
+    scale with the beacon count. A failed sync warns NoSync with the
+    SyncFailed message.
     """
+    frequency = scenario.source.beacon_frequency_hz
+    n_pulses = beacon_pulse_count(scenario.source, q_dur)
     with _stage("quantum_receiver"):
-        beacon_times = beacon_schedule(scenario.source, q_dur)
-        beacon_keep = link.transmittance_at(beacon_times) > BEACON_BLACKOUT
-        beacon_emit = beacon_times[beacon_keep]
-        beacon_model = DetectorModel(
-            efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
-            timing_jitter_rms_s=scenario.sync.beacon_jitter_rms_s,
-        )
-        tags_b = apply_detector(
-            beacon_emit + flight_s(beacon_emit),
-            np.full(len(beacon_emit), CHANNEL_BEACON, dtype=np.uint8),
-            beacon_model, scenario.clock,
-            rng=module_streams(scenario.seed, "quantum_receiver.ground.beacon", 3),
-            span_s=ground_span,
-        ).times_s
+        tags = _beacon_tags(scenario, link, flight_s, n_pulses, ground_span)
     try:
         with _stage("quantum_receiver"):
-            sync1 = beacon_clock_sync(
-                tags_b - flight_s(tags_b), beacon_times, scenario.sync)
-            emit_hat = _emission_estimate(tags_b, sync1.clock, flight_s)
-            return beacon_clock_sync(
-                tags_b - flight_s(emit_hat) * (1.0 + sync1.clock.drift),
-                beacon_times, scenario.sync)
+            fit_in = _by_blocks(lambda t: t - flight_s(t), tags)
+            sync1 = beacon_clock_sync(fit_in, frequency, n_pulses, scenario.sync)
+            _by_blocks(lambda t: _flight_removed(t, sync1.clock, flight_s), tags,
+                       out=fit_in)
+            return beacon_clock_sync(fit_in, frequency, n_pulses, scenario.sync)
     except SimulationError as exc:
         if not isinstance(exc.__cause__, SyncFailed):
             raise
@@ -515,6 +516,47 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
         warnings.warn(f"beacon clock sync failed, so the key is zero: {exc.__cause__}",
                       NoSync, stacklevel=3)
         return None
+
+
+# Pulses per block of the beacon train: bounds the beacon detector's
+# working set, whatever the window's length.
+_BEACON_BLOCK = 1 << 16
+
+
+def _beacon_tags(scenario: Scenario, link: LinkProfile, flight_s, n_pulses: int,
+                 ground_span: tuple[float, float]) -> np.ndarray:
+    """The ground receiver's beacon tag times, a block of pulses at a time.
+
+    Pulse k leaves at k / beacon_frequency_hz (beacon_pulse_count). The
+    pulses the link does not black out reach the ground a flight time
+    later and go through the beacon detector, whose blocks (see
+    apply_detector) give the tags of one call over all of them. Only
+    the tags outlive a block.
+    """
+    frequency = scenario.source.beacon_frequency_hz
+    model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
+                          timing_jitter_rms_s=scenario.sync.beacon_jitter_rms_s)
+    rngs = module_streams(scenario.seed, "quantum_receiver.ground.beacon", 3)
+    carry = DetectorCarry()
+
+    def detect(arrivals: np.ndarray, last: bool) -> np.ndarray:
+        return apply_detector(
+            arrivals, np.full(len(arrivals), CHANNEL_BEACON, dtype=np.uint8), model,
+            scenario.clock, rng=rngs, span_s=ground_span, carry=carry, last=last,
+        ).times_s
+
+    tags, arrivals = [], np.empty(0)
+    for start in range(0, n_pulses, _BEACON_BLOCK):
+        emit = np.arange(start, min(start + _BEACON_BLOCK, n_pulses)) / frequency
+        emit = emit[link.transmittance_at(emit) > BEACON_BLACKOUT]
+        if len(emit):
+            # a block is detected once the next one with pulses is in, so
+            # that only a total blackout makes a call without pulses
+            if len(arrivals):
+                tags.append(detect(arrivals, last=False))
+            arrivals = emit + flight_s(emit)
+    tags.append(detect(arrivals, last=True))
+    return np.concatenate(tags)
 
 
 def _survivors(scenario: Scenario, link: LinkProfile,
@@ -604,9 +646,10 @@ class _GroundArm:
         analyzer, measured at the PCS residual of their emission time
         and sorted by arrival. The sky background is then drawn over the
         gate a block at a time (see apply_channel), and each block is
-        detected merged with the signal arrivals up to its last time
-        (_ground_block). The blocks joined do not depend on the block
-        size.
+        detected merged with the signal arrivals up to its last time, in
+        pieces of at most _BLOCK_ARRIVALS signal arrivals (_ground_block),
+        so that a window without sky light is not one block either. The
+        blocks joined do not depend on the block size.
         """
         scenario, seed, survivors = self.scenario, self.scenario.seed, self.survivors
         with _stage("quantum_receiver"):
@@ -644,15 +687,16 @@ class _GroundArm:
                                       background=sky).background_times
             with _stage("quantum_receiver"):
                 sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
-                arrivals, chans, origins, taken = _ground_block(
-                    signal_t, signal_channels, taken, sky_t, sky_c, sky.done)
+                pieces = _ground_block(signal_t, signal_channels, taken, sky_t, sky_c,
+                                       sky.done)
                 del sky_t, sky_c
-                yield apply_detector(
-                    arrivals, chans, scenario.ground_detector, scenario.clock,
-                    rng=ground_rngs, span_s=self.span_s,
-                    origins=origins, carry=ground_carry, last=sky.done,
-                )
-                del arrivals, chans, origins
+                for arrivals, chans, origins, taken in pieces:
+                    yield apply_detector(
+                        arrivals, chans, scenario.ground_detector, scenario.clock,
+                        rng=ground_rngs, span_s=self.span_s, origins=origins,
+                        carry=ground_carry, last=sky.done and taken == len(signal_t),
+                    )
+                    del arrivals, chans, origins
 
 
 def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:
@@ -664,6 +708,13 @@ def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:
     t0 = clock.invert(np.asarray(tag_times_s, dtype=float))
     t1 = t0 - flight_s(t0)
     return t0 - flight_s(t1)
+
+
+def _flight_removed(tag_times_s: np.ndarray, clock: ClockModel, flight_s) -> np.ndarray:
+    """Each tag less its flight time, on the receiver clock:
+    tag - flight(emit) * (1 + drift), emit from _emission_estimate."""
+    emit = _emission_estimate(tag_times_s, clock, flight_s)
+    return tag_times_s - flight_s(emit) * (1.0 + clock.drift)
 
 
 # Ground tags within this of a block's last corrected time wait for the
@@ -683,25 +734,29 @@ def _corrected_blocks(blocks: Iterable[TagStream], clock: ClockModel, flight_s):
         yield times, tags.channels, until
 
 
-# Tags per step of _corrected_times: bounds its temporaries.
+# Values per step of _by_blocks: bounds the temporaries of the
+# elementwise chains it evaluates.
 _CORRECTION_BLOCK = 1 << 16
+
+
+def _by_blocks(fn: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """fn(values) for an elementwise fn, evaluated _CORRECTION_BLOCK values
+    at a time into out (a new array by default): the values of one
+    whole-array call, without its whole-array temporaries."""
+    out = np.empty(len(values)) if out is None else out
+    for start in range(0, len(values), _CORRECTION_BLOCK):
+        block = slice(start, start + _CORRECTION_BLOCK)
+        out[block] = fn(values[block])
+    return out
 
 
 def _corrected_times(tag_times_s: np.ndarray, clock: ClockModel,
                      flight_s) -> np.ndarray:
-    """Reference-time estimate of each ground tag, a block at a time.
-
-    Per tag, clock.invert(tag - flight(emit) * (1 + drift)) with emit
-    from _emission_estimate: elementwise operations, so the blocks give
-    the values of one whole-array evaluation.
-    """
-    out = np.empty(len(tag_times_s))
-    for start in range(0, len(out), _CORRECTION_BLOCK):
-        tags = tag_times_s[start:start + _CORRECTION_BLOCK]
-        emit = _emission_estimate(tags, clock, flight_s)
-        out[start:start + _CORRECTION_BLOCK] = clock.invert(
-            tags - flight_s(emit) * (1.0 + clock.drift))
-    return out
+    """Reference-time estimate of each ground tag: clock.invert of
+    _flight_removed, a block at a time (_by_blocks)."""
+    return _by_blocks(lambda t: clock.invert(_flight_removed(t, clock, flight_s)),
+                      tag_times_s)
 
 
 def _ground_arrivals(
@@ -728,18 +783,30 @@ def _ground_arrivals(
 def _ground_block(
     signal_t: np.ndarray, signal_channels: np.ndarray, taken: int,
     background_t: np.ndarray, background_channels: np.ndarray, last: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One sky block's ground arrivals (_ground_arrivals) and the end of
-    the sorted signal rows it took.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """One sky block's ground arrivals (_ground_arrivals), in pieces of at
+    most channel_link._BLOCK_ARRIVALS signal rows, each piece with the
+    end of the sorted signal rows taken so far.
 
     The block takes the signal rows from taken up to its last background
     time, all that are left if it is the last block. A signal arrival
     equal to that time goes with the block, ahead of the background
-    arrival, so the blocks joined are _ground_arrivals over the whole
-    streams, and each block starts no earlier than the last one ended.
-    Only the last block can be empty.
+    arrival. A piece ends at its last signal row, and background rows at
+    that time go to the next piece, behind any signal rows left at it.
+    So the pieces joined are _ground_arrivals over the whole streams,
+    and each piece starts no earlier than the last one ended. Only the
+    last piece of the last block can be empty.
     """
     end = len(signal_t) if last else \
         int(np.searchsorted(signal_t, background_t[-1], side="right"))
-    return (*_ground_arrivals(signal_t[taken:end], signal_channels[taken:end],
-                              background_t, background_channels), end)
+    cap = channel_link._BLOCK_ARRIVALS
+    while end - taken > cap:
+        cut = int(np.searchsorted(background_t, signal_t[taken + cap - 1], side="left"))
+        yield (*_ground_arrivals(signal_t[taken:taken + cap],
+                                 signal_channels[taken:taken + cap],
+                                 background_t[:cut], background_channels[:cut]),
+               taken + cap)
+        taken += cap
+        background_t, background_channels = background_t[cut:], background_channels[cut:]
+    yield (*_ground_arrivals(signal_t[taken:end], signal_channels[taken:end],
+                             background_t, background_channels), end)

@@ -163,9 +163,9 @@ def cmd_simulate(args) -> int:
     if args.format:
         write = {"csv": write_tags_csv, "json": write_tags_json,
                  "bin": write_tags_binary}[args.format]
-        for name, stream in (("ground", result.ground_tags),
-                             ("onboard", result.onboard_tags)):
-            write(stream, out / f"tags_{name}.{args.format}")
+        # each arm runs again and is written a block at a time
+        for arm in ("ground", "onboard"):
+            write(result.tag_blocks(arm), out / f"tags_{arm}.{args.format}")
     r = result.report
     print(f"sifted={r.sifted_bits} qber={r.qber_estimate:.6g} "
           f"secret={r.secret_bits}")

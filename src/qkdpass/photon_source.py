@@ -105,19 +105,23 @@ def qber_from_visibility(vis: float) -> float:
     return (1.0 - vis) / 2.0
 
 
-def beacon_schedule(config: SourceConfig, duration_s: float) -> np.ndarray:
-    """Beacon pulse times: exact arithmetic progression from t=0."""
+def beacon_pulse_count(config: SourceConfig, duration_s: float) -> int:
+    """Pulses of the beacon train on [0, duration_s], none without a beacon.
+
+    The train is an exact arithmetic progression from t=0: pulse k
+    leaves at k / beacon_frequency_hz.
+    """
     if not config.beacon_frequency_hz:
-        return np.empty(0)
-    n = int(np.floor(duration_s * config.beacon_frequency_hz)) + 1
-    return np.arange(n) / config.beacon_frequency_hz
+        return 0
+    return int(np.floor(duration_s * config.beacon_frequency_hz)) + 1
 
 
 # Pairs per block of generate_pair_stream: bounds the per-pair working
-# set of a window's chain, whatever the window's length. Under 2^18 the
-# beacon sync, not a pair block, sets the traced peak of a 1e7-pair
-# window (25.3 MB at 2^17, 2^18 and 2^19; 39.5 MB at 2^20).
-_BLOCK_PAIRS = 1 << 18
+# set of a window's chain, whatever the window's length. On a 1e7-pair
+# window (147k beacon pulses) the arms' matching, which sets the traced
+# peak, reaches 8.5 MB at 2^17 against 12.5 MB at 2^18; at 2^16 (7.3 MB)
+# the beacon sync's 6.6 MB is close and each halving doubles the calls.
+_BLOCK_PAIRS = 1 << 17
 
 
 @dataclass

@@ -122,6 +122,48 @@ def _unwrap_half_turn(theta_deg: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, 3) arrays, summed left to right."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Each row of an (n, 3) array over its Euclidean norm."""
+    return vectors / np.sqrt(_dot_rows(vectors, vectors))[:, None]
+
+
+def _transported_reference(los: np.ndarray, lam: np.ndarray, lat: float) -> np.ndarray:
+    """The receiver's reference axis at every line of sight, NaN before it exists.
+
+    It starts as the site's zenith, or east when zenith nearly lies along
+    the line of sight, projected onto the first sample's image plane
+    (lam the sample's local sidereal angle), and is then parallel
+    transported: each step projects the previous axis onto the new
+    image plane, and keeps it when the projection degenerates. Each
+    step needs the last, so this runs sample by sample, on floats.
+    """
+    out = np.full(los.shape, np.nan)
+    reference = None
+    for i, (lx, ly, lz) in enumerate(los.tolist()):
+        if reference is None:
+            c = math.cos(lat)
+            anchors = ((c * math.cos(lam[i]), c * math.sin(lam[i]), math.sin(lat)),
+                       (-math.sin(lam[i]), math.cos(lam[i]), 0.0))
+            floor = 1e-6
+        else:
+            anchors, floor = (reference,), 1e-9
+        for ax, ay, az in anchors:
+            along = ax * lx + ay * ly + az * lz
+            cx, cy, cz = ax - along * lx, ay - along * ly, az - along * lz
+            norm = math.sqrt(cx * cx + cy * cy + cz * cz)
+            if norm > floor:
+                reference = (cx / norm, cy / norm, cz / norm)
+                break
+        if reference is not None:
+            out[i] = reference
+    return out
+
+
 def _geometric_theta(profile: PassProfile, config: PcsConfig) -> np.ndarray:
     """Rotation of a nadir-pointing satellite's transmit axis at the site.
 
@@ -135,70 +177,40 @@ def _geometric_theta(profile: PassProfile, config: PcsConfig) -> np.ndarray:
     transmit axis around the line of sight. Transporting (rather than
     re-projecting zenith each step) keeps theta smooth through
     culmination, where the instantaneous zenith projection is
-    singular.
+    singular. Where the geometry degenerates theta carries the last
+    angle (0 before the first). Only the transport is sequential
+    (_transported_reference); every other step is one array operation
+    over all samples.
     """
     site_ecef = profile.site.ecef_km()
     lat = math.radians(profile.site.latitude_deg)
     lon = math.radians(profile.site.longitude_deg)
     yaw = math.radians(config.body_yaw_deg)
-    theta = np.empty(len(profile.jd))
-    reference = None
-    previous = 0.0
-    for i, jd in enumerate(profile.jd):
-        gmst = gmst_radians(jd)
-        c, s = math.cos(gmst), math.sin(gmst)
-        # Earth-fixed -> inertial rotation of the site position
-        site_teme = np.array([
-            c * site_ecef[0] - s * site_ecef[1],
-            s * site_ecef[0] + c * site_ecef[1],
-            site_ecef[2],
-        ])
-        r = profile.r_teme_km[i]
-        v = profile.v_teme_kms[i]
-        nadir = -r / np.linalg.norm(r)
-        orbit_normal = np.cross(r, v)
-        orbit_normal /= np.linalg.norm(orbit_normal)
-        along = np.cross(-orbit_normal, nadir)
-        along /= np.linalg.norm(along)
-        cross = np.cross(nadir, along)
-        transmit = math.cos(yaw) * along + math.sin(yaw) * cross
+    gmst = gmst_radians(np.asarray(profile.jd, dtype=float))
+    c, s = np.cos(gmst), np.sin(gmst)
+    # Earth-fixed -> inertial rotation of the site position
+    site_teme = np.column_stack([c * site_ecef[0] - s * site_ecef[1],
+                                 s * site_ecef[0] + c * site_ecef[1],
+                                 np.full(len(gmst), site_ecef[2])])
+    r = np.asarray(profile.r_teme_km, dtype=float)
+    v = np.asarray(profile.v_teme_kms, dtype=float)
+    nadir = -_unit_rows(r)
+    orbit_normal = _unit_rows(np.cross(r, v))
+    along = _unit_rows(np.cross(-orbit_normal, nadir))
+    transmit = math.cos(yaw) * along + math.sin(yaw) * np.cross(nadir, along)
+    los = _unit_rows(r - site_teme)
+    reference = _transported_reference(los, lon + gmst, lat)
 
-        los = r - site_teme
-        los /= np.linalg.norm(los)
-
-        if reference is None:
-            lam = lon + gmst
-            zenith = np.array([
-                math.cos(lat) * math.cos(lam),
-                math.cos(lat) * math.sin(lam),
-                math.sin(lat),
-            ])
-            east = np.array([-math.sin(lam), math.cos(lam), 0.0])
-            for anchor in (zenith, east):
-                candidate = anchor - np.dot(anchor, los) * los
-                norm = np.linalg.norm(candidate)
-                if norm > 1e-6:
-                    reference = candidate / norm
-                    break
-        else:
-            candidate = reference - np.dot(reference, los) * los
-            norm = np.linalg.norm(candidate)
-            if norm > 1e-9:
-                reference = candidate / norm
-
-        t_perp = transmit - np.dot(transmit, los) * los
-        nt = np.linalg.norm(t_perp)
-        if nt < 1e-9 or reference is None:
-            theta[i] = previous  # degenerate geometry, carry the last angle
-            continue
-        t_perp /= nt
-        angle = math.degrees(
-            math.atan2(float(np.dot(np.cross(reference, t_perp), los)),
-                       float(np.dot(reference, t_perp)))
-        )
-        previous = angle
-        theta[i] = angle
-    return _unwrap_half_turn(theta)
+    t_perp = transmit - _dot_rows(transmit, los)[:, None] * los
+    nt = np.sqrt(_dot_rows(t_perp, t_perp))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_perp /= nt[:, None]
+        angle = np.degrees(np.arctan2(_dot_rows(np.cross(reference, t_perp), los),
+                                      _dot_rows(reference, t_perp)))
+    # degenerate geometry: carry the last angle
+    valid = ~(nt < 1e-9) & ~np.isnan(reference[:, 0])
+    last = np.maximum.accumulate(np.where(valid, np.arange(1, len(valid) + 1), 0))
+    return _unwrap_half_turn(np.append(0.0, angle)[last])
 
 
 def frame_offset_profile(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import tempfile
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -484,12 +485,47 @@ class SyncResult:
     residual_rms_s: float
 
 
+# Tags per step of beacon_clock_sync's fit rounds: bounds their temporaries.
+_SYNC_BLOCK = 1 << 15
+
+
+def _nearest_pulses(tags: np.ndarray, offset: float, drift: float, frequency: float,
+                    n_pulses: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pulse time nearest each tag under the clock estimate, and the
+    tag's residual from it, tag - (pulse * (1 + drift) + offset).
+
+    Pulse k leaves at k / frequency. k is the index np.searchsorted
+    over the whole train would give the predicted emission time,
+    clipped to 1..n_pulses - 1, then stepped back by one when the
+    earlier pulse is strictly nearer: ties go to the later pulse.
+    """
+    predicted = (tags - offset) / (1.0 + drift)
+    k = np.ceil(predicted * frequency)
+    np.clip(k, 1.0, n_pulses - 1.0, out=k)
+    # the rounded product can put k a pulse off the first pulse at or
+    # after the predicted time: step k by the comparison searchsorted makes
+    for step, off in ((-1.0, lambda k, p: (k > 1.0) & ((k - 1.0) / frequency >= p)),
+                      (1.0, lambda k, p: (k < n_pulses - 1.0) & (k / frequency < p))):
+        sel = np.flatnonzero(off(k, predicted))
+        while len(sel):
+            k[sel] += step
+            sel = sel[off(k[sel], predicted[sel])]
+    later = k / frequency
+    k -= 1.0
+    earlier = np.divide(k, frequency, out=k)
+    pulse = np.where(predicted - earlier < later - predicted, earlier, later)
+    return pulse, tags - (pulse * (1.0 + drift) + offset)
+
+
 def beacon_clock_sync(
     beacon_tag_times_s: np.ndarray,
-    schedule_s: np.ndarray,
+    frequency_hz: float,
+    n_pulses: int,
     config: SyncConfig,
 ) -> SyncResult:
-    """Estimate the receiver clock from beacon tags and the known schedule.
+    """Estimate the receiver clock from beacon tags and the known pulse train.
+
+    The train has n_pulses pulses, pulse k leaving at k / frequency_hz.
 
     Coarse stage: tag times are folded modulo the beacon period and
     histogrammed at config.bin_s; the peak bin gives the offset modulo one
@@ -502,28 +538,38 @@ def beacon_clock_sync(
     only modulo its period, so some edge reference is required. An
     offset beyond config.max_offset_s fails.
 
-    Fine stage: each tag is matched to the nearest schedule pulse
-    under the current clock estimate and a straight line of tag time
-    against pulse time is refit (slope 1+drift, intercept offset),
-    with the match tolerance tightened from the fit residuals. The
-    first fit reuses the short fold slice so unmodeled drift cannot
-    scramble matches far from it; later rounds use every tag. Fewer
-    than config.min_matched matched pulses fail.
+    Fine stage: each tag is matched to the nearest pulse under the
+    current clock estimate (_nearest_pulses) and a straight line of tag
+    time against pulse time is refit (slope 1+drift, intercept offset),
+    with the match tolerance tightened from the median absolute
+    deviation of the residuals. The first fit reuses the short fold
+    slice so unmodeled drift cannot scramble matches far from it; later
+    rounds use every tag. Fewer than config.min_matched matched pulses
+    fail.
+
+    The rounds walk the tags _SYNC_BLOCK at a time and fit the line from
+    running sums of the residuals, centred on their median, against
+    pulse times centred on the pool's middle, so besides the tags only
+    one residual array per round (for the median) scales with the tag
+    count. The drift is fitted as the residuals' slope, not as a slope
+    less one, so it keeps its low bits. The rms comes from the sums:
+    cancellation leaves it about sqrt(eps) of the residuals' spread off.
     """
     bin_s, max_offset_s = config.bin_s, config.max_offset_s
-    tags = np.sort(np.asarray(beacon_tag_times_s, dtype=float))
-    schedule = np.asarray(schedule_s, dtype=float)
-    if len(tags) == 0 or len(schedule) == 0:
+    tags = np.asarray(beacon_tag_times_s, dtype=float)
+    if not _is_sorted(tags):
+        tags = np.sort(tags)
+    if len(tags) == 0 or n_pulses == 0:
         raise SyncFailed("no beacon tags to synchronize on")
-    if len(schedule) < 2:
-        raise SyncFailed("schedule must contain at least two pulses")
-    period = float(np.median(np.diff(schedule)))
+    if n_pulses < 2:
+        raise SyncFailed("the beacon train must have at least two pulses")
+    period = 1.0 / frequency_hz
 
     # a drift of MAX_CLOCK_DRIFT may smear the fold by at most period/10
     fold_window = min(0.1 * period / MAX_CLOCK_DRIFT,
                       float(tags[-1] - tags[0]) + period)
-    segment = tags[tags <= tags[0] + fold_window]
-    folded = (segment - schedule[0]) % period
+    segment = tags[:np.searchsorted(tags, tags[0] + fold_window, side="right")]
+    folded = segment % period
     n_bins = max(4, int(round(period / bin_s)))
     counts, edges = np.histogram(folded, bins=n_bins, range=(0.0, period))
     peak = int(np.argmax(counts))
@@ -537,7 +583,7 @@ def beacon_clock_sync(
     delta = (folded - center + 0.5 * period) % period - 0.5 * period
     near = np.abs(delta) <= 2.0 * (period / n_bins)
     offset_mod = center + (float(np.mean(delta[near])) if np.any(near) else 0.0)
-    whole = round(float(segment[0] - schedule[0] - offset_mod) / period)
+    whole = round(float(segment[0] - offset_mod) / period)
     coarse = offset_mod + whole * period
     if abs(coarse) > max_offset_s:
         raise SyncFailed(
@@ -546,30 +592,49 @@ def beacon_clock_sync(
 
     # two fits on the fold slice (trim outliers before trusting the
     # slope for extrapolation), then two over every tag
-    offset, drift = coarse, 0.0
-    matched_tags = matched_pulses = np.empty(0)
-    rms = math.inf
+    offset, drift = float(coarse), 0.0
     for round_index, pool in enumerate((segment, segment, tags, tags)):
-        predicted = (pool - offset) / (1.0 + drift)
-        j = np.clip(np.searchsorted(schedule, predicted), 1, len(schedule) - 1)
-        nearer_left = (predicted - schedule[j - 1]) < (schedule[j] - predicted)
-        j = j - nearer_left
-        residual = pool - (schedule[j] * (1.0 + drift) + offset)
+        starts = range(0, len(pool), _SYNC_BLOCK)
         if round_index == 0:
-            tol = 0.4 * period
+            tol, centre = 0.4 * period, 0.0
         else:
-            mad = float(np.median(np.abs(residual - np.median(residual))))
+            residual = np.empty(len(pool))
+            for start in starts:
+                residual[start:start + _SYNC_BLOCK] = _nearest_pulses(
+                    pool[start:start + _SYNC_BLOCK], offset, drift, frequency_hz,
+                    n_pulses)[1]
+            # the median absolute deviation, partitioning residual in place
+            centre = float(np.median(residual, overwrite_input=True))
+            residual -= centre
+            mad = float(np.median(np.abs(residual, out=residual), overwrite_input=True))
+            del residual
             tol = min(max(8.0 * 1.4826 * mad, 4.0 * bin_s), 0.4 * period)
-        good = np.abs(residual) <= tol
-        if int(good.sum()) < 2:
+        # sums over the matched tags of x, the pulse time from the pool's
+        # middle, and y, the residual from the median residual: n, x, y,
+        # x^2, x y, y^2. Centring both keeps the sums' cancellation small.
+        middle = float(pool[len(pool) // 2] - offset) / (1.0 + drift)
+        sums = np.zeros(6)
+        for start in starts:
+            pulse, residual = _nearest_pulses(pool[start:start + _SYNC_BLOCK], offset,
+                                              drift, frequency_hz, n_pulses)
+            good = np.abs(residual) <= tol
+            x, y = pulse[good] - middle, residual[good] - centre
+            sums += (len(x), np.sum(x), np.sum(y), np.sum(x * x), np.sum(x * y),
+                     np.sum(y * y))
+        n, sx, sy, sxx, sxy, syy = sums.tolist()
+        if n < 2:
             raise SyncFailed("too few beacon tags matched schedule pulses")
-        matched_tags, matched_pulses = pool[good], schedule[j[good]]
-        slope, intercept = np.polyfit(matched_pulses, matched_tags, 1)
-        offset, drift = float(intercept), float(slope) - 1.0
-        rms = float(np.sqrt(np.mean(
-            (matched_tags - (matched_pulses * (1.0 + drift) + offset)) ** 2)))
-    if len(matched_tags) < config.min_matched:
-        raise SyncFailed(f"only {len(matched_tags)} beacon pulses matched; "
+        sxx -= sx * sx / n
+        if not sxx > 0.0:
+            raise SyncFailed("every matched beacon tag fits one pulse")
+        sxy -= sx * sy / n
+        slope = sxy / sxx
+        offset += centre + (sy - slope * sx) / n - slope * middle
+        drift += slope
+        rms = math.sqrt(max(syy - sy * sy / n - slope * sxy, 0.0) / n)
+    n_matched = int(n)
+    if n_matched < config.min_matched:
+        raise SyncFailed(f"only {n_matched} beacon pulses matched; "
                          f"need {config.min_matched}")
     if rms > 0.1 * period:
         raise SyncFailed(
@@ -580,11 +645,7 @@ def beacon_clock_sync(
         clock = ClockModel(offset_s=offset, drift=drift)
     except OutOfRange as exc:
         raise SyncFailed(f"implausible clock fit: {exc}") from exc
-    return SyncResult(
-        clock=clock,
-        n_matched=int(len(matched_tags)),
-        residual_rms_s=rms,
-    )
+    return SyncResult(clock=clock, n_matched=n_matched, residual_rms_s=rms)
 
 
 @dataclass(frozen=True)
@@ -863,37 +924,62 @@ def _last_cut(a: np.ndarray, b: np.ndarray, until: float,
         tail *= 4
 
 
-def write_tags_csv(stream: TagStream, path: str | Path) -> None:
-    """Export tags as time_s,channel rows ending in \r\n, as csv.writer writes them."""
+def _as_blocks(tags: TagStream | Iterable[TagStream]) -> Iterable[TagStream]:
+    """One stream as its only block, or the blocks as they are."""
+    return (tags,) if isinstance(tags, TagStream) else tags
+
+
+def write_tags_csv(tags: TagStream | Iterable[TagStream], path: str | Path) -> None:
+    """Export tags as time_s,channel rows ending in \r\n, as csv.writer writes them.
+
+    tags is one stream or the successive blocks of one, written as they
+    come: the bytes are those of the blocks joined.
+    """
     with open(path, "w", newline="") as handle:
         handle.write("time_s,channel\r\n")
-        for start in range(0, len(stream), _ROW_CHUNK):
-            block = slice(start, start + _ROW_CHUNK)
-            times = stream.times_s[block].tolist()
-            tokens = [CHANNEL_TOKENS[c] for c in stream.channels[block].tolist()]
-            handle.write("%.15g,%s\r\n" * len(times)
-                         % tuple(itertools.chain.from_iterable(zip(times, tokens))))
+        for stream in _as_blocks(tags):
+            for start in range(0, len(stream), _ROW_CHUNK):
+                block = slice(start, start + _ROW_CHUNK)
+                times = stream.times_s[block].tolist()
+                tokens = [CHANNEL_TOKENS[c] for c in stream.channels[block].tolist()]
+                handle.write("%.15g,%s\r\n" * len(times)
+                             % tuple(itertools.chain.from_iterable(zip(times, tokens))))
 
 
-def write_tags_json(stream: TagStream, path: str | Path) -> None:
+def write_tags_json(tags: TagStream | Iterable[TagStream], path: str | Path) -> None:
     """Export one object with channel and time_s lists (origins dropped).
 
     The bytes are json.dumps(..., sort_keys=True, indent=2) plus a
-    newline, written _ROW_CHUNK values at a time.
+    newline, written _ROW_CHUNK values at a time. tags is one stream or
+    the successive blocks of one: the channels are written as the blocks
+    come, while the times wait in a temporary file (8 B a tag) for the
+    second list.
     """
-    with open(path, "w") as handle:
-        handle.write("{\n")
-        for key, column, tail in (("channel", stream.channels, ","),
-                                  ("time_s", stream.times_s, "")):
-            if not len(column):
-                handle.write(f'  "{key}": []{tail}\n')
-                continue
-            handle.write(f'  "{key}": [')
-            for start in range(0, len(column), _ROW_CHUNK):
-                handle.write(",\n    " if start else "\n    ")
+    def write_list(key: str, chunks: Iterable[np.ndarray], tail: str) -> None:
+        handle.write(f'  "{key}": [')
+        written = False
+        for chunk in chunks:
+            for start in range(0, len(chunk), _ROW_CHUNK):
+                handle.write(",\n    " if written else "\n    ")
                 handle.write(",\n    ".join(
-                    map(repr, column[start:start + _ROW_CHUNK].tolist())))
-            handle.write(f"\n  ]{tail}\n")
+                    map(repr, chunk[start:start + _ROW_CHUNK].tolist())))
+                written = True
+        handle.write(f"\n  ]{tail}\n" if written else f"]{tail}\n")
+
+    def channels_spooling_times() -> Iterator[np.ndarray]:
+        for stream in _as_blocks(tags):
+            stream.times_s.astype("<f8", copy=False).tofile(spool)
+            yield stream.channels
+
+    def spooled_times() -> Iterator[np.ndarray]:
+        spool.seek(0)
+        while len(times := np.fromfile(spool, "<f8", _ROW_CHUNK)):
+            yield times
+
+    with open(path, "w") as handle, tempfile.TemporaryFile() as spool:
+        handle.write("{\n")
+        write_list("channel", channels_spooling_times(), ",")
+        write_list("time_s", spooled_times(), "")
         handle.write("}\n")
 
 
@@ -918,12 +1004,15 @@ def read_tags_csv(path: str | Path) -> TagStream:
 _BINARY_DTYPE = np.dtype([("time_s", "<f8"), ("channel", "u1")])
 
 
-def write_tags_binary(stream: TagStream, path: str | Path) -> None:
-    """Export packed little-endian (float64 seconds, uint8 channel) records."""
-    records = np.empty(len(stream), dtype=_BINARY_DTYPE)
-    records["time_s"] = stream.times_s
-    records["channel"] = stream.channels
-    records.tofile(path)
+def write_tags_binary(tags: TagStream | Iterable[TagStream], path: str | Path) -> None:
+    """Export packed little-endian (float64 seconds, uint8 channel) records,
+    of one stream or of the successive blocks of one as they come."""
+    with open(path, "wb") as handle:
+        for stream in _as_blocks(tags):
+            records = np.empty(len(stream), dtype=_BINARY_DTYPE)
+            records["time_s"] = stream.times_s
+            records["channel"] = stream.channels
+            records.tofile(handle)
 
 
 def read_tags_binary(path: str | Path) -> TagStream:

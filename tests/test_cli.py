@@ -448,13 +448,17 @@ def test_demo_outputs_match_golden(tmp_path, seed):
 
 
 # [pcs] lines per case, and the sha256 of the demo's pcs.csv at seed 7;
-# recorded while the pipeline still unpacked [pcs] into keyword arguments
+# recorded while the pipeline still unpacked [pcs] into keyword arguments.
+# The geometric profiles were recorded again when the frame geometry
+# became array operations: row dot products summed left to right instead
+# of BLAS, so theta moved by up to 4e-14 deg and some residual_deg cells
+# in their 12th digit.
 PCS_CSV_SHA256 = {
     "geometric": (
-        [], "f42db792cd9b4fd1d9737994fc582c4ce3f6af0fa31006311986a88d2440b969"),
+        [], "530616e810b74aeb7d153a1262cbd765fe1c4feb55ea6ce675344aa67b9a092f"),
     "body_yaw": (
         ["body_yaw_deg = 12"],
-        "36f033dfaeb3cb5742bb60bbe440439a6030013a5705b160ca7a779bd1454bbc"),
+        "070c39ab7a6c1eb2253dcc58123699cc71e333fbbece2b01ac654a53356f9d33"),
     "scripted_ramp": (
         ["scripted_ramp_deg = [-10, 20]", "uncompensated_offset_deg = 2"],
         "eb100a3bb94c2c585aa5018eb5038ddd395381da8c2de6044faf05f3a984c82b"),
@@ -490,10 +494,13 @@ def _background_run_digests(tmp_path) -> dict[str, str]:
 # are sky background): its times became running sums of exponentials in
 # the cumulated rate, over the receiver's gate rather than the source
 # window, and its channel codes the bits of raw words. The onboard tags
-# are those recorded when the pair chain began to run in blocks.
+# are those recorded when the pair chain began to run in blocks. The
+# report was recorded again when the clock fit moved from np.polyfit to
+# blockwise sums: only sync_offset_s (by 3.9e-17 s) and sync_drift (by
+# 2.8e-16) changed.
 BACKGROUND_RUN_SHA256 = {
     "report.json":
-        "4b58103e38878b4c0d39a3c1097e4603f5a93a885d67946ccf9df1b143350ac5",
+        "bb15ea2eb6d3c2d6cb3d8fa259676b56d53b3829cb391dfb332c2eee7aa5dbe4",
     "tags_ground.bin":
         "9de9e25a6d11ce3e2b9038fb62a981312a2e5cb89a3dd10089a493e7d4896eab",
     "tags_onboard.bin":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qkdpass.orbit_dynamics.sgp4 as sgp4
+from qkdpass.orbit_dynamics.sgp4 import gmst_radians
 import qkdpass.polarization_correction as polarization_correction
 from qkdpass.errors import LowCounts, OutOfRange, ProfileGap, ZeroCounts
 from qkdpass.polarization_correction import (FrameOffsetProfile, PcsConfig,
@@ -127,6 +128,65 @@ def test_geometric_profile_is_smooth(zenith_profile):
     assert np.all(np.isfinite(profile.theta_deg))
     span = profile.theta_deg.max() - profile.theta_deg.min()
     assert span > 5.0  # overhead geometry sweeps the frame visibly
+
+
+def reference_geometric_theta(profile, config: PcsConfig) -> np.ndarray:
+    """The frame rotation computed one sample at a time with 3-vector numpy
+    calls, as the geometric profile was before it became array operations."""
+    site_ecef = profile.site.ecef_km()
+    lat = math.radians(profile.site.latitude_deg)
+    lon = math.radians(profile.site.longitude_deg)
+    yaw = math.radians(config.body_yaw_deg)
+    theta = np.empty(len(profile.jd))
+    reference, previous = None, 0.0
+    for i, jd in enumerate(profile.jd):
+        gmst = gmst_radians(jd)
+        c, s = math.cos(gmst), math.sin(gmst)
+        site_teme = np.array([c * site_ecef[0] - s * site_ecef[1],
+                              s * site_ecef[0] + c * site_ecef[1], site_ecef[2]])
+        r, v = profile.r_teme_km[i], profile.v_teme_kms[i]
+        nadir = -r / np.linalg.norm(r)
+        orbit_normal = np.cross(r, v)
+        orbit_normal /= np.linalg.norm(orbit_normal)
+        along = np.cross(-orbit_normal, nadir)
+        along /= np.linalg.norm(along)
+        transmit = math.cos(yaw) * along + math.sin(yaw) * np.cross(nadir, along)
+        los = r - site_teme
+        los /= np.linalg.norm(los)
+        if reference is None:
+            lam = lon + gmst
+            zenith = np.array([math.cos(lat) * math.cos(lam),
+                               math.cos(lat) * math.sin(lam), math.sin(lat)])
+            east = np.array([-math.sin(lam), math.cos(lam), 0.0])
+            for anchor in (zenith, east):
+                candidate = anchor - np.dot(anchor, los) * los
+                if np.linalg.norm(candidate) > 1e-6:
+                    reference = candidate / np.linalg.norm(candidate)
+                    break
+        else:
+            candidate = reference - np.dot(reference, los) * los
+            if np.linalg.norm(candidate) > 1e-9:
+                reference = candidate / np.linalg.norm(candidate)
+        t_perp = transmit - np.dot(transmit, los) * los
+        nt = np.linalg.norm(t_perp)
+        if nt < 1e-9 or reference is None:
+            theta[i] = previous
+            continue
+        t_perp /= nt
+        previous = theta[i] = math.degrees(math.atan2(
+            float(np.dot(np.cross(reference, t_perp), los)),
+            float(np.dot(reference, t_perp))))
+    return polarization_correction._unwrap_half_turn(theta)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 12.0, 90.0, -135.0])
+def test_geometric_profile_matches_per_sample_loop(zenith_profile, yaw):
+    # array operations sum the dot products in another order than BLAS:
+    # the angles agree to well under a nanodegree
+    config = PcsConfig(body_yaw_deg=yaw)
+    got = frame_offset_profile(zenith_profile, config, 1.0).theta_deg
+    want = reference_geometric_theta(zenith_profile, config)
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_geometric_body_yaw_shifts_angle(zenith_profile):

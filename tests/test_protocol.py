@@ -20,12 +20,16 @@ from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
 from qkdpass.errors import EmptyKey, LowSample, NoSync, OutOfRange, SimulationError
 from qkdpass.photon_source import SourceConfig, generate_pair_stream
 from qkdpass.polarization_correction import PcsSeries
-from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_D, CHANNEL_H,
+from qkdpass.channel_link import LinkProfile
+from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_BEACON, CHANNEL_D, CHANNEL_H,
                                       CHANNEL_V, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
-                                      QUAD_CHANNELS, ClockModel,
-                                      find_coincidences, measure_polarization)
+                                      QUAD_CHANNELS, ClockModel, DetectorModel,
+                                      SyncConfig, apply_detector, find_coincidences,
+                                      measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
+from qkdpass.seeding import module_streams
 from conftest import base_scenario, stable_sorted
+from sync_reference import beacon_schedule
 
 
 def test_binary_entropy_values():
@@ -282,38 +286,45 @@ def _run_recording_survivors(monkeypatch, scenario):
 def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
     # the pairs, the channel thinning and the onboard detector run a block
     # of pairs at a time, the sky background and the ground detector a
-    # block of background at a time, and both arms are matched a block at
-    # a time; every draw is sequential in its own stream, so any block
-    # sizes give the same bytes (3000 pairs and about 5000 background
-    # arrivals: 1 a block stays quick; 22 ms of window still holds 220
-    # beacon pulses)
-    scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3000))
-    scenario = dataclasses.replace(
-        scenario, source=dataclasses.replace(scenario.source, pump_power_mw=0.01),
-        link=dataclasses.replace(scenario.link, sky_background_rate_zenith=2e5))
-    runs, ground_calls = {}, {}
-    for block in (1, 7, 4096, 1 << 40):
-        monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
-        monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", block)
-        result, drawn, ground_calls[block], edges = _run_recording_survivors(
-            monkeypatch, scenario)
-        if block == 7:
-            # an onboard tag whose dead time runs past the next pair
-            # block's first emission
-            tags = result.onboard_tags.times_s
-            dead = scenario.onboard_detector.dead_time_s
-            after = np.searchsorted(edges, tags, side="right")
-            inside = after < len(edges)
-            assert np.any(edges[after[inside]] < tags[inside] + dead)
-        runs[block] = (
-            json.dumps(result.report.to_dict(), sort_keys=True), drawn,
-            *(getattr(tags, column).tobytes()
-              for tags in (result.onboard_tags, result.ground_tags)
-              for column in ("times_s", "channels", "origins")))
-    assert runs[1][0] and json.loads(runs[1][0])["coincidences_total"] > 0
-    assert np.any(np.frombuffer(runs[1][-1], np.uint8) == ORIGIN_BACKGROUND)
-    assert ground_calls[1] > 1000 and ground_calls[1 << 40] == 1
-    assert runs[1] == runs[7] == runs[4096] == runs[1 << 40]
+    # block of background at a time, the signal arrivals of a sky block in
+    # pieces of at most a block, and both arms are matched a block at a
+    # time; every draw is sequential in its own stream, so any block sizes
+    # give the same bytes (3000 pairs and about 5000 background arrivals:
+    # 1 a block stays quick; 22 ms of window still holds 220 beacon
+    # pulses). Without sky light the signal pieces alone split the ground
+    # arm.
+    for sky in (2e5, 0.0):
+        scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3000))
+        scenario = dataclasses.replace(
+            scenario, source=dataclasses.replace(scenario.source, pump_power_mw=0.01),
+            link=dataclasses.replace(scenario.link, sky_background_rate_zenith=sky))
+        runs, ground_calls = {}, {}
+        for block in (1, 7, 4096, 1 << 40):
+            monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
+            monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", block)
+            result, drawn, ground_calls[block], edges = _run_recording_survivors(
+                monkeypatch, scenario)
+            if block == 7:
+                # an onboard tag whose dead time runs past the next pair
+                # block's first emission
+                tags = result.onboard_tags.times_s
+                dead = scenario.onboard_detector.dead_time_s
+                after = np.searchsorted(edges, tags, side="right")
+                inside = after < len(edges)
+                assert np.any(edges[after[inside]] < tags[inside] + dead)
+            runs[block] = (
+                json.dumps(result.report.to_dict(), sort_keys=True), drawn,
+                *(getattr(tags, column).tobytes()
+                  for tags in (result.onboard_tags, result.ground_tags)
+                  for column in ("times_s", "channels", "origins")))
+        assert runs[1][0] and json.loads(runs[1][0])["coincidences_total"] > 0
+        origins = np.frombuffer(runs[1][-1], np.uint8)
+        assert np.any(origins == ORIGIN_BACKGROUND) == bool(sky)
+        # one call per signal arrival without sky light, and a call per
+        # background arrival with it
+        signal = int(np.count_nonzero(origins == ORIGIN_SIGNAL))
+        assert ground_calls[1] > (1000 if sky else signal) and ground_calls[1 << 40] == 1
+        assert runs[1] == runs[7] == runs[4096] == runs[1 << 40]
 
 
 ON_DEMAND_RUNS = {
@@ -341,12 +352,16 @@ def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
     calls, apply_detector = [], pipeline.apply_detector
 
     def counting_detector(*args, **kwargs):
-        # the beacon detector runs without a carry
-        if kwargs.get("carry") is not None:
-            calls.append("onboard" if kwargs.get("origins") is None else "ground")
+        calls.append("onboard" if kwargs.get("origins") is None else "ground")
         return apply_detector(*args, **kwargs)
 
+    def uncounted_beacon_tags(*args, beacon_tags=pipeline._beacon_tags):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "apply_detector", apply_detector)
+            return beacon_tags(*args)
+
     monkeypatch.setattr(pipeline, "apply_detector", counting_detector)
+    monkeypatch.setattr(pipeline, "_beacon_tags", uncounted_beacon_tags)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = simulate_pass(ON_DEMAND_RUNS[run])
@@ -375,6 +390,76 @@ def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
     assert key.partner_bits.tobytes() == result.key.partner_bits.tobytes()
 
 
+def _beacon_run(frequency_hz, duration_s, transmittance, jitter_s=1e-9):
+    """A scenario with that beacon, a link sampled every 25 pulses whose
+    holds take transmittance in turn (its loss columns unused), its
+    flight time and the ground gate."""
+    scenario = base_scenario(sync=SyncConfig(beacon_jitter_rms_s=jitter_s))
+    scenario = dataclasses.replace(scenario, source=dataclasses.replace(
+        scenario.source, beacon_frequency_hz=frequency_hz))
+    # samples on pulse times: pulses sit on every hold edge
+    times = np.arange(0, int(duration_s * frequency_hz) + 25, 25) / frequency_hz
+    range_km, zeros = np.linspace(600.0, 900.0, len(times)), np.zeros(len(times))
+    link = LinkProfile(times, zeros, range_km, zeros, zeros, zeros, zeros,
+                       np.resize(transmittance, len(times)), zeros)
+
+    def flight_s(t):
+        return np.interp(t, times, range_km) / pipeline.SPEED_OF_LIGHT_KM_S
+
+    return scenario, link, flight_s, (0.0, duration_s + float(flight_s(duration_s)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 1 << 40])
+@pytest.mark.parametrize("jitter_s", [1e-9, 3e-4])
+@pytest.mark.parametrize("transmittance", [
+    [1e-3, 0.0, 0.5, 1e-12, 2e-12], [0.0], [1e-3, 1e-3, 0.0, 0.0, 0.0, 0.0]])
+def test_beacon_tags_in_blocks_equal_one_call(monkeypatch, block, jitter_s, transmittance):
+    # the beacon train is walked a block of pulses at a time; the tags are
+    # those of one detector call over every pulse the link lets through,
+    # byte for byte, with pulses on the edges of blackout holds, a jitter
+    # wider than the pulse spacing, a total blackout and a window that
+    # ends in one
+    scenario, link, flight_s, span = _beacon_run(10e3, 0.2, transmittance, jitter_s)
+    schedule = beacon_schedule(scenario.source, 0.2)
+    emit = schedule[link.transmittance_at(schedule) > pipeline.BEACON_BLACKOUT]
+    want = apply_detector(
+        emit + flight_s(emit), np.full(len(emit), CHANNEL_BEACON, dtype=np.uint8),
+        DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
+                      timing_jitter_rms_s=jitter_s),
+        scenario.clock, rng=module_streams(scenario.seed, "quantum_receiver.ground.beacon", 3),
+        span_s=span).times_s
+    monkeypatch.setattr(pipeline, "_BEACON_BLOCK", block)
+    got = pipeline._beacon_tags(scenario, link, flight_s, len(schedule), span)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if transmittance[0]:
+        # a pulse on the edge of a hold that lets it through, and one on
+        # the edge of a blackout
+        assert np.isin(link.times_s, emit).any() and not np.isin(link.times_s, emit).all()
+
+
+def test_clock_sync_memory_is_bounded_per_pulse():
+    # the sync stage walks the pulse train and the fit inputs in blocks:
+    # only the beacon tags, one fit input and one residual array (8 B a
+    # pulse each) scale with the pulse count. 1.25M pulses peak at 26.3 B
+    # a pulse; a whole-window schedule, keep mask, flight array and fit
+    # temporaries took 139.9 B
+    scenario, link, flight_s, span = _beacon_run(50e3, 25.0, [1e-3])
+    n_pulses = photon_source.beacon_pulse_count(scenario.source, 25.0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sync = pipeline._clock_sync(scenario, link, flight_s, 25.0, span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert n_pulses >= 1_000_000 and sync.n_matched == n_pulses
+    assert (peak - base) / n_pulses <= 48.0
+
+
 def test_failed_sync_warns_why():
     # a blackout loses every beacon pulse: the zero-key report says nothing
     # of why, the warning does
@@ -386,7 +471,8 @@ def test_failed_sync_warns_why():
 def test_simulate_pass_memory_is_bounded_per_pair():
     # only the channel survivors outlive a pair block, and both arms are
     # matched a block at a time, so the peak is one block's working set
-    # and the per-pass fixed costs: 5.23 B a pair on this run. Holding the
+    # and the per-pass fixed costs: 3.87 B a pair on this run (5.23 B
+    # with 2^18-pair blocks and a whole-window beacon fit). Holding the
     # onboard tags (10 B each, about half the pairs) and 2^20-pair blocks
     # peaked at 13.83 B a pair; a whole-window pair stream and its
     # detector pass at 22 B
@@ -452,14 +538,15 @@ def test_ground_arrivals_match_concatenate_and_argsort(n_signal, n_background,
 
 
 def ground_blocks(signal_t, signal_c, background_t, background_c, ends):
-    """_ground_block over the background split at ends, as the pipeline
-    calls it, joined; and each block's arrival times."""
+    """_ground_block's pieces over the background split at ends, as the
+    pipeline takes them, joined; and each piece's arrival times."""
     taken, blocks, bounds = 0, [], [0, *ends, len(background_t)]
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        *block, taken = pipeline._ground_block(
-            signal_t, signal_c, taken, background_t[lo:hi], background_c[lo:hi],
-            k == len(ends))
-        blocks.append(block)
+        for *block, taken in pipeline._ground_block(
+                signal_t, signal_c, taken, background_t[lo:hi], background_c[lo:hi],
+                k == len(ends)):
+            blocks.append(block)
+    assert taken == len(signal_t)
     return [np.concatenate(column) for column in zip(*blocks)], [b[0] for b in blocks]
 
 
@@ -469,12 +556,15 @@ def ground_blocks(signal_t, signal_c, background_t, background_c, ends):
     n_background=st.integers(min_value=1, max_value=200),
     n_blocks=st.integers(min_value=1, max_value=12),
     grid=st.sampled_from([None, 0.05]),
+    cap=st.sampled_from([1, 3, 1 << 17]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, seed):
+def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, cap,
+                                       seed):
     # any split of the background into blocks (only the last one may be
-    # empty) gives the stable argsort of the whole streams, and no block
-    # starts before the last one ended
+    # empty), and of a block's signal rows into pieces of at most cap,
+    # gives the stable argsort of the whole streams, and no piece starts
+    # before the last one ended
     rng = np.random.default_rng(seed)
     signal_t = np.sort(rng.uniform(0.0, 1.0, n_signal))
     background_t = np.sort(rng.uniform(0.0, 1.0, n_background))
@@ -485,7 +575,9 @@ def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, s
     background_c = rng.integers(0, 4, n_background, dtype=np.uint8)
     ends = np.sort(rng.choice(np.arange(1, n_background + 1),
                               min(n_blocks, n_background) - 1, replace=False)).tolist()
-    got, times = ground_blocks(signal_t, signal_c, background_t, background_c, ends)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_link, "_BLOCK_ARRIVALS", cap)
+        got, times = ground_blocks(signal_t, signal_c, background_t, background_c, ends)
     want = reference_ground_arrivals(signal_t, signal_c, background_t, background_c)
     for column, expected in zip(got, want):
         assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()

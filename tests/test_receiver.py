@@ -8,12 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdpass import quantum_receiver
 from qkdpass.errors import OutOfRange, SyncFailed
-from qkdpass.photon_source import SourceConfig, beacon_schedule, generate_pair_stream
+from qkdpass.photon_source import SourceConfig, generate_pair_stream
 from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       _sort_in_place,
                                       CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
@@ -29,6 +29,7 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       write_tags_binary, write_tags_csv,
                                       write_tags_json)
 from conftest import stable_sorted
+from sync_reference import beacon_schedule, reference_beacon_clock_sync
 
 IDENTITY = ClockModel()
 IDEAL = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
@@ -715,34 +716,39 @@ def test_detector_applies_clock():
     assert np.allclose(tags.times_s, clock.apply(times), atol=1e-15)
 
 
+BEACON_HZ = SourceConfig().beacon_frequency_hz
+
+
 def _beacon_tags(clock: ClockModel, duration: float = 10.0,
-                 jitter: float = 1e-9, seed: int = 0) -> np.ndarray:
+                 jitter: float = 1e-9, seed: int = 0) -> tuple[np.ndarray, int]:
+    """Jittered tags of every pulse of the default beacon train, and the pulse count."""
     schedule = beacon_schedule(SourceConfig(), duration)
     rng = np.random.default_rng(seed)
-    return np.sort(clock.apply(schedule) + rng.normal(0.0, jitter, len(schedule))), schedule
+    return (np.sort(clock.apply(schedule) + rng.normal(0.0, jitter, len(schedule))),
+            len(schedule))
 
 
 def test_beacon_sync_recovers_offset_and_drift():
     truth = ClockModel(offset_s=1.2345e-3, drift=1e-6)
-    tags, schedule = _beacon_tags(truth)
-    result = beacon_clock_sync(tags, schedule, SyncConfig())
+    tags, n_pulses = _beacon_tags(truth)
+    result = beacon_clock_sync(tags, BEACON_HZ, n_pulses, SyncConfig())
     assert abs(result.clock.offset_s - truth.offset_s) < 1e-10
     assert abs(result.clock.drift - truth.drift) < 1e-9
-    assert result.n_matched > 0.9 * len(schedule)
+    assert result.n_matched > 0.9 * n_pulses
     assert result.residual_rms_s < 5e-9
 
 
 def test_beacon_sync_identity_clock():
-    tags, schedule = _beacon_tags(ClockModel(), jitter=1e-10)
-    result = beacon_clock_sync(tags, schedule, SyncConfig())
+    tags, n_pulses = _beacon_tags(ClockModel(), jitter=1e-10)
+    result = beacon_clock_sync(tags, BEACON_HZ, n_pulses, SyncConfig())
     assert abs(result.clock.offset_s) < 1e-10
     assert abs(result.clock.drift) < 1e-9
 
 
 def test_beacon_sync_negative_offset():
     truth = ClockModel(offset_s=-4.2e-3, drift=-2e-6)
-    tags, schedule = _beacon_tags(truth, seed=2)
-    result = beacon_clock_sync(tags, schedule, SyncConfig())
+    tags, n_pulses = _beacon_tags(truth, seed=2)
+    result = beacon_clock_sync(tags, BEACON_HZ, n_pulses, SyncConfig())
     assert abs(result.clock.offset_s - truth.offset_s) < 1e-10
     assert abs(result.clock.drift - truth.drift) < 1e-9
 
@@ -752,30 +758,100 @@ def test_beacon_sync_round_trip_invariant():
     for _ in range(5):
         truth = ClockModel(offset_s=float(rng.uniform(-8e-3, 8e-3)),
                            drift=float(rng.uniform(-5e-5, 5e-5)))
-        tags, schedule = _beacon_tags(truth, duration=5.0, seed=int(rng.integers(1e6)))
-        recovered = beacon_clock_sync(tags, schedule, SyncConfig()).clock
+        tags, n_pulses = _beacon_tags(truth, duration=5.0, seed=int(rng.integers(1e6)))
+        recovered = beacon_clock_sync(tags, BEACON_HZ, n_pulses, SyncConfig()).clock
         probe = np.array([0.0, 2.5, 5.0])
         assert np.allclose(recovered.apply(probe), truth.apply(probe), atol=1e-9)
 
 
 def test_beacon_sync_failure_modes():
-    schedule = beacon_schedule(SourceConfig(), 1.0)
+    n_pulses = len(beacon_schedule(SourceConfig(), 1.0))
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(np.empty(0), schedule, SyncConfig())
+        beacon_clock_sync(np.empty(0), BEACON_HZ, n_pulses, SyncConfig())
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(np.array([0.0]), np.array([0.0]), SyncConfig())
+        beacon_clock_sync(np.array([0.0]), BEACON_HZ, 1, SyncConfig())
     # offset beyond the admissible window
     tags, _ = _beacon_tags(ClockModel(offset_s=20e-3), duration=1.0)
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(tags, schedule, SyncConfig(max_offset_s=10e-3))
+        beacon_clock_sync(tags, BEACON_HZ, n_pulses, SyncConfig(max_offset_s=10e-3))
     # incoherent tags carry no pulse comb
     noise = np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 10000))
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(noise, schedule, SyncConfig())
+        beacon_clock_sync(noise, BEACON_HZ, n_pulses, SyncConfig())
     # a clean comb that matches too few pulses for the configured floor
     tags, _ = _beacon_tags(ClockModel(), duration=1.0)
     with pytest.raises(SyncFailed):
-        beacon_clock_sync(tags[:50], schedule, SyncConfig(min_matched=100))
+        beacon_clock_sync(tags[:50], BEACON_HZ, n_pulses, SyncConfig(min_matched=100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    frequency=st.sampled_from([1e3, 10e3, 50e3]),
+    duration=st.floats(min_value=0.02, max_value=1.5),
+    offset_share=st.floats(min_value=-1.0, max_value=1.0),
+    drift=st.floats(min_value=-5e-5, max_value=5e-5),
+    jitter=st.floats(min_value=0.0, max_value=2e-9),
+    gaps=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.3)), max_size=3),
+    noise_share=st.sampled_from([0.0, 0.01, 0.3, 3.0]),
+    min_matched=st.sampled_from([2, 100, 5000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# no jitter: a pulse sits exactly on the fold window's edge
+@example(frequency=10e3, duration=1 / 3, offset_share=0.0, drift=0.0, jitter=0.0,
+         gaps=[(0.03125, 0.25)], noise_share=0.3, min_matched=2, seed=0)
+def test_beacon_sync_matches_whole_schedule_fit(frequency, duration, offset_share, drift,
+                                                jitter, gaps, noise_share, min_matched,
+                                                seed):
+    # the blockwise fit over the arithmetic pulse train fails where the
+    # np.polyfit fit over an explicit schedule fails, matches as many
+    # tags, and differs from it only in the last bits
+    config = SyncConfig(min_matched=min_matched)
+    schedule = beacon_schedule(SourceConfig(beacon_frequency_hz=frequency), duration)
+    rng = np.random.default_rng(seed)
+    truth = ClockModel(offset_s=offset_share * config.max_offset_s, drift=drift)
+    emitted = np.ones(len(schedule), dtype=bool)
+    for start, width in gaps:
+        emitted &= ~((schedule >= start * duration) & (schedule < (start + width) * duration))
+    tags = truth.apply(schedule[emitted]) + rng.normal(0.0, 1.0, int(emitted.sum())) * jitter
+    noise = rng.uniform(tags.min(initial=0.0), tags.max(initial=duration),
+                        int(noise_share * len(tags)))
+    tags = np.sort(np.concatenate([tags, noise]))
+    try:
+        want = reference_beacon_clock_sync(tags, schedule, config)
+    except SyncFailed:
+        with pytest.raises(SyncFailed):
+            beacon_clock_sync(tags, frequency, len(schedule), config)
+        return
+    got = beacon_clock_sync(tags, frequency, len(schedule), config)
+    assert got.n_matched == want.n_matched
+    assert abs(got.clock.offset_s - want.clock.offset_s) <= 1e-15
+    assert abs(got.clock.drift - want.clock.drift) <= 1e-13
+    # the rms comes from the running sums, whose cancellation leaves about
+    # sqrt(eps) of the residuals' spread (at most 0.4 of a 1 ms period)
+    assert got.residual_rms_s == pytest.approx(want.residual_rms_s, rel=1e-6, abs=1e-11)
+
+
+def test_beacon_sync_memory_is_bounded_per_pulse():
+    # besides the tags the fit holds one residual array per round and one
+    # block's temporaries: 2M pulses at 50 kHz peak at 9.4 B a pulse above
+    # the tags, against 98.6 B for np.polyfit over boolean-masked copies
+    # of an explicit schedule (sync_reference)
+    n_pulses = 2_000_001
+    truth = ClockModel(offset_s=1.2e-3, drift=3e-6)
+    tags = truth.apply(np.arange(n_pulses) / 50e3)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = beacon_clock_sync(tags, 50e3, n_pulses, SyncConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert result.n_matched == n_pulses
+    assert (peak - base) / n_pulses <= 12.0
 
 
 def test_coincidences_identical_streams():
@@ -1053,6 +1129,27 @@ def test_empty_tag_stream_text(tmp_path, fmt, text):
     write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
     write(TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8)), path)
     assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "bin"])
+def test_tag_export_in_blocks_equals_one_stream(tmp_path, fmt):
+    # the blocks of a stream, empty ones among them, are written as they
+    # come and give the bytes of the joined stream; no blocks at all give
+    # those of an empty stream
+    write = {"csv": write_tags_csv, "json": write_tags_json, "bin": write_tags_binary}[fmt]
+    rng = np.random.default_rng(15)
+    times = np.sort(rng.uniform(0.0, 450.0, 1000))
+    channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], 1000).astype(np.uint8)
+    stream = TagStream(times, channels, np.zeros(1000, np.uint8))
+    cuts = [0, 0, 1, 300, 300, 999, 1000, 1000]
+    blocks = [TagStream(times[a:b], channels[a:b], stream.origins[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    empty = TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8))
+    for name, whole, parts in (("full", stream, blocks), ("empty", empty, [])):
+        write(whole, tmp_path / f"whole_{name}.{fmt}")
+        write(iter(parts), tmp_path / f"blocks_{name}.{fmt}")
+        assert ((tmp_path / f"blocks_{name}.{fmt}").read_bytes()
+                == (tmp_path / f"whole_{name}.{fmt}").read_bytes())
 
 
 def test_json_tag_export_memory_is_bounded_per_block(tmp_path, monkeypatch):

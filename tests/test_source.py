@@ -11,7 +11,7 @@ from scipy.stats import chisquare, kstest
 from qkdpass import photon_source
 from qkdpass.errors import InvalidExtrema, NonpositiveBrightness, OutOfRange
 from qkdpass.photon_source import (MODULE_NAME, PairCarry, SourceConfig,
-                                   beacon_schedule,
+                                   beacon_pulse_count,
                                    generate_pair_stream, pair_rate,
                                    polarizer_scan, qber_from_visibility,
                                    required_pump_power, scan_fringe_mean,
@@ -56,14 +56,11 @@ def test_qber_visibility_inverse_property(vis):
     assert 1.0 - 2.0 * qber_from_visibility(vis) == pytest.approx(vis, abs=1e-12)
 
 
-def test_beacon_schedule_count_and_spacing():
-    config = SourceConfig(beacon_frequency_hz=10e3)
-    times = beacon_schedule(config, 1.0)
+def test_beacon_pulse_count():
     # pulses at 0, 1/f, ..., 1.0 inclusive
-    assert len(times) == 10001
-    assert times[0] == 0.0
-    assert np.allclose(np.diff(times), 1e-4)
-    assert beacon_schedule(SourceConfig(beacon_frequency_hz=0.0), 1.0).size == 0
+    assert beacon_pulse_count(SourceConfig(beacon_frequency_hz=10e3), 1.0) == 10001
+    assert beacon_pulse_count(SourceConfig(beacon_frequency_hz=10e3), 0.99995) == 10000
+    assert beacon_pulse_count(SourceConfig(beacon_frequency_hz=0.0), 1.0) == 0
 
 
 def test_config_validation():
