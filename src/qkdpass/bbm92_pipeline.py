@@ -34,7 +34,7 @@ from .errors import (EmptyKey, LowSample, NoSync, OutOfRange, QkdPassError,
 from .orbit_dynamics import PassProfile, PassWindow, TwoLineElement, \
     predict_passes, sample_pass
 from .pat_controller import PatSeries, run_pat
-from .photon_source import (PairCarry, PairEventStream, SourceConfig, beacon_pulse_count,
+from .photon_source import (PairCarry, PairEventStream, beacon_pulse_count,
                             generate_pair_stream, pair_rate)
 from .polarization_correction import PcsSeries, frame_offset_profile, \
     run_polarization_correction
@@ -144,9 +144,10 @@ class QberEstimate:
 def estimate_qber(
     key: SiftedKey,
     sample_fraction: float = 0.1,
-    rng: np.random.Generator | int = 0,
+    *,
+    rng: np.random.Generator,
 ) -> QberEstimate:
-    """Disclose a random fraction of the key and count disagreements.
+    """Disclose a random fraction of the key, drawn by rng, and count errors.
 
     The standard error is the binomial estimate sqrt(q(1-q)/n) on the
     disclosed sample. Raises EmptyKey on a zero-length key and warns
@@ -157,8 +158,6 @@ def estimate_qber(
     n = len(key)
     if n == 0:
         raise EmptyKey("cannot estimate an error rate from an empty key")
-    if not isinstance(rng, np.random.Generator):
-        rng = module_rng(rng, MODULE_NAME)
     n_disclosed = max(1, int(round(sample_fraction * n)))
     if n_disclosed < 100:
         warnings.warn(
@@ -205,18 +204,15 @@ class KeyReport:
 class PassResult:
     """Everything simulate_pass produced, report plus telemetry.
 
-    Neither the pair stream nor either arm's tags are kept: stream,
-    onboard_tags and ground_tags draw them again from the seed on first
-    read. onboard_arm and ground_arm hold what the tags are drawn from,
-    the channel survivors among it.
+    Neither the pair stream nor either arm's tags are kept: stream and
+    tag_blocks draw them again from the seed. onboard_arm and ground_arm
+    hold what the tags are drawn from, the channel survivors among it.
     """
 
     report: KeyReport
     pat: PatSeries = field(repr=False)
     pcs: PcsSeries = field(repr=False)
     link: LinkProfile = field(repr=False)
-    source: SourceConfig = field(repr=False)
-    seed: int
     onboard_arm: _OnboardArm = field(repr=False)
     ground_arm: _GroundArm = field(repr=False)
     sync: SyncResult | None = field(repr=False)
@@ -225,49 +221,24 @@ class PassResult:
 
     @cached_property
     def stream(self) -> PairEventStream:
-        """The quantum window's pair stream, drawn again from the seed on first read.
-
-        simulate_pass keeps no whole-window pair stream: it draws the
-        pairs a block at a time, and blocks do not change the draws.
-        """
-        return generate_pair_stream(self.source, self.report.quantum_window_duration_s,
-                                    seed=self.seed)
+        """The quantum window's pair stream: the blocks simulate_pass drew
+        (_pair_blocks), drawn again and joined on first read."""
+        arm = self.onboard_arm
+        blocks = [block for block, _ in _pair_blocks(arm.scenario, arm.duration_s)]
+        return PairEventStream(np.concatenate([b.emission_times for b in blocks]),
+                               np.concatenate([b.idler_channel for b in blocks]),
+                               arm.duration_s, arm.scenario.source)
 
     def tag_blocks(self, arm: str) -> Iterator[TagStream]:
         """The "onboard" or "ground" arm's tags, drawn again from the seed
-        a block at a time: the same arm simulate_pass ran."""
+        a block at a time: the same arm simulate_pass ran, whose
+        coincidences index the blocks joined (the ground tags corrected to
+        the reference timebase and stable-sorted)."""
         if arm == "onboard":
             return (tags for tags, _ in self.onboard_arm.blocks())
         if arm == "ground":
             return self.ground_arm.blocks()
         raise ValueError(f"arm must be 'onboard' or 'ground', got {arm!r}")
-
-    @cached_property
-    def onboard_tags(self) -> TagStream:
-        """The onboard detector's tags, drawn again from the seed on first read.
-
-        simulate_pass matches the onboard tags a block at a time and
-        keeps none of them; this joins tag_blocks("onboard").
-        coincidences.onboard_indices index these tags.
-        """
-        return _joined(self.tag_blocks("onboard"))
-
-    @cached_property
-    def ground_tags(self) -> TagStream:
-        """The ground receiver's tags, drawn again from the seed on first read.
-
-        simulate_pass corrects and matches the ground tags a block at a
-        time and keeps none of them; this joins tag_blocks("ground").
-        coincidences.ground_indices index these tags on the reference
-        timebase, stable-sorted.
-        """
-        return _joined(self.tag_blocks("ground"))
-
-
-def _joined(blocks: Iterable[TagStream]) -> TagStream:
-    """The tags of successive blocks of one stream, joined."""
-    columns = [(tags.times_s, tags.channels, tags.origins) for tags in blocks]
-    return TagStream(*(np.concatenate(column) for column in zip(*columns)))
 
 
 @contextmanager
@@ -375,8 +346,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
       beacon (total blackout) warns NoSync with the reason and yields a
       well-formed zero-key report instead of an error; neither arm runs.
     - The survivor pass (_survivors): the pairs, drawn and thinned by
-      the channel one block at a time (see generate_pair_stream). Only
-      the channel survivors outlive a block.
+      the channel one block at a time. Only the channel survivors
+      outlive a block.
     - Both arms, matched in time order (match_blocks). The onboard arm
       (_OnboardArm.blocks) draws the pairs again and detects every idler
       a pair block at a time; the ground arm (_GroundArm.blocks) detects
@@ -386,10 +357,11 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
       Whichever arm is behind gives its next block, and the tags of both
       up to a gap wider than the coincidence window are matched as one
       segment, so neither whole tag stream is held;
-      PassResult.onboard_tags and ground_tags run an arm again when read.
+      PassResult.tag_blocks runs an arm again.
 
-    The results do not depend on either block size. Deterministic for a
-    given scenario and seed.
+    The survivor pass, the onboard arm and PassResult.stream draw their
+    pairs from one generator (_pair_blocks). The results do not depend on
+    either block size. Deterministic for a given scenario and seed.
     """
     seed = scenario.seed
     proto = scenario.protocol
@@ -477,9 +449,8 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
         )
 
     return PassResult(
-        report=report, pat=pat, pcs=pcs, link=link, source=scenario.source, seed=seed,
-        onboard_arm=onboard_arm, ground_arm=ground_arm, sync=sync,
-        coincidences=coincidences, key=key,
+        report=report, pat=pat, pcs=pcs, link=link, onboard_arm=onboard_arm,
+        ground_arm=ground_arm, sync=sync, coincidences=coincidences, key=key,
     )
 
 
@@ -559,24 +530,35 @@ def _beacon_tags(scenario: Scenario, link: LinkProfile, flight_s, n_pulses: int,
     return np.concatenate(tags)
 
 
+def _pair_blocks(scenario: Scenario,
+                 duration_s: float) -> Iterator[tuple[PairEventStream, bool]]:
+    """The window's pairs drawn from the seed (generate_pair_stream), one
+    block at a time, each block with whether it is the last.
+
+    The blocks joined do not depend on the block size.
+    """
+    carry = PairCarry.seeded(scenario.seed)
+    with _stage("photon_source"):
+        while not carry.done:
+            # bound to no local, which a suspended generator would keep
+            # alive while the next block is drawn
+            yield generate_pair_stream(scenario.source, duration_s, carry), carry.done
+
+
 def _survivors(scenario: Scenario, link: LinkProfile,
                q_dur: float) -> tuple[PairEventStream, np.random.Generator]:
     """The window's channel survivors, and the channel stream as the last
     pair block left it.
 
-    The pairs are drawn and thinned by the channel a block at a time;
-    only the survivors' emission times and idler channels (9 B each)
-    outlive a block.
+    The pairs are thinned by the channel a block at a time; only the
+    survivors' emission times and idler channels (9 B each) outlive a
+    block.
     """
-    source = PairCarry.seeded(scenario.seed)
     channel_rng = module_rng(scenario.seed, "channel_link")
     kept_t, kept_c = [], []
-    while not source.done:
-        with _stage("photon_source"):
-            block = generate_pair_stream(scenario.source, q_dur, carry=source)
+    for block, _ in _pair_blocks(scenario, q_dur):
         with _stage("channel_link"):
-            rows = apply_channel(block, link, channel_rng,
-                                 background=False).survivor_indices
+            rows = apply_channel(block, link, channel_rng).survivor_indices
         kept_t.append(block.emission_times[rows])
         kept_c.append(block.idler_channel[rows])
         del block, rows
@@ -604,18 +586,14 @@ class _OnboardArm:
         joined do not depend on the block size.
         """
         scenario, span = self.scenario, (0.0, self.duration_s)
-        source = PairCarry.seeded(scenario.seed)
         rngs = module_streams(scenario.seed, "quantum_receiver.onboard.detector", 3)
         carry = DetectorCarry()
-        while not source.done:
-            with _stage("photon_source"):
-                block = generate_pair_stream(scenario.source, self.duration_s,
-                                             carry=source)
+        for block, last in _pair_blocks(scenario, self.duration_s):
             with _stage("quantum_receiver"):
                 tags = apply_detector(
                     block.emission_times, measure_polarization(block, "onboard"),
                     scenario.onboard_detector, ClockModel(), rng=rngs,
-                    span_s=span, carry=carry, last=source.done)
+                    span_s=span, carry=carry, last=last)
             del block
             yield tags, carry.until
 

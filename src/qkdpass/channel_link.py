@@ -18,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import LowElevation, NonpositiveElevation, OutOfRange, ProfileGap
 from .photon_source import PairEventStream
-from .seeding import _uniform_below, module_rng
+from .seeding import _uniform_below
 
 MODULE_NAME = "channel_link"
 
@@ -350,41 +350,28 @@ def _background_block(rng: np.random.Generator, profile: LinkProfile,
 
 
 def apply_channel(
-    stream: PairEventStream, profile: LinkProfile,
-    seed: int | np.random.Generator,
-    background: bool | BackgroundCarry = True,
+    stream: PairEventStream, profile: LinkProfile, rng: np.random.Generator,
+    background: BackgroundCarry | None = None,
 ) -> ChannelResult:
     """Thin the pair stream at the time-local transmittance.
 
     Each downlink photon survives independently with the profile's
-    transmittance at its emission time, one uniform per pair. Then,
-    from the same generator, background arrivals of an inhomogeneous
-    Poisson process at the profile's background rate: with background
-    True all of them over the stream's window; with a BackgroundCarry
-    the next block of them over its span (see _background_block), and
-    carry.done is set by the call that returns the last. A window drawn
-    in blocks passes one generator to a call per block of pairs, then
-    to a call per block of background (with an empty stream): every
-    draw is sequential in it, so the survivors and the background do
-    not depend on the block sizes. Deterministic for a given seed.
+    transmittance at its emission time, one uniform per pair from rng.
+    With a BackgroundCarry, rng then draws the next block of background
+    arrivals over its span, an inhomogeneous Poisson process at the
+    profile's background rate (see _background_block), and carry.done
+    is set by the call that returns the last. A window passes one
+    generator to a call per block of pairs, then to a call per block of
+    background (with an empty stream): every draw is sequential in it,
+    so the survivors and the background do not depend on the block sizes.
     """
     if not profile.covers(stream.duration_s):
         raise ProfileGap(
             f"profile [{profile.times_s[0]:.3f}, {profile.times_s[-1]:.3f}] s does not "
             f"cover stream duration {stream.duration_s:.3f} s"
         )
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else module_rng(seed, MODULE_NAME)
     survivors = np.flatnonzero(_uniform_below(
         rng, profile.transmittance, profile._hold_bounds(stream.emission_times)))
-    if background is True:
-        carry = BackgroundCarry((0.0, stream.duration_s))
-        blocks = [_background_block(rng, profile, carry)]
-        while not carry.done:
-            blocks.append(_background_block(rng, profile, carry))
-        arrivals = np.concatenate(blocks)
-    elif background:
-        arrivals = _background_block(rng, profile, background)
-    else:
-        arrivals = np.empty(0)
+    arrivals = np.empty(0) if background is None \
+        else _background_block(rng, profile, background)
     return ChannelResult(survivor_indices=survivors, background_times=arrivals)

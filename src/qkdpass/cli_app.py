@@ -137,6 +137,11 @@ def _ensemble_worker(payload) -> tuple[int, int, float, int]:
 
 
 def cmd_simulate(args) -> int:
+    if args.ensemble is not None and args.ensemble < 1:
+        raise ScenarioError(f"--ensemble needs at least one seed, got {args.ensemble}")
+    if args.ensemble and args.format:
+        raise ScenarioError("--format exports one run's tags; it does not go "
+                            "with --ensemble")
     scenario = _load(args)
     out = _out_dir(scenario, args)
 

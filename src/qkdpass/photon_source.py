@@ -145,9 +145,22 @@ class PairCarry:
         return cls(*module_streams(seed, MODULE_NAME, 2))
 
 
-def _next_block(config: SourceConfig, duration_s: float,
-                carry: PairCarry) -> PairEventStream:
-    """The window's next pairs, at most _BLOCK_PAIRS of them."""
+def generate_pair_stream(config: SourceConfig, duration_s: float,
+                         carry: PairCarry) -> PairEventStream:
+    """The next block of a Poisson pair stream over [0, duration_s).
+
+    The pair times are running sums of exponential spacings of mean
+    1/rate from carry.times_rng, and the idler channels (basis * 2 +
+    outcome, all four equally likely) come from the raw words of
+    carry.idler_rng; a time that repeats its predecessor is dropped.
+    Each call returns the next block of at most _BLOCK_PAIRS pairs, and
+    carry.done is set by the call that returns the last. Every draw is
+    sequential in its own stream, so the pairs do not depend on how the
+    window is split into blocks: the blocks of PairCarry.seeded(seed),
+    joined, are the window's stream for that seed.
+    """
+    if duration_s <= 0.0:
+        raise OutOfRange(f"duration must be positive, got {duration_s}")
     rate = pair_rate(config)
     times = np.empty(0)
     if rate > 0.0:
@@ -175,39 +188,6 @@ def _next_block(config: SourceConfig, duration_s: float,
     return PairEventStream(
         emission_times=times,
         idler_channel=idler,
-        duration_s=duration_s,
-        config=config,
-    )
-
-
-def generate_pair_stream(
-    config: SourceConfig, duration_s: float, seed: int = 0,
-    carry: PairCarry | None = None,
-) -> PairEventStream:
-    """Emit a Poisson pair stream over [0, duration_s).
-
-    The pair times are running sums of exponential spacings of mean
-    1/rate from one generator, and the idler channels (basis * 2 +
-    outcome, all four equally likely) come from the raw words of a
-    second, both spawned from the seed; a time that repeats its
-    predecessor is dropped. Every draw is sequential in its own stream,
-    so the pairs do not depend on how the window is split into blocks.
-    Without carry this is the whole window; with carry
-    (PairCarry.seeded(seed), seed then unused) each call returns the
-    next block of at most _BLOCK_PAIRS pairs, and carry.done is set by
-    the call that returns the last.
-    """
-    if duration_s <= 0.0:
-        raise OutOfRange(f"duration must be positive, got {duration_s}")
-    if carry is not None:
-        return _next_block(config, duration_s, carry)
-    carry = PairCarry.seeded(seed)
-    blocks = [_next_block(config, duration_s, carry)]
-    while not carry.done:
-        blocks.append(_next_block(config, duration_s, carry))
-    return PairEventStream(
-        emission_times=np.concatenate([b.emission_times for b in blocks]),
-        idler_channel=np.concatenate([b.idler_channel for b in blocks]),
         duration_s=duration_s,
         config=config,
     )

@@ -252,7 +252,7 @@ def polarimeter_counts(
     theta_true_deg: float,
     hwp_deg: float,
     config: PolarimeterConfig,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> tuple[int, int]:
     """Transmit/reflect beacon counts for one wave-plate setting.
 
@@ -261,7 +261,6 @@ def polarimeter_counts(
     The reflect arm's efficiency is scaled by the configured detector
     pair ratio.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else module_rng(rng, MODULE_NAME)
     x = math.radians(theta_true_deg - 2.0 * hwp_deg)
     p_t = math.cos(x) ** 2
     mean = config.count_rate_hz * config.integration_s

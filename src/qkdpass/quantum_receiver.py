@@ -23,7 +23,7 @@ import numpy as np
 from .errors import OutOfRange, SyncFailed
 from .photon_source import BASIS_HV, PairEventStream, qber_from_visibility
 from .polarization_correction import qber_from_residual
-from .seeding import NORMAL_BOUND, _add_normal, _uniform_below, module_rng, module_streams
+from .seeding import NORMAL_BOUND, _add_normal, _uniform_below
 
 MODULE_NAME = "quantum_receiver"
 
@@ -187,7 +187,7 @@ def measure_polarization(
     stream: PairEventStream,
     side: str,
     residual_deg=0.0,
-    rng: np.random.Generator | int = 0,
+    rng: np.random.Generator | None = None,
     ad_anticorrelated: bool = True,
     rows=slice(None),
 ) -> np.ndarray:
@@ -195,10 +195,10 @@ def measure_polarization(
 
     rows indexes the measured pairs, every pair by default; residual_deg
     is a scalar or one value per measured pair. The onboard side replays
-    the idler channel recorded at emission. The ground side
-    draws, per measured photon and in this order, its basis, a fair bit,
-    a source error with probability (1 - visibility)/2 and a
-    misalignment flip with probability sin^2(residual). In the idler's
+    the idler channel recorded at emission and draws nothing. The ground
+    side draws from rng, per measured photon and in this order, its
+    basis, a fair bit, a source error with probability (1 - visibility)/2
+    and a misalignment flip with probability sin^2(residual). In the idler's
     basis it reads the idler outcome, otherwise the fair bit; both flips
     then apply. Its draws follow the measured photons, not their row
     numbers. ad_anticorrelated selects the convention of correlated H/V
@@ -209,8 +209,6 @@ def measure_polarization(
         return stream.idler_channel[rows]
     if side != "ground":
         raise OutOfRange(f"side must be 'ground' or 'onboard', got {side!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = module_rng(rng, MODULE_NAME + ".ground")
     idler = stream.idler_channel[rows]
     idler_basis = channel_basis(idler)
     bit = channel_bit(idler)
@@ -318,10 +316,10 @@ def apply_detector(
     channels: np.ndarray,
     model: DetectorModel,
     clock: ClockModel,
-    rng: np.random.Generator | int | Sequence[np.random.Generator] = 0,
-    span_s: tuple[float, float] | None = None,
+    rng: Sequence[np.random.Generator],
+    span_s: tuple[float, float],
+    carry: DetectorCarry,
     origins: np.ndarray | None = None,
-    carry: DetectorCarry | None = None,
     last: bool = True,
 ) -> TagStream:
     """Detection chain from photon arrivals to clock-stamped tags.
@@ -332,13 +330,9 @@ def apply_detector(
     clock-transformed span, then per-channel non-paralyzable dead-time
     pruning on the final timebase (an exact array kernel that follows
     every dead-time cluster in lockstep; see _prune_dead_time). span_s
-    (in arrival-side time) bounds the dark-count window; it defaults to
-    the arrival extent and is required for empty arrival lists when dark
-    counts matter.
-
-    rng gives the thinning, jitter and dark-count streams: a sequence
-    of three generators, one generator that all three draw from in that
-    order, or a seed for three child streams of this module's.
+    (in arrival-side time) bounds the dark-count window. rng is the
+    thinning, jitter and dark-count streams, in that order; one
+    generator passed three times draws all three in that order per call.
 
     The tags come out in the order of a stable argsort of the jittered
     arrivals followed by the dark counts: arrivals go first on equal
@@ -347,31 +341,22 @@ def apply_detector(
     are sorted on their own and merged in, per channel for the dead
     time and once more for the output.
 
-    A stream can come in blocks, in time order: each call passes the
-    same rng streams and carry, span_s is required, and last marks the
-    final block. A call returns the tags no later arrival can precede:
-    those before the block's latest arrival moved back by the largest
-    jitter. The rest wait in carry.held, and each channel's last kept
-    time carries the dead time over. Every draw is sequential in its
-    own stream, so the tags of all blocks together are those of one
+    A stream comes in blocks, in time order, possibly just one: each
+    call passes the same rng streams, span_s and carry, and last marks
+    the final block. A call returns the tags no later arrival can
+    precede: those before the block's latest arrival moved back by the
+    largest jitter. The rest wait in carry.held, and each channel's last
+    kept time carries the dead time over. Every draw is sequential in
+    its own stream, so the tags of all blocks together are those of one
     call over the whole stream, for any split.
     """
-    if isinstance(rng, np.random.Generator):
-        thin_rng = jitter_rng = dark_rng = rng
-    elif isinstance(rng, (int, np.integer)):
-        thin_rng, jitter_rng, dark_rng = module_streams(rng, MODULE_NAME + ".detector", 3)
-    else:
-        thin_rng, jitter_rng, dark_rng = rng
+    thin_rng, jitter_rng, dark_rng = rng
     times = np.asarray(arrival_times_s, dtype=float)
     columns = [times, np.asarray(channels)]
     if origins is not None:
         columns.append(np.asarray(origins))
     if any(len(column) != len(times) for column in columns):
         raise ValueError("arrival columns must share one length")
-    if carry is None:
-        carry, last = DetectorCarry(), True
-    elif span_s is None:
-        raise ValueError("a stream in blocks needs span_s")
     floor = carry.floor
     if len(times):
         if times.min() < floor:
@@ -399,9 +384,6 @@ def apply_detector(
     carry.until = final_before
 
     if carry.darks is None:
-        if span_s is None:
-            span_s = (float(arrival_times_s[0]), float(arrival_times_s[-1])) \
-                if len(arrival_times_s) else (0.0, 0.0)
         lo, hi = clock.apply(np.asarray(span_s, dtype=float))
         carry.darks = _dark_counts(dark_rng, model, lo, hi)
 
@@ -924,20 +906,15 @@ def _last_cut(a: np.ndarray, b: np.ndarray, until: float,
         tail *= 4
 
 
-def _as_blocks(tags: TagStream | Iterable[TagStream]) -> Iterable[TagStream]:
-    """One stream as its only block, or the blocks as they are."""
-    return (tags,) if isinstance(tags, TagStream) else tags
-
-
-def write_tags_csv(tags: TagStream | Iterable[TagStream], path: str | Path) -> None:
+def write_tags_csv(blocks: Iterable[TagStream], path: str | Path) -> None:
     """Export tags as time_s,channel rows ending in \r\n, as csv.writer writes them.
 
-    tags is one stream or the successive blocks of one, written as they
+    blocks are the successive blocks of one stream, written as they
     come: the bytes are those of the blocks joined.
     """
     with open(path, "w", newline="") as handle:
         handle.write("time_s,channel\r\n")
-        for stream in _as_blocks(tags):
+        for stream in blocks:
             for start in range(0, len(stream), _ROW_CHUNK):
                 block = slice(start, start + _ROW_CHUNK)
                 times = stream.times_s[block].tolist()
@@ -946,14 +923,14 @@ def write_tags_csv(tags: TagStream | Iterable[TagStream], path: str | Path) -> N
                              % tuple(itertools.chain.from_iterable(zip(times, tokens))))
 
 
-def write_tags_json(tags: TagStream | Iterable[TagStream], path: str | Path) -> None:
+def write_tags_json(blocks: Iterable[TagStream], path: str | Path) -> None:
     """Export one object with channel and time_s lists (origins dropped).
 
     The bytes are json.dumps(..., sort_keys=True, indent=2) plus a
-    newline, written _ROW_CHUNK values at a time. tags is one stream or
-    the successive blocks of one: the channels are written as the blocks
-    come, while the times wait in a temporary file (8 B a tag) for the
-    second list.
+    newline, written _ROW_CHUNK values at a time. blocks are the
+    successive blocks of one stream: the channels are written as the
+    blocks come, while the times wait in a temporary file (8 B a tag) for
+    the second list.
     """
     def write_list(key: str, chunks: Iterable[np.ndarray], tail: str) -> None:
         handle.write(f'  "{key}": [')
@@ -967,7 +944,7 @@ def write_tags_json(tags: TagStream | Iterable[TagStream], path: str | Path) -> 
         handle.write(f"\n  ]{tail}\n" if written else f"]{tail}\n")
 
     def channels_spooling_times() -> Iterator[np.ndarray]:
-        for stream in _as_blocks(tags):
+        for stream in blocks:
             stream.times_s.astype("<f8", copy=False).tofile(spool)
             yield stream.channels
 
@@ -1004,11 +981,11 @@ def read_tags_csv(path: str | Path) -> TagStream:
 _BINARY_DTYPE = np.dtype([("time_s", "<f8"), ("channel", "u1")])
 
 
-def write_tags_binary(tags: TagStream | Iterable[TagStream], path: str | Path) -> None:
-    """Export packed little-endian (float64 seconds, uint8 channel) records,
-    of one stream or of the successive blocks of one as they come."""
+def write_tags_binary(blocks: Iterable[TagStream], path: str | Path) -> None:
+    """Export packed little-endian (float64 seconds, uint8 channel) records
+    of the successive blocks of one stream, as they come."""
     with open(path, "wb") as handle:
-        for stream in _as_blocks(tags):
+        for stream in blocks:
             records = np.empty(len(stream), dtype=_BINARY_DTYPE)
             records["time_s"] = stream.times_s
             records["channel"] = stream.channels

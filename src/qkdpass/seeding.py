@@ -2,9 +2,11 @@
 
 All randomness in a run flows from one 64-bit scenario seed. Each module
 draws from its own ``numpy`` generator seeded with
-``seed XOR sha256(module_name)[:8]`` so that module-level tests and the
-end-to-end pipeline see identical streams. A module with several noise
-sources spawns one child stream per source from that same seed.
+``seed XOR sha256(module_name)[:8]``. The layers take generators, not
+seeds, so a module-level test that builds the pipeline's generator with
+``module_rng`` or ``module_streams`` sees the pipeline's streams. A
+module with several noise sources spawns one child stream per source
+from that same seed.
 Long per-row draws over photon streams go through ``_uniform_below``
 (thinning) and ``_add_normal`` (timing jitter), which draw the same
 values as one whole draw, a chunk at a time; the normals are truncated

@@ -381,6 +381,20 @@ def test_ensemble_runs_ordered_seeds(tmp_path, capsys):
     assert all(int(float(r["sifted_bits"])) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--ensemble", "-1"], "at least one seed"),
+    (["--ensemble", "0"], "at least one seed"),
+    (["--ensemble", "2", "--format", "bin"], "--format"),
+])
+def test_ensemble_rejects_bad_use(tmp_path, capsys, extra, message):
+    # no seed to run, or tag files that one run of many would write, is a
+    # configuration error: nothing runs and nothing is written
+    cfg, _ = write_demo_inputs(tmp_path)
+    assert run(["simulate", "--scenario", cfg, *extra]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 GOLDEN_DEMO = Path(__file__).parent / "golden_demo.json"
 GOLDEN_SAMPLES = 100  # strided values kept per telemetry column
 

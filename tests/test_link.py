@@ -15,8 +15,9 @@ from qkdpass.channel_link import (MODULE_NAME, BackgroundCarry, LinkConfig,
                                   build_link_profile, geometric_transmittance,
                                   pointing_transmittance)
 from qkdpass.errors import LowElevation, OutOfRange, ProfileGap
-from qkdpass.photon_source import SourceConfig, generate_pair_stream
+from qkdpass.photon_source import SourceConfig
 from qkdpass.seeding import module_rng
+from conftest import channel_window, pair_stream
 
 CONFIG = LinkConfig()
 
@@ -199,7 +200,7 @@ def test_profile_recombines_to_transmittance():
 
 def test_apply_channel_thinning_statistics():
     config = SourceConfig(pump_power_mw=0.01)  # 136k pairs/s
-    stream = generate_pair_stream(config, 1.0, seed=2)
+    stream = pair_stream(config, 1.0, 2)
     profile = build_link_profile(
         np.array([0.0, 1.0]),
         range_km=np.full(2, 500.0),
@@ -208,17 +209,17 @@ def test_apply_channel_thinning_statistics():
         config=LinkConfig(),
     )
     t = float(profile.transmittance[0])
-    result = apply_channel(stream, profile, seed=9)
+    result = channel_window(stream, profile, 9)
     n = len(stream)
     expected = n * t
     assert abs(len(result.survivor_indices) - expected) < 5.0 * np.sqrt(n * t * (1.0 - t))
-    again = apply_channel(stream, profile, seed=9)
+    again = channel_window(stream, profile, 9)
     assert np.array_equal(result.survivor_indices, again.survivor_indices)
 
 
 def test_apply_channel_background_statistics():
     config = SourceConfig(pump_power_mw=1e-4)
-    stream = generate_pair_stream(config, 2.0, seed=2)
+    stream = pair_stream(config, 2.0, 2)
     rate = 5000.0
     profile = build_link_profile(
         np.array([0.0, 2.0]),
@@ -227,7 +228,7 @@ def test_apply_channel_background_statistics():
         residual_arcsec=np.zeros(2),
         config=LinkConfig(sky_background_rate_zenith=rate),
     )
-    result = apply_channel(stream, profile, seed=4)
+    result = channel_window(stream, profile, 4)
     mean = rate * 2.0
     assert abs(len(result.background_times) - mean) < 5.0 * np.sqrt(mean)
     assert np.all(np.diff(result.background_times) >= 0.0)
@@ -236,7 +237,7 @@ def test_apply_channel_background_statistics():
 
 
 def test_apply_channel_requires_coverage():
-    stream = generate_pair_stream(SourceConfig(pump_power_mw=1e-4), 10.0)
+    stream = pair_stream(SourceConfig(pump_power_mw=1e-4), 10.0)
     profile = build_link_profile(
         np.array([0.0, 5.0]),
         range_km=np.full(2, 500.0),
@@ -245,7 +246,7 @@ def test_apply_channel_requires_coverage():
         config=CONFIG,
     )
     with pytest.raises(ProfileGap):
-        apply_channel(stream, profile, seed=0)
+        apply_channel(stream, profile, module_rng(0, MODULE_NAME))
 
 
 def _profile(times, transmittance=None, background=None) -> LinkProfile:
@@ -484,7 +485,7 @@ def test_background_sorted_across_holds_an_ulp_apart():
 
 def test_apply_channel_matches_per_pair_thinning():
     # 408k pairs: several draw chunks, and holds at 0 and 1
-    stream = generate_pair_stream(SourceConfig(pump_power_mw=0.01), 3.0, seed=5)
+    stream = pair_stream(SourceConfig(pump_power_mw=0.01), 3.0, 5)
     profile = _profile([-0.5, 0.0, 0.7, 0.7, 1.9, 2.2, 3.0],
                        transmittance=[0.9, 0.3, 0.05, 1.0, 0.0, 0.6, 0.2],
                        background=[1e3, 2e3, 0.0, 5e3, 1e3, 0.0, 4e3])
@@ -492,7 +493,7 @@ def test_apply_channel_matches_per_pair_thinning():
     p = profile.transmittance_at(stream.emission_times)
     want = np.flatnonzero(rng.random(len(stream)) < p)
     want_background = reference_background(rng, profile, (0.0, stream.duration_s))
-    got = apply_channel(stream, profile, seed=8)
+    got = channel_window(stream, profile, 8)
     assert np.array_equal(got.survivor_indices, want)
     assert got.survivor_indices.dtype == want.dtype
     assert got.background_times.tobytes() == want_background.tobytes()

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,7 +22,7 @@ from qkdpass.pat_controller import (MODULE_NAME, CameraModel, FsmModel,
                                     centroid_offset, mount_step, pat_transition,
                                     run_pat)
 from qkdpass.seeding import module_streams
-from conftest import base_scenario
+from conftest import base_scenario, traced_memory
 
 
 def first_index(phases: np.ndarray, phase: PatPhase) -> int:
@@ -204,20 +203,10 @@ def test_run_pat_memory_is_bounded_per_step():
     # the peak is 7.8 MiB measured, bounded here with 2.2 MiB of margin
     # (14.5 MiB while it drew 60 sub-steps per update)
     n = 45_000
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        series = run_pat(45.0, duration_s=450.0, dt_s=0.01)
-        live, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    series, live, peak = traced_memory(run_pat, 45.0, duration_s=450.0, dt_s=0.01)
     assert len(series.times_s) == n and series.lock_fraction() > 0.99
-    assert (live - base) / n <= 200.0
-    assert peak - base <= 10 * 2**20
+    assert live / n <= 200.0
+    assert peak <= 10 * 2**20
 
 
 def test_pipeline_leaves_fine_trace_unbuilt(monkeypatch):

@@ -18,6 +18,7 @@ from qkdpass.polarization_correction import (FrameOffsetProfile, PcsConfig,
                                              qber_from_residual,
                                              run_polarization_correction,
                                              wrap_half_turn)
+from qkdpass.seeding import module_rng
 
 
 def exact_rows(theta_deg: float, settings=(0.0, 22.5), total: float = 1e9):
@@ -96,11 +97,13 @@ def test_qber_from_residual():
 
 def test_polarimeter_counts_statistics():
     config = PolarimeterConfig(count_rate_hz=1e6, integration_s=1.0)
-    n_t, n_r = polarimeter_counts(0.0, 0.0, config, 0)
+    n_t, n_r = polarimeter_counts(0.0, 0.0, config,
+                                  module_rng(0, polarization_correction.MODULE_NAME))
     # aligned frame: everything lands in the transmit arm
     assert n_t > 0.99e6
     assert n_r < 5.0 * np.sqrt(1e6) * 0.01 + 100
-    n_t, n_r = polarimeter_counts(45.0, 0.0, config, 0)
+    n_t, n_r = polarimeter_counts(45.0, 0.0, config,
+                                  module_rng(0, polarization_correction.MODULE_NAME))
     total = n_t + n_r
     assert abs(n_t - total / 2) < 5.0 * np.sqrt(total)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,17 +17,17 @@ from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
                                     estimate_qber, secret_fraction, sift,
                                     simulate_pass)
 from qkdpass.errors import EmptyKey, LowSample, NoSync, OutOfRange, SimulationError
-from qkdpass.photon_source import SourceConfig, generate_pair_stream
+from qkdpass.photon_source import SourceConfig
 from qkdpass.polarization_correction import PcsSeries
 from qkdpass.channel_link import LinkProfile
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_BEACON, CHANNEL_D, CHANNEL_H,
                                       CHANNEL_V, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
-                                      QUAD_CHANNELS, ClockModel, DetectorModel,
-                                      SyncConfig, apply_detector, find_coincidences,
-                                      measure_polarization)
+                                      QUAD_CHANNELS, ClockModel, DetectorCarry,
+                                      DetectorModel, SyncConfig, apply_detector,
+                                      find_coincidences, measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
-from qkdpass.seeding import module_streams
-from conftest import base_scenario, stable_sorted
+from qkdpass.seeding import module_rng, module_streams
+from conftest import arm_tags, base_scenario, pair_stream, stable_sorted, traced_memory
 from sync_reference import beacon_schedule
 
 
@@ -123,14 +122,19 @@ def _key(bits, partner):
                      basis_per_bit=np.zeros(len(bits), dtype=np.uint8))
 
 
+def _qber_rng(seed: int) -> np.random.Generator:
+    """The pipeline's disclosure stream for a seed."""
+    return module_rng(seed, pipeline.MODULE_NAME)
+
+
 def test_estimate_qber_extremes():
     n = 2000
     bits = np.random.default_rng(20).integers(0, 2, n).astype(np.uint8)
-    perfect = estimate_qber(_key(bits, bits), rng=0)
+    perfect = estimate_qber(_key(bits, bits), rng=_qber_rng(0))
     assert perfect.qber == 0.0
     assert perfect.std_error == 0.0
     assert perfect.disclosed == 200
-    inverted = estimate_qber(_key(bits, 1 - bits), rng=0)
+    inverted = estimate_qber(_key(bits, 1 - bits), rng=_qber_rng(0))
     assert inverted.qber == 1.0
 
 
@@ -139,7 +143,7 @@ def test_estimate_qber_matches_true_rate():
     n = 50000
     bits = rng.integers(0, 2, n).astype(np.uint8)
     flips = rng.random(n) < 0.07
-    est = estimate_qber(_key(bits, bits ^ flips), sample_fraction=0.2, rng=1)
+    est = estimate_qber(_key(bits, bits ^ flips), sample_fraction=0.2, rng=_qber_rng(1))
     assert est.disclosed == 10000
     assert est.qber == pytest.approx(0.07, abs=5.0 * math.sqrt(0.07 * 0.93 / 10000))
     assert est.std_error == pytest.approx(math.sqrt(est.qber * (1 - est.qber) / 10000))
@@ -148,14 +152,14 @@ def test_estimate_qber_matches_true_rate():
 
 def test_estimate_qber_guards():
     with pytest.raises(EmptyKey):
-        estimate_qber(_key([], []))
+        estimate_qber(_key([], []), rng=_qber_rng(0))
     bits = np.ones(500, dtype=np.uint8)
     with pytest.raises(OutOfRange):
-        estimate_qber(_key(bits, bits), sample_fraction=0.0)
+        estimate_qber(_key(bits, bits), sample_fraction=0.0, rng=_qber_rng(0))
     with pytest.raises(OutOfRange):
-        estimate_qber(_key(bits, bits), sample_fraction=1.5)
+        estimate_qber(_key(bits, bits), sample_fraction=1.5, rng=_qber_rng(0))
     with pytest.warns(LowSample):
-        estimate_qber(_key(bits, bits), sample_fraction=0.01)
+        estimate_qber(_key(bits, bits), sample_fraction=0.01, rng=_qber_rng(0))
 
 
 def test_estimate_qber_deterministic_per_seed():
@@ -163,8 +167,8 @@ def test_estimate_qber_deterministic_per_seed():
     bits = rng.integers(0, 2, 5000).astype(np.uint8)
     flips = rng.random(5000) < 0.05
     key = _key(bits, bits ^ flips)
-    a = estimate_qber(key, rng=4)
-    b = estimate_qber(key, rng=4)
+    a = estimate_qber(key, rng=_qber_rng(4))
+    b = estimate_qber(key, rng=_qber_rng(4))
     assert a == b
 
 
@@ -173,10 +177,11 @@ def test_error_mechanisms_add_independently():
     # q1 + q2 - 2 q1 q2 (a double flip cancels)
     q1, q2 = 0.05, 0.03
     config = SourceConfig(pump_power_mw=0.02, visibility=1.0 - 2.0 * q1)
-    stream = generate_pair_stream(config, 0.5, seed=31)
+    stream = pair_stream(config, 0.5, 31)
     residual = math.degrees(math.asin(math.sqrt(q2)))
     onboard = measure_polarization(stream, "onboard")
-    ground = measure_polarization(stream, "ground", residual_deg=residual, rng=32)
+    ground = measure_polarization(stream, "ground", residual_deg=residual,
+                                  rng=module_rng(32, "quantum_receiver.ground"))
     key = sift(onboard, ground)
     rate = key.mismatches() / len(key)
     expected = q1 + q2 - 2.0 * q1 * q2
@@ -215,14 +220,14 @@ def test_simulate_pass_recovers_configured_clock(sim_result):
 
 def test_simulate_pass_onboard_tags_are_quad_only(sim_result):
     # coincidence matching reads the onboard tags without a beacon filter
-    channels = sim_result.onboard_tags.channels
+    channels = arm_tags(sim_result, "onboard").channels
     assert len(channels) > 0
     assert set(np.unique(channels).tolist()) <= set(QUAD_CHANNELS)
 
 
 def test_simulate_pass_ground_tags_are_quad_only(sim_result):
     # clock correction and matching read the ground tags without a beacon filter
-    channels = sim_result.ground_tags.channels
+    channels = arm_tags(sim_result, "ground").channels
     assert len(channels) > 0
     assert set(np.unique(channels).tolist()) <= set(QUAD_CHANNELS)
 
@@ -307,7 +312,7 @@ def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
             if block == 7:
                 # an onboard tag whose dead time runs past the next pair
                 # block's first emission
-                tags = result.onboard_tags.times_s
+                tags = arm_tags(result, "onboard").times_s
                 dead = scenario.onboard_detector.dead_time_s
                 after = np.searchsorted(edges, tags, side="right")
                 inside = after < len(edges)
@@ -315,7 +320,7 @@ def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
             runs[block] = (
                 json.dumps(result.report.to_dict(), sort_keys=True), drawn,
                 *(getattr(tags, column).tobytes()
-                  for tags in (result.onboard_tags, result.ground_tags)
+                  for tags in (arm_tags(result, "onboard"), arm_tags(result, "ground"))
                   for column in ("times_s", "channels", "origins")))
         assert runs[1][0] and json.loads(runs[1][0])["coincidences_total"] > 0
         origins = np.frombuffer(runs[1][-1], np.uint8)
@@ -325,6 +330,33 @@ def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
         signal = int(np.count_nonzero(origins == ORIGIN_SIGNAL))
         assert ground_calls[1] > (1000 if sky else signal) and ground_calls[1 << 40] == 1
         assert runs[1] == runs[7] == runs[4096] == runs[1 << 40]
+
+
+@pytest.mark.parametrize("block", [7, photon_source._BLOCK_PAIRS])
+def test_stream_is_the_pairs_simulate_pass_drew(monkeypatch, block):
+    # the survivor pass and then the onboard arm draw the same pair blocks,
+    # and PassResult.stream is those blocks joined
+    monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
+    drawn, generate = [], pipeline.generate_pair_stream
+
+    def recording_pairs(*args):
+        pairs = generate(*args)
+        drawn.append((pairs.emission_times.tobytes(), pairs.idler_channel.tobytes()))
+        return pairs
+
+    monkeypatch.setattr(pipeline, "generate_pair_stream", recording_pairs)
+    scenario = base_scenario(
+        source=SourceConfig(pump_power_mw=0.01),
+        protocol=ProtocolConfig(max_source_events=3000 if block == 7 else 300_000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_pass(scenario)
+    half = len(drawn) // 2
+    assert result.sync is not None and half > (100 if block == 7 else 1)
+    assert drawn[:half] == drawn[half:]
+    times, idlers = (b"".join(column) for column in zip(*drawn[:half]))
+    assert times == result.stream.emission_times.tobytes()
+    assert idlers == result.stream.idler_channel.tobytes()
 
 
 ON_DEMAND_RUNS = {
@@ -343,7 +375,7 @@ ON_DEMAND_RUNS = {
 @pytest.mark.parametrize("run", sorted(ON_DEMAND_RUNS))
 def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
     # simulate_pass matches both arms' tags a block at a time and keeps
-    # none; onboard_tags and ground_tags run each arm again, and one
+    # none; tag_blocks runs each arm again, and one
     # find_coincidences call on those tags, the ground tags corrected and
     # stable-sorted, gives the pass's coincidences and key. Small pair and
     # sky blocks make many blocks and segments.
@@ -366,9 +398,9 @@ def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
         warnings.simplefilter("ignore")
         result = simulate_pass(ON_DEMAND_RUNS[run])
     during = {arm: calls.count(arm) for arm in ("onboard", "ground")}
-    onboard, tags = result.onboard_tags, result.ground_tags
-    assert calls.count("onboard") > during["onboard"] and result.onboard_tags is onboard
-    assert calls.count("ground") > during["ground"] and result.ground_tags is tags
+    onboard, tags = arm_tags(result, "onboard"), arm_tags(result, "ground")
+    assert calls.count("onboard") > during["onboard"]
+    assert calls.count("ground") > during["ground"]
     for stream in (onboard, tags):
         assert len(stream) and set(np.unique(stream.channels).tolist()) <= set(QUAD_CHANNELS)
     if run == "blackout":
@@ -427,7 +459,7 @@ def test_beacon_tags_in_blocks_equal_one_call(monkeypatch, block, jitter_s, tran
         DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
                       timing_jitter_rms_s=jitter_s),
         scenario.clock, rng=module_streams(scenario.seed, "quantum_receiver.ground.beacon", 3),
-        span_s=span).times_s
+        span_s=span, carry=DetectorCarry()).times_s
     monkeypatch.setattr(pipeline, "_BEACON_BLOCK", block)
     got = pipeline._beacon_tags(scenario, link, flight_s, len(schedule), span)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -445,19 +477,9 @@ def test_clock_sync_memory_is_bounded_per_pulse():
     # temporaries took 139.9 B
     scenario, link, flight_s, span = _beacon_run(50e3, 25.0, [1e-3])
     n_pulses = photon_source.beacon_pulse_count(scenario.source, 25.0)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        sync = pipeline._clock_sync(scenario, link, flight_s, 25.0, span)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    sync, _, peak = traced_memory(pipeline._clock_sync, scenario, link, flight_s, 25.0, span)
     assert n_pulses >= 1_000_000 and sync.n_matched == n_pulses
-    assert (peak - base) / n_pulses <= 48.0
+    assert peak / n_pulses <= 48.0
 
 
 def test_failed_sync_warns_why():
@@ -477,22 +499,12 @@ def test_simulate_pass_memory_is_bounded_per_pair():
     # peaked at 13.83 B a pair; a whole-window pair stream and its
     # detector pass at 22 B
     scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3_000_000))
-    tracing = tracemalloc.is_tracing()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = simulate_pass(scenario)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        result, _, peak = traced_memory(simulate_pass, scenario)
     pairs = 3_000_000
-    assert len(result.onboard_tags) > 0.4 * pairs
-    assert (peak - base) / pairs <= 8.0
+    assert len(arm_tags(result, "onboard")) > 0.4 * pairs
+    assert peak / pairs <= 8.0
 
 
 def reference_ground_arrivals(signal_t, signal_c, background_t, background_c):
@@ -621,22 +633,12 @@ def test_simulate_pass_memory_is_bounded_per_background_arrival(monkeypatch):
         return result
 
     monkeypatch.setattr(pipeline, "apply_channel", counting_channel)
-    tracing = tracemalloc.is_tracing()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = simulate_pass(scenario)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        result, _, peak = traced_memory(simulate_pass, scenario)
     arrivals = sum(drawn)
     assert arrivals > 1_000_000 and result.report.coincidences_total > 0
-    assert (peak - base) / arrivals <= 16.0
+    assert peak / arrivals <= 16.0
 
 
 def test_simulate_pass_memory_per_background_arrival_at_default_blocks(monkeypatch):
@@ -656,22 +658,12 @@ def test_simulate_pass_memory_per_background_arrival_at_default_blocks(monkeypat
         return result
 
     monkeypatch.setattr(pipeline, "apply_channel", counting_channel)
-    tracing = tracemalloc.is_tracing()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            result = simulate_pass(scenario)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        result, _, peak = traced_memory(simulate_pass, scenario)
     arrivals = sum(drawn)
     assert arrivals > 1_000_000 and result.report.coincidences_total > 0
-    assert (peak - base) / arrivals <= 10.0
+    assert peak / arrivals <= 10.0
 
 
 def test_corrected_times_blocks_match_one_evaluation(monkeypatch):

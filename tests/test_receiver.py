@@ -4,7 +4,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdpass import quantum_receiver
+from qkdpass.seeding import module_rng
 from qkdpass.errors import OutOfRange, SyncFailed
-from qkdpass.photon_source import SourceConfig, generate_pair_stream
+from qkdpass.photon_source import SourceConfig
 from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       _sort_in_place,
                                       CHANNEL_A, CHANNEL_BEACON, CHANNEL_D,
@@ -28,7 +28,7 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       read_tags_binary, read_tags_csv,
                                       write_tags_binary, write_tags_csv,
                                       write_tags_json)
-from conftest import stable_sorted
+from conftest import detect, pair_stream, stable_sorted, traced_memory
 from sync_reference import beacon_schedule, reference_beacon_clock_sync
 
 IDENTITY = ClockModel()
@@ -127,7 +127,12 @@ def test_tag_stream_invariants():
 
 def _perfect_stream(seed: int = 1, duration: float = 0.5):
     config = SourceConfig(pump_power_mw=0.01, visibility=1.0)
-    return generate_pair_stream(config, duration, seed=seed)
+    return pair_stream(config, duration, seed)
+
+
+def _ground_rng(seed: int) -> np.random.Generator:
+    """The ground analyzer's stream for a seed."""
+    return module_rng(seed, quantum_receiver.MODULE_NAME + ".ground")
 
 
 def test_measurement_onboard_replays_idler():
@@ -140,7 +145,7 @@ def test_measurement_onboard_replays_idler():
 def test_measurement_correlations_perfect_source():
     stream = _perfect_stream()
     onboard = measure_polarization(stream, "onboard")
-    ground = measure_polarization(stream, "ground", rng=3)
+    ground = measure_polarization(stream, "ground", rng=_ground_rng(3))
     same = channel_basis(onboard) == channel_basis(ground)
     hv = same & (channel_basis(onboard) == 0)
     ad = same & (channel_basis(onboard) == 1)
@@ -148,7 +153,8 @@ def test_measurement_correlations_perfect_source():
     # correlated in H/V, anticorrelated in A/D
     assert np.array_equal(channel_bit(onboard[hv]), channel_bit(ground[hv]))
     assert np.array_equal(channel_bit(onboard[ad]), 1 - channel_bit(ground[ad]))
-    both = measure_polarization(stream, "ground", rng=3, ad_anticorrelated=False)
+    both = measure_polarization(stream, "ground", rng=_ground_rng(3),
+                                ad_anticorrelated=False)
     ad2 = (channel_basis(onboard) == channel_basis(both)) & (channel_basis(onboard) == 1)
     assert np.array_equal(channel_bit(onboard[ad2]), channel_bit(both[ad2]))
 
@@ -156,7 +162,8 @@ def test_measurement_correlations_perfect_source():
 def test_measurement_full_misalignment_flips_everything():
     stream = _perfect_stream()
     onboard = measure_polarization(stream, "onboard")
-    ground = measure_polarization(stream, "ground", residual_deg=90.0, rng=3)
+    ground = measure_polarization(stream, "ground", residual_deg=90.0,
+                                  rng=_ground_rng(3))
     hv = (channel_basis(onboard) == channel_basis(ground)) & (channel_basis(onboard) == 0)
     assert np.array_equal(channel_bit(onboard[hv]), 1 - channel_bit(ground[hv]))
 
@@ -166,7 +173,8 @@ def test_measurement_accepts_per_event_residual():
     onboard = measure_polarization(stream, "onboard")
     residual = np.zeros(len(stream))
     residual[: len(stream) // 2] = 90.0
-    ground = measure_polarization(stream, "ground", residual_deg=residual, rng=3)
+    ground = measure_polarization(stream, "ground", residual_deg=residual,
+                                  rng=_ground_rng(3))
     same_hv = (channel_basis(onboard) == channel_basis(ground)) & (channel_basis(onboard) == 0)
     agree = channel_bit(onboard) == channel_bit(ground)
     first = same_hv & (np.arange(len(stream)) < len(stream) // 2)
@@ -180,7 +188,7 @@ def test_measurement_accepts_per_event_residual():
 def test_measurement_of_rows_matches_all_pairs(ad_anticorrelated, residual):
     # the ground side draws per measured photon: measuring rows of a stream
     # is measuring every pair of the sub-stream those rows make up
-    stream = generate_pair_stream(SourceConfig(pump_power_mw=0.01), 0.5, seed=4)
+    stream = pair_stream(SourceConfig(pump_power_mw=0.01), 0.5, 4)
     n = len(stream)
     draw = np.random.default_rng(5)
     rows = np.sort(draw.choice(n, size=n // 7, replace=False))
@@ -201,7 +209,8 @@ def test_measurement_of_rows_matches_all_pairs(ad_anticorrelated, residual):
     assert np.array_equal(measure_polarization(stream, "onboard", rows=rows),
                           onboard[rows])
     none = np.empty(0, dtype=np.intp)
-    assert measure_polarization(stream, "ground", rows=none, rng=9).shape == (0,)
+    assert measure_polarization(stream, "ground", rows=none,
+                                rng=_ground_rng(9)).shape == (0,)
     assert measure_polarization(stream, "onboard", rows=none).shape == (0,)
 
 
@@ -210,9 +219,10 @@ def test_measurement_mismatched_basis_is_fair(visibility, residual):
     # outside the idler's basis the ground bit is a fair coin, flips or not;
     # in it, the bit disagrees with the idler's at the combined flip rate
     config = SourceConfig(pump_power_mw=0.01, visibility=visibility)
-    stream = generate_pair_stream(config, 0.5, seed=8)
+    stream = pair_stream(config, 0.5, 8)
     onboard = measure_polarization(stream, "onboard")
-    ground = measure_polarization(stream, "ground", residual_deg=residual, rng=2)
+    ground = measure_polarization(stream, "ground", residual_deg=residual,
+                                  rng=_ground_rng(2))
     g_basis = channel_basis(ground)
     agree = channel_bit(onboard) == (channel_bit(ground) ^ (g_basis == 1))
     mismatched = channel_basis(onboard) != g_basis
@@ -295,8 +305,8 @@ def test_detector_matches_mask_and_argsort_form(case):
     want_rng, got_rng = np.random.default_rng(4), np.random.default_rng(4)
     want = reference_detector(times, channels, model, clock, want_rng,
                               span_s=(0.0, 0.2), origins=origins)
-    got = apply_detector(times, channels, model, clock, rng=got_rng,
-                         span_s=(0.0, 0.2), origins=origins)
+    got = detect(times, channels, model, clock, got_rng,
+                 span_s=(0.0, 0.2), origins=origins)
     for column, expected in zip((got.times_s, got.channels, got.origins), want):
         assert column.dtype == expected.dtype
         assert column.tobytes() == expected.tobytes()
@@ -344,8 +354,8 @@ def test_detector_matches_reference_properties(n, ties, shuffled, codes, with_or
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quantum_receiver, "_ROW_CHUNK", chunk)
         patch.setattr(quantum_receiver, "_SORT_BLOCK", chunk)
-        got = apply_detector(times, channels, model, clock, rng=got_rng,
-                             span_s=(0.0, 1e-3), origins=origins)
+        got = detect(times, channels, model, clock, got_rng,
+                     span_s=(0.0, 1e-3), origins=origins)
     for column, expected in zip((got.times_s, got.channels, got.origins), want):
         assert column.tobytes() == expected.tobytes()
     assert got_rng.random() == want_rng.random()
@@ -385,20 +395,10 @@ def test_detector_peak_memory_per_arrival():
     channels = rng.choice(QUAD_CHANNELS, size=n).astype(np.uint8)
     origins = rng.integers(0, 3, size=n).astype(np.uint8)
     model = DetectorModel(efficiency=0.5, dark_rate_hz=100.0, dead_time_s=1e-6)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        tags = apply_detector(times, channels, model, IDENTITY, rng=1,
-                              span_s=(0.0, 4.0), origins=origins)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    tags, _, peak = traced_memory(detect, times, channels, model, IDENTITY, 1,
+                                  span_s=(0.0, 4.0), origins=origins)
     assert 0.4 * n < len(tags) < 0.5 * n
-    assert (peak - base) / n <= 10.0
+    assert peak / n <= 10.0
 
 
 def _three_streams(seed):
@@ -432,7 +432,7 @@ def assert_blocks_match_whole(times, channels, model, clock, seed, span_s, cuts,
                               origins=None):
     whole_rngs = _three_streams(seed)
     whole = apply_detector(times, channels, model, clock, rng=whole_rngs,
-                           span_s=span_s, origins=origins)
+                           span_s=span_s, carry=DetectorCarry(), origins=origins)
     joined, rngs, parts = blocked_detector(times, channels, model, clock, seed,
                                            span_s, cuts, origins)
     for column, expected in zip(joined, (whole.times_s, whole.channels, whole.origins)):
@@ -507,7 +507,8 @@ def test_detector_dark_count_at_block_edge():
     model = DetectorModel(efficiency=1.0, dark_rate_hz=1e6, dead_time_s=0.0,
                           timing_jitter_rms_s=0.0)
     whole = apply_detector(np.empty(0), np.empty(0, np.uint8), model, IDENTITY,
-                           rng=_three_streams(5), span_s=(0.0, 1e-4))
+                           rng=_three_streams(5), span_s=(0.0, 1e-4),
+                           carry=DetectorCarry())
     edge = whole.times_s[len(whole) // 2]
     times = np.array([0.5 * edge, edge, edge, 1.5 * edge])
     channels = np.array([CHANNEL_H, CHANNEL_V, CHANNEL_A, CHANNEL_D], np.uint8)
@@ -541,24 +542,21 @@ def test_detector_blocks_must_come_in_time_order():
     with pytest.raises(ValueError):
         apply_detector(np.array([1.5]), np.zeros(1, np.uint8), IDEAL, IDENTITY,
                        rng=rngs, span_s=(0.0, 3.0), carry=carry)
-    with pytest.raises(ValueError):
-        apply_detector(np.array([1.0]), np.zeros(1, np.uint8), IDEAL, IDENTITY,
-                       rng=rngs, carry=DetectorCarry())
 
 
 def test_detector_rejects_columns_of_other_lengths():
     times = np.arange(5) * 1e-3
     with pytest.raises(ValueError):
-        apply_detector(times, np.zeros(4, np.uint8), IDEAL, IDENTITY, rng=0)
+        detect(times, np.zeros(4, np.uint8), IDEAL, IDENTITY, 0)
     with pytest.raises(ValueError):
-        apply_detector(times, np.zeros(5, np.uint8), IDEAL, IDENTITY, rng=0,
-                       origins=np.zeros(6, np.uint8))
+        detect(times, np.zeros(5, np.uint8), IDEAL, IDENTITY, 0,
+               origins=np.zeros(6, np.uint8))
 
 
 def test_detector_identity_chain():
     times = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 200))
     channels = np.full(200, CHANNEL_H, np.uint8)
-    tags = apply_detector(times, channels, IDEAL, IDENTITY, rng=0)
+    tags = detect(times, channels, IDEAL, IDENTITY, 0)
     assert np.array_equal(tags.times_s, times)
     assert np.array_equal(tags.channels, channels)
     assert np.all(tags.origins == ORIGIN_SIGNAL)
@@ -569,15 +567,15 @@ def test_detector_efficiency_thinning():
     times = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, n))
     model = DetectorModel(efficiency=0.3, dark_rate_hz=0.0, dead_time_s=0.0,
                           timing_jitter_rms_s=0.0)
-    tags = apply_detector(times, np.full(n, CHANNEL_V, np.uint8), model, IDENTITY, rng=2)
+    tags = detect(times, np.full(n, CHANNEL_V, np.uint8), model, IDENTITY, 2)
     assert abs(len(tags) - 0.3 * n) < 5.0 * np.sqrt(n * 0.3 * 0.7)
 
 
 def test_detector_dark_counts_quad_channels_only():
     model = DetectorModel(efficiency=1.0, dark_rate_hz=2000.0, dead_time_s=0.0,
                           timing_jitter_rms_s=0.0)
-    tags = apply_detector(np.empty(0), np.empty(0, np.uint8), model, IDENTITY,
-                          rng=3, span_s=(0.0, 1.0))
+    tags = detect(np.empty(0), np.empty(0, np.uint8), model, IDENTITY, 3,
+                  span_s=(0.0, 1.0))
     assert np.all(tags.origins == ORIGIN_DARK)
     assert set(np.unique(tags.channels)) <= set(QUAD_CHANNELS)
     for channel in QUAD_CHANNELS:
@@ -593,7 +591,7 @@ def test_detector_dead_time_prunes_per_channel():
     channels = rng.choice([CHANNEL_H, CHANNEL_V], size=5000).astype(np.uint8)
     model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=1e-6,
                           timing_jitter_rms_s=0.0)
-    tags = apply_detector(times, channels, model, IDENTITY, rng=5)
+    tags = detect(times, channels, model, IDENTITY, 5)
     for channel in (CHANNEL_H, CHANNEL_V):
         per = tags.times_s[tags.channels == channel]
         assert np.all(np.diff(per) >= 1e-6)
@@ -611,8 +609,7 @@ def test_detector_dead_time_rate_pull(rate_tau):
     times = np.sort(rng.uniform(0.0, duration, rng.poisson(rate * duration)))
     model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=dead_time,
                           timing_jitter_rms_s=0.0)
-    tags = apply_detector(times, np.full(len(times), CHANNEL_H, np.uint8), model,
-                          IDENTITY, rng=0)
+    tags = detect(times, np.full(len(times), CHANNEL_H, np.uint8), model, IDENTITY, 0)
     expected = rate * duration / (1.0 + rate_tau)
     sigma = math.sqrt(rate * duration / (1.0 + rate_tau) ** 3)
     assert abs(len(tags) - expected) / sigma < 5.0
@@ -625,7 +622,7 @@ def test_detector_dead_time_per_channel_matches_loop():
     origins = rng.integers(0, 3, size=6000).astype(np.uint8)
     model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=1e-6,
                           timing_jitter_rms_s=0.0)
-    tags = apply_detector(times, channels, model, IDENTITY, rng=0, origins=origins)
+    tags = detect(times, channels, model, IDENTITY, 0, origins=origins)
     keep = np.ones(len(times), dtype=bool)
     for channel in QUAD_CHANNELS:
         mask = channels == channel
@@ -651,7 +648,7 @@ def test_detector_dead_time_visits_present_channels_only(monkeypatch):
         return _prune_dead_time(channel_times, dead_time_s)
 
     monkeypatch.setattr(quantum_receiver, "_prune_dead_time", counting_prune)
-    tags = apply_detector(times, channels, model, IDENTITY, rng=0)
+    tags = detect(times, channels, model, IDENTITY, 0)
     keep = np.ones(len(times), dtype=bool)
     for channel in codes:
         mask = channels == channel
@@ -703,7 +700,7 @@ def test_detector_jitter_statistics():
     times = np.arange(n) * 1e-3
     model = DetectorModel(efficiency=1.0, dark_rate_hz=0.0, dead_time_s=0.0,
                           timing_jitter_rms_s=1e-9)
-    tags = apply_detector(times, np.full(n, CHANNEL_A, np.uint8), model, IDENTITY, rng=6)
+    tags = detect(times, np.full(n, CHANNEL_A, np.uint8), model, IDENTITY, 6)
     deltas = tags.times_s - times
     assert np.std(deltas) == pytest.approx(1e-9, rel=0.2)
     assert abs(np.mean(deltas)) < 5.0 * 1e-9 / np.sqrt(n)
@@ -712,7 +709,7 @@ def test_detector_jitter_statistics():
 def test_detector_applies_clock():
     clock = ClockModel(offset_s=2e-3, drift=5e-6)
     times = np.array([0.0, 1.0, 2.0])
-    tags = apply_detector(times, np.full(3, CHANNEL_H, np.uint8), IDEAL, clock, rng=0)
+    tags = detect(times, np.full(3, CHANNEL_H, np.uint8), IDEAL, clock, 0)
     assert np.allclose(tags.times_s, clock.apply(times), atol=1e-15)
 
 
@@ -839,19 +836,9 @@ def test_beacon_sync_memory_is_bounded_per_pulse():
     n_pulses = 2_000_001
     truth = ClockModel(offset_s=1.2e-3, drift=3e-6)
     tags = truth.apply(np.arange(n_pulses) / 50e3)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = beacon_clock_sync(tags, 50e3, n_pulses, SyncConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    result, _, peak = traced_memory(beacon_clock_sync, tags, 50e3, n_pulses, SyncConfig())
     assert result.n_matched == n_pulses
-    assert (peak - base) / n_pulses <= 12.0
+    assert peak / n_pulses <= 12.0
 
 
 def test_coincidences_identical_streams():
@@ -1082,7 +1069,7 @@ def test_tags_csv_round_trip(tmp_path):
     channels = np.array([CHANNEL_H, CHANNEL_D, CHANNEL_BEACON], np.uint8)
     stream = TagStream(times, channels, np.zeros(3, np.uint8))
     path = tmp_path / "tags.csv"
-    write_tags_csv(stream, path)
+    write_tags_csv([stream], path)
     back = read_tags_csv(path)
     # 15 significant digits survive the text round trip
     assert np.allclose(back.times_s, times, rtol=1e-14, atol=1e-13)
@@ -1115,7 +1102,7 @@ def test_tags_text_bytes_are_pinned(tmp_path, monkeypatch, fmt, rows_per_block):
     channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], len(times)).astype(np.uint8)
     path = tmp_path / f"tags.{fmt}"
     write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
-    write(TagStream(times, channels, np.zeros(len(times), np.uint8)), path)
+    write([TagStream(times, channels, np.zeros(len(times), np.uint8))], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_TEXT_SHA256[fmt]
 
 
@@ -1127,7 +1114,7 @@ def test_empty_tag_stream_text(tmp_path, fmt, text):
     # the JSON text is that of json.dumps(..., sort_keys=True, indent=2)
     path = tmp_path / f"tags.{fmt}"
     write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
-    write(TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8)), path)
+    write([TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8))], path)
     assert path.read_bytes() == text.encode()
 
 
@@ -1146,7 +1133,7 @@ def test_tag_export_in_blocks_equals_one_stream(tmp_path, fmt):
               for a, b in zip(cuts, cuts[1:])]
     empty = TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8))
     for name, whole, parts in (("full", stream, blocks), ("empty", empty, [])):
-        write(whole, tmp_path / f"whole_{name}.{fmt}")
+        write([whole], tmp_path / f"whole_{name}.{fmt}")
         write(iter(parts), tmp_path / f"blocks_{name}.{fmt}")
         assert ((tmp_path / f"blocks_{name}.{fmt}").read_bytes()
                 == (tmp_path / f"whole_{name}.{fmt}").read_bytes())
@@ -1161,18 +1148,8 @@ def test_json_tag_export_memory_is_bounded_per_block(tmp_path, monkeypatch):
     stream = TagStream(np.sort(rng.uniform(0.0, 450.0, n)),
                        rng.choice(QUAD_CHANNELS, n).astype(np.uint8),
                        np.zeros(n, np.uint8))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        write_tags_json(stream, tmp_path / "tags.json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert (peak - base) / n <= 16.0
+    _, _, peak = traced_memory(write_tags_json, [stream], tmp_path / "tags.json")
+    assert peak / n <= 16.0
 
 
 # recorded while the export still copied its records to one bytes object
@@ -1184,7 +1161,7 @@ def test_tags_binary_bytes_are_pinned(tmp_path):
     times = np.sort(rng.uniform(0.0, 450.0, 1000))
     channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], 1000).astype(np.uint8)
     path = tmp_path / "tags.bin"
-    write_tags_binary(TagStream(times, channels, np.zeros(1000, np.uint8)), path)
+    write_tags_binary([TagStream(times, channels, np.zeros(1000, np.uint8))], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_BINARY_SHA256
 
 
@@ -1194,7 +1171,7 @@ def test_tags_binary_round_trip(tmp_path):
     channels = rng.choice(QUAD_CHANNELS, 1000).astype(np.uint8)
     stream = TagStream(times, channels, np.zeros(1000, np.uint8))
     path = tmp_path / "tags.bin"
-    write_tags_binary(stream, path)
+    write_tags_binary([stream], path)
     back = read_tags_binary(path)
     assert np.array_equal(back.times_s, times)  # float64 exact
     assert np.array_equal(back.channels, channels)
