@@ -15,7 +15,7 @@ subtraction once the first clock fit pins down the emission times.
 """
 from __future__ import annotations
 
-import copy
+import dataclasses
 import math
 import warnings
 from collections.abc import Callable, Iterable, Iterator
@@ -40,12 +40,14 @@ from .polarization_correction import PcsSeries, frame_offset_profile, \
     run_polarization_correction
 from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                DetectorCarry, DetectorModel, ORIGIN_BACKGROUND,
-                               ORIGIN_SIGNAL, SyncResult, TagStream, _is_sorted,
-                               apply_detector, beacon_clock_sync, channel_basis,
-                               channel_bit, find_coincidences, match_blocks,
+                               ORIGIN_SIGNAL, SyncResult, TagStream, _compress,
+                               _is_sorted, _sort_in_place, apply_detector,
+                               beacon_clock_sync, channel_basis, channel_bit,
+                               find_coincidences, match_blocks,
                                measure_polarization)
 from .scenario import Scenario
-from .seeding import _two_bit_codes, module_rng, module_streams
+from .seeding import (_add_normal, _two_bit_codes, _uniform_below, module_rng,
+                      module_streams)
 
 MODULE_NAME = "bbm92_pipeline"
 
@@ -391,11 +393,9 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
     ground_span = (0.0, q_dur + max_flight)
     sync = _clock_sync(scenario, link, flight_s, q_dur, ground_span)
 
-    survivors, channel_rng = _survivors(scenario, link, q_dur)
     onboard_arm = _OnboardArm(scenario, q_dur)
-    # the sky background continues the channel stream where the pairs left it
     ground_arm = _GroundArm(scenario, link, pcs, q_start, ground_span, flight_s,
-                            survivors, channel_rng)
+                            _survivors(scenario, link, q_dur))
 
     coincidences: CoincidenceResult | None = None
     key = SiftedKey(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8),
@@ -545,10 +545,8 @@ def _pair_blocks(scenario: Scenario,
             yield generate_pair_stream(scenario.source, duration_s, carry), carry.done
 
 
-def _survivors(scenario: Scenario, link: LinkProfile,
-               q_dur: float) -> tuple[PairEventStream, np.random.Generator]:
-    """The window's channel survivors, and the channel stream as the last
-    pair block left it.
+def _survivors(scenario: Scenario, link: LinkProfile, q_dur: float) -> PairEventStream:
+    """The window's channel survivors.
 
     The pairs are thinned by the channel a block at a time; only the
     survivors' emission times and idler channels (9 B each) outlive a
@@ -562,8 +560,8 @@ def _survivors(scenario: Scenario, link: LinkProfile,
         kept_t.append(block.emission_times[rows])
         kept_c.append(block.idler_channel[rows])
         del block, rows
-    return (PairEventStream(np.concatenate(kept_t), np.concatenate(kept_c),
-                            q_dur, scenario.source), channel_rng)
+    return PairEventStream(np.concatenate(kept_t), np.concatenate(kept_c),
+                           q_dur, scenario.source)
 
 
 @dataclass(frozen=True)
@@ -602,10 +600,8 @@ class _OnboardArm:
 class _GroundArm:
     """The ground receiver's arm, run from the same state on every call.
 
-    survivors are the channel survivors of all pair blocks, and
-    channel_rng the channel stream as the last pair block left it: the
-    sky background continues it. span_s is the receiver's gate, the
-    window plus the longest flight time.
+    survivors are the channel survivors of all pair blocks. span_s is
+    the receiver's gate, the window plus the longest flight time.
     """
 
     scenario: Scenario
@@ -615,21 +611,28 @@ class _GroundArm:
     span_s: tuple[float, float]
     flight_s: Callable[[np.ndarray], np.ndarray]
     survivors: PairEventStream
-    channel_rng: np.random.Generator
 
     def blocks(self) -> Iterator[TagStream]:
         """The ground tags, one block of sky background at a time.
 
         The downlink split picks the survivors that reach the ground
         analyzer, measured at the PCS residual of their emission time
-        and sorted by arrival. The sky background is then drawn over the
-        gate a block at a time (see apply_channel), and each block is
-        detected merged with the signal arrivals up to its last time, in
-        pieces of at most _BLOCK_ARRIVALS signal arrivals (_ground_block),
-        so that a window without sky light is not one block either. The
-        blocks joined do not depend on the block size.
+        and sorted by arrival. The ground detector's efficiency and
+        jitter then act on these signal arrivals here, with its own
+        thinning and jitter streams in arrival order, and the registered
+        signal is stable-sorted by time. The sky background is drawn
+        over the gate from its own stream a block at a time, as that
+        detector registers it (see apply_channel), and each block is
+        merged with the signal up to its last time, in pieces of at most
+        _BLOCK_ARRIVALS signal arrivals (_ground_block), so that a
+        window without sky light is not one block either. The pieces go
+        through the detector at efficiency 1 without jitter: its dark
+        counts, clock and dead time. The blocks joined do not depend on
+        the block size.
         """
         scenario, seed, survivors = self.scenario, self.scenario.seed, self.survivors
+        model = scenario.ground_detector
+        rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
         with _stage("quantum_receiver"):
             downlink = module_rng(seed, "photon_source.downlink").random(
                 len(survivors)) < scenario.source.downlink_fraction
@@ -649,11 +652,18 @@ class _GroundArm:
             if not _is_sorted(signal_t):
                 order = np.argsort(signal_t, kind="stable")
                 signal_t, signal_channels = signal_t[order], signal_channels[order]
+            signal_t, signal_channels = _compress(
+                _uniform_below(rngs[0], (model.efficiency,), (0, len(signal_t))),
+                signal_t, signal_channels)
+            if model.timing_jitter_rms_s > 0.0:
+                _add_normal(rngs[1], signal_t, model.timing_jitter_rms_s)
+                _sort_in_place(signal_t, signal_channels)
 
-        ground_rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
+        registered = dataclasses.replace(model, efficiency=1.0, timing_jitter_rms_s=0.0)
         ground_carry = DetectorCarry()
-        channel_rng = copy.deepcopy(self.channel_rng)
-        sky = BackgroundCarry(self.span_s)
+        sky = BackgroundCarry(self.span_s, model.efficiency, model.timing_jitter_rms_s,
+                              module_rng(seed, "channel_link.background.edges"))
+        sky_rng = module_rng(seed, "channel_link.background")
         sky_codes = module_rng(seed, "quantum_receiver.ground.background")
         spare = np.empty(0, dtype=np.uint8)
         no_pairs = PairEventStream(np.empty(0), np.empty(0, dtype=np.uint8),
@@ -661,8 +671,10 @@ class _GroundArm:
         taken = 0
         while not sky.done:
             with _stage("channel_link"):
-                sky_t = apply_channel(no_pairs, self.link, channel_rng,
+                sky_t = apply_channel(no_pairs, self.link, sky_rng,
                                       background=sky).background_times
+            if not (len(sky_t) or sky.done):
+                continue  # every arrival of the block fell near a rate step
             with _stage("quantum_receiver"):
                 sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
                 pieces = _ground_block(signal_t, signal_channels, taken, sky_t, sky_c,
@@ -670,8 +682,8 @@ class _GroundArm:
                 del sky_t, sky_c
                 for arrivals, chans, origins, taken in pieces:
                     yield apply_detector(
-                        arrivals, chans, scenario.ground_detector, scenario.clock,
-                        rng=ground_rngs, span_s=self.span_s, origins=origins,
+                        arrivals, chans, registered, scenario.clock,
+                        rng=rngs, span_s=self.span_s, origins=origins,
                         carry=ground_carry, last=sky.done and taken == len(signal_t),
                     )
                     del arrivals, chans, origins

@@ -5,7 +5,8 @@ scaled atmospheric extinction, pointing loss of a Gaussian spot
 against the quantum-channel field stop, and a static optics
 efficiency. Background counts scale with the same airmass factor as
 the atmospheric loss. apply_channel thins a pair stream photon by
-photon at the time-local transmittance and injects background events.
+photon at the time-local transmittance and draws the background
+arrivals a receiver registers.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import LowElevation, NonpositiveElevation, OutOfRange, ProfileGap
 from .photon_source import PairEventStream
-from .seeding import _uniform_below
+from .seeding import NORMAL_BOUND, _add_normal, _uniform_below
 
 MODULE_NAME = "channel_link"
 
@@ -285,47 +286,118 @@ class ChannelResult:
 
 
 # Background arrivals per block: bounds the ground arm's working set,
-# whatever the sky rate and the span. A block costs about 32 B per
-# arrival while it is detected (about 4 MB here) and each block a fixed
-# 120-190 us in apply_detector (about 57 blocks on 1e6/s of sky over a
-# 7.4 s gate).
-_BLOCK_ARRIVALS = 1 << 17
+# whatever the sky rate and the span. The arrivals are drawn as
+# registered, so each one is detected: a block costs about 32 B per
+# arrival while it is detected (about 2 MB here) and each block a fixed
+# 120-190 us in apply_detector (about 57 blocks on 1e6/s of sky at a
+# detector efficiency of 0.5 over a 7.4 s gate).
+_BLOCK_ARRIVALS = 1 << 16
 
 
 @dataclass
 class BackgroundCarry:
     """Where one span's background arrivals stand between blocks.
 
-    span_s is the (start, end) the arrivals cover; reached is the
+    span_s is the (start, end) the arrivals cover. efficiency and
+    jitter_rms_s are the receiver's: the arrivals are drawn as its
+    detector registers them, thinned and jittered (1 and 0 draw them as
+    they reach it). A jittered draw needs edge_rng, the stream of the
+    arrivals near the rate steps (_edge_arrivals). reached is the
     cumulated rate of the last arrival drawn (0 before the first), and
-    done is set by the block that reaches the span's total.
+    done is set by the block that reaches the span's total. edge holds
+    the arrivals near the rate steps that no block has returned yet,
+    None before the first block.
     """
 
     span_s: tuple[float, float]
+    efficiency: float = 1.0
+    jitter_rms_s: float = 0.0
+    edge_rng: np.random.Generator | None = None
     reached: float = 0.0
     done: bool = False
+    edge: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.jitter_rms_s > 0.0 and self.edge_rng is None:
+            raise ValueError("a jittered background needs edge_rng")
+
+
+def _zones(edges: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the closed intervals within half_width of an
+    edge, the overlapping ones joined, in time order."""
+    unique = np.unique(edges)
+    starts, ends = unique - half_width, unique + half_width
+    first = np.r_[True, starts[1:] > ends[:-1]]
+    return starts[first], ends[np.r_[first[1:], True]]
+
+
+def _edge_arrivals(rng: np.random.Generator, edges: np.ndarray, rates: np.ndarray,
+                   jitter_rms_s: float) -> np.ndarray:
+    """The jittered arrivals that land within NORMAL_BOUND * jitter_rms_s of
+    an edge (_zones), sorted. rates[k] holds on [edges[k], edges[k + 1]].
+
+    The jitter is clipped at NORMAL_BOUND standard deviations, so only
+    arrivals from within that reach of a zone can land in it. Those
+    are drawn for each zone, a Poisson count and uniform times on each
+    hold its source overlaps, jittered like the detector's arrivals and
+    kept if they land in that zone: the zones are independent of each
+    other, and rng of the main draw.
+    """
+    reach = NORMAL_BOUND * jitter_rms_s
+    starts, ends = _zones(edges, reach)
+    src_lo = np.maximum(starts - reach, edges[0])
+    src_hi = np.minimum(ends + reach, edges[-1])
+    # each zone's source overlaps holds first to first + n - 1
+    first = np.searchsorted(edges, src_lo, side="right") - 1
+    n = np.searchsorted(edges, src_hi, side="left") - first
+    zone = np.repeat(np.arange(len(starts)), n)
+    hold = first[zone] + np.arange(len(zone)) - np.repeat(np.cumsum(n) - n, n)
+    left = np.maximum(src_lo[zone], edges[hold])
+    width = np.clip(np.minimum(src_hi[zone], edges[hold + 1]) - left, 0.0, None)
+    counts = rng.poisson(rates[hold] * width)
+    times = np.repeat(left, counts)
+    times += np.repeat(width, counts) * rng.random(len(times))
+    _add_normal(rng, times, jitter_rms_s)
+    zone = np.repeat(zone, counts)
+    return np.sort(times[(starts[zone] <= times) & (times <= ends[zone])])
 
 
 def _background_block(rng: np.random.Generator, profile: LinkProfile,
                       carry: BackgroundCarry) -> np.ndarray:
-    """The span's next background arrivals, at most _BLOCK_ARRIVALS of them.
+    """The span's next background arrivals as the receiver registers them,
+    a block of at most _BLOCK_ARRIVALS drawn.
+
+    Kept at the detector efficiency and jittered, a Poisson process at
+    the profile's background rate is a Poisson process at efficiency
+    times the rate, smoothed by the jitter (the colouring and
+    displacement theorems). The rate is constant between samples, so
+    the smoothing shows only within the jitter's reach of a sample
+    inside the span or of the span's ends. So the main arrivals are
+    drawn unjittered at efficiency times the rate, and those in such a
+    zone are dropped; the first block draws what lands in the zones
+    from the carry's edge_rng (_edge_arrivals), and each block merges in
+    those up to its last main time drawn.
 
     In the cumulated rate L(t), an integral of the stepwise-constant
-    rate, the arrivals are a unit-rate Poisson process: running sums of
-    standard exponentials, carried across block edges, up to L's total
-    over the span. Each maps back through L's piecewise-linear inverse,
-    one segment at a time with that segment's scalars, clipped into its
-    segment, so the times are sorted across segments and blocks.
+    rate, the main arrivals are a unit-rate Poisson process: running
+    sums of standard exponentials, carried across block edges, up to L's
+    total over the span. Each maps back through L's piecewise-linear
+    inverse, one segment at a time with that segment's scalars, clipped
+    into its segment, so the times are sorted across segments and blocks.
     """
     lo, hi = carry.span_s
     edges = np.append(np.clip(profile.times_s, lo, hi), hi)
     widths = np.diff(edges)
-    rates = profile.background_rate[: len(widths)]
+    rates = carry.efficiency * profile.background_rate[: len(widths)]
     cum = np.concatenate([[0.0], np.cumsum(rates * widths)])
     total = cum[-1]
     if not total > 0.0:
         carry.done = True
         return np.empty(0)
+    reach = NORMAL_BOUND * carry.jitter_rms_s
+    if carry.edge is None:
+        carry.edge = _edge_arrivals(carry.edge_rng, edges, rates, carry.jitter_rms_s) \
+            if reach > 0.0 else np.empty(0)
     # draw about what is left of the span when that is under a block
     left = total - carry.reached
     u = rng.standard_exponential(
@@ -335,18 +407,31 @@ def _background_block(rng: np.random.Generator, profile: LinkProfile,
     inside = int(np.searchsorted(u, total, side="left"))
     carry.done = inside < len(u)
     u = u[:inside]
-    if not len(u):
+    if len(u):
+        carry.reached = float(u[-1])
+        bounds = np.concatenate(
+            ([0], np.searchsorted(u, cum[1:-1], side="left"), [len(u)]))
+        for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
+            seg = u[bounds[k]:bounds[k + 1]]
+            seg -= cum[k]
+            seg /= rates[k]
+            seg += edges[k]
+            np.clip(seg, edges[k], edges[k + 1], out=seg)
+    if not reach > 0.0:
         return u
-    carry.reached = float(u[-1])
-    bounds = np.concatenate(
-        ([0], np.searchsorted(u, cum[1:-1], side="left"), [len(u)]))
-    for k in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        seg = u[bounds[k]:bounds[k + 1]]
-        seg -= cum[k]
-        seg /= rates[k]
-        seg += edges[k]
-        np.clip(seg, edges[k], edges[k + 1], out=seg)
-    return u
+    # a kept arrival lies outside every closed zone and an edge arrival
+    # inside one, so no two are equal and the merge does not depend on
+    # where the blocks end
+    upto = len(carry.edge) if carry.done else \
+        int(np.searchsorted(carry.edge, u[-1], side="right"))
+    edge, carry.edge = carry.edge[:upto], carry.edge[upto:]
+    starts, ends = _zones(edges, reach)
+    first = np.searchsorted(u, starts, side="left")
+    stop = np.searchsorted(u, ends, side="right")
+    hit = np.flatnonzero(stop > first)
+    if len(hit):
+        u = np.delete(u, np.concatenate([np.arange(first[k], stop[k]) for k in hit]))
+    return np.insert(u, np.searchsorted(u, edge), edge) if len(edge) else u
 
 
 def apply_channel(
@@ -359,11 +444,13 @@ def apply_channel(
     transmittance at its emission time, one uniform per pair from rng.
     With a BackgroundCarry, rng then draws the next block of background
     arrivals over its span, an inhomogeneous Poisson process at the
-    profile's background rate (see _background_block), and carry.done
-    is set by the call that returns the last. A window passes one
-    generator to a call per block of pairs, then to a call per block of
-    background (with an empty stream): every draw is sequential in it,
-    so the survivors and the background do not depend on the block sizes.
+    profile's background rate, as the carry's receiver registers it
+    (see _background_block), and carry.done is set by the call that
+    returns the last. A window passes one generator to a call per block
+    of pairs, and the background its own generator, to a call per
+    block of background with an empty stream: every draw is sequential
+    in its stream, so the survivors and the background do not depend on
+    the block sizes.
     """
     if not profile.covers(stream.duration_s):
         raise ProfileGap(

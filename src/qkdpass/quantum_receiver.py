@@ -324,15 +324,19 @@ def apply_detector(
 ) -> TagStream:
     """Detection chain from photon arrivals to clock-stamped tags.
 
-    In order: Bernoulli thinning at the detector efficiency, Gaussian
-    timing jitter (truncated at NORMAL_BOUND standard deviations), the
-    receiver clock transform, dark counts injected per channel over the
-    clock-transformed span, then per-channel non-paralyzable dead-time
-    pruning on the final timebase (an exact array kernel that follows
-    every dead-time cluster in lockstep; see _prune_dead_time). span_s
+    In order: Bernoulli thinning at the detector efficiency (no draw at
+    efficiency 1), Gaussian timing jitter (truncated at NORMAL_BOUND
+    standard deviations), the receiver clock transform, dark counts
+    injected per channel over the clock-transformed span, then
+    per-channel non-paralyzable dead-time pruning on the final timebase
+    (an exact array kernel that follows every dead-time cluster in
+    lockstep; see _prune_dead_time). span_s
     (in arrival-side time) bounds the dark-count window. rng is the
     thinning, jitter and dark-count streams, in that order; one
     generator passed three times draws all three in that order per call.
+    A model at efficiency 1 without jitter draws only the dark counts:
+    the ground arm passes one, as it thins and jitters its arrivals
+    itself, the sky light drawn as registered (see apply_channel).
 
     The tags come out in the order of a stable argsort of the jittered
     arrivals followed by the dark counts: arrivals go first on equal
@@ -363,15 +367,16 @@ def apply_detector(
             raise ValueError("blocks of arrivals must come in time order")
         floor = carry.floor = float(times.max())
 
-    kept = _uniform_below(thin_rng, (model.efficiency,), (0, len(times)))
-    if origins is None:
-        times, chan = _compress(kept, *columns)
-        orig = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8)
+    if model.efficiency < 1.0:
+        columns = _compress(
+            _uniform_below(thin_rng, (model.efficiency,), (0, len(times))), *columns)
     else:
-        times, chan, orig = _compress(kept, *columns)
-        orig = orig.astype(np.uint8, copy=False)
-    chan = chan.astype(np.uint8, copy=False)
-    del kept, columns
+        # every arrival is kept: copies, which the steps below change in place
+        columns = [column.copy() for column in columns]
+    times, chan = columns[0], columns[1].astype(np.uint8, copy=False)
+    orig = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8) if origins is None \
+        else columns[2].astype(np.uint8, copy=False)
+    del columns
 
     if model.timing_jitter_rms_s > 0.0:
         _add_normal(jitter_rng, times, model.timing_jitter_rms_s)

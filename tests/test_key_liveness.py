@@ -3,7 +3,9 @@
 Each case perturbs one leaf key as a scenario file would set it and
 names the regime where the change must show. A key with no such regime
 is dead and goes. [pcs] keys run the frame profile and its correction on
-the zenith pass; [sync] keys run the whole pass on a small pair cap.
+the zenith pass; [sync] keys run the whole pass on a small pair cap. The
+keys the sky light is drawn with, as the ground detector registers it,
+run the whole pass on a small pair cap with sky light.
 """
 from __future__ import annotations
 
@@ -14,11 +16,12 @@ import numpy as np
 import pytest
 
 from qkdpass.bbm92_pipeline import simulate_pass
+from qkdpass.quantum_receiver import ORIGIN_BACKGROUND
 from qkdpass.polarization_correction import frame_offset_profile, \
     run_polarization_correction
 from qkdpass.scenario import ProtocolConfig, Scenario, scenario_from_nested, \
     scenario_to_nested
-from conftest import base_scenario
+from conftest import arm_tags, base_scenario
 
 # (section, key): (perturbed value, regime where the change shows)
 PCS_KEYS = {
@@ -91,3 +94,40 @@ def test_sync_key_changes_the_report(base_report, section, key):
     report = _report({key: value})
     assert report != base_report, regime
     assert (report["sync_offset_s"] is None) == fails, regime
+
+
+# (section, key): (perturbed value, how the sky's ground tags change)
+SKY_KEYS = {
+    ("detectors.ground", "efficiency"): (0.4, "sky drawn at efficiency times the rate"),
+    ("detectors.ground", "timing_jitter_rms_s"): (
+        1e-4, "sky redrawn within the jitter's reach of the gate's ends"),
+    ("detectors.ground", "dead_time_s"): (5e-6, "more sky lost to dead time"),
+    ("link", "sky_background_rate_zenith"): (2e5, "sky drawn at a higher rate"),
+}
+
+
+def _sky_tags(changes: dict) -> list[bytes]:
+    """The background ground tags of a small pass with sky light, and
+    without dead time, so that the signal does not reach them."""
+    data = scenario_to_nested(base_scenario(
+        pat_dt_s=0.05,
+        protocol=dataclasses.replace(ProtocolConfig(), max_source_events=30_000)))
+    data["link"]["sky_background_rate_zenith"] = 1e5
+    data["detectors.ground"]["dead_time_s"] = 0.0
+    for (section, key), value in changes.items():
+        data[section][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tags = arm_tags(simulate_pass(scenario_from_nested(data)), "ground")
+    sky = tags.origins == ORIGIN_BACKGROUND
+    assert np.count_nonzero(sky) > 100
+    return [tags.times_s[sky].tobytes(), tags.channels[sky].tobytes()]
+
+
+def test_sky_keys_change_the_background_tags():
+    # the ground detector's efficiency, jitter and dead time act on the
+    # sky light as it is drawn, not on arrivals it passes through; each
+    # key, and the sky rate, must still change the background tags
+    base = _sky_tags({})
+    for (section, key), (value, regime) in SKY_KEYS.items():
+        assert _sky_tags({(section, key): value}) != base, regime

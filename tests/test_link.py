@@ -16,7 +16,7 @@ from qkdpass.channel_link import (MODULE_NAME, BackgroundCarry, LinkConfig,
                                   pointing_transmittance)
 from qkdpass.errors import LowElevation, OutOfRange, ProfileGap
 from qkdpass.photon_source import SourceConfig
-from qkdpass.seeding import module_rng
+from qkdpass.seeding import NORMAL_BOUND, _add_normal, module_rng
 from conftest import channel_window, pair_stream
 
 CONFIG = LinkConfig()
@@ -287,9 +287,10 @@ def reference_background(rng, profile, span_s):
     return np.array(out)
 
 
-def draw_background(rng, profile, span_s):
-    """Every block of one span's background, as the blocks came."""
-    carry, blocks = BackgroundCarry(span_s), []
+def draw_background(rng, profile, span_s, **receiver):
+    """Every block of one span's background, as the blocks came; receiver
+    holds BackgroundCarry's efficiency, jitter_rms_s and edge_rng."""
+    carry, blocks = BackgroundCarry(span_s, **receiver), []
     while not carry.done:
         blocks.append(channel_link._background_block(rng, profile, carry))
     return blocks
@@ -431,6 +432,77 @@ def test_background_blocks_are_one_stream(monkeypatch, block):
     assert joined.tobytes() == whole.tobytes()
     assert len(whole) > 5000 and np.all(np.diff(joined) >= 0.0)
     assert 0.0 <= joined[0] and joined[-1] <= span[1]
+
+
+def test_registered_background_without_jitter_is_the_thinned_rate():
+    # thinned at an efficiency without jitter, the background is the draw
+    # at efficiency times the rate, from the same stream, bit for bit
+    profile = _profile([-0.5, 0.0, 0.7, 0.7, 1.9, 2.2, 3.0],
+                       background=[1e3, 2e3, 0.0, 5e3, 1e3, 0.0, 4e3])
+    scaled = _profile(profile.times_s, background=0.3 * profile.background_rate)
+    span = (0.0, 3.3)
+    want = reference_background(np.random.default_rng(4), scaled, span)
+    got = np.concatenate(draw_background(np.random.default_rng(4), profile, span,
+                                         efficiency=0.3))
+    assert len(got) > 1000 and got.tobytes() == want.tobytes()
+
+
+def _jittered_background(seed, profile, span_s, efficiency, jitter_rms_s):
+    """A jittered registered background, joined over its blocks."""
+    return np.concatenate(draw_background(
+        np.random.default_rng(seed), profile, span_s, efficiency=efficiency,
+        jitter_rms_s=jitter_rms_s, edge_rng=np.random.default_rng([seed, 1])))
+
+
+def test_jittered_background_matches_jittering_every_arrival():
+    # an exaggerated jitter (1 ms, so the zones reach 10 ms) around a rate
+    # step and the span's ends: the background drawn as registered has the
+    # histogram of the full-rate draw thinned and jittered arrival by
+    # arrival, over 20 seeds (a two-sample chi-square on 1 ms bins); a
+    # draw that left the zones unjittered sits far off at the step and
+    # has no arrivals outside the span
+    profile = _profile([0.0, 0.1], background=[1e5, 4e5])
+    span, efficiency, sigma = (0.0, 0.2), 0.5, 1e-3
+    got, want = [], []
+    for seed in range(20):
+        got.append(_jittered_background(seed, profile, span, efficiency, sigma))
+        rng = np.random.default_rng([seed, 2])
+        full = np.concatenate(draw_background(rng, profile, span))
+        kept = full[rng.random(len(full)) < efficiency]
+        _add_normal(rng, kept, sigma)
+        want.append(kept)
+    got, want = np.concatenate(got), np.concatenate(want)
+    bins = np.arange(-12, 213) * 1e-3
+    a, b = np.histogram(got, bins)[0], np.histogram(want, bins)[0]
+    assert a.sum() == len(got) and b.sum() == len(want)
+    assert np.count_nonzero(got < 0.0) > 50 and np.count_nonzero(got > 0.2) > 200
+    live = a + b > 0
+    stat = float(np.sum((a - b)[live] ** 2 / (a + b)[live]))
+    assert chi2.sf(stat, int(np.count_nonzero(live))) > 1e-4
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_jittered_background_blocks_are_one_stream(monkeypatch, block):
+    # the zones near the rate steps (which a wide jitter joins and which
+    # a zero-rate hold borders) drop main arrivals and merge in their own
+    # across block edges: any block size gives the arrivals of one block,
+    # sorted, some of them in the zones
+    profile = _profile([-0.5, 0.0, 0.02, 0.02, 0.05, 0.051, 0.08],
+                       background=[1e3, 2e4, 0.0, 5e4, 1e4, 0.0, 4e4])
+    span, sigma = (0.0, 0.1), 3e-4
+    whole = _jittered_background(5, profile, span, 0.7, sigma)
+    monkeypatch.setattr(channel_link, "_BLOCK_ARRIVALS", block)
+    joined = _jittered_background(5, profile, span, 0.7, sigma)
+    assert joined.tobytes() == whole.tobytes()
+    assert len(whole) > 1000 and np.all(np.diff(whole) >= 0.0)
+    steps = np.array([0.0, 0.02, 0.05, 0.051, 0.08, 0.1])
+    near = np.abs(whole[:, np.newaxis] - steps).min(axis=1) <= NORMAL_BOUND * sigma
+    assert np.count_nonzero(near) > 50
+
+
+def test_jittered_background_needs_an_edge_stream():
+    with pytest.raises(ValueError):
+        BackgroundCarry((0.0, 1.0), jitter_rms_s=1e-9)
 
 
 def test_background_count_is_poisson():

@@ -250,7 +250,9 @@ def reference_detector(arrival_times_s, channels, model, clock, rng,
     channels = np.asarray(channels)
     if origins is None:
         origins = np.full(len(times), ORIGIN_SIGNAL, dtype=np.uint8)
-    kept = rng.random(len(times)) < model.efficiency
+    # efficiency 1 keeps every arrival without a draw
+    kept = rng.random(len(times)) < model.efficiency if model.efficiency < 1.0 \
+        else np.ones(len(times), dtype=bool)
     times = times[kept]
     chan = channels[kept].astype(np.uint8)
     orig = np.asarray(origins)[kept].astype(np.uint8)
