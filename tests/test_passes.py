@@ -12,9 +12,11 @@ import qkdpass.orbit_dynamics.frames as frames
 import qkdpass.orbit_dynamics.passes as passes
 import qkdpass.orbit_dynamics.sgp4 as sgp4
 from qkdpass.errors import ProfileGap
-from qkdpass.orbit_dynamics import (Sgp4Propagator, eci_to_topocentric, julian_date,
+from qkdpass.orbit_dynamics import (EARTH_RADIUS_KM, GroundSite, Sgp4Propagator,
+                                    eci_to_topocentric, julian_date, make_tle,
                                     max_angular_rates, predict_passes, sample_pass)
 from conftest import EPOCH, SITE, zenith_tle
+from pass_reference import unscreened_passes
 
 
 def elevation(tle, t):
@@ -159,6 +161,73 @@ def test_golden_pass_table(inclination):
         assert w.max_elevation_deg == pytest.approx(row["max_elevation_deg"], rel=1e-12, abs=0.0)
 
 
+def _semi_major_axis_km(mean_motion: float) -> float:
+    """Two-body semi-major axis for a mean motion in rev/day."""
+    n_rad_s = mean_motion * 2.0 * np.pi / 86400.0
+    return (sgp4.MU_KM3_S2 / n_rad_s ** 2) ** (1.0 / 3.0)
+
+
+def _random_search(rng):
+    """A seeded search: any near-Earth orbit, eccentric up to 0.3 where its
+    perigee stays above about 150 km, any site, mask and span."""
+    mean_motion = rng.uniform(6.5, 16.3)
+    perigee_limit = 1.0 - (EARTH_RADIUS_KM + 150.0) / _semi_major_axis_km(mean_motion)
+    tle = make_tle(epoch=EPOCH, inclination=rng.uniform(0.0, 180.0),
+                   raan=rng.uniform(0.0, 360.0),
+                   eccentricity=rng.uniform(0.0, min(0.3, max(perigee_limit, 0.0))),
+                   arg_perigee=rng.uniform(0.0, 360.0), mean_anomaly=rng.uniform(0.0, 360.0),
+                   mean_motion=mean_motion, bstar=rng.uniform(0.0, 1e-4))
+    site = GroundSite(latitude_deg=rng.uniform(-89.0, 89.0),
+                      longitude_deg=rng.uniform(-180.0, 180.0),
+                      altitude_m=rng.uniform(0.0, 3000.0))
+    start = EPOCH + timedelta(hours=rng.uniform(0.0, 24.0))
+    end = start + timedelta(hours=rng.uniform(1.0, 168.0))
+    return tle, site, start, end, rng.uniform(0.5, 85.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_search_matches_unscreened(seed):
+    """AOS, TCA, LOS and peak elevation, bit for bit, over random orbits,
+    sites, masks and spans: some spans hold no sample near the mask."""
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        case = _random_search(rng)
+        assert predict_passes(*case) == unscreened_passes(*case)
+
+
+@pytest.mark.parametrize("tle, site, hours", [
+    # an equatorial orbit from a polar site: always far below the horizon
+    (zenith_tle(inclination=0.0), GroundSite(latitude_deg=89.0, longitude_deg=0.0), 0),
+    # the zenith pass's orbit, between two passes
+    (zenith_tle(), SITE, 4),
+])
+def test_screen_propagates_only_the_sparse_grid_far_from_the_mask(
+        tle, site, hours, conversions):
+    start = EPOCH + timedelta(hours=hours)
+    end = start + timedelta(hours=1)
+    assert predict_passes(tle, site, start, end) == []
+    # 121 coarse samples: every 8th from 0 to 112, and the last
+    assert conversions["instants"] == 16
+    assert unscreened_passes(tle, site, start, end) == []
+
+
+@pytest.mark.parametrize("inclination", [0.0, 90.0, 135.0])
+@pytest.mark.parametrize("mean_motion, perigee_km", [
+    (6.41, 100.0),        # a 225-min period, perigee about 100 km up
+    (1440.0 / 87.0, None),  # an 87-min circular orbit
+])
+def test_earth_fixed_speed_stays_under_the_screen_bound(inclination, mean_motion, perigee_km):
+    """|v| + omega_E |r| bounds the speed relative to the site; a week of
+    SGP4 on a 10 s grid stays below the constant the screen assumes."""
+    eccentricity = 0.0001 if perigee_km is None else \
+        1.0 - (EARTH_RADIUS_KM + perigee_km) / _semi_major_axis_km(mean_motion)
+    tle = make_tle(epoch=EPOCH, inclination=inclination, eccentricity=eccentricity,
+                   mean_motion=mean_motion)
+    r, v = Sgp4Propagator(tle).propagate_minutes(np.arange(7 * 1440 * 6 + 1) / 6.0)
+    speed = np.linalg.norm(v, axis=-1) + 7.292115e-5 * np.linalg.norm(r, axis=-1)
+    assert 8.0 < speed.max() < passes.MAX_EARTH_FIXED_SPEED_KMS
+
+
 @pytest.fixture
 def conversions(monkeypatch):
     """Count datetimes converted to Julian dates and instants propagated."""
@@ -181,7 +250,8 @@ def conversions(monkeypatch):
 
 def test_predict_passes_converts_each_instant_once(conversions):
     windows = predict_passes(zenith_tle(), SITE, EPOCH, EPOCH + timedelta(hours=12))
-    assert windows and conversions["instants"] > 1000
+    # propagation is counted, and the screen skips part of the 1,441-sample grid
+    assert windows and 0 < conversions["instants"] < 1441
     # instants convert once, as arrays; the element-set epoch is the only datetime
     assert conversions["datetimes"] == 1
 
