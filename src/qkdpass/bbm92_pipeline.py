@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -27,7 +28,6 @@ from typing import Any
 
 import numpy as np
 
-from . import channel_link
 from .channel_link import BackgroundCarry, LinkProfile, apply_channel, build_link_profile
 from .errors import (EmptyKey, LowSample, NoSync, OutOfRange, QkdPassError,
                      SimulationError, SyncFailed)
@@ -41,13 +41,13 @@ from .polarization_correction import PcsSeries, frame_offset_profile, \
 from .quantum_receiver import (CHANNEL_BEACON, ClockModel, CoincidenceResult,
                                DetectorCarry, DetectorModel, ORIGIN_BACKGROUND,
                                ORIGIN_SIGNAL, SyncResult, TagStream, _compress,
-                               _is_sorted, _sort_in_place, apply_detector,
+                               _sort_in_place, apply_detector,
                                beacon_clock_sync, channel_basis, channel_bit,
                                find_coincidences, match_blocks,
                                measure_polarization)
 from .scenario import Scenario
-from .seeding import (_add_normal, _two_bit_codes, _uniform_below, module_rng,
-                      module_streams)
+from .seeding import (NORMAL_BOUND, _add_normal, _two_bit_codes, _uniform_below,
+                      module_rng, module_streams)
 
 MODULE_NAME = "bbm92_pipeline"
 
@@ -193,6 +193,7 @@ class KeyReport:
     pat_lock_fraction: float
     sync_offset_s: float | None
     sync_drift: float | None
+    sync_failure: str | None
     window_start_utc: str
     window_duration_s: float
     quantum_window_start_s: float
@@ -207,16 +208,15 @@ class PassResult:
     """Everything simulate_pass produced, report plus telemetry.
 
     Neither the pair stream nor either arm's tags are kept: stream and
-    tag_blocks draw them again from the seed. onboard_arm and ground_arm
-    hold what the tags are drawn from, the channel survivors among it.
+    tag_blocks draw them again from the seed. chain holds what they are
+    drawn from.
     """
 
     report: KeyReport
     pat: PatSeries = field(repr=False)
     pcs: PcsSeries = field(repr=False)
     link: LinkProfile = field(repr=False)
-    onboard_arm: _OnboardArm = field(repr=False)
-    ground_arm: _GroundArm = field(repr=False)
+    chain: _PhotonChain = field(repr=False)
     sync: SyncResult | None = field(repr=False)
     coincidences: CoincidenceResult | None = field(repr=False)
     key: SiftedKey = field(repr=False)
@@ -225,22 +225,18 @@ class PassResult:
     def stream(self) -> PairEventStream:
         """The quantum window's pair stream: the blocks simulate_pass drew
         (_pair_blocks), drawn again and joined on first read."""
-        arm = self.onboard_arm
-        blocks = [block for block, _ in _pair_blocks(arm.scenario, arm.duration_s)]
+        chain = self.chain
+        blocks = [block for block, _ in _pair_blocks(chain.scenario, chain.duration_s)]
         return PairEventStream(np.concatenate([b.emission_times for b in blocks]),
                                np.concatenate([b.idler_channel for b in blocks]),
-                               arm.duration_s, arm.scenario.source)
+                               chain.duration_s, chain.scenario.source)
 
-    def tag_blocks(self, arm: str) -> Iterator[TagStream]:
-        """The "onboard" or "ground" arm's tags, drawn again from the seed
-        a block at a time: the same arm simulate_pass ran, whose
-        coincidences index the blocks joined (the ground tags corrected to
-        the reference timebase and stable-sorted)."""
-        if arm == "onboard":
-            return (tags for tags, _ in self.onboard_arm.blocks())
-        if arm == "ground":
-            return self.ground_arm.blocks()
-        raise ValueError(f"arm must be 'onboard' or 'ground', got {arm!r}")
+    def tag_blocks(self) -> Iterator[tuple[TagStream, TagStream]]:
+        """Both arms' tags, drawn again from the seed a block at a time:
+        the (onboard, ground) tags of each block of the chain simulate_pass
+        ran, whose coincidences index each arm's blocks joined (the ground
+        tags corrected to the reference timebase and stable-sorted)."""
+        return ((onboard, ground) for onboard, _, ground, _ in self.chain.blocks())
 
 
 @contextmanager
@@ -345,25 +341,21 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     - Beacon clock sync (_clock_sync). It reads only the link and the
       flight time, so it runs before any photon. A pass with no usable
-      beacon (total blackout) warns NoSync with the reason and yields a
-      well-formed zero-key report instead of an error; neither arm runs.
-    - The survivor pass (_survivors): the pairs, drawn and thinned by
-      the channel one block at a time. Only the channel survivors
-      outlive a block.
-    - Both arms, matched in time order (match_blocks). The onboard arm
-      (_OnboardArm.blocks) draws the pairs again and detects every idler
-      a pair block at a time; the ground arm (_GroundArm.blocks) detects
-      the survivors that reach it and the sky background a block of
-      background at a time, and corrects each block's tags to the
-      reference timebase with the fitted clock and the flight time.
-      Whichever arm is behind gives its next block, and the tags of both
-      up to a gap wider than the coincidence window are matched as one
-      segment, so neither whole tag stream is held;
-      PassResult.tag_blocks runs an arm again.
+      beacon (total blackout) warns NoSync with the reason, which the
+      report keeps as sync_failure, and yields a well-formed zero-key
+      report instead of an error; no photon is drawn.
+    - The photon chain (_PhotonChain.blocks): each pair block is drawn
+      once and goes through the channel and both arms, which give its
+      onboard and ground tags. The ground tags are corrected to the
+      reference timebase with the fitted clock and the flight time, and
+      both arms' blocks are matched in time order (match_blocks): the
+      tags of both up to a gap wider than the coincidence window are
+      matched as one segment, so neither whole tag stream is held.
+      PassResult.tag_blocks runs the chain again.
 
-    The survivor pass, the onboard arm and PassResult.stream draw their
-    pairs from one generator (_pair_blocks). The results do not depend on
-    either block size. Deterministic for a given scenario and seed.
+    The chain and PassResult.stream draw their pairs from one generator
+    (_pair_blocks). The results do not depend on the block sizes.
+    Deterministic for a given scenario and seed.
     """
     seed = scenario.seed
     proto = scenario.protocol
@@ -391,22 +383,20 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
 
     max_flight = float(np.max(link.range_km)) / SPEED_OF_LIGHT_KM_S
     ground_span = (0.0, q_dur + max_flight)
-    sync = _clock_sync(scenario, link, flight_s, q_dur, ground_span)
-
-    onboard_arm = _OnboardArm(scenario, q_dur)
-    ground_arm = _GroundArm(scenario, link, pcs, q_start, ground_span, flight_s,
-                            _survivors(scenario, link, q_dur))
+    sync, sync_failure = _clock_sync(scenario, link, flight_s, q_dur, ground_span)
+    chain = _PhotonChain(scenario, link, pcs, q_start, q_dur, ground_span, flight_s)
 
     coincidences: CoincidenceResult | None = None
     key = SiftedKey(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8),
                     np.empty(0, dtype=np.uint8))
     if sync is not None:
+        onboard_blocks, ground_blocks = _unzip(
+            ((tags.times_s, tags.channels, until), (ground, ground_until))
+            for tags, until, ground, ground_until in chain.blocks())
         with _stage("quantum_receiver"):
             # beacon tags are a stream of their own: both arms' tags are quad
             coincidences, onboard_channels, ground_channels = match_blocks(
-                ((tags.times_s, tags.channels, until)
-                 for tags, until in onboard_arm.blocks()),
-                _corrected_blocks(ground_arm.blocks(), sync.clock, flight_s),
+                onboard_blocks, _corrected_blocks(ground_blocks, sync.clock, flight_s),
                 proto.coincidence_window_s, match=find_coincidences)
 
     with _stage(MODULE_NAME):
@@ -442,21 +432,21 @@ def simulate_pass(scenario: Scenario, pass_index: int = 0) -> PassResult:
             pat_lock_fraction=float(pat.lock_fraction()),
             sync_offset_s=float(sync.clock.offset_s) if sync else None,
             sync_drift=float(sync.clock.drift) if sync else None,
+            sync_failure=sync_failure,
             window_start_utc=window.aos.isoformat(),
             window_duration_s=float(window.duration_s),
             quantum_window_start_s=float(q_start),
             quantum_window_duration_s=float(q_dur),
         )
 
-    return PassResult(
-        report=report, pat=pat, pcs=pcs, link=link, onboard_arm=onboard_arm,
-        ground_arm=ground_arm, sync=sync, coincidences=coincidences, key=key,
-    )
+    return PassResult(report=report, pat=pat, pcs=pcs, link=link, chain=chain,
+                      sync=sync, coincidences=coincidences, key=key)
 
 
 def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
-                ground_span: tuple[float, float]) -> SyncResult | None:
-    """The ground clock fitted to the beacon tags, or None if sync fails.
+                ground_span: tuple[float, float]) -> tuple[SyncResult | None, str | None]:
+    """The ground clock fitted to the beacon tags and None, or None and
+    the SyncFailed message if sync fails.
 
     The classical beacon is a bright pulse train, lost only in a
     blackout (_beacon_tags). Two fits: the first predicts the flight
@@ -465,8 +455,8 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
     iterates the emission time and scales the flight time by the fitted
     rate (_flight_removed). Each fit's input is built a block of tags at
     a time into one array, so the tags and that input are all that
-    scale with the beacon count. A failed sync warns NoSync with the
-    SyncFailed message.
+    scale with the beacon count. A failed sync also warns NoSync with
+    the message.
     """
     frequency = scenario.source.beacon_frequency_hz
     n_pulses = beacon_pulse_count(scenario.source, q_dur)
@@ -478,7 +468,7 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
             sync1 = beacon_clock_sync(fit_in, frequency, n_pulses, scenario.sync)
             _by_blocks(lambda t: _flight_removed(t, sync1.clock, flight_s), tags,
                        out=fit_in)
-            return beacon_clock_sync(fit_in, frequency, n_pulses, scenario.sync)
+            return beacon_clock_sync(fit_in, frequency, n_pulses, scenario.sync), None
     except SimulationError as exc:
         if not isinstance(exc.__cause__, SyncFailed):
             raise
@@ -486,7 +476,7 @@ def _clock_sync(scenario: Scenario, link: LinkProfile, flight_s, q_dur: float,
         # possible, report zero key rather than failing the pass
         warnings.warn(f"beacon clock sync failed, so the key is zero: {exc.__cause__}",
                       NoSync, stacklevel=3)
-        return None
+        return None, str(exc.__cause__)
 
 
 # Pulses per block of the beacon train: bounds the beacon detector's
@@ -510,10 +500,10 @@ def _beacon_tags(scenario: Scenario, link: LinkProfile, flight_s, n_pulses: int,
     rngs = module_streams(scenario.seed, "quantum_receiver.ground.beacon", 3)
     carry = DetectorCarry()
 
-    def detect(arrivals: np.ndarray, last: bool) -> np.ndarray:
+    def detect(arrivals: np.ndarray, next_s: float) -> np.ndarray:
         return apply_detector(
             arrivals, np.full(len(arrivals), CHANNEL_BEACON, dtype=np.uint8), model,
-            scenario.clock, rng=rngs, span_s=ground_span, carry=carry, last=last,
+            scenario.clock, rng=rngs, span_s=ground_span, carry=carry, next_s=next_s,
         ).times_s
 
     tags, arrivals = [], np.empty(0)
@@ -524,9 +514,9 @@ def _beacon_tags(scenario: Scenario, link: LinkProfile, flight_s, n_pulses: int,
             # a block is detected once the next one with pulses is in, so
             # that only a total blackout makes a call without pulses
             if len(arrivals):
-                tags.append(detect(arrivals, last=False))
+                tags.append(detect(arrivals, -np.inf))
             arrivals = emit + flight_s(emit)
-    tags.append(detect(arrivals, last=True))
+    tags.append(detect(arrivals, np.inf))
     return np.concatenate(tags)
 
 
@@ -545,148 +535,128 @@ def _pair_blocks(scenario: Scenario,
             yield generate_pair_stream(scenario.source, duration_s, carry), carry.done
 
 
-def _survivors(scenario: Scenario, link: LinkProfile, q_dur: float) -> PairEventStream:
-    """The window's channel survivors.
-
-    The pairs are thinned by the channel a block at a time; only the
-    survivors' emission times and idler channels (9 B each) outlive a
-    block.
-    """
-    channel_rng = module_rng(scenario.seed, "channel_link")
-    kept_t, kept_c = [], []
-    for block, _ in _pair_blocks(scenario, q_dur):
-        with _stage("channel_link"):
-            rows = apply_channel(block, link, channel_rng).survivor_indices
-        kept_t.append(block.emission_times[rows])
-        kept_c.append(block.idler_channel[rows])
-        del block, rows
-    return PairEventStream(np.concatenate(kept_t), np.concatenate(kept_c),
-                           q_dur, scenario.source)
-
-
 @dataclass(frozen=True)
-class _OnboardArm:
-    """The onboard idler arm, run from the same state on every call.
+class _PhotonChain:
+    """The window's photon chain, run from the same state on every call.
 
-    The survivor pass keeps no pair that the channel lost, and the
-    onboard detector measures every pair, so the arm draws the window's
-    pairs again from the seed; duration_s is the window.
-    """
-
-    scenario: Scenario
-    duration_s: float
-
-    def blocks(self) -> Iterator[tuple[TagStream, float]]:
-        """The onboard tags, one pair block at a time, each block with a
-        time that no tag of a later block comes before (DetectorCarry.until).
-
-        The idlers are detected on the reference timebase. The blocks
-        joined do not depend on the block size.
-        """
-        scenario, span = self.scenario, (0.0, self.duration_s)
-        rngs = module_streams(scenario.seed, "quantum_receiver.onboard.detector", 3)
-        carry = DetectorCarry()
-        for block, last in _pair_blocks(scenario, self.duration_s):
-            with _stage("quantum_receiver"):
-                tags = apply_detector(
-                    block.emission_times, measure_polarization(block, "onboard"),
-                    scenario.onboard_detector, ClockModel(), rng=rngs,
-                    span_s=span, carry=carry, last=last)
-            del block
-            yield tags, carry.until
-
-
-@dataclass(frozen=True)
-class _GroundArm:
-    """The ground receiver's arm, run from the same state on every call.
-
-    survivors are the channel survivors of all pair blocks. span_s is
-    the receiver's gate, the window plus the longest flight time.
+    duration_s is the quantum window, which starts q_start into the
+    pass; span_s is the ground receiver's gate, the window plus the
+    longest flight time.
     """
 
     scenario: Scenario
     link: LinkProfile
     pcs: PcsSeries
     q_start: float
+    duration_s: float
     span_s: tuple[float, float]
     flight_s: Callable[[np.ndarray], np.ndarray]
-    survivors: PairEventStream
 
-    def blocks(self) -> Iterator[TagStream]:
-        """The ground tags, one block of sky background at a time.
+    def blocks(self) -> Iterator[tuple[TagStream, float, TagStream, float]]:
+        """Both arms' tags, a block at a time: the onboard tags, a time
+        that no onboard tag of a later block comes before
+        (DetectorCarry.until), the ground tags on the receiver clock, and
+        such a time for them. Each pair block (_pair_blocks) gives one
+        block per ground detector call; its onboard tags come with the
+        first.
 
-        The downlink split picks the survivors that reach the ground
-        analyzer, measured at the PCS residual of their emission time
-        and sorted by arrival. The ground detector's efficiency and
-        jitter then act on these signal arrivals here, with its own
-        thinning and jitter streams in arrival order, and the registered
-        signal is stable-sorted by time. The sky background is drawn
-        over the gate from its own stream a block at a time, as that
-        detector registers it (see apply_channel), and each block is
-        merged with the signal up to its last time, in pieces of at most
-        _BLOCK_ARRIVALS signal arrivals (_ground_block), so that a
-        window without sky light is not one block either. The pieces go
-        through the detector at efficiency 1 without jitter: its dark
-        counts, clock and dead time. The blocks joined do not depend on
-        the block size.
+        A pair block is thinned by the channel, and the onboard detector
+        detects every idler on the reference timebase. The downlink split
+        picks the survivors that reach the ground analyzer, which
+        measures them at the PCS residual of their emission time. They
+        arrive a flight time later, and the ground detector's efficiency
+        and jitter act on them here, with its own thinning and jitter
+        streams in arrival order. The registered signal joins what
+        earlier pair blocks left, stable-sorted, up to the earliest time
+        a later block's can land; the rest waits. The sky background is
+        drawn over the gate from its own stream, a block at a time as
+        that detector registers it (see apply_channel), up to the same
+        time. Each sky block is merged with the signal (_ground_block)
+        and goes through the detector at efficiency 1 without jitter:
+        its dark counts, clock and dead time. Every draw is sequential in
+        its own stream, so the blocks joined do not depend on either
+        block size.
         """
-        scenario, seed, survivors = self.scenario, self.scenario.seed, self.survivors
+        scenario, seed, span = self.scenario, self.scenario.seed, self.span_s
         model = scenario.ground_detector
-        rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
-        with _stage("quantum_receiver"):
-            downlink = module_rng(seed, "photon_source.downlink").random(
-                len(survivors)) < scenario.source.downlink_fraction
-            signal_idx = np.flatnonzero(downlink)
-            signal_emit = survivors.emission_times[signal_idx]
-            signal_channels = measure_polarization(
-                survivors, "ground",
-                residual_deg=self.pcs.residual_at(self.q_start + signal_emit),
-                rng=module_rng(seed, "quantum_receiver.ground"),
-                ad_anticorrelated=scenario.protocol.ad_anticorrelated, rows=signal_idx,
-            )
-            del downlink, signal_idx
-            signal_t = signal_emit + self.flight_s(signal_emit)
-            del signal_emit
-            # the blocks split the signal by time; a flight time that rounds
-            # the other way could still swap two arrivals attoseconds apart
-            if not _is_sorted(signal_t):
-                order = np.argsort(signal_t, kind="stable")
-                signal_t, signal_channels = signal_t[order], signal_channels[order]
-            signal_t, signal_channels = _compress(
-                _uniform_below(rngs[0], (model.efficiency,), (0, len(signal_t))),
-                signal_t, signal_channels)
-            if model.timing_jitter_rms_s > 0.0:
-                _add_normal(rngs[1], signal_t, model.timing_jitter_rms_s)
-                _sort_in_place(signal_t, signal_channels)
-
+        channel_rng = module_rng(seed, "channel_link")
+        downlink_rng = module_rng(seed, "photon_source.downlink")
+        analyzer_rng = module_rng(seed, "quantum_receiver.ground")
+        onboard_rngs = module_streams(seed, "quantum_receiver.onboard.detector", 3)
+        ground_rngs = module_streams(seed, "quantum_receiver.ground.detector", 3)
+        onboard_carry, ground_carry = DetectorCarry(), DetectorCarry()
         registered = dataclasses.replace(model, efficiency=1.0, timing_jitter_rms_s=0.0)
-        ground_carry = DetectorCarry()
-        sky = BackgroundCarry(self.span_s, model.efficiency, model.timing_jitter_rms_s,
+        sky = BackgroundCarry(span, model.efficiency, model.timing_jitter_rms_s,
                               module_rng(seed, "channel_link.background.edges"))
         sky_rng = module_rng(seed, "channel_link.background")
         sky_codes = module_rng(seed, "quantum_receiver.ground.background")
-        spare = np.empty(0, dtype=np.uint8)
         no_pairs = PairEventStream(np.empty(0), np.empty(0, dtype=np.uint8),
-                                   survivors.duration_s, scenario.source)
-        taken = 0
-        while not sky.done:
+                                   self.duration_s, scenario.source)
+        no_tags = TagStream(np.empty(0), np.empty(0, dtype=np.uint8),
+                            np.empty(0, dtype=np.uint8))
+        # the registered signal and the sky drawn but not yet detected, sorted
+        signal_t, signal_c = sky_t, sky_c = np.empty(0), np.empty(0, dtype=np.uint8)
+        spare = np.empty(0, dtype=np.uint8)
+        reach, emitted = NORMAL_BOUND * model.timing_jitter_rms_s, 0.0
+        for block, last in _pair_blocks(scenario, self.duration_s):
             with _stage("channel_link"):
-                sky_t = apply_channel(no_pairs, self.link, sky_rng,
-                                      background=sky).background_times
-            if not (len(sky_t) or sky.done):
-                continue  # every arrival of the block fell near a rate step
+                rows = apply_channel(block, self.link, channel_rng).survivor_indices
             with _stage("quantum_receiver"):
-                sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
-                pieces = _ground_block(signal_t, signal_channels, taken, sky_t, sky_c,
-                                       sky.done)
-                del sky_t, sky_c
-                for arrivals, chans, origins, taken in pieces:
-                    yield apply_detector(
-                        arrivals, chans, registered, scenario.clock,
-                        rng=rngs, span_s=self.span_s, origins=origins,
-                        carry=ground_carry, last=sky.done and taken == len(signal_t),
-                    )
+                onboard = apply_detector(
+                    block.emission_times, measure_polarization(block, "onboard"),
+                    scenario.onboard_detector, ClockModel(), rng=onboard_rngs,
+                    span_s=(0.0, self.duration_s), carry=onboard_carry,
+                    next_s=np.inf if last else -np.inf)
+                rows = rows[downlink_rng.random(len(rows)) < scenario.source.downlink_fraction]
+                emit = block.emission_times[rows]
+                channels = measure_polarization(
+                    block, "ground", residual_deg=self.pcs.residual_at(self.q_start + emit),
+                    rng=analyzer_rng, ad_anticorrelated=scenario.protocol.ad_anticorrelated,
+                    rows=rows)
+                if len(block):
+                    emitted = float(block.emission_times[-1])
+                del block, rows
+                # in time order: arrival time rises with emission time by far
+                # more than the flight time's rounding can take back
+                arrivals = emit + self.flight_s(emit)
+                arrivals, channels = _compress(
+                    _uniform_below(ground_rngs[0], (model.efficiency,), (0, len(arrivals))),
+                    arrivals, channels)
+                if model.timing_jitter_rms_s > 0.0:
+                    _add_normal(ground_rngs[1], arrivals, model.timing_jitter_rms_s)
+                # earlier blocks' rows go first on equal times
+                signal_t = np.concatenate([signal_t, arrivals])
+                signal_c = np.concatenate([signal_c, channels])
+                _sort_in_place(signal_t, signal_c)
+                # the earliest a later block's registered arrival can land,
+                # as the jitter and the flight time round it
+                release = np.inf if last else \
+                    emitted + float(self.flight_s(emitted)) - reach - _CORRECTION_HOLD_S
+                cut = int(np.searchsorted(signal_t, release, side="left"))
+                ready_t, ready_c = signal_t[:cut], signal_c[:cut]
+                signal_t, signal_c = signal_t[cut:], signal_c[cut:]
+                taken = 0
+                while True:
+                    if not (len(sky_t) or sky.done):
+                        with _stage("channel_link"):
+                            sky_t = apply_channel(no_pairs, self.link, sky_rng,
+                                                  background=sky).background_times
+                        sky_c, spare = _two_bit_codes(sky_codes, spare, len(sky_t))
+                        continue
+                    end = int(np.searchsorted(sky_t, release, side="left"))
+                    closing = end < len(sky_t) or sky.done
+                    arrivals, chans, origins, taken = _ground_block(
+                        ready_t, ready_c, taken, sky_t[:end], sky_c[:end], closing)
+                    sky_t, sky_c = sky_t[end:], sky_c[end:]
+                    ground = apply_detector(
+                        arrivals, chans, registered, scenario.clock, rng=ground_rngs,
+                        span_s=span, origins=origins, carry=ground_carry,
+                        next_s=release if closing else -np.inf)
                     del arrivals, chans, origins
+                    yield onboard, onboard_carry.until, ground, ground_carry.until
+                    onboard = no_tags
+                    if closing:
+                        break
 
 
 def _emission_estimate(tag_times_s, clock: ClockModel, flight_s) -> np.ndarray:
@@ -707,21 +677,39 @@ def _flight_removed(tag_times_s: np.ndarray, clock: ClockModel, flight_s) -> np.
     return tag_times_s - flight_s(emit) * (1.0 + clock.drift)
 
 
-# Ground tags within this of a block's last corrected time wait for the
-# next block (match_blocks' until). The correction rises with the tag
-# time, and rounding reorders neighbours by a few ulps only, under
-# 1e-13 s for tags within hours of the window start.
+# A margin for rounding in the time order of ground tags and arrivals.
+# The correction rises with the tag time, and arrival time with emission
+# time, and rounding reorders neighbours by a few ulps only, under 1e-13
+# s for times within hours of the window start.
 _CORRECTION_HOLD_S = 1e-9
 
 
-def _corrected_blocks(blocks: Iterable[TagStream], clock: ClockModel, flight_s):
-    """match_blocks' blocks: each block's times on the reference timebase
-    (_corrected_times), its channels, and a time that no tag of a later
-    block comes before."""
-    for tags in blocks:
-        times = _corrected_times(tags.times_s, clock, flight_s)
-        until = times[-1] - _CORRECTION_HOLD_S if len(times) else -np.inf
-        yield times, tags.channels, until
+def _unzip(pairs: Iterator[tuple[Any, Any]]) -> tuple[Iterator[Any], Iterator[Any]]:
+    """Two iterators over the first and the second items of pairs, which
+    draw a pair when either runs out. An item is dropped once given out,
+    so they hold only what one is ahead by (a tee holds up to 57 pairs)."""
+    queues = (deque(), deque())
+
+    def side(queue: deque) -> Iterator[Any]:
+        while True:
+            if not queue:
+                pair = next(pairs, None)
+                if pair is None:
+                    return
+                for q, item in zip(queues, pair):
+                    q.append(item)
+            yield queue.popleft()
+    return side(queues[0]), side(queues[1])
+
+
+def _corrected_blocks(blocks: Iterable[tuple[TagStream, float]], clock: ClockModel,
+                      flight_s):
+    """match_blocks' ground blocks: each block's times on the reference
+    timebase (_corrected_times), its channels, and its until (a receiver
+    time no later tag comes before) corrected too, less _CORRECTION_HOLD_S."""
+    for tags, until in blocks:
+        times = _corrected_times(np.append(tags.times_s, until), clock, flight_s)
+        yield times[:-1], tags.channels, times[-1] - _CORRECTION_HOLD_S
 
 
 # Values per step of _by_blocks: bounds the temporaries of the
@@ -757,9 +745,8 @@ def _ground_arrivals(
 
     Both inputs must be sorted; the order is then that of a stable
     argsort of the signal rows followed by the background rows. The
-    ground arm passes a block of each at a time (the signal sorted once
-    before its blocks, the background sorted as drawn), so the signal
-    rows are inserted into the background ahead of equal times.
+    chain passes a block of each at a time (_ground_block), so the
+    signal rows are inserted into the background ahead of equal times.
     """
     at = np.searchsorted(background_t, signal_t, side="left")
     origins = np.full(len(signal_t) + len(background_t), ORIGIN_BACKGROUND,
@@ -773,30 +760,19 @@ def _ground_arrivals(
 def _ground_block(
     signal_t: np.ndarray, signal_channels: np.ndarray, taken: int,
     background_t: np.ndarray, background_channels: np.ndarray, last: bool,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """One sky block's ground arrivals (_ground_arrivals), in pieces of at
-    most channel_link._BLOCK_ARRIVALS signal rows, each piece with the
-    end of the sorted signal rows taken so far.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One sky block's ground arrivals (_ground_arrivals), and the end of
+    the sorted signal rows taken so far.
 
     The block takes the signal rows from taken up to its last background
-    time, all that are left if it is the last block. A signal arrival
-    equal to that time goes with the block, ahead of the background
-    arrival. A piece ends at its last signal row, and background rows at
-    that time go to the next piece, behind any signal rows left at it.
-    So the pieces joined are _ground_arrivals over the whole streams,
-    and each piece starts no earlier than the last one ended. Only the
-    last piece of the last block can be empty.
+    time, all that are left if it is the last block the signal is
+    merged with. A signal arrival equal to that time goes with the
+    block, ahead of the background arrival, and background rows of the
+    next block at that time follow it. So the blocks joined are
+    _ground_arrivals over the whole streams, and each block starts no
+    earlier than the last one ended. Only the last block can be empty.
     """
     end = len(signal_t) if last else \
         int(np.searchsorted(signal_t, background_t[-1], side="right"))
-    cap = channel_link._BLOCK_ARRIVALS
-    while end - taken > cap:
-        cut = int(np.searchsorted(background_t, signal_t[taken + cap - 1], side="left"))
-        yield (*_ground_arrivals(signal_t[taken:taken + cap],
-                                 signal_channels[taken:taken + cap],
-                                 background_t[:cut], background_channels[:cut]),
-               taken + cap)
-        taken += cap
-        background_t, background_channels = background_t[cut:], background_channels[cut:]
-    yield (*_ground_arrivals(signal_t[taken:end], signal_channels[taken:end],
-                             background_t, background_channels), end)
+    return (*_ground_arrivals(signal_t[taken:end], signal_channels[taken:end],
+                              background_t, background_channels), end)

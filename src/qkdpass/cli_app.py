@@ -168,9 +168,13 @@ def cmd_simulate(args) -> int:
     if args.format:
         write = {"csv": write_tags_csv, "json": write_tags_json,
                  "bin": write_tags_binary}[args.format]
-        # each arm runs again and is written a block at a time
-        for arm in ("ground", "onboard"):
-            write(result.tag_blocks(arm), out / f"tags_{arm}.{args.format}")
+        # the chain runs again, and each arm is written a block at a time
+        sinks = [write(out / f"tags_{arm}.{args.format}") for arm in ("onboard", "ground")]
+        for blocks in result.tag_blocks():
+            for sink, tags in zip(sinks, blocks):
+                sink.send(tags)
+        for sink in sinks:
+            sink.close()
     r = result.report
     print(f"sifted={r.sifted_bits} qber={r.qber_estimate:.6g} "
           f"secret={r.secret_bits}")

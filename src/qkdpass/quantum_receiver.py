@@ -11,10 +11,11 @@ and finds coincidences between the two sides' tag streams.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import tempfile
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -196,14 +197,15 @@ def measure_polarization(
     rows indexes the measured pairs, every pair by default; residual_deg
     is a scalar or one value per measured pair. The onboard side replays
     the idler channel recorded at emission and draws nothing. The ground
-    side draws from rng, per measured photon and in this order, its
-    basis, a fair bit, a source error with probability (1 - visibility)/2
-    and a misalignment flip with probability sin^2(residual). In the idler's
-    basis it reads the idler outcome, otherwise the fair bit; both flips
-    then apply. Its draws follow the measured photons, not their row
-    numbers. ad_anticorrelated selects the convention of correlated H/V
-    and anticorrelated A/D outcomes, matching the source's fringe
-    extrema.
+    side draws four uniforms from rng per measured photon, one row each
+    in photon order: basis 1 (A/D) below 1/2, a fair bit 1 below 1/2, a
+    source error below (1 - visibility)/2 and a misalignment flip below
+    sin^2(residual). In the idler's basis it reads the idler outcome,
+    otherwise the fair bit; both flips then apply. Its draws follow the
+    measured photons, not their row numbers or their split into calls
+    sharing rng (a Generator's doubles do not depend on how a draw is
+    split). ad_anticorrelated selects the convention of correlated H/V
+    and anticorrelated A/D outcomes, matching the source's fringe extrema.
     """
     if side == "onboard":
         return stream.idler_channel[rows]
@@ -212,11 +214,11 @@ def measure_polarization(
     idler = stream.idler_channel[rows]
     idler_basis = channel_basis(idler)
     bit = channel_bit(idler)
-    m = len(bit)
-    basis = rng.integers(0, 2, size=m, dtype=np.uint8)
-    fair = rng.integers(0, 2, size=m, dtype=np.uint8)
-    error = rng.random(m) < qber_from_visibility(stream.config.visibility)
-    mis = rng.random(m) < qber_from_residual(residual_deg)
+    u = rng.random((len(bit), 4))
+    basis = (u[:, 0] < 0.5).astype(np.uint8)
+    fair = u[:, 1] < 0.5
+    error = u[:, 2] < qber_from_visibility(stream.config.visibility)
+    mis = u[:, 3] < qber_from_residual(residual_deg)
     if ad_anticorrelated:
         bit = bit ^ (basis != BASIS_HV)
     bit = np.where(basis == idler_basis, bit, fair) ^ error ^ mis
@@ -279,12 +281,13 @@ class DetectorCarry:
     """What apply_detector keeps between the blocks of one arrival stream.
 
     floor: the lowest arrival time a later block may hold (the last
-    block's latest). held: kept rows on the output timebase that a later
-    arrival could still precede, sorted. darks: the dark counts not yet
-    emitted, sorted (None until the first block draws them over the
-    span). last_kept: each channel code's last kept time, for the dead
-    time (-inf before the first). until: a time that no tag of a later
-    block comes before, inf once the last block is in.
+    block's latest, or its next_s if later). held: kept rows on the
+    output timebase that a later arrival could still precede, sorted.
+    darks: the dark counts not yet emitted, sorted (None until the first
+    block draws them over the span). last_kept: each channel code's last
+    kept time, for the dead time (-inf before the first). until: a time
+    that no tag of a later block comes before, inf once the last block
+    is in.
     """
 
     floor: float = -np.inf
@@ -320,7 +323,7 @@ def apply_detector(
     span_s: tuple[float, float],
     carry: DetectorCarry,
     origins: np.ndarray | None = None,
-    last: bool = True,
+    next_s: float = np.inf,
 ) -> TagStream:
     """Detection chain from photon arrivals to clock-stamped tags.
 
@@ -346,13 +349,15 @@ def apply_detector(
     time and once more for the output.
 
     A stream comes in blocks, in time order, possibly just one: each
-    call passes the same rng streams, span_s and carry, and last marks
-    the final block. A call returns the tags no later arrival can
-    precede: those before the block's latest arrival moved back by the
-    largest jitter. The rest wait in carry.held, and each channel's last
-    kept time carries the dead time over. Every draw is sequential in
-    its own stream, so the tags of all blocks together are those of one
-    call over the whole stream, for any split.
+    call passes the same rng streams, span_s and carry, and next_s, a
+    time no arrival of a later block comes before: inf (the default) for
+    the final block, -inf when only the block's own latest arrival bounds
+    them. A call returns the tags no later arrival can precede: those
+    before the later of the two moved back by the largest jitter. The
+    rest wait in carry.held, and each channel's last kept time carries
+    the dead time over. Every draw is sequential in its own stream, so
+    the tags of all blocks together are those of one call over the whole
+    stream, for any split.
     """
     thin_rng, jitter_rng, dark_rng = rng
     times = np.asarray(arrival_times_s, dtype=float)
@@ -361,11 +366,9 @@ def apply_detector(
         columns.append(np.asarray(origins))
     if any(len(column) != len(times) for column in columns):
         raise ValueError("arrival columns must share one length")
-    floor = carry.floor
-    if len(times):
-        if times.min() < floor:
-            raise ValueError("blocks of arrivals must come in time order")
-        floor = carry.floor = float(times.max())
+    if len(times) and times.min() < carry.floor:
+        raise ValueError("blocks of arrivals must come in time order")
+    floor = carry.floor = max(float(times.max()) if len(times) else carry.floor, next_s)
 
     if model.efficiency < 1.0:
         columns = _compress(
@@ -385,8 +388,7 @@ def apply_detector(
     # clock.apply, in place
     times *= 1.0 + clock.drift
     times += clock.offset_s
-    final_before = np.inf if last else floor * (1.0 + clock.drift) + clock.offset_s
-    carry.until = final_before
+    final_before = carry.until = floor * (1.0 + clock.drift) + clock.offset_s
 
     if carry.darks is None:
         lo, hi = clock.apply(np.asarray(span_s, dtype=float))
@@ -911,15 +913,28 @@ def _last_cut(a: np.ndarray, b: np.ndarray, until: float,
         tail *= 4
 
 
-def write_tags_csv(blocks: Iterable[TagStream], path: str | Path) -> None:
+def _sink(write: Callable[[str | Path], Generator[None, TagStream, None]]):
+    """write(path), started: a generator to send the successive blocks of
+    one stream to, as they come, and to close once they are all in."""
+    @functools.wraps(write)
+    def start(path: str | Path) -> Generator[None, TagStream, None]:
+        sink = write(path)
+        next(sink)
+        return sink
+    return start
+
+
+@_sink
+def write_tags_csv(path: str | Path) -> Generator[None, TagStream, None]:
     """Export tags as time_s,channel rows ending in \r\n, as csv.writer writes them.
 
-    blocks are the successive blocks of one stream, written as they
-    come: the bytes are those of the blocks joined.
+    The blocks sent are written as they come: the bytes are those of the
+    blocks joined.
     """
     with open(path, "w", newline="") as handle:
         handle.write("time_s,channel\r\n")
-        for stream in blocks:
+        while True:
+            stream = yield
             for start in range(0, len(stream), _ROW_CHUNK):
                 block = slice(start, start + _ROW_CHUNK)
                 times = stream.times_s[block].tolist()
@@ -928,41 +943,42 @@ def write_tags_csv(blocks: Iterable[TagStream], path: str | Path) -> None:
                              % tuple(itertools.chain.from_iterable(zip(times, tokens))))
 
 
-def write_tags_json(blocks: Iterable[TagStream], path: str | Path) -> None:
+@_sink
+def write_tags_json(path: str | Path) -> Generator[None, TagStream, None]:
     """Export one object with channel and time_s lists (origins dropped).
 
     The bytes are json.dumps(..., sort_keys=True, indent=2) plus a
-    newline, written _ROW_CHUNK values at a time. blocks are the
-    successive blocks of one stream: the channels are written as the
-    blocks come, while the times wait in a temporary file (8 B a tag) for
-    the second list.
+    newline, written _ROW_CHUNK values at a time. The channels of the
+    blocks sent are written as they come, while the times wait in a
+    temporary file (8 B a tag) for the second list, written on close.
     """
-    def write_list(key: str, chunks: Iterable[np.ndarray], tail: str) -> None:
-        handle.write(f'  "{key}": [')
-        written = False
-        for chunk in chunks:
-            for start in range(0, len(chunk), _ROW_CHUNK):
-                handle.write(",\n    " if written else "\n    ")
-                handle.write(",\n    ".join(
-                    map(repr, chunk[start:start + _ROW_CHUNK].tolist())))
-                written = True
+    def write_values(values: np.ndarray, written: bool) -> bool:
+        for start in range(0, len(values), _ROW_CHUNK):
+            handle.write(",\n    " if written else "\n    ")
+            handle.write(",\n    ".join(map(repr, values[start:start + _ROW_CHUNK].tolist())))
+            written = True
+        return written
+
+    def end_list(written: bool, tail: str) -> None:
         handle.write(f"\n  ]{tail}\n" if written else f"]{tail}\n")
 
-    def channels_spooling_times() -> Iterator[np.ndarray]:
-        for stream in blocks:
-            stream.times_s.astype("<f8", copy=False).tofile(spool)
-            yield stream.channels
-
-    def spooled_times() -> Iterator[np.ndarray]:
-        spool.seek(0)
-        while len(times := np.fromfile(spool, "<f8", _ROW_CHUNK)):
-            yield times
-
     with open(path, "w") as handle, tempfile.TemporaryFile() as spool:
-        handle.write("{\n")
-        write_list("channel", channels_spooling_times(), ",")
-        write_list("time_s", spooled_times(), "")
-        handle.write("}\n")
+        handle.write('{\n  "channel": [')
+        written = False
+        try:
+            while True:
+                stream = yield
+                stream.times_s.astype("<f8", copy=False).tofile(spool)
+                written = write_values(stream.channels, written)
+        except GeneratorExit:
+            end_list(written, ",")
+            handle.write('  "time_s": [')
+            spool.seek(0)
+            written = False
+            while len(times := np.fromfile(spool, "<f8", _ROW_CHUNK)):
+                written = write_values(times, written)
+            end_list(written, "")
+            handle.write("}\n")
 
 
 def read_tags_csv(path: str | Path) -> TagStream:
@@ -986,11 +1002,13 @@ def read_tags_csv(path: str | Path) -> TagStream:
 _BINARY_DTYPE = np.dtype([("time_s", "<f8"), ("channel", "u1")])
 
 
-def write_tags_binary(blocks: Iterable[TagStream], path: str | Path) -> None:
+@_sink
+def write_tags_binary(path: str | Path) -> Generator[None, TagStream, None]:
     """Export packed little-endian (float64 seconds, uint8 channel) records
-    of the successive blocks of one stream, as they come."""
+    of the blocks sent, as they come."""
     with open(path, "wb") as handle:
-        for stream in blocks:
+        while True:
+            stream = yield
             records = np.empty(len(stream), dtype=_BINARY_DTYPE)
             records["time_s"] = stream.times_s
             records["channel"] = stream.channels

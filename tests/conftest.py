@@ -101,10 +101,19 @@ def detect(times, channels, model, clock, rng, span_s=None, origins=None) -> Tag
 
 
 def arm_tags(result, arm: str) -> TagStream:
-    """A pass's "onboard" or "ground" tags: result.tag_blocks(arm), joined."""
-    columns = [(tags.times_s, tags.channels, tags.origins)
-               for tags in result.tag_blocks(arm)]
+    """A pass's "onboard" or "ground" tags: that arm's result.tag_blocks(), joined."""
+    side = ("onboard", "ground").index(arm)
+    columns = [(blocks[side].times_s, blocks[side].channels, blocks[side].origins)
+               for blocks in result.tag_blocks()]
     return TagStream(*(np.concatenate(column) for column in zip(*columns)))
+
+
+def write_blocks(writer, blocks, path) -> None:
+    """A tag writer's file: each of blocks sent to writer(path), then closed."""
+    sink = writer(path)
+    for block in blocks:
+        sink.send(block)
+    sink.close()
 
 
 def traced_memory(fn, *args, **kwargs):

@@ -515,12 +515,15 @@ def _background_run_digests(tmp_path) -> dict[str, str]:
 # when the sky began to be drawn as the ground detector registers it
 # (sifted=261, 30,442 ground tags): from its own streams, at the
 # detector efficiency times the rate, with the detector's thinning and
-# jitter draws spent on the signal arrivals only.
+# jitter draws spent on the signal arrivals only. They were recorded
+# again when the ground analyzer began to draw one row of four uniforms
+# per photon (sifted=234, 30,430 ground tags), and the report gained
+# sync_failure.
 BACKGROUND_RUN_SHA256 = {
     "report.json":
-        "fa96dae559d93bfdc7724283912a761dcc2d03ff83d2d7d842cbfb6a87ad6b06",
+        "1b05eac4cdefade496c1fda0e7c39bd54372043a45b9848cdc87d2c1a5180e43",
     "tags_ground.bin":
-        "3a89113275b12b55f8e41faddddf870abe8bd58f57ecf46f70905de883780336",
+        "f20de6ae98ecd22da768d5334ae64ad788fee1af46bfd20c80c8357fc8172d87",
     "tags_onboard.bin":
         "911dda509a7eb84ca7aca4fe8f4f14fe475bd15b80e48a17f6d8083e203cb06d",
 }

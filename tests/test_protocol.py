@@ -17,18 +17,19 @@ from qkdpass.bbm92_pipeline import (QberEstimate, SiftedKey, binary_entropy,
                                     estimate_qber, secret_fraction, sift,
                                     simulate_pass)
 from qkdpass.errors import EmptyKey, LowSample, NoSync, OutOfRange, SimulationError
-from qkdpass.photon_source import SourceConfig
+from qkdpass.photon_source import SourceConfig, beacon_pulse_count, pair_rate
 from qkdpass.polarization_correction import PcsSeries
 from qkdpass.channel_link import LinkProfile
 from qkdpass.quantum_receiver import (CHANNEL_A, CHANNEL_BEACON, CHANNEL_D, CHANNEL_H,
                                       CHANNEL_V, ORIGIN_BACKGROUND, ORIGIN_SIGNAL,
                                       QUAD_CHANNELS, ClockModel, DetectorCarry,
-                                      DetectorModel, SyncConfig, apply_detector,
-                                      find_coincidences, measure_polarization)
+                                      DetectorModel, SyncConfig, TagStream,
+                                      apply_detector, find_coincidences,
+                                      measure_polarization)
 from qkdpass.scenario import LinkConfig, ProtocolConfig
 from qkdpass.seeding import module_rng, module_streams
 from conftest import arm_tags, base_scenario, pair_stream, stable_sorted, traced_memory
-from ground_reference import reference_ground_blocks
+from ground_reference import reference_ground_tags
 from sync_reference import beacon_schedule
 
 
@@ -235,8 +236,9 @@ def test_simulate_pass_ground_tags_are_quad_only(sim_result):
 
 def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
     # the PCS residual is evaluated for the pairs that reach the ground
-    # analyzer, not for every emitted pair; the ground detector then
-    # registers a share of them (its efficiency), so it gets fewer
+    # analyzer, a pair block at a time, not for every emitted pair; the
+    # ground detector then registers a share of them (its efficiency), so
+    # it gets fewer
     residual_sizes, analyzed, signal_arrivals = [], [], []
     residual_at, measure = PcsSeries.residual_at, pipeline.measure_polarization
     apply_detector = pipeline.apply_detector
@@ -262,9 +264,8 @@ def test_simulate_pass_residual_only_at_ground_arrivals(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = simulate_pass(base_scenario())
-    assert len(analyzed) == len(signal_arrivals) == 1
-    assert residual_sizes == analyzed
-    assert 0 < signal_arrivals[0] < analyzed[0] < len(result.stream)
+    assert len(analyzed) > 1 and residual_sizes == analyzed
+    assert 0 < sum(signal_arrivals) < sum(analyzed) < len(result.stream)
 
 
 def _run_recording_survivors(monkeypatch, scenario):
@@ -298,15 +299,14 @@ def _run_recording_survivors(monkeypatch, scenario):
 
 
 def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
-    # the pairs, the channel thinning and the onboard detector run a block
-    # of pairs at a time, the sky background and the ground detector a
-    # block of background at a time, the signal arrivals of a sky block in
-    # pieces of at most a block, and both arms are matched a block at a
-    # time; every draw is sequential in its own stream, so any block sizes
-    # give the same bytes (3000 pairs and about 2300 registered background
-    # arrivals: 1 a block stays quick; 22 ms of window still holds 220 beacon
-    # pulses). Without sky light the signal pieces alone split the ground
-    # arm.
+    # the whole chain runs a block of pairs at a time, the sky background
+    # a block of background at a time, the ground detector on each sky
+    # block up to the time a later pair block's arrivals can land, and
+    # both arms are matched a block at a time; every draw is sequential in
+    # its own stream, so any block sizes give the same bytes (3000 pairs
+    # and about 2300 registered background arrivals: 1 a block stays
+    # quick; 22 ms of window still holds 220 beacon pulses). Without sky
+    # light the pair blocks alone split the ground arm.
     for sky in (2e5, 0.0):
         scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3000))
         scenario = dataclasses.replace(
@@ -334,9 +334,9 @@ def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
         assert runs[1][0] and json.loads(runs[1][0])["coincidences_total"] > 0
         origins = np.frombuffer(runs[1][-1], np.uint8)
         assert np.any(origins == ORIGIN_BACKGROUND) == bool(sky)
-        # one call per registered signal arrival (the tags less those lost
-        # to dead time) without sky light, and a call per registered
-        # background arrival with it
+        # a call per pair block without sky light, more than the registered
+        # signal arrivals, and a call per registered background arrival
+        # with it
         signal = int(np.count_nonzero(origins == ORIGIN_SIGNAL))
         assert (ground_calls[1] > 1000 if sky else ground_calls[1] >= signal > 0)
         assert ground_calls[1 << 40] == 1
@@ -345,8 +345,8 @@ def test_simulate_pass_does_not_depend_on_block_size(monkeypatch):
 
 @pytest.mark.parametrize("block", [7, photon_source._BLOCK_PAIRS])
 def test_stream_is_the_pairs_simulate_pass_drew(monkeypatch, block):
-    # the survivor pass and then the onboard arm draw the same pair blocks,
-    # and PassResult.stream is those blocks joined
+    # simulate_pass draws each pair block once, and PassResult.stream is
+    # those blocks joined
     monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", block)
     drawn, generate = [], pipeline.generate_pair_stream
 
@@ -362,10 +362,9 @@ def test_stream_is_the_pairs_simulate_pass_drew(monkeypatch, block):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = simulate_pass(scenario)
-    half = len(drawn) // 2
-    assert result.sync is not None and half > (100 if block == 7 else 1)
-    assert drawn[:half] == drawn[half:]
-    times, idlers = (b"".join(column) for column in zip(*drawn[:half]))
+    monkeypatch.setattr(pipeline, "generate_pair_stream", generate)
+    assert result.sync is not None and len(drawn) > (100 if block == 7 else 1)
+    times, idlers = (b"".join(column) for column in zip(*drawn))
     assert times == result.stream.emission_times.tobytes()
     assert idlers == result.stream.idler_channel.tobytes()
 
@@ -384,9 +383,31 @@ ON_DEMAND_RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(ON_DEMAND_RUNS))
+def test_simulate_pass_draws_each_pair_block_once(monkeypatch, run):
+    # one chain takes each pair block through the channel and both arms,
+    # so each block is drawn once; a pass that fails sync draws none
+    scenario = ON_DEMAND_RUNS[run]
+    calls, generate = [], pipeline.generate_pair_stream
+
+    def counting_pairs(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(pipeline, "generate_pair_stream", counting_pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = simulate_pass(scenario)
+    carry, blocks = photon_source.PairCarry.seeded(scenario.seed), 0
+    while not carry.done:
+        generate(scenario.source, result.report.quantum_window_duration_s, carry)
+        blocks += 1
+    assert blocks > 1 and len(calls) == (0 if run == "blackout" else blocks)
+
+
+@pytest.mark.parametrize("run", sorted(ON_DEMAND_RUNS))
 def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
     # simulate_pass matches both arms' tags a block at a time and keeps
-    # none; tag_blocks runs each arm again, and one
+    # none; tag_blocks runs the chain again, and one
     # find_coincidences call on those tags, the ground tags corrected and
     # stable-sorted, gives the pass's coincidences and key. Small pair and
     # sky blocks make many blocks and segments.
@@ -422,7 +443,7 @@ def test_ground_tags_are_drawn_again_on_demand(monkeypatch, run):
         return
     assert during["onboard"] > 10 and during["ground"] > (100 if run == "sky" else 0)
     times, channels = stable_sorted(pipeline._corrected_times(
-        tags.times_s, result.sync.clock, result.ground_arm.flight_s), tags.channels)
+        tags.times_s, result.sync.clock, result.chain.flight_s), tags.channels)
     want = find_coincidences(onboard.times_s, times, ProtocolConfig().coincidence_window_s)
     got = result.coincidences
     assert len(want) > 0 and got.expected_accidentals == want.expected_accidentals
@@ -488,27 +509,41 @@ def test_clock_sync_memory_is_bounded_per_pulse():
     # temporaries took 139.9 B
     scenario, link, flight_s, span = _beacon_run(50e3, 25.0, [1e-3])
     n_pulses = photon_source.beacon_pulse_count(scenario.source, 25.0)
-    sync, _, peak = traced_memory(pipeline._clock_sync, scenario, link, flight_s, 25.0, span)
+    (sync, _), _, peak = traced_memory(pipeline._clock_sync, scenario, link, flight_s, 25.0,
+                                       span)
     assert n_pulses >= 1_000_000 and sync.n_matched == n_pulses
     assert peak / n_pulses <= 48.0
 
 
 def test_failed_sync_warns_why():
-    # a blackout loses every beacon pulse: the zero-key report says nothing
-    # of why, the warning does
+    # a blackout loses every beacon pulse: the warning says why
     with pytest.warns(NoSync, match="no beacon tags to synchronize on"):
         result = simulate_pass(ON_DEMAND_RUNS["blackout"])
     assert result.sync is None and result.report.secret_bits == 0
 
 
+def test_report_says_why_sync_failed():
+    # the zero-key report keeps the SyncFailed message; a pass that syncs
+    # reports null
+    with pytest.warns(NoSync):
+        failed = simulate_pass(ON_DEMAND_RUNS["blackout"]).report
+    assert failed.to_dict()["sync_failure"] == "no beacon tags to synchronize on"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        synced = simulate_pass(base_scenario(
+            protocol=ProtocolConfig(max_source_events=100_000))).report
+    assert synced.sync_offset_s is not None and synced.sync_failure is None
+
+
 def test_simulate_pass_memory_is_bounded_per_pair():
-    # only the channel survivors outlive a pair block, and both arms are
-    # matched a block at a time, so the peak is one block's working set
-    # and the per-pass fixed costs: 3.87 B a pair on this run (5.23 B
-    # with 2^18-pair blocks and a whole-window beacon fit). Holding the
-    # onboard tags (10 B each, about half the pairs) and 2^20-pair blocks
-    # peaked at 13.83 B a pair; a whole-window pair stream and its
-    # detector pass at 22 B
+    # nothing of a pair block but the few registered signal arrivals near
+    # its end outlives it, and both arms are matched a block at a time,
+    # so the peak is one block's working set and the per-pass fixed costs:
+    # 3.58 B a pair on this run, 3.87 B holding the channel survivors (9 B
+    # each) and 5.23 B with 2^18-pair blocks and a whole-window beacon
+    # fit. Holding the onboard tags (10 B each, about half the pairs) and
+    # 2^20-pair blocks peaked at 13.83 B a pair; a whole-window pair
+    # stream and its detector pass at 22 B
     scenario = base_scenario(protocol=ProtocolConfig(max_source_events=3_000_000))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -516,6 +551,58 @@ def test_simulate_pass_memory_is_bounded_per_pair():
     pairs = 3_000_000
     assert len(arm_tags(result, "onboard")) > 0.4 * pairs
     assert peak / pairs <= 8.0
+
+
+def test_blackout_stretch_advances_the_ground_until(monkeypatch):
+    # a stretch of the window where no photon reaches the ground (the link
+    # at zero, no sky light) still gives each pair block a ground until
+    # at its release time, so match_blocks does not hold the onboard tags
+    # through it
+    monkeypatch.setattr(photon_source, "_BLOCK_PAIRS", 1 << 14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = simulate_pass(ON_DEMAND_RUNS["zero_sky"]).chain
+    times = np.arange(0.0, chain.duration_s + 0.05, 0.05)
+    zeros, open_ = np.zeros(len(times)), np.full(len(times), 1e-2)
+    closed = (times > 0.1) & (times < 0.3)  # the hold is zero on [0.15, 0.3)
+    link = LinkProfile(times, zeros, np.full(len(times), 600.0), zeros, zeros, zeros,
+                       zeros, np.where(closed, 0.0, open_), zeros)
+    untils, signal = {}, {}
+    for onboard, onboard_until, ground, ground_until in dataclasses.replace(
+            chain, link=link).blocks():
+        untils[onboard_until] = ground_until
+        signal[onboard_until] = signal.get(onboard_until, 0) + int(
+            np.count_nonzero(ground.origins == ORIGIN_SIGNAL))
+    pair_blocks, ground_untils = list(untils), list(untils.values())
+    assert len(pair_blocks) > 10 and ground_untils[-1] == np.inf
+    assert np.all(np.diff(ground_untils[:-1]) > 0.0)
+    # the blocks of 16,384 pairs (24 ms) that end in the dark stretch
+    dark = [signal[k] for k in pair_blocks[:-1] if 0.18 < k < 0.29]
+    assert len(dark) >= 3 and not any(dark)
+
+
+def test_simulate_pass_memory_does_not_grow_with_the_window():
+    # a small pump through a bright link (4.7 dB): a window four times
+    # longer holds four times the pairs, the channel survivors and the
+    # signal photons, yet besides the beacon tags of the sync stage (26 B
+    # a pulse; bounded at 32 B) only the key grows with it: 61k more
+    # coincidences, 18 B each, within the 2 MB slack. This run rises by
+    # 0.9 MB; holding the survivors (9 B each) and analyzing the window's
+    # signal photons at once, it rose by 15.2 MB
+    source = SourceConfig(pump_power_mw=0.005)
+    peaks, pulses = [], []
+    for window_s in (4.0, 16.0):
+        scenario = base_scenario(
+            source=source, link=LinkConfig(rx_aperture_diameter_m=1.0, tx_divergence_rad=1e-6),
+            protocol=ProtocolConfig(max_source_events=int(window_s * pair_rate(source))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result, _, peak = traced_memory(simulate_pass, scenario)
+        assert result.report.quantum_window_duration_s == pytest.approx(window_s)
+        assert result.report.loss_budget["total_db"] < 5.0
+        peaks.append(peak)
+        pulses.append(beacon_pulse_count(source, window_s))
+    assert peaks[1] - peaks[0] <= 32.0 * (pulses[1] - pulses[0]) + 2e6
 
 
 def reference_ground_arrivals(signal_t, signal_c, background_t, background_c):
@@ -561,14 +648,14 @@ def test_ground_arrivals_match_concatenate_and_argsort(n_signal, n_background,
 
 
 def ground_blocks(signal_t, signal_c, background_t, background_c, ends):
-    """_ground_block's pieces over the background split at ends, as the
-    pipeline takes them, joined; and each piece's arrival times."""
+    """_ground_block's blocks over the background split at ends, as the
+    pipeline takes them, joined; and each block's arrival times."""
     taken, blocks, bounds = 0, [], [0, *ends, len(background_t)]
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        for *block, taken in pipeline._ground_block(
-                signal_t, signal_c, taken, background_t[lo:hi], background_c[lo:hi],
-                k == len(ends)):
-            blocks.append(block)
+        *block, taken = pipeline._ground_block(
+            signal_t, signal_c, taken, background_t[lo:hi], background_c[lo:hi],
+            k == len(ends))
+        blocks.append(block)
     assert taken == len(signal_t)
     return [np.concatenate(column) for column in zip(*blocks)], [b[0] for b in blocks]
 
@@ -579,15 +666,12 @@ def ground_blocks(signal_t, signal_c, background_t, background_c, ends):
     n_background=st.integers(min_value=1, max_value=200),
     n_blocks=st.integers(min_value=1, max_value=12),
     grid=st.sampled_from([None, 0.05]),
-    cap=st.sampled_from([1, 3, 1 << 17]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, cap,
-                                       seed):
+def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, seed):
     # any split of the background into blocks (only the last one may be
-    # empty), and of a block's signal rows into pieces of at most cap,
-    # gives the stable argsort of the whole streams, and no piece starts
-    # before the last one ended
+    # empty) gives the stable argsort of the whole streams, and no block
+    # starts before the last one ended
     rng = np.random.default_rng(seed)
     signal_t = np.sort(rng.uniform(0.0, 1.0, n_signal))
     background_t = np.sort(rng.uniform(0.0, 1.0, n_background))
@@ -598,9 +682,7 @@ def test_ground_blocks_match_one_merge(n_signal, n_background, n_blocks, grid, c
     background_c = rng.integers(0, 4, n_background, dtype=np.uint8)
     ends = np.sort(rng.choice(np.arange(1, n_background + 1),
                               min(n_blocks, n_background) - 1, replace=False)).tolist()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(channel_link, "_BLOCK_ARRIVALS", cap)
-        got, times = ground_blocks(signal_t, signal_c, background_t, background_c, ends)
+    got, times = ground_blocks(signal_t, signal_c, background_t, background_c, ends)
     want = reference_ground_arrivals(signal_t, signal_c, background_t, background_c)
     for column, expected in zip(got, want):
         assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
@@ -681,33 +763,37 @@ def test_simulate_pass_memory_per_background_arrival_at_default_blocks(monkeypat
     assert peak / arrivals <= 10.0
 
 
-def _day_statistics(monkeypatch, blocks, seeds) -> np.ndarray:
-    """Per seed: the ground tags, the background tags among them, the
-    coincidences and the accidental fraction of a small day pass (about
-    0.08 of the coincidences accidental), with blocks giving the ground
-    arm's tag blocks."""
+def _day_statistics(seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Per seed, for the ground tags of a small day pass and for those of
+    ground_reference.py on its chain: the ground tags, the background
+    tags among them, the coincidences and the accidental fraction (about
+    0.08 of the coincidences accidental), both matched to the pass's
+    onboard tags as simulate_pass matches them."""
     day = base_scenario(protocol=ProtocolConfig(max_source_events=200_000))
     day = dataclasses.replace(day, link=dataclasses.replace(
         day.link, sky_background_rate_zenith=1e6))
-    rows = []
-
-    def counting_blocks(arm):
-        for tags in blocks(arm):
-            rows[-1][0] += len(tags.times_s)
-            rows[-1][1] += int(np.count_nonzero(tags.origins == ORIGIN_BACKGROUND))
-            yield tags
-
-    monkeypatch.setattr(pipeline._GroundArm, "blocks", counting_blocks)
+    got, want = [], []
     for seed in seeds:
-        rows.append([0, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = simulate_pass(dataclasses.replace(day, seed=seed)).report
-        rows[-1] += [report.coincidences_total, report.accidental_fraction]
-    return np.array(rows, dtype=float)
+            result = simulate_pass(dataclasses.replace(day, seed=seed))
+        onboard, ground = (
+            TagStream(*(np.concatenate(column) for column in zip(
+                *((tags.times_s, tags.channels, tags.origins) for tags in arm))))
+            for arm in zip(*result.tag_blocks()))
+        for tags, rows in ((ground, got), (reference_ground_tags(result.chain), want)):
+            times, _ = stable_sorted(pipeline._corrected_times(
+                tags.times_s, result.sync.clock, result.chain.flight_s), tags.channels)
+            pairs = find_coincidences(onboard.times_s, times,
+                                      day.protocol.coincidence_window_s)
+            rows.append([len(tags), np.count_nonzero(tags.origins == ORIGIN_BACKGROUND),
+                         len(pairs), pairs.expected_accidentals / len(pairs)])
+        assert got[-1][2:] == [result.report.coincidences_total,
+                               result.report.accidental_fraction]
+    return np.array(got, dtype=float), np.array(want, dtype=float)
 
 
-def test_registered_sky_matches_detecting_every_arrival_in_law(monkeypatch):
+def test_registered_sky_matches_detecting_every_arrival_in_law():
     # the sky drawn as the ground detector registers it gives the ground
     # tags, the background tags among them, the coincidences and the
     # accidental fraction of the arm that draws it at the full rate and
@@ -716,8 +802,7 @@ def test_registered_sky_matches_detecting_every_arrival_in_law(monkeypatch):
     # dead-time-thinned sky: a sky drawn at the full rate would about
     # double them, a thousand standard errors off
     seeds = range(1, 13)
-    got = _day_statistics(monkeypatch, pipeline._GroundArm.blocks, seeds)
-    want = _day_statistics(monkeypatch, reference_ground_blocks, seeds)
+    got, want = _day_statistics(seeds)
     assert np.all(got[:, 1] > 0.9 * got[:, 0]) and np.all(got[:, 2] > 300)
     pulls = (got.mean(axis=0) - want.mean(axis=0)) / np.sqrt(
         (got.var(axis=0, ddof=1) + want.var(axis=0, ddof=1)) / len(seeds))

@@ -28,7 +28,7 @@ from qkdpass.quantum_receiver import (_SEARCH_CHUNK, _prune_dead_time,
                                       read_tags_binary, read_tags_csv,
                                       write_tags_binary, write_tags_csv,
                                       write_tags_json)
-from conftest import detect, pair_stream, stable_sorted, traced_memory
+from conftest import detect, pair_stream, stable_sorted, traced_memory, write_blocks
 from sync_reference import beacon_schedule, reference_beacon_clock_sync
 
 IDENTITY = ClockModel()
@@ -212,6 +212,34 @@ def test_measurement_of_rows_matches_all_pairs(ad_anticorrelated, residual):
     assert measure_polarization(stream, "ground", rows=none,
                                 rng=_ground_rng(9)).shape == (0,)
     assert measure_polarization(stream, "onboard", rows=none).shape == (0,)
+
+
+_SPLIT_STREAM = pair_stream(SourceConfig(pump_power_mw=0.01), 0.05, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cuts=st.lists(st.integers(min_value=0, max_value=len(_SPLIT_STREAM)), max_size=6),
+    per_row=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ground_measurement_does_not_depend_on_the_split(cuts, per_row, seed):
+    # the ground analyzer draws one row of uniforms per photon: photons
+    # measured over several calls sharing one Generator, empty calls among
+    # them, get the channels of one call, and leave it in the same state
+    stream = _SPLIT_STREAM
+    draw = np.random.default_rng(seed)
+    rows = np.flatnonzero(draw.random(len(stream)) < 0.3)
+    residual = draw.uniform(-90.0, 90.0, len(rows)) if per_row else 20.0
+    whole_rng, split_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole = measure_polarization(stream, "ground", residual_deg=residual, rng=whole_rng,
+                                 rows=rows)
+    edges = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    parts = [measure_polarization(
+        stream, "ground", residual_deg=residual[lo:hi] if per_row else residual,
+        rng=split_rng, rows=rows[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert whole_rng.random() == split_rng.random()
 
 
 @pytest.mark.parametrize("visibility, residual", [(0.5, 0.0), (1.0, 90.0)])
@@ -408,17 +436,21 @@ def _three_streams(seed):
 
 
 def blocked_detector(times, channels, model, clock, seed, span_s, cuts,
-                     origins=None):
+                     origins=None, ahead=False):
     """apply_detector over the arrivals cut at the given rows, one call a
-    block with one carry, and the tags of all blocks joined."""
+    block with one carry, and the tags of all blocks joined. With ahead,
+    each block passes the next arrival as next_s (inf after the last)."""
     rngs, carry = _three_streams(seed), DetectorCarry()
     edges = [0, *cuts, len(times)]
     parts, untils = [], []
     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        next_s = -np.inf if k < len(edges) - 2 else np.inf
+        if ahead and k < len(edges) - 2:
+            next_s = times[hi] if hi < len(times) else np.inf
         parts.append(apply_detector(
             times[lo:hi], channels[lo:hi], model, clock, rng=rngs, span_s=span_s,
             origins=None if origins is None else origins[lo:hi],
-            carry=carry, last=k == len(edges) - 2))
+            carry=carry, next_s=next_s))
         untils.append(carry.until)
     # each block's until: its tags come before it, no later block's tag does
     assert untils[-1] == np.inf
@@ -431,12 +463,12 @@ def blocked_detector(times, channels, model, clock, seed, span_s, cuts,
 
 
 def assert_blocks_match_whole(times, channels, model, clock, seed, span_s, cuts,
-                              origins=None):
+                              origins=None, ahead=False):
     whole_rngs = _three_streams(seed)
     whole = apply_detector(times, channels, model, clock, rng=whole_rngs,
                            span_s=span_s, carry=DetectorCarry(), origins=origins)
     joined, rngs, parts = blocked_detector(times, channels, model, clock, seed,
-                                           span_s, cuts, origins)
+                                           span_s, cuts, origins, ahead)
     for column, expected in zip(joined, (whole.times_s, whole.channels, whole.origins)):
         assert column.dtype == expected.dtype
         assert column.tobytes() == expected.tobytes()
@@ -457,13 +489,15 @@ def assert_blocks_match_whole(times, channels, model, clock, seed, span_s, cuts,
     grid=st.sampled_from([None, 1e-5]),
     clock=CLOCKS,
     seed=SEEDS,
+    ahead=st.booleans(),
 )
 def test_detector_blocks_match_one_call(n, n_cuts, with_origins, efficiency,
                                         dark_rate, dead_time, jitter, grid, clock,
-                                        seed):
+                                        seed, ahead):
     # 3e-5 s of jitter spans several blocks, so rows wait across more
     # than one edge; repeated cuts make empty blocks; a coarse grid makes
-    # ties in time across block edges
+    # ties in time across block edges; a block that knows the next
+    # arrival (next_s) gives its tags up to it, empty or not
     rng = np.random.default_rng(seed)
     times = np.sort(rng.uniform(0.0, 1e-3, n))
     if grid:
@@ -474,7 +508,7 @@ def test_detector_blocks_match_one_call(n, n_cuts, with_origins, efficiency,
     model = DetectorModel(efficiency=efficiency, dark_rate_hz=dark_rate,
                           dead_time_s=dead_time, timing_jitter_rms_s=jitter)
     assert_blocks_match_whole(times, channels, model, clock, seed, (0.0, 1e-3),
-                              cuts, origins)
+                              cuts, origins, ahead)
 
 
 def test_detector_dead_time_straddles_block_edge():
@@ -540,7 +574,7 @@ def test_detector_blocks_must_come_in_time_order():
     carry = DetectorCarry()
     rngs = _three_streams(0)
     apply_detector(np.array([1.0, 2.0]), np.zeros(2, np.uint8), IDEAL, IDENTITY,
-                   rng=rngs, span_s=(0.0, 3.0), carry=carry, last=False)
+                   rng=rngs, span_s=(0.0, 3.0), carry=carry, next_s=-np.inf)
     with pytest.raises(ValueError):
         apply_detector(np.array([1.5]), np.zeros(1, np.uint8), IDEAL, IDENTITY,
                        rng=rngs, span_s=(0.0, 3.0), carry=carry)
@@ -1071,7 +1105,7 @@ def test_tags_csv_round_trip(tmp_path):
     channels = np.array([CHANNEL_H, CHANNEL_D, CHANNEL_BEACON], np.uint8)
     stream = TagStream(times, channels, np.zeros(3, np.uint8))
     path = tmp_path / "tags.csv"
-    write_tags_csv([stream], path)
+    write_blocks(write_tags_csv, [stream], path)
     back = read_tags_csv(path)
     # 15 significant digits survive the text round trip
     assert np.allclose(back.times_s, times, rtol=1e-14, atol=1e-13)
@@ -1104,7 +1138,7 @@ def test_tags_text_bytes_are_pinned(tmp_path, monkeypatch, fmt, rows_per_block):
     channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], len(times)).astype(np.uint8)
     path = tmp_path / f"tags.{fmt}"
     write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
-    write([TagStream(times, channels, np.zeros(len(times), np.uint8))], path)
+    write_blocks(write, [TagStream(times, channels, np.zeros(len(times), np.uint8))], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_TEXT_SHA256[fmt]
 
 
@@ -1116,7 +1150,8 @@ def test_empty_tag_stream_text(tmp_path, fmt, text):
     # the JSON text is that of json.dumps(..., sort_keys=True, indent=2)
     path = tmp_path / f"tags.{fmt}"
     write = {"csv": write_tags_csv, "json": write_tags_json}[fmt]
-    write([TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8))], path)
+    write_blocks(write, [TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8))],
+                 path)
     assert path.read_bytes() == text.encode()
 
 
@@ -1135,8 +1170,8 @@ def test_tag_export_in_blocks_equals_one_stream(tmp_path, fmt):
               for a, b in zip(cuts, cuts[1:])]
     empty = TagStream(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8))
     for name, whole, parts in (("full", stream, blocks), ("empty", empty, [])):
-        write([whole], tmp_path / f"whole_{name}.{fmt}")
-        write(iter(parts), tmp_path / f"blocks_{name}.{fmt}")
+        write_blocks(write, [whole], tmp_path / f"whole_{name}.{fmt}")
+        write_blocks(write, parts, tmp_path / f"blocks_{name}.{fmt}")
         assert ((tmp_path / f"blocks_{name}.{fmt}").read_bytes()
                 == (tmp_path / f"whole_{name}.{fmt}").read_bytes())
 
@@ -1150,7 +1185,8 @@ def test_json_tag_export_memory_is_bounded_per_block(tmp_path, monkeypatch):
     stream = TagStream(np.sort(rng.uniform(0.0, 450.0, n)),
                        rng.choice(QUAD_CHANNELS, n).astype(np.uint8),
                        np.zeros(n, np.uint8))
-    _, _, peak = traced_memory(write_tags_json, [stream], tmp_path / "tags.json")
+    _, _, peak = traced_memory(write_blocks, write_tags_json, [stream],
+                               tmp_path / "tags.json")
     assert peak / n <= 16.0
 
 
@@ -1163,7 +1199,7 @@ def test_tags_binary_bytes_are_pinned(tmp_path):
     times = np.sort(rng.uniform(0.0, 450.0, 1000))
     channels = rng.choice([*QUAD_CHANNELS, CHANNEL_BEACON], 1000).astype(np.uint8)
     path = tmp_path / "tags.bin"
-    write_tags_binary([TagStream(times, channels, np.zeros(1000, np.uint8))], path)
+    write_blocks(write_tags_binary, [TagStream(times, channels, np.zeros(1000, np.uint8))], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TAGS_BINARY_SHA256
 
 
@@ -1173,7 +1209,7 @@ def test_tags_binary_round_trip(tmp_path):
     channels = rng.choice(QUAD_CHANNELS, 1000).astype(np.uint8)
     stream = TagStream(times, channels, np.zeros(1000, np.uint8))
     path = tmp_path / "tags.bin"
-    write_tags_binary([stream], path)
+    write_blocks(write_tags_binary, [stream], path)
     back = read_tags_binary(path)
     assert np.array_equal(back.times_s, times)  # float64 exact
     assert np.array_equal(back.channels, channels)
